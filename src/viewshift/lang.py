@@ -277,16 +277,6 @@ def with_expr_children(e: Expr, kids: tuple[Expr, ...]) -> Expr:
             return e
 
 
-def map_expr(e: Expr, fn) -> Expr:
-    """Bottom-up rewrite: fn is applied to every node after its children."""
-    kids = expr_children(e)
-    if kids:
-        new_kids = tuple(map_expr(k, fn) for k in kids)
-        if new_kids != kids:
-            e = with_expr_children(e, new_kids)
-    return fn(e)
-
-
 def pattern_vars(p: Pattern) -> tuple[str, ...]:
     match p:
         case PVar(name):
@@ -300,6 +290,17 @@ def pattern_vars(p: Pattern) -> tuple[str, ...]:
             return ()
 
 
+def pattern_cons(p: Pattern) -> tuple[str, ...]:
+    """Constructor names a pattern matches on, outermost first."""
+    match p:
+        case PCon(name, args, _):
+            return (name,) + tuple(c for sub in args for c in pattern_cons(sub))
+        case PTuple(items):
+            return tuple(c for sub in items for c in pattern_cons(sub))
+        case _:
+            return ()
+
+
 def equation_bound_names(eq: Equation) -> set[str]:
     bound: set[str] = set()
     for p in eq.patterns:
@@ -308,32 +309,57 @@ def equation_bound_names(eq: Equation) -> set[str]:
     return bound
 
 
-def walk_expr(e: Expr, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Expr]]:
-    """Pre-order walk yielding (path, node); paths index expr_children."""
-    yield path, e
-    for i, kid in enumerate(expr_children(e)):
-        yield from walk_expr(kid, path + (i,))
+_LEAVES = (Var, IntLit, StrLit, Builtin)
+
+
+def scoped_children(e: Expr, bound: frozenset[str]) -> list[tuple[Expr, frozenset[str]]]:
+    """expr_children(e), each paired with the names bound around it.
+
+    This is the one statement of binder scoping inside expressions: a case
+    branch binds its pattern variables over its body, and a let binds its
+    names (recursively) over every right-hand side and the body.
+    """
+    if isinstance(e, _LEAVES):  # most nodes; skips expr_children's match
+        return []
+    if isinstance(e, Case):
+        return [(e.scrutinee, bound)] + [
+            (b.body, bound | frozenset(pattern_vars(b.pattern))) for b in e.branches
+        ]
+    if isinstance(e, Let):
+        bound = bound | {b.name for b in e.bindings}
+    return [(kid, bound) for kid in expr_children(e)]
 
 
 def walk_expr_scoped(
     e: Expr, bound: frozenset[str], path: tuple[int, ...] = ()
 ) -> Iterator[tuple[tuple[int, ...], Expr, frozenset[str]]]:
-    """Like walk_expr but tracks names bound by enclosing case/let binders."""
-    yield path, e, bound
-    match e:
-        case Case(scrutinee, branches):
-            yield from walk_expr_scoped(scrutinee, bound, path + (0,))
-            for i, b in enumerate(branches):
-                inner = bound | set(pattern_vars(b.pattern))
-                yield from walk_expr_scoped(b.body, inner, path + (i + 1,))
-        case Let(bindings, body):
-            inner = bound | {b.name for b in bindings}
-            for i, b in enumerate(bindings):
-                yield from walk_expr_scoped(b.rhs, inner, path + (i,))
-            yield from walk_expr_scoped(body, inner, path + (len(bindings),))
-        case _:
-            for i, kid in enumerate(expr_children(e)):
-                yield from walk_expr_scoped(kid, bound, path + (i,))
+    """Pre-order walk yielding (path, node, names bound at the node); paths
+    index expr_children."""
+    # An explicit stack yields each node once, not through one generator per
+    # enclosing node; children are pushed last-first to pop in document order.
+    stack = [(path, e, bound)]
+    while stack:
+        item = stack.pop()
+        yield item
+        path, e, bound = item
+        kids = scoped_children(e, bound)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), *kids[i]))
+
+
+def map_scoped(e: Expr, bound: frozenset[str], fn) -> Expr:
+    """Bottom-up rewrite: fn(node, bound names) is applied to every node after
+    its children. A node whose children all come back unchanged is passed to
+    fn as the same object, so an identity fn returns e itself."""
+    new_kids = []
+    changed = False
+    for kid, inner in scoped_children(e, bound):
+        new = map_scoped(kid, inner, fn)
+        changed = changed or new is not kid
+        new_kids.append(new)
+    if changed:
+        e = with_expr_children(e, tuple(new_kids))
+    return fn(e, bound)
 
 
 def expr_at(e: Expr, path: tuple[int, ...]) -> Expr:
@@ -352,16 +378,44 @@ def replace_expr_at(e: Expr, path: tuple[int, ...], new: Expr) -> Expr:
 
 # Declaration-level paths: (equation index, slot, *expr path) where slot 0 is
 # the equation RHS and slot k+1 is the rhs of the k-th where-local.
+#
+# The names bound at a root follow the evaluator, where where-locals shadow
+# the equation's pattern variables: a top-level name is shadowed by the
+# pattern variables, the where-local names and, in a local's rhs, that
+# local's parameters; a where-local is shadowed only by those parameters.
 
-def decl_expr_roots(d: TopDecl) -> Iterator[tuple[int, int, Expr, frozenset[str]]]:
-    """Yield (equation index, slot, root expr, names bound at the root)."""
+def decl_expr_roots(
+    d: TopDecl, local_of: Optional[int] = None
+) -> Iterator[tuple[int, int, Expr, frozenset[str]]]:
+    """Yield (equation index, slot, root expr, names bound at the root).
+
+    The bound names are those that shadow a top-level name. With
+    local_of=ei the target is a where-local of equation ei: only that
+    equation's roots are yielded, with the names that shadow the local.
+    """
     if not isinstance(d, FunDecl):
         return
     for ei, eq in enumerate(d.equations):
-        base = frozenset(equation_bound_names(eq))
+        if local_of is None:
+            base = frozenset(equation_bound_names(eq))
+        elif ei == local_of:
+            base = frozenset()
+        else:
+            continue
         yield ei, 0, eq.rhs, base
         for li, loc in enumerate(eq.locals):
             yield ei, li + 1, loc.rhs, base | frozenset(loc.params)
+
+
+def map_decl_roots(d: TopDecl, fn, local_of: Optional[int] = None) -> TopDecl:
+    """Replace each root that decl_expr_roots(d, local_of) yields by
+    fn(root, bound); d itself comes back when no root changed."""
+    out = d
+    for ei, slot, root, bound in decl_expr_roots(d, local_of):
+        new = fn(root, bound)
+        if new is not root:
+            out = replace_decl_expr_at(out, (ei, slot), new)
+    return out
 
 
 def decl_expr_at(d: TopDecl, path: tuple[int, ...]) -> Expr:
@@ -385,17 +439,6 @@ def replace_decl_expr_at(d: FunDecl, path: tuple[int, ...], new: Expr) -> FunDec
     eqs = list(d.equations)
     eqs[ei] = eq2
     return replace(d, equations=tuple(eqs))
-
-
-def map_decl_exprs(d: TopDecl, fn) -> TopDecl:
-    """Apply an Expr -> Expr rewrite to every expression root of a declaration."""
-    if not isinstance(d, FunDecl):
-        return d
-    new_eqs = []
-    for eq in d.equations:
-        new_locals = tuple(replace(loc, rhs=fn(loc.rhs)) for loc in eq.locals)
-        new_eqs.append(replace(eq, rhs=fn(eq.rhs), locals=new_locals))
-    return replace(d, equations=tuple(new_eqs))
 
 
 def app_spine(e: Expr) -> tuple[Expr, list[Expr]]:

@@ -4,10 +4,10 @@ alpha-equivalence and fresh-name generation."""
 from __future__ import annotations
 
 from .lang import (
-    App, Builtin, Case, CaseBranch, ConApp, DataDecl, Equation, Expr, FunDecl,
-    Infix, IntLit, Let, LetBinding, PCon, PInt, PTuple, PVar, PWild, Pattern,
-    Project, StrLit, TopDecl, Tuple, Var, decl_name, equation_bound_names,
-    expr_children, pattern_vars, with_expr_children,
+    App, Builtin, Case, CaseBranch, ConApp, DataDecl, Expr, FunDecl, Infix,
+    IntLit, Let, LetBinding, PCon, PInt, PTuple, PVar, PWild, Pattern, Project,
+    StrLit, TopDecl, Tuple, Var, decl_expr_roots, decl_name, expr_children,
+    pattern_vars, walk_expr_scoped, with_expr_children,
 )
 
 
@@ -24,45 +24,20 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 def free_vars(e: Expr, include_qualified: bool = False) -> set[str]:
     """Variables not bound within the expression (unqualified by default)."""
-    match e:
-        case Var(name, qualifier):
-            if qualifier is None or include_qualified:
-                return {name}
-            return set()
-        case Case(scrutinee, branches):
-            out = free_vars(scrutinee, include_qualified)
-            for b in branches:
-                out |= free_vars(b.body, include_qualified) - set(pattern_vars(b.pattern))
-            return out
-        case Let(bindings, body):
-            bound = {b.name for b in bindings}
-            out = free_vars(body, include_qualified) - bound
-            for b in bindings:
-                out |= free_vars(b.rhs, include_qualified) - bound
-            return out
-        case _:
-            out = set()
-            for kid in expr_children(e):
-                out |= free_vars(kid, include_qualified)
-            return out
-
-
-def equation_free_vars(eq: Equation) -> set[str]:
-    bound = equation_bound_names(eq)
-    out = free_vars(eq.rhs) - bound
-    for loc in eq.locals:
-        out |= free_vars(loc.rhs) - bound - set(loc.params)
-    return out
+    return {
+        v.name
+        for _, v, bound in walk_expr_scoped(e, frozenset())
+        if isinstance(v, Var) and v.name not in bound
+        and (v.qualifier is None or include_qualified)
+    }
 
 
 def decl_free_vars(d: TopDecl) -> set[str]:
     """Free variables of a declaration, the declared name excluded."""
-    if not isinstance(d, FunDecl):
-        return set()
     out: set[str] = set()
-    for eq in d.equations:
-        out |= equation_free_vars(eq)
-    out.discard(d.name)
+    for _, _, root, bound in decl_expr_roots(d):
+        out |= free_vars(root) - bound
+    out.discard(decl_name(d))
     return out
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .lang import (
-    App, Case, CaseBranch, CommentBlock, DataDecl, Equation, Expr, FunDecl,
+    App, Case, CaseBranch, CommentBlock, ConApp, Equation, Expr, FunDecl,
     Let, LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern,
     Project, TopDecl, Tuple, Var, app_spine, decl_expr_at, decl_expr_roots,
-    decl_name, equation_bound_names, make_app, pattern_vars,
-    replace_decl_expr_at, walk_expr_scoped, with_module,
+    decl_name, equation_bound_names, make_app, map_decl_roots, map_scoped,
+    pattern_cons, pattern_vars, replace_decl_expr_at, scoped_children,
+    walk_expr_scoped, with_decl, with_module,
 )
 from .names import (
     alpha_eq_decl, all_names, decl_free_vars, free_vars, fresh_name,
@@ -27,13 +28,13 @@ from .names import (
 from .parse import ParseError, parse_decl
 from .render import render_decl
 from .resolver import (
-    OccRef, ResolveError, build_symbol_table, find_application,
-    iter_var_occurrences, module_exports, occurrences_of, resolve_var,
-    resolve_project, unused_imports,
+    OccRef, ResolveError, applications, build_symbol_table, find_application,
+    iter_var_occurrences, module_exports, module_scope, occurrences_of,
+    resolve_var, resolve_project, unused_imports,
 )
 from .rewrite import (
     InstanceMatcher, fold_instances_in_expr, minimize_qualifiers,
-    requalify_name, retarget_name, rewrite_vars,
+    requalify_name, retarget_name,
 )
 
 KINDS = ("NameClash", "NotFound", "NotApplicable", "StillUsed", "PreconditionFailed")
@@ -69,25 +70,9 @@ def _fun_decl(mod: ModuleDef, f: str) -> tuple[int, FunDecl]:
     raise _not_found(f"no top-level {f} in module {mod.name}")
 
 
-def with_decl_at(mod: ModuleDef, index: int, d: TopDecl) -> ModuleDef:
-    decls = list(mod.decls)
-    decls[index] = d
-    return replace(mod, decls=tuple(decls))
-
-
 def _top_scope(project: Project, m: str) -> set[str]:
     """Names visible at the top level of m: own declarations plus imports."""
-    mod = _module(project, m)
-    names: set[str] = set()
-    for d in mod.decls:
-        names.add(decl_name(d))
-        if isinstance(d, DataDecl):
-            names.update(c.name for c in d.constructors)
-    for imp in mod.imports:
-        imported = project.modules.get(imp)
-        if imported is not None:
-            names |= module_exports(imported)
-    return names
+    return set(module_scope(project, m)[0])
 
 
 def _decl_all_names(d: FunDecl) -> set[str]:
@@ -105,15 +90,16 @@ def _decl_all_names(d: FunDecl) -> set[str]:
 
 
 def _finish(project: Project) -> Project:
-    """Post-operation pipeline: validate resolution, canonicalize qualifiers."""
-    resolve_project(project)
-    out = minimize_qualifiers(project)
-    resolve_project(out)
+    """Post-operation pipeline: validate resolution, canonicalize qualifiers.
+    A rewrite that leaves a name unresolvable fails its step as
+    PreconditionFailed; the operation's input is untouched."""
+    try:
+        resolve_project(project)
+        out = minimize_qualifiers(project)
+        resolve_project(out)
+    except ResolveError as exc:
+        raise RefactorError("PreconditionFailed", str(exc)) from exc
     return out
-
-
-def _equation_scope_names(mod_scope: set[str], eq: Equation) -> set[str]:
-    return mod_scope | equation_bound_names(eq)
 
 
 def _con_equation(d: FunDecl, c: str) -> tuple[int, Equation]:
@@ -135,12 +121,12 @@ def exhibit_function(project: Project, f: str, c: str, n: str, m: str) -> Projec
     mod = _module(project, m)
     di, d = _fun_decl(mod, f)
     ei, eq = _con_equation(d, c)
-    if n in _equation_scope_names(_top_scope(project, m), eq):
+    if n in _top_scope(project, m) | equation_bound_names(eq):
         raise RefactorError("NameClash", f"{n} is already bound in the scope of {f}'s equation")
     new_eq = replace(eq, rhs=Var(n), locals=eq.locals + (LocalDef(n, (), eq.rhs),))
     eqs = list(d.equations)
     eqs[ei] = new_eq
-    project = with_module(project, with_decl_at(mod, di, replace(d, equations=tuple(eqs))))
+    project = with_module(project, with_decl(mod, di, replace(d, equations=tuple(eqs))))
     return _finish(project)
 
 
@@ -156,7 +142,7 @@ def new_def_fun_app(project: Project, f: str, arg_count: int, fp: str, m: str) -
     di, d = _fun_decl(mod, occ.decl)
     ei = occ.path[0]
     eq = d.equations[ei]
-    if fp in _equation_scope_names(_top_scope(project, m), eq):
+    if fp in _top_scope(project, m) | equation_bound_names(eq):
         raise RefactorError("NameClash", f"{fp} is already bound around the application of {f}")
     app_expr = decl_expr_at(d, occ.path)
     d2 = replace_decl_expr_at(d, occ.path, Var(fp))
@@ -164,46 +150,47 @@ def new_def_fun_app(project: Project, f: str, arg_count: int, fp: str, m: str) -
     eq2 = replace(eq2, locals=eq2.locals + (LocalDef(fp, (), app_expr),))
     eqs = list(d2.equations)
     eqs[ei] = eq2
-    project = with_module(project, with_decl_at(mod, di, replace(d2, equations=tuple(eqs))))
+    project = with_module(project, with_decl(mod, di, replace(d2, equations=tuple(eqs))))
     return _finish(project)
 
 
 # ---------------------------------------------------------------------------
 # generalisation
 
-def _replace_exact(root: Expr, target: Expr, replacement: Expr, guard: set[str]) -> tuple[Expr, int]:
+def _replace_exact(
+    root: Expr, bound: frozenset[str], target: Expr, replacement: Expr, guard: set[str]
+) -> tuple[Expr, int]:
     """Replace occurrences of target (structurally) where none of the guard
-    names is shadowed by an enclosing binder; returns (expr, count)."""
+    names is bound; returns (expr, count)."""
     count = 0
 
-    def go(e: Expr, bound: frozenset[str]) -> Expr:
+    def swap(e: Expr, inner: frozenset[str]) -> Expr:
         nonlocal count
-        if e == target and not (guard & bound):
+        if e == target and not (guard & inner):
             count += 1
             return replacement
-        match e:
-            case Case(scrutinee, branches):
-                return Case(
-                    go(scrutinee, bound),
-                    tuple(
-                        CaseBranch(b.pattern, go(b.body, bound | set(pattern_vars(b.pattern))))
-                        for b in branches
-                    ),
-                )
-            case Let(bindings, body):
-                inner = bound | {b.name for b in bindings}
-                return Let(
-                    tuple(LetBinding(b.name, go(b.rhs, inner)) for b in bindings),
-                    go(body, inner),
-                )
-            case _:
-                from .lang import expr_children, with_expr_children
-                kids = expr_children(e)
-                if not kids:
-                    return e
-                return with_expr_children(e, tuple(go(k, bound) for k in kids))
+        return e
 
-    return go(root, frozenset()), count
+    return map_scoped(root, bound, swap), count
+
+
+def _apply_local_uses(d: FunDecl, ei: int, name: str, args: list[Expr]) -> FunDecl:
+    """Apply every use of the where-local name of equation ei, recursive
+    ones included, to args. A use where a binder captures a name of args is
+    refused."""
+    arg_names = set().union(*(free_vars(a) for a in args))
+
+    def fix(e: Expr, bound: frozenset[str]) -> Expr:
+        if isinstance(e, Var) and e.qualifier is None and e.name == name and name not in bound:
+            if arg_names & bound:
+                captured = sorted(arg_names & bound)
+                raise RefactorError("NameClash", f"{captured} rebound where {name} is used")
+            return make_app(e, args)
+        return e
+
+    out = map_decl_roots(d, lambda root, bound: map_scoped(root, bound, fix), local_of=ei)
+    assert isinstance(out, FunDecl)
+    return out
 
 
 def generalise(
@@ -244,34 +231,20 @@ def generalise(
     target: Expr = Var(v) if mode == "OtherType" else App(Var(f), Var(v))
     guard = {v} if mode == "OtherType" else {v, f}
 
-    new_body, found = _replace_exact(loc.rhs, target, Var(x), guard)
+    new_body, found = _replace_exact(loc.rhs, frozenset(loc.params), target, Var(x), guard)
     if not found:
         what = v if mode == "OtherType" else f"{f} {v}"
         raise RefactorError("NotApplicable", f"{what} does not occur in the body of {fp}")
     if x in all_names(loc.rhs) or x in loc.params or x in equation_bound_names(eq):
         raise RefactorError("NameClash", f"{x} is already in scope in {fp}")
 
-    new_local = LocalDef(fp, (x,) + loc.params, new_body)
     locs = list(eq.locals)
-    locs[li] = new_local
-
-    # Every use of fp inside the equation now passes the target first.
-    def add_arg(var: Var, bound: frozenset[str]) -> Expr:
-        if var.name == fp and var.qualifier is None and fp not in bound:
-            return App(var, target)
-        return var
-
-    new_rhs = rewrite_vars(eq.rhs, frozenset(), add_arg)
-    new_locals = []
-    for i, other in enumerate(locs):
-        if i == li:
-            new_locals.append(other)
-        else:
-            new_locals.append(replace(other, rhs=rewrite_vars(other.rhs, frozenset(), add_arg)))
-    new_eq = replace(eq, rhs=new_rhs, locals=tuple(new_locals))
+    locs[li] = LocalDef(fp, (x,) + loc.params, new_body)
     eqs = list(d.equations)
-    eqs[ei] = new_eq
-    project = with_module(project, with_decl_at(mod, di, replace(d, equations=tuple(eqs))))
+    eqs[ei] = replace(eq, locals=tuple(locs))
+    # Every use of fp inside the equation now passes the target first.
+    d = _apply_local_uses(replace(d, equations=tuple(eqs)), ei, fp, [target])
+    project = with_module(project, with_decl(mod, di, d))
     return _finish(project)
 
 
@@ -325,23 +298,18 @@ def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> P
 
     # f's own equations: occurrences of v become x, recursive calls gain x,
     # and x heads every parameter list.
-    def fix_own(var: Var, bound: frozenset[str]) -> Expr:
-        if var.qualifier is None and var.name == v and v not in bound:
+    def fix_own(e: Expr, bound: frozenset[str]) -> Expr:
+        if not isinstance(e, Var):
+            return e
+        if e.qualifier is None and e.name == v and v not in bound:
             return Var(x)
-        if var.name == f and f not in bound and var.qualifier in (None, m):
-            return App(Var(f, var.qualifier), Var(x))
-        return var
+        if e.name == f and f not in bound and e.qualifier in (None, m):
+            return App(e, Var(x))
+        return e
 
-    new_eqs = []
-    for eq in d.equations:
-        new_locals = tuple(
-            replace(loc, rhs=rewrite_vars(loc.rhs, frozenset(loc.params), fix_own))
-            for loc in eq.locals
-        )
-        new_eqs.append(
-            Equation((PVar(x),) + eq.patterns, rewrite_vars(eq.rhs, frozenset(), fix_own), new_locals)
-        )
-    project = with_module(project, with_decl_at(mod, di, replace(d, equations=tuple(new_eqs))))
+    d = map_decl_roots(d, lambda root, bound: map_scoped(root, bound, fix_own))
+    new_eqs = tuple(replace(eq, patterns=(PVar(x),) + eq.patterns) for eq in d.equations)
+    project = with_module(project, with_decl(mod, di, replace(d, equations=new_eqs)))
 
     # External call sites, grouped by module.
     table = build_symbol_table(project)
@@ -354,6 +322,8 @@ def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> P
                 continue
             ref = resolve_var(table, project, mname, bound, var)
             if ref is not None and (ref.module, ref.name) == (m, f):
+                if mname == m and v in bound:
+                    raise RefactorError("NameClash", f"{v} is rebound where {dname} calls {f}")
                 external.append(OccRef(mname, dname, path))
 
     aux_name = None
@@ -381,7 +351,7 @@ def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> P
         assert isinstance(old_var, Var)
         arg = Var(v) if occ.module == m else Var(aux_name)
         new_dx = replace_decl_expr_at(dx, occ.path, App(old_var, arg))
-        project = with_module(project, with_decl_at(modx, dx_i, new_dx))
+        project = with_module(project, with_decl(modx, dx_i, new_dx))
     return _finish(project)
 
 
@@ -399,26 +369,12 @@ def _generalise_ident_local(
     if x in _decl_all_names(d) or x == v:
         raise RefactorError("NameClash", f"{x} is already used inside {d.name}")
 
-    new_body = substitute(loc.rhs, v, Var(x))
     locs = list(eq.locals)
-    locs[li] = LocalDef(f, (x,) + loc.params, new_body)
-
-    def fix_use(var: Var, bound: frozenset[str]) -> Expr:
-        if var.qualifier is None and var.name == f and f not in bound:
-            return App(var, Var(v))
-        return var
-
-    new_rhs = rewrite_vars(eq.rhs, frozenset(), fix_use)
-    new_locals = []
-    for i, other in enumerate(locs):
-        if i == li:
-            new_locals.append(other)
-            continue
-        new_locals.append(replace(other, rhs=rewrite_vars(other.rhs, frozenset(), fix_use)))
-    new_eq = replace(eq, rhs=new_rhs, locals=tuple(new_locals))
+    locs[li] = LocalDef(f, (x,) + loc.params, substitute(loc.rhs, v, Var(x)))
     eqs = list(d.equations)
-    eqs[ei] = new_eq
-    project = with_module(project, with_decl_at(mod, di, replace(d, equations=tuple(eqs))))
+    eqs[ei] = replace(eq, locals=tuple(locs))
+    d = _apply_local_uses(replace(d, equations=tuple(eqs)), ei, f, [Var(v)])
+    project = with_module(project, with_decl(mod, di, d))
     return _finish(project)
 
 
@@ -453,42 +409,18 @@ def lift_to_top(project: Project, f: str, d_name: str, m: str) -> Project:
             "NotApplicable",
             f"{d_name} references sibling locals {sorted(frees & sibling_names)}",
         )
-    pattern_order = _pattern_var_order(eq.patterns)
-    captured = [v for v in pattern_order if v in frees]
-
-    new_params = tuple(captured) + loc.params
-    lifted = FunDecl(d_name, (Equation(tuple(PVar(p) for p in new_params), loc.rhs),))
-
-    remaining = tuple(l for i, l in enumerate(eq.locals) if i != li)
-
-    if captured:
-        def fix_use(var: Var, bound: frozenset[str]) -> Expr:
-            if var.qualifier is None and var.name == d_name and d_name not in bound:
-                return make_app(var, [Var(cv) for cv in captured])
-            return var
-
-        new_rhs = rewrite_vars(eq.rhs, frozenset(), fix_use)
-        remaining = tuple(
-            replace(l, rhs=rewrite_vars(l.rhs, frozenset(), fix_use)) for l in remaining
-        )
-    else:
-        new_rhs = eq.rhs
-
-    new_eq = replace(eq, rhs=new_rhs, locals=remaining)
+    captured = [v for p in eq.patterns for v in pattern_vars(p) if v in frees]
+    d = _apply_local_uses(d, ei, d_name, [Var(cv) for cv in captured])
+    eq = d.equations[ei]
+    new_params = tuple(PVar(p) for p in tuple(captured) + loc.params)
+    lifted = FunDecl(d_name, (Equation(new_params, eq.locals[li].rhs),))
     eqs = list(d.equations)
-    eqs[ei] = new_eq
+    eqs[ei] = replace(eq, locals=eq.locals[:li] + eq.locals[li + 1:])
     decls = list(mod.decls)
     decls[di] = replace(d, equations=tuple(eqs))
     decls.insert(di + 1, lifted)
     project = with_module(project, replace(mod, decls=tuple(decls)))
     return _finish(project)
-
-
-def _pattern_var_order(patterns: tuple[Pattern, ...]) -> list[str]:
-    out: list[str] = []
-    for p in patterns:
-        out.extend(pattern_vars(p))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,22 +470,6 @@ def _has_cycle(graph: dict[str, set[str]]) -> bool:
     return any(visit(n) for n in list(graph))
 
 
-def _pattern_cons(p: Pattern) -> list[str]:
-    match p:
-        case PCon(name, args, _):
-            out = [name]
-            for sub in args:
-                out.extend(_pattern_cons(sub))
-            return out
-        case PTuple(items):
-            out = []
-            for sub in items:
-                out.extend(_pattern_cons(sub))
-            return out
-        case _:
-            return []
-
-
 def move_def(project: Project, f: str, m: str, mp: str) -> Project:
     """Move the top-level definition of f from m to mp (created if absent);
     importers are rewired and newly ambiguous references are qualified."""
@@ -580,28 +496,22 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
 
     for eq in d.equations:
         for p in eq.patterns:
-            for pc in _pattern_cons(p):
+            for pc in pattern_cons(p):
                 need_con(pc)
-        base = frozenset(equation_bound_names(eq))
-        roots = [(eq.rhs, base)] + [
-            (loc.rhs, base | frozenset(loc.params)) for loc in eq.locals
-        ]
-        for root, bound in roots:
-            for _, e, scope in walk_expr_scoped(root, bound):
-                if isinstance(e, Var):
-                    if e.qualifier is None and (e.name in scope or e.name == f):
-                        continue
-                    ref = resolve_var(table, project, m, scope, e)
-                    if ref is not None and (ref.module, ref.name) != (m, f):
-                        needed.add(ref.module)
-                elif isinstance(e, Case):
-                    for b in e.branches:
-                        for pc in _pattern_cons(b.pattern):
-                            need_con(pc)
-                else:
-                    from .lang import ConApp
-                    if isinstance(e, ConApp):
-                        need_con(e.name)
+    for _, _, root, bound in decl_expr_roots(d):
+        for _, e, scope in walk_expr_scoped(root, bound):
+            if isinstance(e, Var):
+                if e.qualifier is None and (e.name in scope or e.name == f):
+                    continue
+                ref = resolve_var(table, project, m, scope, e)
+                if ref is not None and (ref.module, ref.name) != (m, f):
+                    needed.add(ref.module)
+            elif isinstance(e, Case):
+                for b in e.branches:
+                    for pc in pattern_cons(b.pattern):
+                        need_con(pc)
+            elif isinstance(e, ConApp):
+                need_con(e.name)
     needed.discard(mp)
 
     # Modules that reference f.
@@ -659,37 +569,32 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
 # unfold / fold
 
 def _qualified_equations(
-    project: Project, def_module: str, equations: tuple[Equation, ...], site_module: str
+    project: Project, def_module: str, defn: FunDecl, site_module: str
 ) -> tuple[tuple[Equation, ...], set[str]]:
     """Qualify the free references of a definition's equations by their home
     modules so the bodies stay correct when inlined elsewhere. Returns the
     rewritten equations and the set of modules the site must import."""
     if def_module == site_module:
-        return equations, set()
+        return defn.equations, set()
     table = build_symbol_table(project)
     needed: set[str] = set()
 
-    def qualify(var: Var, bound: frozenset[str]) -> Expr:
-        if var.qualifier is not None:
-            needed.add(var.qualifier)
-            return var
-        if var.name in bound:
-            return var
-        refs = table.lookup(def_module, var.name)
+    def qualify(e: Expr, bound: frozenset[str]) -> Expr:
+        if not isinstance(e, Var):
+            return e
+        if e.qualifier is not None:
+            needed.add(e.qualifier)
+            return e
+        if e.name in bound:
+            return e
+        refs = table.lookup(def_module, e.name)
         if len(refs) == 1:
             needed.add(refs[0].module)
-            return Var(var.name, qualifier=refs[0].module)
-        return var
+            return Var(e.name, qualifier=refs[0].module)
+        return e
 
-    new_eqs = []
-    for eq in equations:
-        base = frozenset(_pattern_var_order(eq.patterns)) | {l.name for l in eq.locals}
-        new_locals = tuple(
-            replace(loc, rhs=rewrite_vars(loc.rhs, base | frozenset(loc.params), qualify))
-            for loc in eq.locals
-        )
-        new_eqs.append(replace(eq, rhs=rewrite_vars(eq.rhs, base, qualify), locals=new_locals))
-    return tuple(new_eqs), {n for n in needed if n != site_module}
+    out = map_decl_roots(defn, lambda root, bound: map_scoped(root, bound, qualify))
+    return out.equations, {n for n in needed if n != site_module}  # type: ignore[union-attr]
 
 
 def _case_of_equations(equations: tuple[Equation, ...], args: list[Expr]) -> Expr:
@@ -706,20 +611,20 @@ def _inline_definition(
     project: Project,
     m: str,
     def_module: str,
-    equations: tuple[Equation, ...],
+    defn: FunDecl,
     args: list[Expr],
     what: str,
 ) -> tuple[Project, Expr]:
     """Build the unfolded expression for a definition applied to args."""
-    if any(eq.locals for eq in equations):
+    if any(eq.locals for eq in defn.equations):
         raise RefactorError("NotApplicable", f"{what} has where-locals and cannot be unfolded")
-    arity = len(equations[0].patterns)
+    arity = defn.arity
     if len(args) < arity:
         raise RefactorError(
             "NotApplicable",
             f"{what} takes {arity} argument(s) but is applied to {len(args)} here",
         )
-    equations, needed = _qualified_equations(project, def_module, equations, m)
+    equations, needed = _qualified_equations(project, def_module, defn, m)
     for imp in sorted(needed):
         modx = project.modules[m]
         if imp != m and imp not in modx.imports:
@@ -766,21 +671,22 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
         td = project.modules[ref.module].decl(ref.name)
         if not isinstance(td, FunDecl):
             raise _not_found(f"{d_token} does not name a function definition")
-        def_module, equations = ref.module, td.equations
+        def_module, defn = ref.module, td
         target = (ref.module, ref.name)
     else:
         ei0, li0 = local_hit
         loc = fd.equations[ei0].locals[li0]
         def_module = m
-        equations = (Equation(tuple(PVar(p) for p in loc.params), loc.rhs),)
+        defn = FunDecl(loc.name, (Equation(tuple(PVar(p) for p in loc.params), loc.rhs),))
         target = None
 
     # First occurrence in document order, skipping the local's own body.
     occ_path = None
-    for ei, slot, root, bound in decl_expr_roots(fd):
+    local_of = None if local_hit is None else local_hit[0]
+    for ei, slot, root, bound in decl_expr_roots(fd, local_of):
         if occ_path is not None:
             break
-        if local_hit is not None and (ei, slot) == (local_hit[0], local_hit[1] + 1):
+        if local_hit is not None and slot == local_hit[1] + 1:
             continue
         for sub, e, scope in walk_expr_scoped(root, bound):
             if not (isinstance(e, Var) and e.name == name):
@@ -789,7 +695,7 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
                 if e.qualifier != qualifier:
                     continue
             elif local_hit is not None:
-                if e.qualifier is not None or ei != local_hit[0]:
+                if e.qualifier is not None or name in scope:
                     continue
             else:
                 ref2 = resolve_var(table, project, m, scope, e)
@@ -811,10 +717,10 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
     spine = decl_expr_at(fd, spine_path)
     _, args = app_spine(spine)
 
-    project, new_expr = _inline_definition(project, m, def_module, equations, args, d_token)
+    project, new_expr = _inline_definition(project, m, def_module, defn, args, d_token)
     mod = project.modules[m]
     di, fd = _fun_decl(mod, f)
-    project = with_module(project, with_decl_at(mod, di, replace_decl_expr_at(fd, spine_path, new_expr)))
+    project = with_module(project, with_decl(mod, di, replace_decl_expr_at(fd, spine_path, new_expr)))
     return _finish(project)
 
 
@@ -831,43 +737,22 @@ def fold_top_level(project: Project, f: str, m: str) -> Project:
         raise RefactorError("NotApplicable", f"{f}'s parameters must be plain variables")
     params = tuple(p.name for p in eq.patterns)  # type: ignore[union-attr]
 
-    table = build_symbol_table(project)
-    matcher = InstanceMatcher(table, project, params, m, frozenset())
+    matcher = InstanceMatcher(build_symbol_table(project), params, m, frozenset())
+    head = Var(f, qualifier=m)
     total = 0
     mods = {}
     exported = f in module_exports(mod)
     for mname, modx in project.modules.items():
-        visible = mname == m or (exported and m in modx.imports)
-        if not visible:
+        if mname != m and not (exported and m in modx.imports):
             mods[mname] = modx
             continue
-
-        def make_call(sigma: dict[str, Expr]) -> Expr:
-            return make_app(Var(f, qualifier=m), [sigma[p] for p in params])
-
-        new_decls = []
+        decls = []
         for dd in modx.decls:
-            if (mname == m and decl_name(dd) == f) or not isinstance(dd, FunDecl):
-                new_decls.append(dd)
-                continue
-            new_eqs = []
-            for deq in dd.equations:
-                base = frozenset(equation_bound_names(deq))
-                new_rhs, n1 = fold_instances_in_expr(
-                    matcher, eq.rhs, params, make_call, deq.rhs, mname, base
-                )
-                total += n1
-                new_locals = []
-                for loc in deq.locals:
-                    new_lrhs, n2 = fold_instances_in_expr(
-                        matcher, eq.rhs, params, make_call, loc.rhs,
-                        mname, base | frozenset(loc.params),
-                    )
-                    total += n2
-                    new_locals.append(replace(loc, rhs=new_lrhs))
-                new_eqs.append(replace(deq, rhs=new_rhs, locals=tuple(new_locals)))
-            new_decls.append(replace(dd, equations=tuple(new_eqs)))
-        mods[mname] = replace(modx, decls=tuple(new_decls))
+            if not (mname == m and decl_name(dd) == f):
+                dd, n = _fold_decl(matcher, eq.rhs, params, head, dd, mname)
+                total += n
+            decls.append(dd)
+        mods[mname] = replace(modx, decls=tuple(decls))
     if not total:
         raise RefactorError("NotApplicable", f"no instance of {f}'s body found to fold")
     return _finish(Project(mods))
@@ -884,25 +769,17 @@ def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project
     mod = _module(project, m)
 
     target = None
-    for di, d in enumerate(mod.decls):
-        if not isinstance(d, FunDecl) or d.comment is None:
-            continue
-        try:
-            spec = parse_decl(d.comment.text())
-        except ParseError:
-            continue
-        if not isinstance(spec, FunDecl) or len(spec.equations) != 1:
-            continue
-        app_path = _find_app_in_decl(project, m, d, f, arg_count)
-        if app_path is None:
-            continue
-        target = (di, d, spec, app_path)
-        break
+    for occ in applications(project, m, f, arg_count):
+        d = mod.decl(occ.decl)
+        spec = _comment_spec(d)
+        if spec is not None:
+            target = (d, spec, occ.path)
+            break
     if target is None:
         raise _not_found(
             f"no commented declaration in {m} applies {f} to {arg_count} argument(s)"
         )
-    di, d, spec, app_path = target
+    d, spec, app_path = target
     spec_eq = spec.equations[0]
     if spec_eq.locals or not all(isinstance(p, PVar) for p in spec_eq.patterns):
         raise RefactorError(
@@ -923,68 +800,56 @@ def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project
     td = project.modules[ref.module].decl(ref.name)
     if not isinstance(td, FunDecl):
         raise _not_found(f"{f} does not name a function definition")
-    project2, new_expr = _inline_definition(project, m, ref.module, td.equations, args, f)
+    project2, new_expr = _inline_definition(project, m, ref.module, td, args, f)
     mod2 = project2.modules[m]
     di2, d2 = _fun_decl(mod2, d.name)
     d2 = replace_decl_expr_at(d2, spine_path, new_expr)
     d2 = _simplify_variable_positions(d2)
-    project2 = with_module(project2, with_decl_at(mod2, di2, d2))
+    project2 = with_module(project2, with_decl(mod2, di2, d2))
 
     # Fold phase against the commented body.
-    table2 = build_symbol_table(project2)
-    matcher = InstanceMatcher(table2, project2, spec_params, m, frozenset())
-
-    def make_call(sigma: dict[str, Expr]) -> Expr:
-        return make_app(Var(spec.name, qualifier=m), [sigma[p] for p in spec_params])
-
-    total = 0
-    new_eqs = []
-    for deq in d2.equations:
-        base = frozenset(equation_bound_names(deq))
-        new_rhs, n1 = fold_instances_in_expr(
-            matcher, spec_eq.rhs, spec_params, make_call, deq.rhs, m, base
-        )
-        total += n1
-        new_locals = []
-        for loc in deq.locals:
-            new_lrhs, n2 = fold_instances_in_expr(
-                matcher, spec_eq.rhs, spec_params, make_call, loc.rhs,
-                m, base | frozenset(loc.params),
-            )
-            total += n2
-            new_locals.append(replace(loc, rhs=new_lrhs))
-        new_eqs.append(replace(deq, rhs=new_rhs, locals=tuple(new_locals)))
+    matcher = InstanceMatcher(build_symbol_table(project2), spec_params, m, frozenset())
+    head = Var(spec.name, qualifier=m)
+    d2, total = _fold_decl(matcher, spec_eq.rhs, spec_params, head, d2, m)
     if not total:
         raise RefactorError("NotApplicable", "nothing foldable after unfolding")
-    mod2 = project2.modules[m]
-    di2, _ = _fun_decl(mod2, d.name)
-    project2 = with_module(
-        project2, with_decl_at(mod2, di2, replace(d2, equations=tuple(new_eqs)))
-    )
+    project2 = with_module(project2, with_decl(mod2, di2, d2))
     return _finish(project2)
 
 
-def _find_app_in_decl(project: Project, m: str, d: FunDecl, f: str, arg_count: int):
-    table = build_symbol_table(project)
-    for ei, slot, root, bound in decl_expr_roots(d):
-        nodes: dict[tuple[int, ...], Expr] = {}
-        for sub, e, scope in walk_expr_scoped(root, bound):
-            nodes[sub] = e
-            if not isinstance(e, App):
-                continue
-            if sub and sub[-1] == 0 and isinstance(nodes.get(sub[:-1]), App):
-                continue
-            head, args = app_spine(e)
-            if len(args) != arg_count or not isinstance(head, Var) or head.name != f:
-                continue
-            try:
-                ref = resolve_var(table, project, m, scope, head)
-            except ResolveError:
-                continue
-            if ref is None:
-                continue
-            return (ei, slot) + sub
-    return None
+def _fold_decl(
+    matcher: InstanceMatcher, template: Expr, params: tuple[str, ...], head: Var,
+    d: TopDecl, site_module: str,
+) -> tuple[TopDecl, int]:
+    """Fold instances of template in every root of d into head applied to
+    the matched parameters; returns (declaration, instances folded)."""
+    count = 0
+
+    def make_call(sigma: dict[str, Expr]) -> Expr:
+        return make_app(head, [sigma[p] for p in params])
+
+    def fold_root(root: Expr, bound: frozenset[str]) -> Expr:
+        nonlocal count
+        new, n = fold_instances_in_expr(
+            matcher, template, params, make_call, root, site_module, bound
+        )
+        count += n
+        return new
+
+    return map_decl_roots(d, fold_root), count
+
+
+def _comment_spec(d: TopDecl | None) -> FunDecl | None:
+    """The single-equation declaration d's attached comment spells, if any."""
+    if not isinstance(d, FunDecl) or d.comment is None:
+        return None
+    try:
+        spec = parse_decl(d.comment.text())
+    except ParseError:
+        return None
+    if not isinstance(spec, FunDecl) or len(spec.equations) != 1:
+        return None
+    return spec
 
 
 def _simplify_variable_positions(d: FunDecl) -> FunDecl:
@@ -1026,8 +891,7 @@ def _simplify_variable_positions(d: FunDecl) -> FunDecl:
         )
         return Case(scrut, tuple(new_branches))
 
-    from .lang import map_decl_exprs
-    out = map_decl_exprs(d, lambda root: _map_top_case(root, simplify))
+    out = map_decl_roots(d, lambda root, _: _map_top_case(root, simplify))
     assert isinstance(out, FunDecl)
     return out
 
@@ -1074,16 +938,15 @@ def remove_local_def(project: Project, d_name: str, f: str, m: str) -> Project:
         raise _not_found(f"{f} has no local definition {d_name}")
     ei, li = hits[0]
     eq = d.equations[ei]
-    used = d_name in free_vars(eq.rhs)
-    for i, loc in enumerate(eq.locals):
-        if i != li and d_name in free_vars(loc.rhs) - set(loc.params):
-            used = True
-    if used:
+    if any(
+        d_name in free_vars(root) - bound
+        for _, slot, root, bound in decl_expr_roots(d, ei) if slot != li + 1
+    ):
         raise RefactorError("StillUsed", f"{d_name} is still used inside {f}")
     locs = tuple(l for i, l in enumerate(eq.locals) if i != li)
     eqs = list(d.equations)
     eqs[ei] = replace(eq, locals=locs)
-    project = with_module(project, with_decl_at(mod, di, replace(d, equations=tuple(eqs))))
+    project = with_module(project, with_decl(mod, di, replace(d, equations=tuple(eqs))))
     return _finish(project)
 
 
@@ -1176,7 +1039,7 @@ def simplify_case_pattern(project: Project, f: str, m: str) -> Project:
     if not seen:
         raise RefactorError("NotApplicable", f"the body of {f} is not a case expression")
     eqs = (replace(eq, rhs=new_rhs),)
-    project = with_module(project, with_decl_at(mod, di, replace(d, equations=eqs)))
+    project = with_module(project, with_decl(mod, di, replace(d, equations=eqs)))
     return _finish(project)
 
 
@@ -1208,14 +1071,14 @@ def case_to_eq(project: Project, f: str, m: str, matched_arity: int) -> Project:
             "NotApplicable", "the scrutinee is not the tuple of the two parameters"
         )
     new_eqs = []
-    for b in case.branches:
+    branch_scopes = scoped_children(case, frozenset())[1:]
+    for b, (_, bound) in zip(case.branches, branch_scopes):
         if matched_arity == 1:
             pats: tuple[Pattern, ...] = (b.pattern,)
         else:
             if not isinstance(b.pattern, PTuple) or len(b.pattern.items) != 2:
                 raise RefactorError("NotApplicable", "branch patterns must be pairs")
             pats = b.pattern.items
-        bound = set(pattern_vars(b.pattern))
         leaked = (set(params) & free_vars(b.body)) - bound
         if leaked:
             raise RefactorError(
@@ -1224,7 +1087,7 @@ def case_to_eq(project: Project, f: str, m: str, matched_arity: int) -> Project:
             )
         new_eqs.append(Equation(pats, b.body))
     project = with_module(
-        project, with_decl_at(mod, di, replace(d, equations=tuple(new_eqs)))
+        project, with_decl(mod, di, replace(d, equations=tuple(new_eqs)))
     )
     return _finish(project)
 
@@ -1238,7 +1101,7 @@ def duplicate_into_comment(project: Project, f: str, m: str) -> Project:
     di, d = _fun_decl(mod, f)
     text = render_decl(d, with_comment=False)
     comment = CommentBlock(tuple(text.split("\n")))
-    project = with_module(project, with_decl_at(mod, di, replace(d, comment=comment)))
+    project = with_module(project, with_decl(mod, di, replace(d, comment=comment)))
     return _finish(project)
 
 
@@ -1247,7 +1110,7 @@ def rm_comment_before(project: Project, f: str, m: str) -> Project:
     di, d = _fun_decl(mod, f)
     if d.comment is None:
         raise _not_found(f"{f} has no attached comment")
-    project = with_module(project, with_decl_at(mod, di, replace(d, comment=None)))
+    project = with_module(project, with_decl(mod, di, replace(d, comment=None)))
     return _finish(project)
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .lang import (
-    Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, ModuleDef, PCon,
-    PTuple, Pattern, Project, Var, decl_name, decl_expr_roots,
-    walk_expr_scoped,
+    App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, ModuleDef,
+    PCon, PTuple, Pattern, Project, Var, app_spine, decl_expr_at, decl_name,
+    decl_expr_roots, pattern_cons, walk_expr_scoped,
 )
 
 
@@ -77,6 +77,46 @@ def module_exports(mod: ModuleDef) -> set[str]:
     return names
 
 
+def module_scope(
+    project: Project, mname: str
+) -> tuple[dict[str, list[DefRef]], dict[str, list[tuple[DefRef, ConstructorDef]]]]:
+    """The top-level scope of one module: each name its own declarations and
+    its imports' exports make visible, with every candidate definition, and
+    the constructors among them. Unknown imports contribute nothing."""
+    scope: dict[str, list[DefRef]] = {}
+    cons: dict[str, list[tuple[DefRef, ConstructorDef]]] = {}
+
+    def add(name: str, ref: DefRef, condef: Optional[ConstructorDef] = None):
+        scope.setdefault(name, [])
+        if ref not in scope[name]:
+            scope[name].append(ref)
+        if condef is not None:
+            cons.setdefault(name, [])
+            if (ref, condef) not in cons[name]:
+                cons[name].append((ref, condef))
+
+    def add_module(src: ModuleDef, visible: Optional[set[str]]):
+        for d in src.decls:
+            n = decl_name(d)
+            if isinstance(d, DataDecl):
+                if visible is None or n in visible:
+                    add(n, DefRef(src.name, n, "type"))
+                for c in d.constructors:
+                    if visible is None or c.name in visible:
+                        add(c.name, DefRef(src.name, c.name, "con"), c)
+            else:
+                if visible is None or n in visible:
+                    add(n, DefRef(src.name, n, "fun"))
+
+    mod = project.modules[mname]
+    add_module(mod, None)
+    for imp in mod.imports:
+        imported = project.modules.get(imp)
+        if imported is not None:
+            add_module(imported, module_exports(imported))
+    return scope, cons
+
+
 def build_symbol_table(project: Project) -> SymbolTable:
     table = SymbolTable()
     for mname, mod in project.modules.items():
@@ -97,38 +137,8 @@ def build_symbol_table(project: Project) -> SymbolTable:
                             f"{c.name} defined twice in module {mname}",
                         )
                     seen.add(c.name)
-    for mname, mod in project.modules.items():
-        scope: dict[str, list[DefRef]] = {}
-        cons: dict[str, list[tuple[DefRef, ConstructorDef]]] = {}
-
-        def add(name: str, ref: DefRef, condef: Optional[ConstructorDef] = None):
-            scope.setdefault(name, [])
-            if ref not in scope[name]:
-                scope[name].append(ref)
-            if condef is not None:
-                cons.setdefault(name, [])
-                if (ref, condef) not in cons[name]:
-                    cons[name].append((ref, condef))
-
-        def add_module(src: ModuleDef, visible: Optional[set[str]]):
-            for d in src.decls:
-                n = decl_name(d)
-                if isinstance(d, DataDecl):
-                    if visible is None or n in visible:
-                        add(n, DefRef(src.name, n, "type"))
-                    for c in d.constructors:
-                        if visible is None or c.name in visible:
-                            add(c.name, DefRef(src.name, c.name, "con"), c)
-                else:
-                    if visible is None or n in visible:
-                        add(n, DefRef(src.name, n, "fun"))
-
-        add_module(mod, None)
-        for imp in mod.imports:
-            imported = project.modules[imp]
-            add_module(imported, module_exports(imported))
-        table.scopes[mname] = scope
-        table.constructors[mname] = cons
+    for mname in project.modules:
+        table.scopes[mname], table.constructors[mname] = module_scope(project, mname)
     return table
 
 
@@ -279,10 +289,12 @@ def occurrences_of(project: Project, module: str, name: str) -> list[OccRef]:
     return out
 
 
-def find_application(project: Project, module: str, fn: str, arg_count: int) -> OccRef:
-    """First application (document order) of fn to exactly arg_count arguments."""
-    from .lang import App, app_spine
-
+def applications(
+    project: Project, module: str, fn: str, arg_count: int
+) -> Iterator[OccRef]:
+    """Applications in module of fn to exactly arg_count arguments, in
+    document order: maximal application spines whose head resolves to the
+    top-level definition fn names in module."""
     if arg_count < 1:
         raise _err("NoSuchApplication", module, fn, "an application has at least one argument")
     table = build_symbol_table(project)
@@ -315,11 +327,18 @@ def find_application(project: Project, module: str, fn: str, arg_count: int) -> 
                     continue  # a local binding, not the queried definition
                 if fn_target is not None and (ref.module, ref.name) != fn_target:
                     continue
-                return OccRef(module, decl_name(d), (ei, slot) + sub)
-    raise _err(
-        "NoSuchApplication", module, fn,
-        f"no application of {fn} to {arg_count} argument(s) in module {module}",
-    )
+                yield OccRef(module, decl_name(d), (ei, slot) + sub)
+
+
+def find_application(project: Project, module: str, fn: str, arg_count: int) -> OccRef:
+    """First application (document order) of fn to exactly arg_count arguments."""
+    occ = next(applications(project, module, fn, arg_count), None)
+    if occ is None:
+        raise _err(
+            "NoSuchApplication", module, fn,
+            f"no application of {fn} to {arg_count} argument(s) in module {module}",
+        )
+    return occ
 
 
 def unused_imports(project: Project, module: str) -> list[str]:
@@ -337,18 +356,6 @@ def unused_imports(project: Project, module: str) -> list[str]:
         if len(cands) == 1 and cands[0][0].module != module:
             used.add(cands[0][0].module)
 
-    def scan_pattern(p: Pattern):
-        match p:
-            case PCon(name, args, _):
-                use_con(name)
-                for sub in args:
-                    scan_pattern(sub)
-            case PTuple(items):
-                for sub in items:
-                    scan_pattern(sub)
-            case _:
-                pass
-
     for d in mod.decls:
         if isinstance(d, DataDecl):
             for c in d.constructors:
@@ -360,7 +367,8 @@ def unused_imports(project: Project, module: str) -> list[str]:
         assert isinstance(d, FunDecl)
         for eq in d.equations:
             for p in eq.patterns:
-                scan_pattern(p)
+                for c in pattern_cons(p):
+                    use_con(c)
         for _, _, root, bound in decl_expr_roots(d):
             for _, e, _ in walk_expr_scoped(root, bound):
                 match e:
@@ -368,7 +376,8 @@ def unused_imports(project: Project, module: str) -> list[str]:
                         use_con(name)
                     case Case(_, branches):
                         for b in branches:
-                            scan_pattern(b.pattern)
+                            for c in pattern_cons(b.pattern):
+                                use_con(c)
                     case _:
                         pass
     return [imp for imp in mod.imports if imp not in used]
@@ -376,8 +385,6 @@ def unused_imports(project: Project, module: str) -> list[str]:
 
 def deref(project: Project, ref: OccRef) -> Expr:
     """Fetch the expression node an OccRef addresses in the current project."""
-    from .lang import decl_expr_at
-
     mod = project.modules[ref.module]
     d = mod.decl(ref.decl)
     if d is None:

@@ -14,69 +14,30 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .lang import (
-    App, Case, CaseBranch, Expr, FunDecl, Let, LetBinding, Project, TopDecl,
-    Var, equation_bound_names, expr_children, pattern_vars,
-    with_expr_children,
+    App, Builtin, Case, ConApp, Expr, Infix, IntLit, Let, Project, StrLit,
+    Tuple, Var, map_decl_roots, map_scoped, pattern_vars,
 )
+from .names import _alpha_pattern, free_vars
 from .resolver import SymbolTable, build_symbol_table
 
 
-def rewrite_vars(root: Expr, bound: frozenset[str], fn) -> Expr:
-    """Rewrite every Var occurrence; fn(var, bound_names) -> Expr."""
-    match root:
-        case Var(_, _):
-            return fn(root, bound)
-        case Case(scrutinee, branches):
-            new_scrut = rewrite_vars(scrutinee, bound, fn)
-            new_branches = tuple(
-                CaseBranch(
-                    b.pattern,
-                    rewrite_vars(b.body, bound | set(pattern_vars(b.pattern)), fn),
-                )
-                for b in branches
-            )
-            return Case(new_scrut, new_branches)
-        case Let(bindings, body):
-            inner = bound | {b.name for b in bindings}
-            new_bindings = tuple(
-                LetBinding(b.name, rewrite_vars(b.rhs, inner, fn)) for b in bindings
-            )
-            return Let(new_bindings, rewrite_vars(body, inner, fn))
-        case _:
-            kids = expr_children(root)
-            if not kids:
-                return root
-            return with_expr_children(
-                root, tuple(rewrite_vars(k, bound, fn) for k in kids)
-            )
-
-
-def rewrite_decl_vars(d: TopDecl, fn) -> TopDecl:
-    """Apply rewrite_vars to every expression root of a declaration."""
-    if not isinstance(d, FunDecl):
-        return d
-    new_eqs = []
-    for eq in d.equations:
-        base = frozenset(equation_bound_names(eq))
-        new_locals = tuple(
-            replace(loc, rhs=rewrite_vars(loc.rhs, base | frozenset(loc.params), fn))
-            for loc in eq.locals
-        )
-        new_eqs.append(replace(eq, rhs=rewrite_vars(eq.rhs, base, fn), locals=new_locals))
-    return replace(d, equations=tuple(new_eqs))
-
-
 def rewrite_project_vars(project: Project, fn) -> Project:
-    """fn(module_name, var, bound) -> Expr, applied to every occurrence."""
+    """fn(module_name, var, bound) -> Expr, applied to every occurrence.
+    Modules, declarations and nodes with no rewritten occurrence come back as
+    the same objects, and so does the project when nothing changed."""
     mods = {}
     for mname, mod in project.modules.items():
-        mods[mname] = replace(
-            mod,
-            decls=tuple(
-                rewrite_decl_vars(d, lambda v, b, _m=mname: fn(_m, v, b))
-                for d in mod.decls
-            ),
+        def on_var(e: Expr, bound: frozenset[str], _m=mname) -> Expr:
+            return fn(_m, e, bound) if isinstance(e, Var) else e
+
+        decls = tuple(
+            map_decl_roots(d, lambda root, bound: map_scoped(root, bound, on_var))
+            for d in mod.decls
         )
+        changed = any(new is not old for new, old in zip(decls, mod.decls))
+        mods[mname] = replace(mod, decls=decls) if changed else mod
+    if all(mods[m] is mod for m, mod in project.modules.items()):
+        return project
     return Project(mods)
 
 
@@ -145,13 +106,11 @@ class InstanceMatcher:
     def __init__(
         self,
         table: SymbolTable,
-        project: Project,
         params: tuple[str, ...],
         template_module: str,
         template_bound: frozenset[str],
     ):
         self.table = table
-        self.project = project
         self.params = set(params)
         self.template_module = template_module
         self.template_bound = template_bound
@@ -181,11 +140,6 @@ class InstanceMatcher:
         )
 
     def _match(self, t, c, tmap, cmap, depth, site_module, site_bound, sigma, inner_names):
-        from .lang import (
-            Builtin, ConApp, Infix, IntLit, StrLit, Tuple as TupleE,
-        )
-        from .names import free_vars
-
         if isinstance(t, Var) and t.qualifier is None and t.name in self.params and t.name not in tmap:
             if t.name in sigma:
                 return sigma[t.name] == c
@@ -220,13 +174,12 @@ class InstanceMatcher:
                 return o1 == o2 and \
                     self._match(l1, l2, tmap, cmap, depth, site_module, site_bound, sigma, inner_names) and \
                     self._match(r1, r2, tmap, cmap, depth, site_module, site_bound, sigma, inner_names)
-            case TupleE(i1), TupleE(i2):
+            case Tuple(i1), Tuple(i2):
                 return len(i1) == len(i2) and all(
                     self._match(x, y, tmap, cmap, depth, site_module, site_bound, sigma, inner_names)
                     for x, y in zip(i1, i2)
                 )
             case Case(s1, b1), Case(s2, b2):
-                from .names import _alpha_pattern  # structural pattern match
                 if len(b1) != len(b2):
                     return False
                 if not self._match(s1, s2, tmap, cmap, depth, site_module, site_bound, sigma, inner_names):
@@ -274,31 +227,12 @@ def fold_instances_in_expr(
     """Bottom-up replacement of template instances by make_call(sigma)."""
     count = 0
 
-    def go(e: Expr, bound: frozenset[str]) -> Expr:
+    def fold(e: Expr, bound: frozenset[str]) -> Expr:
         nonlocal count
-        match e:
-            case Case(scrutinee, branches):
-                new_scrut = go(scrutinee, bound)
-                new_branches = tuple(
-                    CaseBranch(b.pattern, go(b.body, bound | set(pattern_vars(b.pattern))))
-                    for b in branches
-                )
-                e = Case(new_scrut, new_branches)
-            case Let(bindings, body):
-                inner = bound | {b.name for b in bindings}
-                e = Let(
-                    tuple(LetBinding(b.name, go(b.rhs, inner)) for b in bindings),
-                    go(body, inner),
-                )
-            case _:
-                kids = expr_children(e)
-                if kids:
-                    e = with_expr_children(e, tuple(go(k, bound) for k in kids))
         sigma: dict[str, Expr] = {}
-        if matcher.match(template, e, site_module, bound, sigma):
-            if set(sigma) == set(param_order):
-                count += 1
-                return make_call(sigma)
+        if matcher.match(template, e, site_module, bound, sigma) and set(sigma) == set(param_order):
+            count += 1
+            return make_call(sigma)
         return e
 
-    return go(root, site_bound), count
+    return map_scoped(root, site_bound, fold), count

@@ -123,3 +123,17 @@ def test_extract_step_states(dirs):
     assert main(["corpus", "extract", "step-states", "--out", str(out)]) == 0
     assert (out / "step04" / "EvalMod.mfn").exists()
     assert (out / "step11" / "Client.mfn").exists()
+
+
+def test_apply_unresolvable_step_exits_1_with_summary(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "M.mfn").write_text("module M (f) where\n\ng = 1\n\nf = g + 1\n")
+    script = tmp_path / "move.vs"
+    script.write_text("move-def f M N\n")
+    code = main(["apply", str(script), str(src), "--out", str(tmp_path / "out")])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "move-def f M N" in out and "[failed]" in out
+    assert "PreconditionFailed: cannot resolve g in module N" in out
+    assert "0/1 step(s) applied" in out

@@ -7,7 +7,7 @@ from viewshift.evaluator import evaluate
 from viewshift.lang import (
     App, Builtin, Case, CaseBranch, ConApp, Equation, Expr, FunDecl, Infix,
     IntLit, Let, LetBinding, LocalDef, ModuleDef, PCon, PInt, PTuple, PVar,
-    PWild, Project, StrLit, Tuple, Var,
+    PWild, Project, StrLit, Tuple, Var, map_scoped, walk_expr_scoped,
 )
 from viewshift.names import (
     alpha_eq_decl, alpha_eq_expr, alpha_eq_project, free_vars, substitute,
@@ -15,6 +15,7 @@ from viewshift.names import (
 from viewshift.parse import parse_expr, parse_module
 from viewshift.reference import evaluate_by_name
 from viewshift.render import render_expr, render_module
+from viewshift.rewrite import minimize_qualifiers
 
 CASES = settings(max_examples=100, deadline=None)
 
@@ -381,3 +382,44 @@ def test_move_then_inverse_is_identity(f, other):
     for m in ("Client", home, other):
         back = R.clean_imports(back, m)
     assert alpha_eq_project(back, project)
+
+
+# --- the binder-scoping primitive ---
+
+@CASES
+@given(_exprs())
+def test_map_scoped_identity_returns_the_same_object(e):
+    assert map_scoped(e, frozenset(), lambda n, s: n) is e
+
+
+def test_walk_expr_scoped_bound_sets_under_shadowing():
+    # let a = case b of K (a, c) -> a + c
+    # in case a of x -> let x = x in x b
+    e = Let(
+        (LetBinding("a", Case(Var("b"), (
+            CaseBranch(PCon("K", (PVar("a"), PVar("c")), tupled=True),
+                       Infix("+", Var("a"), Var("c"))),
+        ))),),
+        Case(Var("a"), (
+            CaseBranch(PVar("x"), Let((LetBinding("x", Var("x")),), App(Var("x"), Var("b")))),
+        )),
+    )
+    seen = [
+        (path, node.name, sorted(bound))
+        for path, node, bound in walk_expr_scoped(e, frozenset({"top"}))
+        if isinstance(node, Var)
+    ]
+    assert seen == [
+        ((0, 0), "b", ["a", "top"]),
+        ((0, 1, 0), "a", ["a", "c", "top"]),
+        ((0, 1, 1), "c", ["a", "c", "top"]),
+        ((1, 0), "a", ["a", "top"]),
+        ((1, 1, 0), "x", ["a", "top", "x"]),
+        ((1, 1, 1, 0), "x", ["a", "top", "x"]),
+        ((1, 1, 1, 1), "b", ["a", "top", "x"]),
+    ]
+
+
+def test_minimize_qualifiers_keeps_canonical_modules(pfun):
+    out = minimize_qualifiers(pfun)
+    assert all(out.modules[m] is mod for m, mod in pfun.modules.items())

@@ -380,3 +380,75 @@ def test_exhibit_then_unfold_then_remove_restores(pfun):
     assert alpha_eq_decl(
         p.modules["EvalMod"].decl("eval"), pfun.modules["EvalMod"].decl("eval")
     )
+
+
+# Each operation below once seeded a where-local or pattern-variable scope
+# with the wrong bound names, skipped a recursive local's own body, or let a
+# binder capture an argument it added, and changed the program's behaviour
+# silently.
+_SHADOWED_K = (
+    "module M where\n\ndata T = A Int | B\n\nk = 5\n\n"
+    "f (A k) = k\nf B = k\n\nr = f (A 1) + f B"
+)
+_SHADOWED_G = (
+    "module M where\n\ndata T = A Int | B\n\n"
+    "f (A n) = g + h 10\n    where\n        g = n + 1\n        h g = g * 2\nf B = 0\n\n"
+    "r = f (A 1)"
+)
+_SHADOWED_G_FREE_K = (
+    "module M where\n\ndata T = A Int | B\n\nk = 5\n\n"
+    "f (A n) = g + h 10\n    where\n        g = k + n\n        h g = g * 2\nf B = 0\n\n"
+    "r = f (A 1)"
+)
+_CASE_BOUND_G = (
+    "module M where\n\ndata T = A Int | B\n\ninc y = y + 1\n\n"
+    "f (A n) = case (inc, n) of\n    (g, k) -> g k\n"
+    "    where\n        g y = y * 10\nf B = 0\n\n"
+    "r = f (A 1)"
+)
+_RECURSIVE_G = (
+    "module M where\n\ndata T = A Int | B\n\n"
+    "f (A n) = g 3\n    where\n        g y = case y of\n"
+    "            0 -> n\n            k -> g 0\nf B = 0\n\n"
+    "r = f (A 7)"
+)
+_CASE_REBINDS_N = (
+    "module M where\n\ndata T = A Int | B\n\n"
+    "f (A n) = case 100 of\n    n -> g\n    where\n        g = n + 1\nf B = 0\n\n"
+    "r = f (A 7)"
+)
+_CALLER_REBINDS_K = "module M where\n\nk = 5\n\nf y = y + k\n\ng k = f 1\n\nr = g 100"
+
+
+@pytest.mark.parametrize("source, op", [
+    pytest.param(_SHADOWED_K, lambda p: R.generalise_ident(p, "f", "M", "k", "x"),
+                 id="generalise-ident-pattern-bound"),
+    pytest.param(_SHADOWED_G, lambda p: R.lift_to_top(p, "f", "g", "M"),
+                 id="lift-def-param-shadows-local"),
+    pytest.param(_SHADOWED_G, lambda p: R.generalise(
+        p, "f", "A", "g", "M", 1, "x", "curried", "OtherType"),
+                 id="generalise-param-shadows-local"),
+    pytest.param(_SHADOWED_G_FREE_K, lambda p: R.generalise_ident(p, "g", "M", "k", "x"),
+                 id="generalise-ident-local-param-shadows-local"),
+    pytest.param(_CASE_BOUND_G, lambda p: R.unfold_instance(p, "g", "f", "M"),
+                 id="unfold-local-case-binder-shadows-local"),
+    pytest.param(_RECURSIVE_G, lambda p: R.lift_to_top(p, "f", "g", "M"),
+                 id="lift-def-recursive-local"),
+    pytest.param(_RECURSIVE_G, lambda p: R.generalise_ident(p, "g", "M", "n", "x"),
+                 id="generalise-ident-recursive-local"),
+    pytest.param(_RECURSIVE_G, lambda p: R.generalise(
+        p, "f", "A", "g", "M", 1, "x", "curried", "OtherType"),
+                 id="generalise-recursive-local"),
+    pytest.param(_CASE_REBINDS_N, lambda p: R.lift_to_top(p, "f", "g", "M"),
+                 id="lift-def-argument-captured-at-use"),
+    pytest.param(_CALLER_REBINDS_K, lambda p: R.generalise_ident(p, "f", "M", "k", "x"),
+                 id="generalise-ident-argument-captured-at-call"),
+])
+def test_binder_scoping_keeps_behaviour(source, op):
+    p = _project(source)
+    before = observe_entries(p, ["r"])
+    try:
+        out = op(p)
+    except R.RefactorError:
+        return
+    assert observe_entries(out, ["r"]) == before

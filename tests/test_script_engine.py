@@ -110,3 +110,19 @@ def test_default_entries_used_in_checked_runs(pfun):
     script = parse_script("clean-imports Client")
     out, log = run_script(pfun, script, checked=True)
     assert log.ok
+
+
+# The moved body refers to g, which M does not export: the step must fail as
+# a typed precondition and be logged, not escape as a resolution error.
+UNEXPORTED_HELPER = "module M (f) where\n\ng = 1\n\nf = g + 1\n"
+
+
+def test_unresolvable_result_fails_the_step(tmp_path):
+    (tmp_path / "M.mfn").write_text(UNEXPORTED_HELPER)
+    project = parse_project(str(tmp_path))
+    out, log = run_script(project, parse_script("move-def f M N\n"))
+    assert not log.ok
+    assert [r.outcome for r in log.records] == ["failed"]
+    assert log.records[0].error.startswith("PreconditionFailed:")
+    assert "cannot resolve g in module N" in log.records[0].error
+    assert out is project
