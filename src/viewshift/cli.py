@@ -34,7 +34,6 @@ def _cmd_apply(args) -> int:
     with open(args.script, encoding="utf-8") as fh:
         script = parse_script(fh.read(), name=args.script)
     project = parse_project(args.project)
-    resolve_project(project)
     entries = _entries_arg(args.entries, project) if args.checked else ()
     out, log = run_script(
         project, script, checked=args.checked, entries=entries, snapshot_dir=args.snapshots

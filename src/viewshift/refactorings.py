@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .lang import (
-    App, Case, CaseBranch, CommentBlock, ConApp, Equation, Expr, FunDecl,
-    Let, LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern,
-    Project, TopDecl, Tuple, Var, app_spine, decl_expr_at, decl_expr_roots,
-    decl_name, equation_bound_names, make_app, map_decl_roots, map_scoped,
-    pattern_cons, pattern_vars, replace_decl_expr_at, scoped_children,
-    walk_expr_scoped, with_decl, with_module,
+    App, Case, CaseBranch, CommentBlock, Equation, Expr, FunDecl, Let,
+    LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern, Project,
+    TopDecl, Tuple, Var, app_spine, decl_expr_at, decl_expr_roots, decl_name,
+    equation_bound_names, make_app, map_decl_roots, map_scoped, pattern_vars,
+    replace_decl_expr_at, scoped_children, walk_expr_scoped, with_decl,
+    with_module,
 )
 from .names import (
     alpha_eq_decl, all_names, decl_free_vars, free_vars, fresh_name,
@@ -28,9 +28,9 @@ from .names import (
 from .parse import ParseError, parse_decl
 from .render import render_decl
 from .resolver import (
-    OccRef, ResolveError, applications, build_symbol_table, find_application,
-    iter_var_occurrences, module_exports, module_scope, occurrences_of,
-    resolve_var, resolve_project, unused_imports,
+    OccRef, ResolveError, applications, build_symbol_table, decl_refs,
+    find_application, module_exports, module_scope, occurrences_of,
+    resolve_var, resolve_project, unused_imports, uses_of,
 )
 from .rewrite import (
     InstanceMatcher, fold_instances_in_expr, minimize_qualifiers,
@@ -89,6 +89,15 @@ def _decl_all_names(d: FunDecl) -> set[str]:
     return out
 
 
+def _without_decl(mod: ModuleDef, name: str) -> ModuleDef:
+    """mod without the top-level declaration name and its export entry."""
+    exports = mod.exports
+    if exports is not None:
+        exports = tuple(n for n in exports if n != name)
+    decls = tuple(d for d in mod.decls if decl_name(d) != name)
+    return replace(mod, decls=decls, exports=exports)
+
+
 def _finish(project: Project) -> Project:
     """Post-operation pipeline: validate resolution, canonicalize qualifiers.
     A rewrite that leaves a name unresolvable fails its step as
@@ -140,11 +149,23 @@ def new_def_fun_app(project: Project, f: str, arg_count: int, fp: str, m: str) -
     except ResolveError as exc:
         raise _not_found(str(exc))
     di, d = _fun_decl(mod, occ.decl)
-    ei = occ.path[0]
+    ei, slot = occ.path[0], occ.path[1]
     eq = d.equations[ei]
-    if fp in _top_scope(project, m) | equation_bound_names(eq):
+    # The new local sits beside the equation's others, outside the case and
+    # let binders and the local's parameters between the root and the
+    # application: a name they bind must not be used or shadow fp there.
+    app_expr = eq.rhs if slot == 0 else eq.locals[slot - 1].rhs
+    between = frozenset() if slot == 0 else frozenset(eq.locals[slot - 1].params)
+    for i in occ.path[2:]:
+        app_expr, between = scoped_children(app_expr, between)[i]
+    if fp in _top_scope(project, m) | equation_bound_names(eq) | between:
         raise RefactorError("NameClash", f"{fp} is already bound around the application of {f}")
-    app_expr = decl_expr_at(d, occ.path)
+    escaping = free_vars(app_expr) & between
+    if escaping:
+        raise RefactorError(
+            "NotApplicable",
+            f"the application of {f} uses {sorted(escaping)}, bound between it and its equation",
+        )
     d2 = replace_decl_expr_at(d, occ.path, Var(fp))
     eq2 = d2.equations[ei]
     eq2 = replace(eq2, locals=eq2.locals + (LocalDef(fp, (), app_expr),))
@@ -312,19 +333,13 @@ def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> P
     project = with_module(project, with_decl(mod, di, replace(d, equations=new_eqs)))
 
     # External call sites, grouped by module.
-    table = build_symbol_table(project)
     external: list[OccRef] = []
-    for mname in project.module_names():
-        for dname, path, var, bound in iter_var_occurrences(project, mname):
-            if mname == m and dname == f:
-                continue
-            if var.name != f:
-                continue
-            ref = resolve_var(table, project, mname, bound, var)
-            if ref is not None and (ref.module, ref.name) == (m, f):
-                if mname == m and v in bound:
-                    raise RefactorError("NameClash", f"{v} is rebound where {dname} calls {f}")
-                external.append(OccRef(mname, dname, path))
+    for occ, bound in uses_of(build_symbol_table(project), project, (m, f)):
+        if occ.module == m and occ.decl == f:
+            continue
+        if occ.module == m and v in bound:
+            raise RefactorError("NameClash", f"{v} is rebound where {occ.decl} calls {f}")
+        external.append(occ)
 
     aux_name = None
     if any(o.module != m for o in external):
@@ -485,46 +500,18 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
         project = with_module(project, ModuleDef(mp, None, (), ()))
 
     table = build_symbol_table(project)
-
-    # Modules the moved body depends on.
-    needed: set[str] = set()
-
-    def need_con(name: str):
-        cands = table.constructors.get(m, {}).get(name, [])
-        if len(cands) == 1:
-            needed.add(cands[0][0].module)
-
-    for eq in d.equations:
-        for p in eq.patterns:
-            for pc in pattern_cons(p):
-                need_con(pc)
-    for _, _, root, bound in decl_expr_roots(d):
-        for _, e, scope in walk_expr_scoped(root, bound):
-            if isinstance(e, Var):
-                if e.qualifier is None and (e.name in scope or e.name == f):
-                    continue
-                ref = resolve_var(table, project, m, scope, e)
-                if ref is not None and (ref.module, ref.name) != (m, f):
-                    needed.add(ref.module)
-            elif isinstance(e, Case):
-                for b in e.branches:
-                    for pc in pattern_cons(b.pattern):
-                        need_con(pc)
-            elif isinstance(e, ConApp):
-                need_con(e.name)
+    # Modules the moved body depends on; f's own recursive calls move with
+    # it, so they do not make mp import m.
+    needed = {
+        ref.module for _, ref, _ in decl_refs(table, project, m, d)
+        if (ref.module, ref.name) != (m, f)
+    }
     needed.discard(mp)
-
     # Modules that reference f.
-    referencing: set[str] = set()
-    for mname in project.module_names():
-        for dname, path, var, bound in iter_var_occurrences(project, mname):
-            if mname == m and dname == f:
-                continue
-            if var.name != f:
-                continue
-            ref = resolve_var(table, project, mname, bound, var)
-            if ref is not None and (ref.module, ref.name) == (m, f):
-                referencing.add(mname)
+    referencing = {
+        occ.module for occ, _ in uses_of(table, project, (m, f))
+        if not (occ.module == m and occ.decl == f)
+    }
     referencing.discard(mp)
 
     graph = _import_graph(project)
@@ -539,12 +526,8 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
     project = requalify_name(project, f)
 
     mod = project.modules[m]
-    di, d = _fun_decl(mod, f)
-    decls = tuple(dd for i, dd in enumerate(mod.decls) if i != di)
-    exports = mod.exports
-    if exports is not None:
-        exports = tuple(n for n in exports if n != f)
-    project = with_module(project, replace(mod, decls=decls, exports=exports))
+    _, d = _fun_decl(mod, f)
+    project = with_module(project, _without_decl(mod, f))
 
     dest = project.modules[mp]
     new_imports = dest.imports + tuple(sorted(needed - set(dest.imports)))
@@ -769,17 +752,17 @@ def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project
     mod = _module(project, m)
 
     target = None
-    for occ in applications(project, m, f, arg_count):
+    for occ, ref in applications(project, m, f, arg_count):
         d = mod.decl(occ.decl)
         spec = _comment_spec(d)
         if spec is not None:
-            target = (d, spec, occ.path)
+            target = (d, spec, occ.path, ref)
             break
     if target is None:
         raise _not_found(
             f"no commented declaration in {m} applies {f} to {arg_count} argument(s)"
         )
-    d, spec, app_path = target
+    d, spec, spine_path, ref = target
     spec_eq = spec.equations[0]
     if spec_eq.locals or not all(isinstance(p, PVar) for p in spec_eq.patterns):
         raise RefactorError(
@@ -788,15 +771,7 @@ def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project
     spec_params = tuple(p.name for p in spec_eq.patterns)  # type: ignore[union-attr]
 
     # Unfold the targeted application, then drop variable-only case positions.
-    spine_path = app_path
-    spine = decl_expr_at(d, spine_path)
-    head, args = app_spine(spine)
-    assert isinstance(head, Var)
-    table = build_symbol_table(project)
-    scope_bound = frozenset(equation_bound_names(d.equations[app_path[0]]))
-    ref = resolve_var(table, project, m, scope_bound if head.qualifier is None else frozenset(), head)
-    if ref is None:
-        raise RefactorError("NotApplicable", f"{f} is locally bound at the targeted application")
+    _, args = app_spine(decl_expr_at(d, spine_path))
     td = project.modules[ref.module].decl(ref.name)
     if not isinstance(td, FunDecl):
         raise _not_found(f"{f} does not name a function definition")
@@ -911,17 +886,12 @@ def _map_top_case(e: Expr, fn) -> Expr:
 def remove_def(project: Project, f: str, m: str) -> Project:
     """Delete a top-level definition that is used nowhere else."""
     mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
+    _fun_decl(mod, f)
     occ = [o for o in occurrences_of(project, m, f) if not (o.module == m and o.decl == f)]
     if occ:
         first = occ[0]
         raise RefactorError("StillUsed", f"{f} is still used in {first.module}.{first.decl}")
-    decls = tuple(dd for i, dd in enumerate(mod.decls) if i != di)
-    exports = mod.exports
-    if exports is not None:
-        exports = tuple(n for n in exports if n != f)
-    project = with_module(project, replace(mod, decls=decls, exports=exports))
-    return _finish(project)
+    return _finish(with_module(project, _without_decl(mod, f)))
 
 
 def remove_local_def(project: Project, d_name: str, f: str, m: str) -> Project:
@@ -1122,19 +1092,11 @@ def unify_alpha_equivalent(project: Project, keep: str, drop: str, m: str) -> Pr
     if keep == drop:
         raise _not_found("cannot unify a definition with itself")
     mod = _module(project, m)
-    _fun_decl(mod, keep)
-    di, drop_d = _fun_decl(mod, drop)
     _, keep_d = _fun_decl(mod, keep)
+    _, drop_d = _fun_decl(mod, drop)
     if not alpha_eq_decl(keep_d, drop_d):
         raise RefactorError(
             "PreconditionFailed", f"{keep} and {drop} are not alpha-equivalent"
         )
     project = retarget_name(project, (m, drop), (m, keep))
-    mod = project.modules[m]
-    di, _ = _fun_decl(mod, drop)
-    decls = tuple(dd for i, dd in enumerate(mod.decls) if i != di)
-    exports = mod.exports
-    if exports is not None:
-        exports = tuple(n for n in exports if n != drop)
-    project = with_module(project, replace(mod, decls=decls, exports=exports))
-    return _finish(project)
+    return _finish(with_module(project, _without_decl(project.modules[m], drop)))

@@ -14,8 +14,8 @@ from typing import Iterator, Optional
 
 from .lang import (
     App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, ModuleDef,
-    PCon, PTuple, Pattern, Project, Var, app_spine, decl_expr_at, decl_name,
-    decl_expr_roots, pattern_cons, walk_expr_scoped,
+    PCon, PTuple, Pattern, Project, TopDecl, Var, app_spine, decl_expr_at,
+    decl_name, decl_expr_roots, pattern_cons, walk_expr_scoped,
 )
 
 
@@ -256,18 +256,72 @@ def resolve_project(project: Project) -> SymbolTable:
     return table
 
 
-# --- occurrence queries ---
+# --- reference queries ---
+#
+# Operations ask two questions of the resolver: which definitions does a
+# declaration use (decl_refs), and which variables use a definition
+# (uses_of). Both take the caller's table, so asking costs no extra build.
 
-def iter_var_occurrences(
-    project: Project, module: str
-) -> Iterator[tuple[str, tuple[int, ...], Var, frozenset[str]]]:
-    """Yield (decl name, path, var, bound names) in document order."""
-    mod = project.modules[module]
-    for d in mod.decls:
-        for ei, slot, root, bound in decl_expr_roots(d):
-            for sub, e, scope in walk_expr_scoped(root, bound):
-                if isinstance(e, Var):
-                    yield decl_name(d), (ei, slot) + sub, e, scope
+def decl_refs(
+    table: SymbolTable, project: Project, module: str, d: TopDecl
+) -> Iterator[tuple[tuple[int, ...], DefRef, frozenset[str]]]:
+    """Yield (path, definition, bound names) for each use in declaration d of
+    module: every global variable, resolved strictly; every constructor of a
+    ConApp, a case pattern or an equation pattern; every type a data
+    declaration names. A constructor or type name counts only when it has
+    exactly one candidate. Paths are those of decl_expr_at; an equation
+    pattern's is (equation index,), a constructor argument's
+    (constructor index,)."""
+    def con(path: tuple[int, ...], name: str, scope: frozenset[str]):
+        cands = table.constructors.get(module, {}).get(name, [])
+        if len(cands) == 1:
+            yield path, cands[0][0], scope
+
+    if isinstance(d, DataDecl):
+        for ci, c in enumerate(d.constructors):
+            for tname in c.arg_types:
+                refs = [r for r in table.lookup(module, tname) if r.kind == "type"]
+                if len(refs) == 1:
+                    yield (ci,), refs[0], frozenset()
+        return
+    assert isinstance(d, FunDecl)
+    for ei, eq in enumerate(d.equations):
+        for p in eq.patterns:
+            for c in pattern_cons(p):
+                yield from con((ei,), c, frozenset())
+    for ei, slot, root, bound in decl_expr_roots(d):
+        for sub, e, scope in walk_expr_scoped(root, bound):
+            path = (ei, slot) + sub
+            if isinstance(e, Var):
+                ref = resolve_var(table, project, module, scope, e)
+                if ref is not None:
+                    yield path, ref, scope
+            elif isinstance(e, ConApp):
+                yield from con(path, e.name, scope)
+            elif isinstance(e, Case):
+                for b in e.branches:
+                    for c in pattern_cons(b.pattern):
+                        yield from con(path, c, scope)
+
+
+def uses_of(
+    table: SymbolTable, project: Project, target: tuple[str, str]
+) -> Iterator[tuple[OccRef, frozenset[str]]]:
+    """Yield (occurrence, bound names) for each variable, in any module, that
+    resolves to the top-level definition target = (module, name), recursive
+    ones included; document order per module, modules in name order."""
+    name = target[1]
+    for mname in project.module_names():
+        for d in project.modules[mname].decls:
+            for ei, slot, root, bound in decl_expr_roots(d):
+                for sub, e, scope in walk_expr_scoped(root, bound):
+                    # The name test first: resolving every variable of the
+                    # project would cost more than the rest of the walk.
+                    if not (isinstance(e, Var) and e.name == name):
+                        continue
+                    ref = resolve_var(table, project, mname, scope, e)
+                    if ref is not None and (ref.module, ref.name) == target:
+                        yield OccRef(mname, decl_name(d), (ei, slot) + sub), scope
 
 
 def occurrences_of(project: Project, module: str, name: str) -> list[OccRef]:
@@ -277,24 +331,16 @@ def occurrences_of(project: Project, module: str, name: str) -> list[OccRef]:
     mod = project.modules.get(module)
     if mod is None or mod.decl(name) is None:
         raise _err("UnresolvedName", module, name, f"no top-level {name} in module {module}")
-    target = (module, name)
-    out: list[OccRef] = []
-    for mname in project.module_names():
-        for dname, path, v, scope in iter_var_occurrences(project, mname):
-            if v.name != name:
-                continue
-            ref = resolve_var(table, project, mname, scope, v)
-            if ref is not None and (ref.module, ref.name) == target:
-                out.append(OccRef(mname, dname, path))
-    return out
+    return [occ for occ, _ in uses_of(table, project, (module, name))]
 
 
 def applications(
     project: Project, module: str, fn: str, arg_count: int
-) -> Iterator[OccRef]:
+) -> Iterator[tuple[OccRef, DefRef]]:
     """Applications in module of fn to exactly arg_count arguments, in
-    document order: maximal application spines whose head resolves to the
-    top-level definition fn names in module."""
+    document order, each with the definition its head resolves to: maximal
+    application spines whose head resolves to the top-level definition fn
+    names in module."""
     if arg_count < 1:
         raise _err("NoSuchApplication", module, fn, "an application has at least one argument")
     table = build_symbol_table(project)
@@ -327,59 +373,26 @@ def applications(
                     continue  # a local binding, not the queried definition
                 if fn_target is not None and (ref.module, ref.name) != fn_target:
                     continue
-                yield OccRef(module, decl_name(d), (ei, slot) + sub)
+                yield OccRef(module, decl_name(d), (ei, slot) + sub), ref
 
 
 def find_application(project: Project, module: str, fn: str, arg_count: int) -> OccRef:
     """First application (document order) of fn to exactly arg_count arguments."""
-    occ = next(applications(project, module, fn, arg_count), None)
-    if occ is None:
+    hit = next(applications(project, module, fn, arg_count), None)
+    if hit is None:
         raise _err(
             "NoSuchApplication", module, fn,
             f"no application of {fn} to {arg_count} argument(s) in module {module}",
         )
-    return occ
+    return hit[0]
 
 
 def unused_imports(project: Project, module: str) -> list[str]:
-    """Imports from which no identifier (qualified or not) is referenced."""
+    """Imports from which no identifier (qualified or not), constructor or
+    type name is referenced."""
     table = build_symbol_table(project)
     mod = project.modules[module]
-    used: set[str] = set()
-    for _, _, v, scope in iter_var_occurrences(project, module):
-        ref = resolve_var(table, project, module, scope, v)
-        if ref is not None and ref.module != module:
-            used.add(ref.module)
-    # constructors and type names used in expressions, patterns, data decls
-    def use_con(name: str):
-        cands = table.constructors.get(module, {}).get(name, [])
-        if len(cands) == 1 and cands[0][0].module != module:
-            used.add(cands[0][0].module)
-
-    for d in mod.decls:
-        if isinstance(d, DataDecl):
-            for c in d.constructors:
-                for tname in c.arg_types:
-                    refs = [r for r in table.lookup(module, tname) if r.kind == "type"]
-                    if len(refs) == 1 and refs[0].module != module:
-                        used.add(refs[0].module)
-            continue
-        assert isinstance(d, FunDecl)
-        for eq in d.equations:
-            for p in eq.patterns:
-                for c in pattern_cons(p):
-                    use_con(c)
-        for _, _, root, bound in decl_expr_roots(d):
-            for _, e, _ in walk_expr_scoped(root, bound):
-                match e:
-                    case ConApp(name, _):
-                        use_con(name)
-                    case Case(_, branches):
-                        for b in branches:
-                            for c in pattern_cons(b.pattern):
-                                use_con(c)
-                    case _:
-                        pass
+    used = {ref.module for d in mod.decls for _, ref, _ in decl_refs(table, project, module, d)}
     return [imp for imp in mod.imports if imp not in used]
 
 

@@ -137,3 +137,16 @@ def test_apply_unresolvable_step_exits_1_with_summary(tmp_path, capsys):
     assert "move-def f M N" in out and "[failed]" in out
     assert "PreconditionFailed: cannot resolve g in module N" in out
     assert "0/1 step(s) applied" in out
+
+
+def test_apply_unresolved_input_exits_1(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "M.mfn").write_text("module M where\n\ng = h\n")
+    script = tmp_path / "noop.vs"
+    script.write_text("clean-imports M\n")
+    code = main(["apply", str(script), str(src), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cannot resolve h in module M" in err
+    assert not (tmp_path / "out").exists()

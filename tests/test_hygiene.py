@@ -1,0 +1,76 @@
+"""Static hygiene of the package, with the stdlib ast module only: no module
+imports a name it never uses, and no private module-level function or class
+goes unreferenced."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "viewshift"
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree: ast.AST) -> Counter:
+    """How often each name is read in the tree, as a bare name or attribute."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def _all_names(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _imported(tree: ast.Module) -> list[tuple[str, int]]:
+    """(bound name, line) for each import, __future__ imports excluded."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names if a.name != "*"]
+        elif isinstance(node, ast.Import):
+            out += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in SOURCES:
+        tree = _tree(path)
+        used = set(_used_names(tree)) | _all_names(tree)
+        unused += [
+            f"{path.relative_to(PACKAGE)}:{line}: {name}"
+            for name, line in _imported(tree) if name not in used
+        ]
+    assert unused == []
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path: _tree(path) for path in SOURCES}
+    referenced: Counter = Counter()
+    for tree in trees.values():
+        referenced += _used_names(tree)
+        referenced.update(name for name, _ in _imported(tree))
+    # A definition's references to itself (recursion) do not keep it alive.
+    dead = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and referenced[node.name] == _used_names(node)[node.name]
+    ]
+    assert dead == []

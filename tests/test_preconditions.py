@@ -57,6 +57,23 @@ def test_new_def_name_clash(pfun):
     expect(pfun, "NameClash", R.new_def_fun_app, "eval", 1, "e2", "Client")
 
 
+@pytest.mark.parametrize("f_source", [
+    "f x = case x of y -> g y",
+    "f x = k x\n  where\n    k y = g y",
+], ids=["case-binder", "local-param"])
+def test_new_def_application_under_binder(f_source):
+    # y is bound between the equation and the application; naming `g y` as a
+    # where-local of f would read the top-level y instead (r: 2 -> 101)
+    p = _project(f"module M where\ny = 100\ng a = a + 1\n{f_source}\nr = f 1")
+    expect(p, "NotApplicable", R.new_def_fun_app, "g", 1, "h", "M")
+
+
+def test_new_def_name_bound_at_application():
+    # a case binder named fp would capture the new local's name
+    p = _project("module M where\ng a = a + 1\nf x = case x of h -> g 1\nr = f 1")
+    expect(p, "NameClash", R.new_def_fun_app, "g", 1, "h", "M")
+
+
 # --- generalise ---
 
 def test_generalise_rectype_target_absent(pfun):

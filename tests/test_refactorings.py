@@ -352,6 +352,21 @@ def test_move_def_creates_module_and_imports():
     assert observe_entries(p2, ["entry"]) == {"entry": "7"}
 
 
+def test_move_def_imports_constructor_module_of_case_pattern():
+    # f names E's constructor only in a case pattern; B must import E
+    p = _project(
+        "module E where\n\ndata T = K Int",
+        "module A where\n\nimport E\n\nf x = case x of K i -> i",
+        "module B where\n\nb = 1",
+        "module C where\n\nimport A\n\nimport E\n\n"
+        "entry = print (show (f (K 7)))",
+    )
+    p2 = R.move_def(p, "f", "A", "B")
+    assert p2.modules["B"].imports == ("E",)
+    assert "B" in p2.modules["C"].imports
+    assert observe_entries(p2, ["entry"]) == {"entry": "7"}
+
+
 def test_move_def_refuses_cycle():
     # caller and data type live in the source module: moving f out would
     # force A and B to import each other

@@ -128,11 +128,18 @@ def test_qualified_use_counts():
     assert unused_imports(p, "M") == []
 
 
-def test_constructor_use_counts():
+@pytest.mark.parametrize("use", [
+    "g = K 1",
+    "g (K i) = i",
+    "g x = case x of K i -> i",
+    "data U = W T",
+], ids=["con-app", "equation-pattern", "case-pattern", "data-arg-type"])
+def test_constructor_use_counts(use):
     p = _project(
         "module E where\ndata T = K Int",
-        "module M where\nimport E\ng = K 1",
+        f"module M where\nimport E\n{use}",
     )
+    resolve_project(p)
     assert unused_imports(p, "M") == []
 
 
