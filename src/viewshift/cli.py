@@ -18,7 +18,7 @@ from .parse import ParseError, parse_project
 from .refactorings import RefactorError
 from .render import write_project
 from .resolver import ResolveError, resolve_project
-from .script import COMMANDS, RefactorStep, ScriptSyntaxError, parse_script, run_script
+from .script import COMMANDS, ScriptSyntaxError, parse_script, parse_step, run_script
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -47,24 +47,15 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_op(args) -> int:
-    tokens = args.tokens
-    if len(tokens) < 2:
+    if len(args.tokens) < 2:
         print("op needs a command and a project directory", file=sys.stderr)
         return USAGE_EXIT
-    command, cmd_args, project_dir = tokens[0], tokens[1:-1], tokens[-1]
-    if command not in COMMANDS:
-        print(f"unknown operation {command!r}", file=sys.stderr)
-        return USAGE_EXIT
-    arity = COMMANDS[command][0]
-    if len(cmd_args) != arity:
-        print(f"{command} takes {arity} argument(s), got {len(cmd_args)}", file=sys.stderr)
-        return USAGE_EXIT
-    project = parse_project(project_dir)
+    step = parse_step(args.tokens[:-1], 1)
+    project = parse_project(args.tokens[-1])
     resolve_project(project)
-    step = RefactorStep(command, tuple(cmd_args), 1)
-    out = COMMANDS[command][1](project, step)
+    out = COMMANDS[step.command][1](project, step)
     write_project(out, args.out)
-    print(f"applied {command} {' '.join(cmd_args)}")
+    print(f"applied {step}")
     return 0
 
 

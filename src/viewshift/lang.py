@@ -227,9 +227,18 @@ def with_module(project: Project, mod: ModuleDef) -> Project:
 
 
 def with_decl(mod: ModuleDef, index: int, d: TopDecl) -> ModuleDef:
-    decls = list(mod.decls)
-    decls[index] = d
-    return replace(mod, decls=tuple(decls))
+    return replace(mod, decls=mod.decls[:index] + (d,) + mod.decls[index + 1:])
+
+
+def with_equation(d: FunDecl, ei: int, eq: Equation) -> FunDecl:
+    """d with its equation ei replaced by eq."""
+    return replace(d, equations=d.equations[:ei] + (eq,) + d.equations[ei + 1:])
+
+
+def with_local(eq: Equation, li: int, loc: Optional[LocalDef]) -> Equation:
+    """eq with its where-local li replaced by loc, or removed when loc is None."""
+    kept = () if loc is None else (loc,)
+    return replace(eq, locals=eq.locals[:li] + kept + eq.locals[li + 1:])
 
 
 # --- structural helpers ---
@@ -429,16 +438,11 @@ def replace_decl_expr_at(d: FunDecl, path: tuple[int, ...], new: Expr) -> FunDec
     ei, slot = path[0], path[1]
     eq = d.equations[ei]
     if slot == 0:
-        eq2 = replace(eq, rhs=replace_expr_at(eq.rhs, path[2:], new))
+        eq = replace(eq, rhs=replace_expr_at(eq.rhs, path[2:], new))
     else:
         loc = eq.locals[slot - 1]
-        loc2 = replace(loc, rhs=replace_expr_at(loc.rhs, path[2:], new))
-        locs = list(eq.locals)
-        locs[slot - 1] = loc2
-        eq2 = replace(eq, locals=tuple(locs))
-    eqs = list(d.equations)
-    eqs[ei] = eq2
-    return replace(d, equations=tuple(eqs))
+        eq = with_local(eq, slot - 1, replace(loc, rhs=replace_expr_at(loc.rhs, path[2:], new)))
+    return with_equation(d, ei, eq)
 
 
 def app_spine(e: Expr) -> tuple[Expr, list[Expr]]:

@@ -545,24 +545,31 @@ def parse_module(text: str, filename: str = "<module>") -> ModuleDef:
         exports = tuple(names)
     cur.expect_kw("where")
 
-    rest = toks[cur.pos:]
+    groups = _split_decl_groups(toks[cur.pos:])
     imports: list[str] = []
-    groups = _split_decl_groups(rest)
+    for first, *rest in groups:
+        if not (first.kind == "kw" and first.text == "import"):
+            break
+        if len(rest) != 1 or rest[0].kind != "con":
+            raise ParseError("expected 'import ModuleName'", first.line, first.col)
+        imports.append(rest[0].text)
+    decls = _decls(groups[len(imports):], comments)
 
+    mod = ModuleDef(name_tok.text, exports, tuple(imports), tuple(decls))
+    _check_exports(mod, filename)
+    return mod
+
+
+def _decls(groups: list[list[Tok]], comments: dict[int, str]) -> list[TopDecl]:
+    """The declarations of a run of declaration groups: consecutive equations
+    of one name and one (non-zero) arity merge into a function, and each
+    declaration takes the comment block directly above it."""
     decls: list[TopDecl] = []
-    imports_done = False
     last_fun: str | None = None  # name of the immediately preceding FunDecl
-
     for group in groups:
         first = group[0]
         if first.kind == "kw" and first.text == "import":
-            if imports_done:
-                raise ParseError("imports must precede declarations", first.line, first.col)
-            if len(group) != 2 or group[1].kind != "con":
-                raise ParseError("expected 'import ModuleName'", first.line, first.col)
-            imports.append(group[1].text)
-            continue
-        imports_done = True
+            raise ParseError("imports must precede declarations", first.line, first.col)
         comment = _comment_above(comments, first.line)
         if first.kind == "kw" and first.text == "data":
             d = _parse_data_group(group)
@@ -585,10 +592,7 @@ def parse_module(text: str, filename: str = "<module>") -> ModuleDef:
             raise ParseError(f"duplicate top-level binding {fname!r}", first.line, first.col)
         decls.append(FunDecl(fname, (eq,), comment))
         last_fun = fname
-
-    mod = ModuleDef(name_tok.text, exports, tuple(imports), tuple(decls))
-    _check_exports(mod, filename)
-    return mod
+    return decls
 
 
 def _comment_above(comments: dict[int, str], decl_line: int) -> CommentBlock | None:
@@ -621,23 +625,7 @@ def parse_decl(text: str) -> TopDecl:
     toks, _ = tokenize(text)
     if not toks:
         raise ParseError("empty declaration", 1, 0)
-    groups = _split_decl_groups(toks)
-    decls: list[TopDecl] = []
-    last_fun: str | None = None
-    for group in groups:
-        first = group[0]
-        if first.kind == "kw" and first.text == "data":
-            decls.append(_parse_data_group(group))
-            last_fun = None
-            continue
-        fname, eq = _parse_equation_group(group)
-        if fname == last_fun:
-            prev = decls[-1]
-            assert isinstance(prev, FunDecl)
-            decls[-1] = FunDecl(fname, prev.equations + (eq,))
-            continue
-        decls.append(FunDecl(fname, (eq,)))
-        last_fun = fname
+    decls = _decls(_split_decl_groups(toks), {})
     if len(decls) != 1:
         t = toks[0]
         raise ParseError("expected exactly one declaration", t.line, t.col)

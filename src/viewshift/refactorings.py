@@ -11,6 +11,7 @@ never by source positions.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import replace
 
 from .lang import (
@@ -19,7 +20,7 @@ from .lang import (
     TopDecl, Tuple, Var, app_spine, decl_expr_at, decl_expr_roots, decl_name,
     equation_bound_names, make_app, map_decl_roots, map_scoped, pattern_vars,
     replace_decl_expr_at, scoped_children, walk_expr_scoped, with_decl,
-    with_module,
+    with_equation, with_local, with_module,
 )
 from .names import (
     alpha_eq_decl, all_names, decl_free_vars, free_vars, fresh_name,
@@ -111,15 +112,31 @@ def _finish(project: Project) -> Project:
     return out
 
 
-def _con_equation(d: FunDecl, c: str) -> tuple[int, Equation]:
-    """The equation whose first constructor pattern is c."""
+def _con_equation(d: FunDecl, c: str) -> tuple[int, Equation, PCon]:
+    """The equation whose first constructor pattern is c, and that pattern."""
     for i, eq in enumerate(d.equations):
         for p in eq.patterns:
             if isinstance(p, PCon):
                 if p.name == c:
-                    return i, eq
+                    return i, eq, p
                 break
     raise _not_found(f"{d.name} has no equation matching constructor {c}")
+
+
+def _where_local(mod: ModuleDef, name: str, f: str | None = None) -> tuple[int, int, int] | None:
+    """(decl index, equation index, local index) of the where-local called
+    name among f's equations, or among the whole module's without f; None
+    when there is none. A name that more than one where-local carries is
+    refused rather than resolved to one of them."""
+    hits = [
+        (di, ei, li)
+        for di, d in enumerate(mod.decls) if isinstance(d, FunDecl) and f in (None, d.name)
+        for ei, eq in enumerate(d.equations)
+        for li, loc in enumerate(eq.locals) if loc.name == name
+    ]
+    if len(hits) > 1:
+        raise _not_found(f"{name} names more than one local definition in {f or mod.name}")
+    return hits[0] if hits else None
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +146,11 @@ def exhibit_function(project: Project, f: str, c: str, n: str, m: str) -> Projec
     """Turn the RHS of f's equation for constructor c into a where-local n."""
     mod = _module(project, m)
     di, d = _fun_decl(mod, f)
-    ei, eq = _con_equation(d, c)
+    ei, eq, _ = _con_equation(d, c)
     if n in _top_scope(project, m) | equation_bound_names(eq):
         raise RefactorError("NameClash", f"{n} is already bound in the scope of {f}'s equation")
     new_eq = replace(eq, rhs=Var(n), locals=eq.locals + (LocalDef(n, (), eq.rhs),))
-    eqs = list(d.equations)
-    eqs[ei] = new_eq
-    project = with_module(project, with_decl(mod, di, replace(d, equations=tuple(eqs))))
+    project = with_module(project, with_decl(mod, di, with_equation(d, ei, new_eq)))
     return _finish(project)
 
 
@@ -169,9 +184,7 @@ def new_def_fun_app(project: Project, f: str, arg_count: int, fp: str, m: str) -
     d2 = replace_decl_expr_at(d, occ.path, Var(fp))
     eq2 = d2.equations[ei]
     eq2 = replace(eq2, locals=eq2.locals + (LocalDef(fp, (), app_expr),))
-    eqs = list(d2.equations)
-    eqs[ei] = eq2
-    project = with_module(project, with_decl(mod, di, replace(d2, equations=tuple(eqs))))
+    project = with_module(project, with_decl(mod, di, with_equation(d2, ei, eq2)))
     return _finish(project)
 
 
@@ -235,12 +248,12 @@ def generalise(
         raise RefactorError("PreconditionFailed", f"unknown curry flag {curry_flag}")
     mod = _module(project, m)
     di, d = _fun_decl(mod, f)
-    ei, eq = _con_equation(d, c)
-    li = next((i for i, loc in enumerate(eq.locals) if loc.name == fp), None)
-    if li is None:
+    ei, eq, pat = _con_equation(d, c)
+    hit = _where_local(mod, fp, f)
+    if hit is None or hit[1] != ei:
         raise _not_found(f"{f}'s equation for {c} has no local {fp}")
+    li = hit[2]
     loc = eq.locals[li]
-    pat = next(p for p in eq.patterns if isinstance(p, PCon) and p.name == c)
     # curry_flag only governs argument counting; sub-patterns are stored
     # uniformly, so both flags count the same way here.
     if not (1 <= arg_index <= len(pat.args)):
@@ -259,31 +272,11 @@ def generalise(
     if x in all_names(loc.rhs) or x in loc.params or x in equation_bound_names(eq):
         raise RefactorError("NameClash", f"{x} is already in scope in {fp}")
 
-    locs = list(eq.locals)
-    locs[li] = LocalDef(fp, (x,) + loc.params, new_body)
-    eqs = list(d.equations)
-    eqs[ei] = replace(eq, locals=tuple(locs))
+    eq = with_local(eq, li, LocalDef(fp, (x,) + loc.params, new_body))
     # Every use of fp inside the equation now passes the target first.
-    d = _apply_local_uses(replace(d, equations=tuple(eqs)), ei, fp, [target])
+    d = _apply_local_uses(with_equation(d, ei, eq), ei, fp, [target])
     project = with_module(project, with_decl(mod, di, d))
     return _finish(project)
-
-
-def _find_enclosing_local(mod: ModuleDef, name: str):
-    """Locate a unique where-local called name among the module's declarations."""
-    hits = []
-    for di, d in enumerate(mod.decls):
-        if not isinstance(d, FunDecl):
-            continue
-        for ei, eq in enumerate(d.equations):
-            for li, loc in enumerate(eq.locals):
-                if loc.name == name:
-                    hits.append((di, ei, li))
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise _not_found(f"{name} names more than one local definition in {mod.name}")
-    return hits[0]
 
 
 def generalise_ident(project: Project, f: str, m: str, v: str, x: str) -> Project:
@@ -301,7 +294,7 @@ def generalise_ident(project: Project, f: str, m: str, v: str, x: str) -> Projec
         return _generalise_ident_top(project, f, m, v, x)
     if top is not None:
         raise RefactorError("NotApplicable", f"{f} in {m} is a data declaration")
-    hit = _find_enclosing_local(mod, f)
+    hit = _where_local(mod, f)
     if hit is None:
         raise _not_found(f"no definition of {f} in module {m}")
     return _generalise_ident_local(project, m, v, x, *hit)
@@ -384,11 +377,8 @@ def _generalise_ident_local(
     if x in _decl_all_names(d) or x == v:
         raise RefactorError("NameClash", f"{x} is already used inside {d.name}")
 
-    locs = list(eq.locals)
-    locs[li] = LocalDef(f, (x,) + loc.params, substitute(loc.rhs, v, Var(x)))
-    eqs = list(d.equations)
-    eqs[ei] = replace(eq, locals=tuple(locs))
-    d = _apply_local_uses(replace(d, equations=tuple(eqs)), ei, f, [Var(v)])
+    eq = with_local(eq, li, LocalDef(f, (x,) + loc.params, substitute(loc.rhs, v, Var(x))))
+    d = _apply_local_uses(with_equation(d, ei, eq), ei, f, [Var(v)])
     project = with_module(project, with_decl(mod, di, d))
     return _finish(project)
 
@@ -401,17 +391,10 @@ def lift_to_top(project: Project, f: str, d_name: str, m: str) -> Project:
     prepending any enclosing-equation variables it captures as parameters."""
     mod = _module(project, m)
     di, d = _fun_decl(mod, f)
-    hits = [
-        (ei, li)
-        for ei, eq in enumerate(d.equations)
-        for li, loc in enumerate(eq.locals)
-        if loc.name == d_name
-    ]
-    if not hits:
+    hit = _where_local(mod, d_name, f)
+    if hit is None:
         raise _not_found(f"{f} has no local definition {d_name}")
-    if len(hits) > 1:
-        raise _not_found(f"{d_name} is defined in more than one equation of {f}")
-    ei, li = hits[0]
+    _, ei, li = hit
     eq = d.equations[ei]
     loc = eq.locals[li]
     if d_name in _top_scope(project, m):
@@ -429,12 +412,9 @@ def lift_to_top(project: Project, f: str, d_name: str, m: str) -> Project:
     eq = d.equations[ei]
     new_params = tuple(PVar(p) for p in tuple(captured) + loc.params)
     lifted = FunDecl(d_name, (Equation(new_params, eq.locals[li].rhs),))
-    eqs = list(d.equations)
-    eqs[ei] = replace(eq, locals=eq.locals[:li] + eq.locals[li + 1:])
-    decls = list(mod.decls)
-    decls[di] = replace(d, equations=tuple(eqs))
-    decls.insert(di + 1, lifted)
-    project = with_module(project, replace(mod, decls=tuple(decls)))
+    d = with_equation(d, ei, with_local(eq, li, None))
+    decls = mod.decls[:di] + (d, lifted) + mod.decls[di + 1:]
+    project = with_module(project, replace(mod, decls=decls))
     return _finish(project)
 
 
@@ -454,35 +434,11 @@ def rename_top_level(project: Project, f: str, m: str, fp: str) -> Project:
     project = retarget_name(project, (m, f), (m, fp))
     mod = project.modules[m]
     di, d = _fun_decl(mod, f)
-    decls = list(mod.decls)
-    decls[di] = replace(d, name=fp)
     exports = mod.exports
     if exports is not None:
         exports = tuple(fp if n == f else n for n in exports)
-    project = with_module(project, replace(mod, decls=tuple(decls), exports=exports))
+    project = with_module(project, replace(with_decl(mod, di, replace(d, name=fp)), exports=exports))
     return _finish(project)
-
-
-def _import_graph(project: Project) -> dict[str, set[str]]:
-    return {m: set(mod.imports) for m, mod in project.modules.items()}
-
-
-def _has_cycle(graph: dict[str, set[str]]) -> bool:
-    state: dict[str, int] = {}
-
-    def visit(node: str) -> bool:
-        if state.get(node) == 1:
-            return True
-        if state.get(node) == 2:
-            return False
-        state[node] = 1
-        for nxt in graph.get(node, ()):
-            if visit(nxt):
-                return True
-        state[node] = 2
-        return False
-
-    return any(visit(n) for n in list(graph))
 
 
 def move_def(project: Project, f: str, m: str, mp: str) -> Project:
@@ -514,11 +470,13 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
     }
     referencing.discard(mp)
 
-    graph = _import_graph(project)
-    graph[mp] = set(graph.get(mp, set())) | needed
+    graph = {name: set(modx.imports) for name, modx in project.modules.items()}
+    graph[mp] |= needed
     for r in referencing:
-        graph[r] = graph[r] | {mp}
-    if _has_cycle(graph):
+        graph[r].add(mp)
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError:
         raise RefactorError(
             "PreconditionFailed", f"moving {f} from {m} to {mp} would create an import cycle"
         )
@@ -638,12 +596,7 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
         qualifier, name = d_token.split(".", 1)
 
     # A where-local of f takes priority for unqualified names.
-    local_hit = None
-    if qualifier is None:
-        for ei, eq in enumerate(fd.equations):
-            for li, loc in enumerate(eq.locals):
-                if loc.name == name:
-                    local_hit = (ei, li)
+    local_hit = None if qualifier is not None else _where_local(mod, name, f)
     table = build_symbol_table(project)
     if local_hit is None:
         try:
@@ -657,7 +610,7 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
         def_module, defn = ref.module, td
         target = (ref.module, ref.name)
     else:
-        ei0, li0 = local_hit
+        _, ei0, li0 = local_hit
         loc = fd.equations[ei0].locals[li0]
         def_module = m
         defn = FunDecl(loc.name, (Equation(tuple(PVar(p) for p in loc.params), loc.rhs),))
@@ -665,11 +618,11 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
 
     # First occurrence in document order, skipping the local's own body.
     occ_path = None
-    local_of = None if local_hit is None else local_hit[0]
+    local_of = None if local_hit is None else local_hit[1]
     for ei, slot, root, bound in decl_expr_roots(fd, local_of):
         if occ_path is not None:
             break
-        if local_hit is not None and slot == local_hit[1] + 1:
+        if local_hit is not None and slot == local_hit[2] + 1:
             continue
         for sub, e, scope in walk_expr_scoped(root, bound):
             if not (isinstance(e, Var) and e.name == name):
@@ -720,7 +673,7 @@ def fold_top_level(project: Project, f: str, m: str) -> Project:
         raise RefactorError("NotApplicable", f"{f}'s parameters must be plain variables")
     params = tuple(p.name for p in eq.patterns)  # type: ignore[union-attr]
 
-    matcher = InstanceMatcher(build_symbol_table(project), params, m, frozenset())
+    matcher = InstanceMatcher(build_symbol_table(project), params, m)
     head = Var(f, qualifier=m)
     total = 0
     mods = {}
@@ -783,7 +736,7 @@ def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project
     project2 = with_module(project2, with_decl(mod2, di2, d2))
 
     # Fold phase against the commented body.
-    matcher = InstanceMatcher(build_symbol_table(project2), spec_params, m, frozenset())
+    matcher = InstanceMatcher(build_symbol_table(project2), spec_params, m)
     head = Var(spec.name, qualifier=m)
     d2, total = _fold_decl(matcher, spec_eq.rhs, spec_params, head, d2, m)
     if not total:
@@ -832,13 +785,8 @@ def _simplify_variable_positions(d: FunDecl) -> FunDecl:
     branch, substituting the scrutinee component into the branch bodies."""
 
     def simplify(e: Case) -> Expr:
-        if not isinstance(e.scrutinee, Tuple):
-            return e
-        width = len(e.scrutinee.items)
-        if not all(
-            isinstance(b.pattern, PTuple) and len(b.pattern.items) == width
-            for b in e.branches
-        ):
+        width = _tuple_case_width(e)
+        if width is None:
             return e
         keep = [
             j for j in range(width)
@@ -846,29 +794,45 @@ def _simplify_variable_positions(d: FunDecl) -> FunDecl:
         ]
         if len(keep) == width:
             return e
-        new_branches = []
-        for b in e.branches:
-            assert isinstance(b.pattern, PTuple)
-            mapping = {
+        bodies = [
+            substitute_many(b.body, {
                 b.pattern.items[j].name: e.scrutinee.items[j]  # type: ignore[union-attr]
-                for j in range(width)
-                if j not in keep
-            }
-            body = substitute_many(b.body, mapping)
-            if not keep:
-                return body  # nothing left to scrutinise; the first branch wins
-            kept_patterns = tuple(b.pattern.items[j] for j in keep)
-            pat = kept_patterns[0] if len(keep) == 1 else PTuple(kept_patterns)
-            new_branches.append(CaseBranch(pat, body))
-        scrut: Expr = (
-            e.scrutinee.items[keep[0]] if len(keep) == 1
-            else Tuple(tuple(e.scrutinee.items[j] for j in keep))
-        )
-        return Case(scrut, tuple(new_branches))
+                for j in range(width) if j not in keep
+            })
+            for b in e.branches
+        ]
+        return _narrow_case(e, keep, bodies)
 
     out = map_decl_roots(d, lambda root, _: _map_top_case(root, simplify))
     assert isinstance(out, FunDecl)
     return out
+
+
+def _tuple_case_width(case: Case) -> int | None:
+    """The width of a case on a tuple whose every branch pattern is a tuple
+    of that width; None for any other case."""
+    if not isinstance(case.scrutinee, Tuple):
+        return None
+    width = len(case.scrutinee.items)
+    if all(isinstance(b.pattern, PTuple) and len(b.pattern.items) == width for b in case.branches):
+        return width
+    return None
+
+
+def _narrow_case(case: Case, keep: list[int], bodies: list[Expr]) -> Expr:
+    """The tuple case cut down to the positions keep, with new branch bodies;
+    with no position left nothing is scrutinised and the first body wins."""
+    if not keep:
+        return bodies[0]
+
+    def pick(items: tuple, wrap):
+        return items[keep[0]] if len(keep) == 1 else wrap(tuple(items[k] for k in keep))
+
+    branches = tuple(
+        CaseBranch(pick(b.pattern.items, PTuple), body)  # type: ignore[union-attr]
+        for b, body in zip(case.branches, bodies)
+    )
+    return Case(pick(case.scrutinee.items, Tuple), branches)  # type: ignore[union-attr]
 
 
 def _map_top_case(e: Expr, fn) -> Expr:
@@ -898,25 +862,17 @@ def remove_local_def(project: Project, d_name: str, f: str, m: str) -> Project:
     """Delete an unused where-local of f."""
     mod = _module(project, m)
     di, d = _fun_decl(mod, f)
-    hits = [
-        (ei, li)
-        for ei, eq in enumerate(d.equations)
-        for li, loc in enumerate(eq.locals)
-        if loc.name == d_name
-    ]
-    if not hits:
+    hit = _where_local(mod, d_name, f)
+    if hit is None:
         raise _not_found(f"{f} has no local definition {d_name}")
-    ei, li = hits[0]
-    eq = d.equations[ei]
+    _, ei, li = hit
     if any(
         d_name in free_vars(root) - bound
         for _, slot, root, bound in decl_expr_roots(d, ei) if slot != li + 1
     ):
         raise RefactorError("StillUsed", f"{d_name} is still used inside {f}")
-    locs = tuple(l for i, l in enumerate(eq.locals) if i != li)
-    eqs = list(d.equations)
-    eqs[ei] = replace(eq, locals=locs)
-    project = with_module(project, with_decl(mod, di, replace(d, equations=tuple(eqs))))
+    d = with_equation(d, ei, with_local(d.equations[ei], li, None))
+    project = with_module(project, with_decl(mod, di, d))
     return _finish(project)
 
 
@@ -961,11 +917,8 @@ def simplify_case_pattern(project: Project, f: str, m: str) -> Project:
     def rewrite(case: Case) -> Expr:
         if not isinstance(case.scrutinee, Tuple):
             raise RefactorError("NotApplicable", "the case scrutinee is not a tuple")
-        width = len(case.scrutinee.items)
-        if not all(
-            isinstance(b.pattern, PTuple) and len(b.pattern.items) == width
-            for b in case.branches
-        ):
+        width = _tuple_case_width(case)
+        if width is None:
             raise RefactorError("NotApplicable", "branch patterns are not matching tuples")
         for j in range(width):
             names = set()
@@ -975,26 +928,13 @@ def simplify_case_pattern(project: Project, f: str, m: str) -> Project:
             if len(names) != 1 or None in names:
                 continue
             y = names.pop()
-            component = case.scrutinee.items[j]
-            others = [case.scrutinee.items[k] for k in range(width) if k != j]
             # The let binding is recursive and scopes over the narrowed case:
             # y free in any component (its own included) would be captured.
-            if any(y in free_vars(o) for o in others) or y in free_vars(component):
+            if any(y in free_vars(item) for item in case.scrutinee.items):
                 continue
             kept = [k for k in range(width) if k != j]
-            if not kept:
-                return Let((LetBinding(y, component),), case.branches[0].body)
-            new_branches = []
-            for b in case.branches:
-                assert isinstance(b.pattern, PTuple)
-                pats = tuple(b.pattern.items[k] for k in kept)
-                pat = pats[0] if len(kept) == 1 else PTuple(pats)
-                new_branches.append(CaseBranch(pat, b.body))
-            scrut = (
-                case.scrutinee.items[kept[0]] if len(kept) == 1
-                else Tuple(tuple(case.scrutinee.items[k] for k in kept))
-            )
-            return Let((LetBinding(y, component),), Case(scrut, tuple(new_branches)))
+            narrowed = _narrow_case(case, kept, [b.body for b in case.branches])
+            return Let((LetBinding(y, case.scrutinee.items[j]),), narrowed)
         raise RefactorError(
             "NotApplicable", "no position holds the same variable in every branch"
         )
@@ -1008,8 +948,8 @@ def simplify_case_pattern(project: Project, f: str, m: str) -> Project:
     new_rhs = _map_top_case(eq.rhs, on_case)
     if not seen:
         raise RefactorError("NotApplicable", f"the body of {f} is not a case expression")
-    eqs = (replace(eq, rhs=new_rhs),)
-    project = with_module(project, with_decl(mod, di, replace(d, equations=eqs)))
+    d = with_equation(d, 0, replace(eq, rhs=new_rhs))
+    project = with_module(project, with_decl(mod, di, d))
     return _finish(project)
 
 

@@ -103,17 +103,10 @@ class InstanceMatcher:
     arbitrary expressions; every other name must denote the same definition
     on both sides (binders correspond positionally)."""
 
-    def __init__(
-        self,
-        table: SymbolTable,
-        params: tuple[str, ...],
-        template_module: str,
-        template_bound: frozenset[str],
-    ):
+    def __init__(self, table: SymbolTable, params: tuple[str, ...], template_module: str):
         self.table = table
         self.params = set(params)
         self.template_module = template_module
-        self.template_bound = template_bound
 
     def _target(self, module: str, v: Var, local_map: dict[str, int], outer: frozenset[str]):
         if v.qualifier is None and v.name in local_map:
@@ -151,7 +144,7 @@ class InstanceMatcher:
             return True
         match t, c:
             case Var(_, _), Var(_, _):
-                tt = self._target(self.template_module, t, tmap, self.template_bound)
+                tt = self._target(self.template_module, t, tmap, frozenset())
                 ct = self._target(site_module, c, cmap, site_bound)
                 if tt[0] == "match-local" or ct[0] == "match-local":
                     return tt == ct

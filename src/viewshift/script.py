@@ -77,22 +77,24 @@ COMMANDS: dict[str, tuple[int, Callable[[Project, RefactorStep], Project]]] = {
 }
 
 
+def parse_step(tokens: list[str], line: int) -> RefactorStep:
+    """A command and its arguments; an unknown command or a wrong arity is
+    a ScriptSyntaxError."""
+    command, args = tokens[0], tuple(tokens[1:])
+    if command not in COMMANDS:
+        raise ScriptSyntaxError(f"unknown command {command!r}", line)
+    arity = COMMANDS[command][0]
+    if len(args) != arity:
+        raise ScriptSyntaxError(f"{command} takes {arity} argument(s), got {len(args)}", line)
+    return RefactorStep(command, args, line)
+
+
 def parse_script(text: str, name: str = "script") -> Script:
     steps = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        command, args = tokens[0], tuple(tokens[1:])
-        if command not in COMMANDS:
-            raise ScriptSyntaxError(f"unknown command {command!r}", lineno)
-        arity = COMMANDS[command][0]
-        if len(args) != arity:
-            raise ScriptSyntaxError(
-                f"{command} takes {arity} argument(s), got {len(args)}", lineno
-            )
-        steps.append(RefactorStep(command, args, lineno))
+        if line:
+            steps.append(parse_step(line.split(), lineno))
     return Script(name, tuple(steps))
 
 

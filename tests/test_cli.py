@@ -105,6 +105,17 @@ def test_op_failure_exit_code(dirs, capsys):
     assert "StillUsed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tokens, message", [
+    (["frobnicate", "eval"], "unknown command 'frobnicate'"),
+    (["rename-top-level", "eval", "EvalMod"], "rename-top-level takes 3 argument(s), got 2"),
+], ids=["unknown-command", "wrong-arity"])
+def test_op_usage_errors(dirs, capsys, tokens, message):
+    out = dirs / "op_usage"
+    assert main(["op", *tokens, str(dirs / "pfun"), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_errors(dirs, capsys):
     assert main(["corpus", "extract", "nosuch", "--out", str(dirs / "x")]) == 2
     assert main(["frobnicate"]) == 2

@@ -135,6 +135,12 @@ def test_parse_decl_single():
         parse_decl("f = 1\n\ng = 2")
 
 
+def test_parse_decl_equations_of_different_arity_rejected():
+    # a declaration merges equations by the same rule as a module
+    with pytest.raises(ParseError, match="duplicate top-level binding"):
+        parse_decl("f x = 1\nf = 2")
+
+
 def test_exports_must_be_declared():
     with pytest.raises(ParseError, match="not declared"):
         parse_module("module M (f, g) where\nf = 1")

@@ -134,6 +134,29 @@ def test_lift_sibling_reference():
     expect(p, "NotApplicable", R.lift_to_top, "f", "a", "M")
 
 
+# --- where-local lookup ---
+
+# g is a where-local of both equations of f, and k is free in both bodies
+TWO_LOCALS_G = (
+    "module M where\n\nk = 5\n\n"
+    "f 0 = 0\n    where\n        g = k\n"
+    "f n = g + n\n    where\n        g = k + 1\n\n"
+    "r = f 1"
+)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (R.unfold_instance, ("g", "f", "M")),
+    (R.remove_local_def, ("g", "f", "M")),
+    (R.lift_to_top, ("f", "g", "M")),
+    (R.generalise_ident, ("g", "M", "k", "y")),
+], ids=["unfold-instance", "remove-local-def", "lift-def", "generalise-ident"])
+def test_where_local_in_two_equations(fn, args):
+    # no operation picks one of two same-named where-locals for the caller
+    err = expect(_project(TWO_LOCALS_G), "NotFound", fn, *args)
+    assert "more than one local definition" in err.message
+
+
 # --- rename-top-level ---
 
 def test_rename_clash_in_module():
@@ -170,6 +193,16 @@ def test_move_import_cycle():
         "module A where\n\ndata T = K Int\n\nf (K i) = i\n\nuse = f (K 1)",
     )
     expect(p, "PreconditionFailed", R.move_def, "f", "A", "B")
+
+
+def test_move_along_long_import_chain():
+    # the import-cycle check walks a 1,200-module chain without recursing
+    n = 1200
+    sources = [f"module M{i} where\n\nimport M{i + 1}\n\nv{i} = v{i + 1}" for i in range(n - 1)]
+    p = _project(*sources, f"module M{n - 1} where\n\nv{n - 1} = 1")
+    out = R.move_def(p, "v0", "M0", "Top")
+    assert out.modules["Top"].imports == ("M1",)
+    assert out.modules["M0"].decls == ()
 
 
 # --- unfold-instance ---
