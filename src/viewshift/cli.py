@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit status: 0 on success, 1 on a refactoring or equivalence failure,
-2 on usage or parse errors. Results go to stdout, diagnostics to stderr.
+Exit status: 0 on success, 1 on a refactoring or equivalence failure or on
+input nested too deep for the interpreter's stack, 2 on usage or parse errors. Results go to stdout, diagnostics to stderr.
 The input project directory is never modified.
 """
 
@@ -199,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
     except (RefactorError, ResolveError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return FAIL_EXIT
+    except RecursionError:
+        print("error: nesting too deep", file=sys.stderr)
         return FAIL_EXIT
 
 

@@ -15,7 +15,7 @@ import graphlib
 from dataclasses import replace
 
 from .lang import (
-    App, Case, CaseBranch, CommentBlock, Equation, Expr, FunDecl, Let,
+    BUILTINS, App, Case, CaseBranch, CommentBlock, Equation, Expr, FunDecl, Let,
     LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern, Project,
     TopDecl, Tuple, Var, app_spine, decl_expr_at, decl_expr_roots, decl_name,
     equation_bound_names, make_app, map_decl_roots, map_scoped, pattern_vars,
@@ -26,7 +26,7 @@ from .names import (
     alpha_eq_decl, all_names, decl_free_vars, free_vars, fresh_name,
     substitute, substitute_many,
 )
-from .parse import ParseError, parse_decl
+from .parse import ParseError, parse_decl, tokenize
 from .render import render_decl
 from .resolver import (
     OccRef, ResolveError, applications, build_symbol_table, decl_refs,
@@ -60,6 +60,17 @@ def _module(project: Project, m: str) -> ModuleDef:
     if mod is None:
         raise _not_found(f"no module named {m}")
     return mod
+
+
+def _new_name(name: str, kind: str = "lower") -> str:
+    """name, if the output can parse it back as a variable (kind="con": a module)."""
+    try:
+        ok = [(t.kind, t.text) for t in tokenize(name)[0]] == [(kind, name)] and name not in BUILTINS
+    except ParseError:
+        ok = False
+    if not ok:
+        raise RefactorError("NotApplicable", f"{name!r} is not a valid {'module' if kind == 'con' else 'variable'} name")
+    return name
 
 
 def _fun_decl(mod: ModuleDef, f: str) -> tuple[int, FunDecl]:
@@ -144,6 +155,7 @@ def _where_local(mod: ModuleDef, name: str, f: str | None = None) -> tuple[int, 
 
 def exhibit_function(project: Project, f: str, c: str, n: str, m: str) -> Project:
     """Turn the RHS of f's equation for constructor c into a where-local n."""
+    _new_name(n)
     mod = _module(project, m)
     di, d = _fun_decl(mod, f)
     ei, eq, _ = _con_equation(d, c)
@@ -158,6 +170,7 @@ def new_def_fun_app(project: Project, f: str, arg_count: int, fp: str, m: str) -
     """Name the first application of f to arg_count arguments as a where-local fp."""
     if arg_count < 1:
         raise RefactorError("NotApplicable", "an application has at least one argument")
+    _new_name(fp)
     mod = _module(project, m)
     try:
         occ = find_application(project, m, f, arg_count)
@@ -246,6 +259,7 @@ def generalise(
         raise RefactorError("PreconditionFailed", f"unknown generalise mode {mode}")
     if curry_flag not in ("curried", "tupled"):
         raise RefactorError("PreconditionFailed", f"unknown curry flag {curry_flag}")
+    _new_name(x)
     mod = _module(project, m)
     di, d = _fun_decl(mod, f)
     ei, eq, pat = _con_equation(d, c)
@@ -288,6 +302,7 @@ def generalise_ident(project: Project, f: str, m: str, v: str, x: str) -> Projec
     f may also name a where-local, in which case its use sites within the
     enclosing declaration pass v directly.
     """
+    _new_name(x)
     mod = _module(project, m)
     top = mod.decl(f)
     if isinstance(top, FunDecl):
@@ -430,6 +445,7 @@ def rename_top_level(project: Project, f: str, m: str, fp: str) -> Project:
         return project
     if fp in _top_scope(project, m):
         raise RefactorError("NameClash", f"{fp} is already bound in the scope of module {m}")
+    _new_name(fp)
     project = requalify_name(project, fp)
     project = retarget_name(project, (m, f), (m, fp))
     mod = project.modules[m]
@@ -453,7 +469,7 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
         raise RefactorError("NameClash", f"{mp} already defines {f}")
     created_dest = dest is None
     if created_dest:
-        project = with_module(project, ModuleDef(mp, None, (), ()))
+        project = with_module(project, ModuleDef(_new_name(mp, "con"), None, (), ()))
 
     table = build_symbol_table(project)
     # Modules the moved body depends on; f's own recursive calls move with

@@ -57,24 +57,58 @@ class SymbolTable:
         return self.scopes.get(module, {}).get(name, [])
 
 
-def module_exports(mod: ModuleDef) -> set[str]:
+# --- the per-module memo ---
+#
+# The AST is frozen and rewrites return unchanged modules as the same
+# objects, so resolver results are remembered on the module object: in
+# _own(mod) those read from mod alone, in imports_memo(project, mod) those
+# that also read its imports. Nothing here can be configured.
+
+def _own(mod: ModuleDef) -> dict:
+    return mod.__dict__.setdefault("_own_memo", {})
+
+
+def imports_memo(project: Project, mod: ModuleDef) -> dict:
+    """The memo of results that read mod and the modules it imports; it
+    holds while project.modules gives the same objects (`is`) for those."""
+    mods = project.modules
+    held = mod.__dict__.get("_imports_memo")
+    if held is not None:
+        for imp, seen in zip(mod.imports, held[0]):
+            if mods.get(imp) is not seen:
+                break
+        else:
+            return held[1]
+    held = mod.__dict__["_imports_memo"] = (tuple(map(mods.get, mod.imports)), {})
+    return held[1]
+
+
+def mentioned_names(mod: ModuleDef) -> frozenset[str]:
+    """Every variable name (qualified or not) the module's expressions use."""
+    own = _own(mod)
+    if "names" not in own:
+        own["names"] = frozenset(
+            e.name for d in mod.decls for _, _, root, _ in decl_expr_roots(d)
+            for _, e, _ in walk_expr_scoped(root, frozenset()) if isinstance(e, Var)
+        )
+    return own["names"]
+
+
+def module_exports(mod: ModuleDef) -> frozenset[str]:
     """Names the module makes visible to importers.
 
     Without an explicit export list everything is exported; exporting a data
     type name also exports its constructors.
     """
-    if mod.exports is None:
-        names: set[str] = set()
+    own = _own(mod)
+    if "exports" not in own:
+        listed = mod.exports
+        names = {decl_name(d) for d in mod.decls} if listed is None else set(listed)
         for d in mod.decls:
-            names.add(decl_name(d))
-            if isinstance(d, DataDecl):
+            if isinstance(d, DataDecl) and (listed is None or d.name in listed):
                 names.update(c.name for c in d.constructors)
-        return names
-    names = set(mod.exports)
-    for d in mod.decls:
-        if isinstance(d, DataDecl) and d.name in mod.exports:
-            names.update(c.name for c in d.constructors)
-    return names
+        own["exports"] = frozenset(names)
+    return own["exports"]
 
 
 def module_scope(
@@ -82,7 +116,18 @@ def module_scope(
 ) -> tuple[dict[str, list[DefRef]], dict[str, list[tuple[DefRef, ConstructorDef]]]]:
     """The top-level scope of one module: each name its own declarations and
     its imports' exports make visible, with every candidate definition, and
-    the constructors among them. Unknown imports contribute nothing."""
+    the constructors among them. Unknown imports contribute nothing. The
+    result is shared through the memo and must not be mutated."""
+    mod = project.modules[mname]
+    memo = imports_memo(project, mod)
+    if "scope" not in memo:
+        memo["scope"] = _scope_of(project, mod)
+    return memo["scope"]
+
+
+def _scope_of(
+    project: Project, mod: ModuleDef
+) -> tuple[dict[str, list[DefRef]], dict[str, list[tuple[DefRef, ConstructorDef]]]]:
     scope: dict[str, list[DefRef]] = {}
     cons: dict[str, list[tuple[DefRef, ConstructorDef]]] = {}
 
@@ -108,7 +153,6 @@ def module_scope(
                 if visible is None or n in visible:
                     add(n, DefRef(src.name, n, "fun"))
 
-    mod = project.modules[mname]
     add_module(mod, None)
     for imp in mod.imports:
         imported = project.modules.get(imp)
@@ -117,26 +161,29 @@ def module_scope(
     return scope, cons
 
 
+def _check_distinct(mod: ModuleDef):
+    """No name is defined twice in mod, constructors included."""
+    seen: set[str] = set()
+    for d in mod.decls:
+        names = [decl_name(d)]
+        if isinstance(d, DataDecl):
+            names += [c.name for c in d.constructors]
+        for n in names:
+            if n in seen:
+                raise _err("DuplicateDefinition", mod.name, n, f"{n} defined twice in module {mod.name}")
+            seen.add(n)
+
+
 def build_symbol_table(project: Project) -> SymbolTable:
     table = SymbolTable()
     for mname, mod in project.modules.items():
         for imp in mod.imports:
             if imp not in project.modules:
                 raise _err("UnresolvedName", mname, imp, f"module {mname} imports unknown module {imp}")
-        seen: set[str] = set()
-        for d in mod.decls:
-            n = decl_name(d)
-            if n in seen:
-                raise _err("DuplicateDefinition", mname, n, f"{n} defined twice in module {mname}")
-            seen.add(n)
-            if isinstance(d, DataDecl):
-                for c in d.constructors:
-                    if c.name in seen:
-                        raise _err(
-                            "DuplicateDefinition", mname, c.name,
-                            f"{c.name} defined twice in module {mname}",
-                        )
-                    seen.add(c.name)
+        own = _own(mod)
+        if "distinct" not in own:
+            _check_distinct(mod)
+            own["distinct"] = True
     for mname in project.modules:
         table.scopes[mname], table.constructors[mname] = module_scope(project, mname)
     return table
@@ -234,25 +281,36 @@ def _check_expr(table: SymbolTable, project: Project, module: str, root: Expr, b
                 pass
 
 
+def _check_module(table: SymbolTable, project: Project, mname: str):
+    """The validation walk of one module: equation arities, patterns and
+    every expression."""
+    for d in project.modules[mname].decls:
+        if isinstance(d, DataDecl):
+            continue
+        assert isinstance(d, FunDecl)
+        arity = d.arity
+        for eq in d.equations:
+            if len(eq.patterns) != arity:
+                raise _err(
+                    "DuplicateDefinition", mname, d.name,
+                    f"equations of {d.name} have different arities",
+                )
+            for p in eq.patterns:
+                _check_pattern(table, mname, p)
+        for _, _, root, bound in decl_expr_roots(d):
+            _check_expr(table, project, mname, root, bound)
+
+
 def resolve_project(project: Project) -> SymbolTable:
-    """Validate every occurrence in the project; raises ResolveError."""
+    """Validate every occurrence in the project; raises ResolveError. A
+    module already validated under the same import objects is not walked
+    again."""
     table = build_symbol_table(project)
     for mname, mod in project.modules.items():
-        for d in mod.decls:
-            if isinstance(d, DataDecl):
-                continue
-            assert isinstance(d, FunDecl)
-            arity = d.arity
-            for eq in d.equations:
-                if len(eq.patterns) != arity:
-                    raise _err(
-                        "DuplicateDefinition", mname, d.name,
-                        f"equations of {d.name} have different arities",
-                    )
-                for p in eq.patterns:
-                    _check_pattern(table, mname, p)
-            for _, _, root, bound in decl_expr_roots(d):
-                _check_expr(table, project, mname, root, bound)
+        memo = imports_memo(project, mod)
+        if "valid" not in memo:
+            _check_module(table, project, mname)
+            memo["valid"] = True
     return table
 
 
@@ -312,6 +370,8 @@ def uses_of(
     ones included; document order per module, modules in name order."""
     name = target[1]
     for mname in project.module_names():
+        if name not in mentioned_names(project.modules[mname]):
+            continue
         for d in project.modules[mname].decls:
             for ei, slot, root, bound in decl_expr_roots(d):
                 for sub, e, scope in walk_expr_scoped(root, bound):

@@ -18,15 +18,26 @@ from .lang import (
     Tuple, Var, map_decl_roots, map_scoped, pattern_vars,
 )
 from .names import _alpha_pattern, free_vars
-from .resolver import SymbolTable, build_symbol_table
+from .resolver import (
+    SymbolTable, build_symbol_table, imports_memo, mentioned_names,
+)
 
 
 def rewrite_project_vars(project: Project, fn) -> Project:
     """fn(module_name, var, bound) -> Expr, applied to every occurrence.
     Modules, declarations and nodes with no rewritten occurrence come back as
     the same objects, and so does the project when nothing changed."""
-    mods = {}
+    return _rewrite_vars(project, fn, lambda mod: True)
+
+
+def _rewrite_vars(project: Project, fn, walk) -> Project:
+    """rewrite_project_vars over the modules for which walk(mod) holds; the
+    callers skip only modules in which fn can change no occurrence."""
+    mods = dict(project.modules)
     for mname, mod in project.modules.items():
+        if not walk(mod):
+            continue
+
         def on_var(e: Expr, bound: frozenset[str], _m=mname) -> Expr:
             return fn(_m, e, bound) if isinstance(e, Var) else e
 
@@ -34,8 +45,8 @@ def rewrite_project_vars(project: Project, fn) -> Project:
             map_decl_roots(d, lambda root, bound: map_scoped(root, bound, on_var))
             for d in mod.decls
         )
-        changed = any(new is not old for new, old in zip(decls, mod.decls))
-        mods[mname] = replace(mod, decls=decls) if changed else mod
+        if any(new is not old for new, old in zip(decls, mod.decls)):
+            mods[mname] = replace(mod, decls=decls)
     if all(mods[m] is mod for m, mod in project.modules.items()):
         return project
     return Project(mods)
@@ -53,11 +64,13 @@ def requalify_name(project: Project, name: str) -> Project:
             return Var(name, qualifier=refs[0].module)
         return v
 
-    return rewrite_project_vars(project, fix)
+    return _rewrite_vars(project, fix, lambda mod: name in mentioned_names(mod))
 
 
 def minimize_qualifiers(project: Project) -> Project:
-    """Drop qualifiers wherever the bare name resolves uniquely to the target."""
+    """Drop qualifiers wherever the bare name resolves uniquely to the target.
+    A module minimized before under the same import objects is skipped:
+    minimizing changes no module's interface, so its result stays minimal."""
     table = build_symbol_table(project)
 
     def fix(mname: str, v: Var, bound: frozenset[str]) -> Expr:
@@ -68,7 +81,10 @@ def minimize_qualifiers(project: Project) -> Project:
             return Var(v.name)
         return v
 
-    return rewrite_project_vars(project, fix)
+    out = _rewrite_vars(project, fix, lambda mod: "minimal" not in imports_memo(project, mod))
+    for mod in out.modules.values():
+        imports_memo(out, mod)["minimal"] = True
+    return out
 
 
 def retarget_name(
@@ -93,7 +109,7 @@ def retarget_name(
             return v
         return Var(new_name, qualifier=new_mod)
 
-    return rewrite_project_vars(project, fix)
+    return _rewrite_vars(project, fix, lambda mod: old_name in mentioned_names(mod))
 
 
 # --- second-order instance matching (fold, generative fold) ---

@@ -161,3 +161,13 @@ def test_apply_unresolved_input_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cannot resolve h in module M" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body", [
+    "r1 = " + "(" * 400 + "1" + ")" * 400 + "\n",
+    "data L = Nil | Cons (Int, L)\n\nones = Cons (1, ones)\n\nr1 = ones\n",
+], ids=["deep-parens", "infinite-data"])
+def test_eval_too_deep_exits_1_without_traceback(tmp_path, capsys, body):
+    (tmp_path / "M.mfn").write_text("module M where\n\n" + body)
+    assert main(["eval", str(tmp_path), "r1"]) == 1
+    assert capsys.readouterr().err == "error: nesting too deep\n"

@@ -1,10 +1,15 @@
 """Static hygiene of the package, with the stdlib ast module only: no module
 imports a name it never uses, and no private module-level function or class
-goes unreferenced."""
+goes unreferenced. Also: the object-language AST is immutable, which the
+resolver's identity-keyed per-module memo relies on."""
 
 import ast
+import dataclasses
+import typing
 from collections import Counter
 from pathlib import Path
+
+from viewshift import lang
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "viewshift"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -74,3 +79,40 @@ def test_no_unreferenced_private_definitions():
         and referenced[node.name] == _used_names(node)[node.name]
     ]
     assert dead == []
+
+
+def _classes_in(hint) -> list[type]:
+    """The classes a type hint names, through Optional, tuple[...] and the like."""
+    if isinstance(hint, type) and not typing.get_args(hint):
+        return [hint]
+    origin = typing.get_origin(hint)
+    out = [origin] if isinstance(origin, type) else []
+    for arg in typing.get_args(hint):
+        if arg is not Ellipsis:
+            out += _classes_in(arg)
+    return out
+
+
+def test_ast_reachable_from_module_is_frozen_and_immutable():
+    seen: set[type] = set()
+    todo = [lang.ModuleDef]
+    faults = []
+    while todo:
+        cls = todo.pop()
+        if cls in seen or cls.__module__ != lang.__name__:
+            continue
+        seen.add(cls)
+        todo += cls.__subclasses__()  # an abstract base stands for its subclasses
+        if not dataclasses.is_dataclass(cls):
+            if not cls.__subclasses__():
+                faults.append(f"{cls.__name__} is not a dataclass")
+            continue
+        if not cls.__dataclass_params__.frozen:
+            faults.append(f"{cls.__name__} is not frozen")
+        for name, hint in typing.get_type_hints(cls).items():
+            for kind in _classes_in(hint):
+                if kind in (list, dict, set):
+                    faults.append(f"{cls.__name__}.{name} holds a {kind.__name__}")
+                todo.append(kind)
+    assert {lang.Var, lang.PCon, lang.LocalDef, lang.CommentBlock} <= seen
+    assert faults == []

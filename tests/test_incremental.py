@@ -1,0 +1,237 @@
+"""Incremental resolution: the resolver remembers per-module results on the
+module objects, valid while a module and the objects of the modules it
+imports are unchanged. These tests keep an importing module object identical
+while what it imports changes, check incremental results against resolution
+from scratch, and pin that one step pays only for the modules it changes."""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from viewshift import resolver, rewrite
+from viewshift.corpus import load_fixture
+from viewshift.lang import Project, with_module
+from viewshift.names import alpha_eq_project
+from viewshift.parse import parse_module
+from viewshift.refactorings import RefactorError
+from viewshift.render import render_module
+from viewshift.resolver import (
+    ResolveError, build_symbol_table, module_scope, resolve_project,
+)
+from viewshift.rewrite import minimize_qualifiers
+from viewshift.script import COMMANDS, RefactorStep
+
+
+def _project(*texts: str) -> Project:
+    mods = [parse_module(t) for t in texts]
+    return Project({m.name: m for m in mods})
+
+
+def _fresh(project: Project) -> Project:
+    """The same project parsed again from its rendering: new objects, no memo."""
+    return Project({m: parse_module(render_module(mod)) for m, mod in project.modules.items()})
+
+
+# --- invalidation: the importer stays the same object ---
+
+_A = "module A where\n\nimport B\nimport C\n\nr = {use} + 1\n"
+_B = "module B where\n\ng = 1\n"
+_C = "module C where\n\nk = 2\n"
+
+
+@pytest.mark.parametrize("use", ["g", "B.g"])
+def test_import_drops_export(use):
+    p = _project(_A.format(use=use), _B, _C)
+    resolve_project(p)
+    b = p.modules["B"]
+    p2 = with_module(p, replace(b, exports=()))
+    assert p2.modules["A"] is p.modules["A"]
+    with pytest.raises(ResolveError) as exc:
+        resolve_project(p2)
+    assert exc.value.kind == "UnresolvedName" and exc.value.module == "A"
+
+
+def test_import_gains_clashing_name():
+    p = _project(_A.format(use="g"), _B, _C)
+    resolve_project(p)
+    p2 = with_module(p, parse_module("module C where\n\nk = 2\n\ng = 3\n"))
+    assert p2.modules["A"] is p.modules["A"]
+    with pytest.raises(ResolveError) as exc:
+        resolve_project(p2)
+    assert exc.value.kind == "AmbiguousName" and exc.value.name == "g"
+
+
+def test_import_becoming_ambiguous_keeps_the_qualifier():
+    p = _project(_A.format(use="B.g"), _B, _C)
+    resolve_project(p)
+    assert "B.g" not in render_module(minimize_qualifiers(p).modules["A"])
+    p2 = with_module(p, parse_module("module C where\n\nk = 2\n\ng = 3\n"))
+    a = p2.modules["A"]
+    assert a is p.modules["A"]
+    resolve_project(p2)
+    assert minimize_qualifiers(p2).modules["A"] is a  # B.g kept
+
+
+def test_import_ceasing_to_be_ambiguous_drops_the_qualifier():
+    p = _project(_A.format(use="B.g"), _B, "module C where\n\nk = 2\n\ng = 3\n")
+    a = p.modules["A"]
+    assert minimize_qualifiers(p).modules["A"] is a  # marked minimal with B.g
+    p2 = with_module(p, parse_module(_C))
+    assert "B.g" not in render_module(minimize_qualifiers(p2).modules["A"])
+
+
+def test_unchanged_project_reuses_its_results(pfun):
+    p = _fresh(pfun)
+    table = resolve_project(p)
+    again = resolve_project(p)
+    assert all(again.scopes[m] is table.scopes[m] for m in p.modules)
+    assert module_scope(p, "Client") is module_scope(p, "Client")
+
+
+# --- incremental equals scratch ---
+
+_NEW = ["aux", "tmp", "eval", "r1", "Const"]
+_SPECS = {
+    "rename-top-level": ("fun", "mod", "new"),
+    "move-def": ("fun", "mod", "target"),
+    "remove-def": ("fun", "mod"),
+    "clean-imports": ("mod",),
+    "rm-from-exports": ("fun", "mod"),
+    "duplicate-into-comment": ("fun", "mod"),
+    "rm-comment-before": ("fun", "mod"),
+    "fold-def": ("fun", "mod"),
+    "unfold-instance": ("scope", "fun", "mod"),
+    "generalise-ident": ("fun", "mod", "scope", "new"),
+    "unify-alpha": ("fun", "fun", "mod"),
+    "case-to-eq": ("fun", "mod"),
+    "simplify-case-pattern": ("fun", "mod"),
+    "exhibit-function": ("fun", "con", "new", "mod"),
+    "new-def-fun-app": ("scope", "int", "new", "mod"),
+    "generative-fold": ("scope", "int", "mod"),
+    "lift-def": ("fun", "local", "mod"),
+    "remove-local-def": ("local", "fun", "mod"),
+    # Not an operation: drop a declaration unchecked, which may leave the
+    # project unresolvable while its importers stay the same objects.
+    "drop-decl": ("fun", "mod"),
+}
+
+
+def _draw_step(draw, project: Project) -> RefactorStep:
+    """A step whose arguments are names in scope in a drawn module."""
+    cmd = draw(st.sampled_from(sorted(_SPECS)))
+    m = draw(st.sampled_from(project.module_names()))
+    mod = project.modules[m]
+    scope, cons = module_scope(project, m)
+    pools = {
+        "mod": [m],
+        "fun": [d.name for d in mod.decls] or ["none"],
+        "scope": sorted(scope) or ["none"],
+        "con": sorted(cons) or ["none"],
+        "new": _NEW,
+        "target": project.module_names() + ["Extra"],
+        "local": sorted({loc.name for d in mod.decls for eq in getattr(d, "equations", ())
+                         for loc in eq.locals}) or ["none"],
+        "int": ["1", "2"],
+    }
+    args = tuple(draw(st.sampled_from(pools[kind])) for kind in _SPECS[cmd])
+    return RefactorStep(cmd, args, 1)
+
+
+def _apply(project: Project, step: RefactorStep) -> Project:
+    if step.command == "drop-decl":
+        f, m = step.args
+        mod = project.modules[m]
+        return with_module(project, replace(mod, decls=tuple(d for d in mod.decls if d.name != f)))
+    return COMMANDS[step.command][1](project, step)
+
+
+def _outcome(fn, project):
+    try:
+        return "ok", fn(project)
+    except ResolveError as exc:
+        return "error", (exc.kind, exc.module, exc.name, str(exc))
+
+
+def _assert_same_as_scratch(inc: Project):
+    fresh = _fresh(inc)
+    got, want = _outcome(resolve_project, inc), _outcome(resolve_project, fresh)
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got == want
+        return
+    t_inc, t_fresh = build_symbol_table(inc), build_symbol_table(fresh)
+    assert t_inc.scopes == t_fresh.scopes
+    assert t_inc.constructors == t_fresh.constructors
+    assert alpha_eq_project(minimize_qualifiers(inc), minimize_qualifiers(fresh))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_incremental_equals_scratch(data):
+    origin = data.draw(st.sampled_from(["pfun", "pdata"]))
+    project = load_fixture(origin).project
+    resolve_project(project)
+    for _ in range(data.draw(st.integers(1, 6))):
+        step = _draw_step(data.draw, project)
+        try:
+            out = _apply(project, step)
+        except RefactorError:
+            continue
+        _assert_same_as_scratch(out)
+        if _outcome(resolve_project, out)[0] == "ok":
+            project = out  # a broken project is checked, then dropped
+
+
+# --- cost guard: one step pays for the modules it changes ---
+
+def _padded_pfun(count: int) -> Project:
+    """pfun plus count unrelated modules, each importing the one before."""
+    project = _fresh(load_fixture("pfun").project)
+    mods = dict(project.modules)
+    for i in range(count):
+        imports = f"import Pad{i - 1:02d}\n\n" if i else ""
+        body = f"p{i:02d} x = Pad{i - 1:02d}.p{i - 1:02d} x + {i}\n" if i else "p00 x = x\n"
+        mods[f"Pad{i:02d}"] = parse_module(
+            f"module Pad{i:02d} where\n\n{imports}{body}\nq{i:02d} = p{i:02d} {i}\n"
+        )
+    return Project(mods)
+
+
+def _changed(before: Project, after: Project) -> set[str]:
+    """Modules whose object or whose imports' objects differ."""
+    return {
+        m for m, mod in after.modules.items()
+        if mod is not before.modules.get(m)
+        or any(after.modules.get(i) is not before.modules.get(i) for i in mod.imports)
+    }
+
+
+@pytest.mark.parametrize("tokens", [
+    ("duplicate-into-comment", "eval", "EvalMod"),
+    ("rename-top-level", "toString", "ToStringMod", "render"),
+    ("rename-top-level", "p20", "Pad20", "s20"),
+], ids=["one-module", "two-modules", "padding-chain"])
+def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
+    project = minimize_qualifiers(_padded_pfun(40))
+    resolve_project(project)  # the state a step leaves: resolved and minimal
+    seen = []
+
+    def counted(fn, module_of):
+        def wrapper(*args):
+            seen.append((fn.__name__, module_of(*args)))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(resolver, "_check_module", counted(resolver._check_module, lambda t, p, m: m))
+    monkeypatch.setattr(resolver, "_scope_of", counted(resolver._scope_of, lambda p, mod: mod.name))
+    monkeypatch.setattr(rewrite, "_rewrite_vars", counted(
+        rewrite._rewrite_vars, lambda p, f, walk: tuple(m for m, mod in p.modules.items() if walk(mod))))
+    step = RefactorStep(tokens[0], tokens[1:], 1)
+    out = COMMANDS[step.command][1](project, step)
+
+    changed = _changed(project, out)
+    assert 1 <= len(changed) <= 3
+    touched = {m for kind, ms in seen for m in ([ms] if isinstance(ms, str) else ms)}
+    assert {kind for kind, _ in seen} >= {"_check_module", "_scope_of"}
+    assert touched <= changed, f"{sorted(touched - changed)} re-derived without a change"

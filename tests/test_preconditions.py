@@ -357,6 +357,20 @@ def test_unify_missing(pfun):
     expect(pfun, "NotFound", R.unify_alpha_equivalent, "eval", "ghost", "EvalMod")
 
 
+# --- names the output could not parse back ---
+
+@pytest.mark.parametrize("fn,args", [
+    (R.rename_top_level, ("eval", "EvalMod", "Konst")),
+    (R.rename_top_level, ("eval", "EvalMod", "show")),
+    (R.exhibit_function, ("eval", "Const", "of", "EvalMod")),
+    (R.new_def_fun_app, ("eval", 1, "x y", "Client")),
+    (R.generalise_ident, ("eval", "EvalMod", "eval", "X")),
+    (R.move_def, ("eval", "EvalMod", "stash")),
+], ids=["con-name", "builtin", "keyword", "two-words", "generalise-con", "lower-module"])
+def test_new_name_that_would_not_parse(pfun, fn, args):
+    expect(pfun, "NotApplicable", fn, *args)
+
+
 def test_error_kind_count():
     # the suite above exercises every RefactorError kind
     kinds = {"NameClash", "NotFound", "NotApplicable", "StillUsed", "PreconditionFailed"}
