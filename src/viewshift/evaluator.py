@@ -1,9 +1,32 @@
-"""Call-by-need interpreter for the object language.
+"""Call-by-need evaluator for the object language, compiled to closures.
 
 Top-level bindings of the whole project form one mutually recursive heap of
-thunks (the let-rec layer); each thunk is forced at most once and memoized.
+cells (the let-rec layer); each thunk is forced at most once and memoized.
 `print` wraps its text in an output value rather than performing IO, so an
 observation is a pure, comparable result.
+
+Each function declaration is compiled once into Python closures (Feeley and
+Lapalme, "Using closures for code generation", 1987): an expression becomes
+code `code(ev, env)`, a pattern a matcher `match(ev, cell, out)` that appends
+the cells it binds to `out`. Every variable is resolved at compile time, to a
+slot of the run-time environment (a list of cells, one per bound name, in
+binding order) or to the `(module, name)` key of a global cell. A variable
+that does not resolve compiles into code that resolves it when evaluated and
+so raises the project's ResolveError then, not before: resolution stays as
+lazy as evaluation.
+
+Compiled declarations are kept in the resolver's memo
+`imports_memo(project, mod)`, which holds while the module and the modules it
+imports are the same objects, so a step recompiles only the modules it
+changes. An `Evaluator` owns the cells, and creates a global's cell the first
+time the global is looked up.
+
+Code in tail position (a case or let body, the body of a saturated call) is
+not called but returned as a `(code, env)` pair to the trampoline
+`Evaluator._run`, so runaway recursion meets the step budget instead of the
+host stack. Every expression node ticks once when entered, and so does each
+application round and each node of deep forcing: the reduction count is that
+of a tree walk over the same expressions.
 """
 
 from __future__ import annotations
@@ -11,11 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lang import (
-    App, Builtin, Case, ConApp, Equation, Expr, FunDecl, Infix, IntLit, Let,
-    LocalDef, PCon, PInt, PTuple, PVar, PWild, Pattern, Project, StrLit,
-    Tuple, Var,
+    App, Builtin, Case, ConApp, Expr, FunDecl, Infix, IntLit, Let, PCon, PInt,
+    PTuple, PVar, PWild, Pattern, Project, StrLit, Tuple, Var, app_spine,
+    pattern_vars,
 )
-from .resolver import SymbolTable, build_symbol_table, resolve_var, ResolveError
+from .resolver import (
+    SymbolTable, build_symbol_table, decl_index, imports_memo, resolve_var,
+    ResolveError,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -97,23 +123,25 @@ class _Cell:
     __slots__ = ("thunk", "value", "forcing")
 
     def __init__(self, thunk=None, value=None):
-        self.thunk = thunk  # (expr, env, module) | None
+        self.thunk = thunk  # (code, env) | None
         self.value = value  # whnf value | None
         self.forcing = False
 
 
+@dataclass(frozen=True)
+class _Fun:
+    """A compiled function: per equation, its matchers and its body code."""
+    name: str
+    arity: int
+    equations: tuple[tuple[tuple, object], ...]
+
+
 @dataclass
 class _Closure:
-    """Function value: equations plus captured environment, args cells so far."""
-    name: str
-    module: str
-    equations: tuple[Equation, ...]
-    env: dict
+    """Function value: compiled function, captured environment, argument cells so far."""
+    fun: _Fun
+    env: list
     args: tuple[_Cell, ...] = ()
-
-    @property
-    def arity(self) -> int:
-        return len(self.equations[0].patterns)
 
 
 @dataclass
@@ -125,6 +153,11 @@ class _WCon:
 @dataclass
 class _WTuple:
     items: tuple[_Cell, ...]
+
+
+@dataclass(frozen=True)
+class _Builtin:
+    name: str
 
 
 @dataclass
@@ -140,37 +173,32 @@ class Evaluator:
         self.stats = EvalStats()
         self.table: SymbolTable = build_symbol_table(project)
         self.globals: dict[tuple[str, str], _Cell] = {}
-        self._install_globals()
 
-    def _install_globals(self):
-        for mname, mod in self.project.modules.items():
-            for d in mod.decls:
-                if not isinstance(d, FunDecl):
-                    continue
-                if d.arity > 0:
-                    cell = _Cell(value=_Closure(d.name, mname, d.equations, {}))
-                else:
-                    eq = d.equations[0]
-                    cell = _Cell(thunk=(eq, {}, mname))
-                self.globals[(mname, d.name)] = cell
-
-    # -- helpers --
+    def _global(self, key: tuple[str, str]) -> _Cell:
+        """The cell of a top-level binding, created on its first lookup."""
+        cell = self.globals.get(key)
+        if cell is not None:
+            return cell
+        mname, name = key
+        mod = self.project.modules[mname]
+        d = decl_index(mod).get(name)
+        if not isinstance(d, FunDecl):
+            raise EvalError("UnresolvedName", f"{mname}.{name} is not a value binding")
+        compiled = imports_memo(self.project, mod).setdefault("code", {})
+        fun = compiled.get(name)
+        if fun is None:
+            fun = compiled[name] = _compile_decl(self.table, self.project, mname, d)
+        if fun.arity:
+            cell = _Cell(value=_Closure(fun, []))
+        else:
+            cell = _Cell(thunk=(fun.equations[0][1], []))
+        self.globals[key] = cell
+        return cell
 
     def _tick(self):
         self.stats.steps += 1
         if self.stats.steps > self.budget:
             raise EvalError("StepBudgetExceeded", f"reduction budget of {self.budget} steps exceeded")
-
-    def _lookup(self, module: str, env: dict, v: Var) -> _Cell:
-        if v.qualifier is None and v.name in env:
-            return env[v.name]
-        ref = resolve_var(self.table, self.project, module, frozenset(env), v)
-        if ref is None:  # bound but missing from env: a compiler bug
-            raise EvalError("UnresolvedName", f"unbound variable {v.name}")
-        cell = self.globals.get((ref.module, ref.name))
-        if cell is None:
-            raise EvalError("UnresolvedName", f"{ref.module}.{ref.name} is not a value binding")
-        return cell
 
     def force(self, cell: _Cell):
         if cell.value is not None:
@@ -179,215 +207,304 @@ class Evaluator:
             raise EvalError("CyclicEvaluation", "value depends on itself")
         cell.forcing = True
         self.stats.forcings += 1
-        payload, env, module = cell.thunk
-        if isinstance(payload, Equation):
-            value = self._eval_equation_body(payload, env, module)
-        else:
-            value = self.eval_expr(payload, env, module)
+        code, env = cell.thunk
+        value = self._run(code, env)
         cell.value = value
         cell.thunk = None
         cell.forcing = False
         return value
 
-    def _eval_equation_body(self, eq: Equation, env: dict, module: str):
-        return self.eval_expr(eq.rhs, self._bind_locals(eq.locals, env, module), module)
-
-    def _bind_locals(self, locals_: tuple[LocalDef, ...], env: dict, module: str) -> dict:
-        if not locals_:
-            return env
-        new_env = dict(env)
-        for loc in locals_:
-            if loc.params:
-                eq = Equation(tuple(PVar(p) for p in loc.params), loc.rhs)
-                new_env[loc.name] = _Cell(value=_Closure(loc.name, module, (eq,), new_env))
-            else:
-                new_env[loc.name] = _Cell(thunk=(loc.rhs, new_env, module))
-        return new_env
-
     # -- evaluation to weak head normal form --
-    #
-    # Tail positions (case/let bodies, saturated function entry) loop rather
-    # than recurse, so runaway recursion meets the step budget instead of the
-    # host stack.
 
     def eval_expr(self, e: Expr, env: dict, module: str):
-        while True:
-            self._tick()
-            match e:
-                case Var(_, _):
-                    return self.force(self._lookup(module, env, e))
-                case IntLit(n):
-                    return VInt(n)
-                case StrLit(s):
-                    return VStr(s)
-                case Builtin(name):
-                    return _Builtin(name)
-                case ConApp(name, args):
-                    return _WCon(name, tuple(_Cell(thunk=(a, env, module)) for a in args))
-                case Tuple(items):
-                    return _WTuple(tuple(_Cell(thunk=(i, env, module)) for i in items))
-                case Infix(op, lhs, rhs):
-                    return self._eval_infix(op, lhs, rhs, env, module)
-                case App(_, _):
-                    from .lang import app_spine
-                    head, args = app_spine(e)
-                    fn = self.eval_expr(head, env, module)
-                    cells = [_Cell(thunk=(a, env, module)) for a in args]
-                    result = self._apply(fn, cells, module)
-                    if isinstance(result, _Tail):
-                        e, env, module = result.expr, result.env, result.module
-                        continue
-                    return result
-                case Case(scrutinee, branches):
-                    cell = _Cell(thunk=(scrutinee, env, module))
-                    matched = None
-                    for b in branches:
-                        bindings: dict = {}
-                        if self._match(b.pattern, cell, bindings):
-                            matched = (b, bindings)
-                            break
-                    if matched is None:
-                        raise EvalError(
-                            "PatternMatchFailure", f"no case branch matches in module {module}"
-                        )
-                    b, bindings = matched
-                    env = dict(env)
-                    env.update(bindings)
-                    e = b.body
-                    continue
-                case Let(bindings, body):
-                    env = dict(env)
-                    for b in bindings:
-                        env[b.name] = _Cell()
-                    for b in bindings:
-                        env[b.name].thunk = (b.rhs, env, module)
-                    e = body
-                    continue
-            raise EvalError("EvalError", f"cannot evaluate {e!r}")
+        """Evaluate e in the scope of module, env binding names to cells."""
+        code = _Compiler(self.table, self.project, module).expr(e, tuple(env))
+        return self._run(code, list(env.values()))
 
-    def _eval_infix(self, op: str, lhs: Expr, rhs: Expr, env: dict, module: str):
-        a = self.eval_expr(lhs, env, module)
-        b = self.eval_expr(rhs, env, module)
-        if op == "++":
-            if isinstance(a, VStr) and isinstance(b, VStr):
-                return VStr(a.value + b.value)
-            raise EvalError("EvalError", "++ expects text on both sides")
-        if isinstance(a, VInt) and isinstance(b, VInt):
-            return VInt(a.value + b.value if op == "+" else a.value * b.value)
-        raise EvalError("EvalError", f"{op} expects integers on both sides")
+    def _run(self, code, env: list):
+        """The trampoline: code in tail position comes back as a
+        (code, env) pair and is continued here rather than called."""
+        value = code(self, env)
+        while type(value) is tuple:
+            code, env = value
+            value = code(self, env)
+        return value
 
-    def _apply(self, fn, cells: list[_Cell], module: str):
-        """Apply cells to fn; returns a value or a _Tail for the caller's loop."""
+    def _apply(self, fn, cells: list[_Cell]):
+        """Apply cells to fn; returns a value or a tail for the trampoline."""
         while cells:
             self._tick()
             if isinstance(fn, _Builtin):
-                fn = self._apply_builtin(fn.name, cells.pop(0))
+                fn = _apply_builtin(fn.name, self.force(cells.pop(0)))
                 continue
             if not isinstance(fn, _Closure):
                 raise EvalError("EvalError", "applied a non-function value")
-            take = fn.arity - len(fn.args)
-            new_args = fn.args + tuple(cells[:take])
+            fun, take = fn.fun, fn.fun.arity - len(fn.args)
+            args = fn.args + tuple(cells[:take])
             cells = cells[take:]
-            if len(new_args) < fn.arity:
-                return _Closure(fn.name, fn.module, fn.equations, fn.env, new_args)
-            clo = _Closure(fn.name, fn.module, fn.equations, fn.env, new_args)
-            eq, env = self._select_equation(clo)
-            if cells:
-                fn = self.eval_expr(eq.rhs, env, clo.module)
-            else:
-                return _Tail(eq.rhs, env, clo.module)
+            if len(args) < fun.arity:
+                return _Closure(fun, fn.env, args)
+            tail = self._select(fun, fn.env, args)
+            if not cells:
+                return tail
+            fn = self._run(*tail)
         return fn
 
-    def _apply_builtin(self, name: str, cell: _Cell):
-        v = self.force(cell)
-        if name == "show":
-            if isinstance(v, VInt):
-                return VStr(str(v.value))
-            raise EvalError("EvalError", "show expects an integer")
-        assert name == "print"
-        if isinstance(v, VStr):
-            return VOutput(v.value)
-        raise EvalError("EvalError", "print expects text")
-
-    def _select_equation(self, clo: _Closure):
-        """Match the closure's arguments; returns (equation, ready env)."""
-        for eq in clo.equations:
-            bindings: dict = {}
-            ok = True
-            for p, cell in zip(eq.patterns, clo.args):
-                if not self._match(p, cell, bindings):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            env = dict(clo.env)
-            env.update(bindings)
-            return eq, self._bind_locals(eq.locals, env, clo.module)
+    def _select(self, fun: _Fun, env: list, args: tuple[_Cell, ...]):
+        """The body of the first equation whose patterns match args, with
+        the environment it runs in."""
+        for matchers, body in fun.equations:
+            out: list[_Cell] = []
+            if _match_all(self, matchers, args, out):
+                return body, env + out
         raise EvalError(
-            "PatternMatchFailure", f"no equation of {clo.name} matches its arguments"
+            "PatternMatchFailure", f"no equation of {fun.name} matches its arguments"
         )
-
-    def _match(self, p: Pattern, cell: _Cell, bindings: dict) -> bool:
-        match p:
-            case PWild():
-                return True
-            case PVar(name):
-                bindings[name] = cell
-                return True
-            case PInt(n):
-                v = self.force(cell)
-                return isinstance(v, VInt) and v.value == n
-            case PTuple(items):
-                v = self.force(cell)
-                if not isinstance(v, _WTuple) or len(v.items) != len(items):
-                    return False
-                return all(self._match(q, c, bindings) for q, c in zip(items, v.items))
-            case PCon(name, args, tupled):
-                v = self.force(cell)
-                if not isinstance(v, _WCon) or v.name != name:
-                    return False
-                if tupled:
-                    if len(v.args) != 1:
-                        return False
-                    inner = self.force(v.args[0])
-                    if not isinstance(inner, _WTuple) or len(inner.items) != len(args):
-                        return False
-                    return all(
-                        self._match(q, c, bindings) for q, c in zip(args, inner.items)
-                    )
-                if len(v.args) != len(args):
-                    return False
-                return all(self._match(q, c, bindings) for q, c in zip(args, v.args))
-        raise EvalError("EvalError", f"bad pattern {p!r}")
 
     # -- deep forcing to public values --
 
     def deep(self, v) -> Value:
-        self._tick()
-        if isinstance(v, (VInt, VStr, VOutput)):
-            return v
-        if isinstance(v, _WCon):
-            return VCon(v.name, tuple(self.deep(self.force(c)) for c in v.args))
-        if isinstance(v, _WTuple):
-            return VTuple(tuple(self.deep(self.force(c)) for c in v.items))
-        if isinstance(v, _Closure):
-            return VClosure(v.name, v.arity - len(v.args))
-        if isinstance(v, _Builtin):
-            return VClosure(v.name, 1)
-        raise EvalError("EvalError", f"cannot observe {v!r}")
+        """Force v and every component, depth first, one tick per node. The
+        walk keeps its own stack, so infinite data meets the step budget."""
+        stack: list = []  # open containers, outermost first
+        firsts: list[int] = []  # per open container, where its components start in done
+        done: list = []  # observed values of the open containers' components
+        while True:
+            self._tick()
+            if isinstance(v, (_WCon, _WTuple)):
+                stack.append(v)
+                firsts.append(len(done))
+            elif isinstance(v, (VInt, VStr, VOutput)):
+                done.append(v)
+            elif isinstance(v, _Closure):
+                done.append(VClosure(v.fun.name, v.fun.arity - len(v.args)))
+            elif isinstance(v, _Builtin):
+                done.append(VClosure(v.name, 1))
+            else:
+                raise EvalError("EvalError", f"cannot observe {v!r}")
+            while stack:
+                top, first = stack[-1], firsts[-1]
+                cells = top.args if isinstance(top, _WCon) else top.items
+                if len(done) - first < len(cells):
+                    v = self.force(cells[len(done) - first])
+                    break
+                stack.pop()
+                firsts.pop()
+                parts = tuple(done[first:])
+                del done[first:]
+                done.append(VCon(top.name, parts) if isinstance(top, _WCon) else VTuple(parts))
+            else:
+                return done[0]
 
 
-@dataclass
-class _Builtin:
-    name: str
+def _apply_builtin(name: str, v):
+    if name == "show":
+        if isinstance(v, VInt):
+            return VStr(str(v.value))
+        raise EvalError("EvalError", "show expects an integer")
+    assert name == "print"
+    if isinstance(v, VStr):
+        return VOutput(v.value)
+    raise EvalError("EvalError", "print expects text")
 
 
-@dataclass
-class _Tail:
-    """A saturated call's body, to be continued in the evaluation loop."""
-    expr: Expr
-    env: dict
-    module: str
+def _infix(op: str, a, b):
+    if op == "++":
+        if isinstance(a, VStr) and isinstance(b, VStr):
+            return VStr(a.value + b.value)
+        raise EvalError("EvalError", "++ expects text on both sides")
+    if isinstance(a, VInt) and isinstance(b, VInt):
+        return VInt(a.value + b.value if op == "+" else a.value * b.value)
+    raise EvalError("EvalError", f"{op} expects integers on both sides")
+
+
+# --- the compiler ---
+
+def _bind(ev, cell, out) -> bool:
+    out.append(cell)
+    return True
+
+
+def _wild(ev, cell, out) -> bool:
+    return True
+
+
+def _constant(value):
+    def code(ev, env):
+        ev._tick()
+        return value
+    return code
+
+
+def _match_all(ev, matchers, cells, out) -> bool:
+    if len(matchers) != len(cells):
+        return False
+    for match, cell in zip(matchers, cells):
+        if not match(ev, cell, out):
+            return False
+    return True
+
+
+def _compile_decl(table: SymbolTable, project: Project, module: str, d: FunDecl) -> _Fun:
+    compiler = _Compiler(table, project, module)
+    return _Fun(d.name, d.arity, tuple(
+        compiler.equation(eq.patterns, eq.locals, eq.rhs, ()) for eq in d.equations
+    ))
+
+
+class _Compiler:
+    """Compiles code of one module. A scope names the environment's slots in
+    order; a variable denotes the last slot of its name, or else what it
+    resolves to in the module's top-level scope."""
+
+    def __init__(self, table: SymbolTable, project: Project, module: str):
+        self.table = table
+        self.project = project
+        self.module = module
+
+    def equation(self, patterns, locals_, rhs: Expr, scope: tuple[str, ...]):
+        """(matchers, body): the body runs where the patterns' variables,
+        then the where-locals, follow scope's slots."""
+        matchers = tuple(self.pattern(p) for p in patterns)
+        for p in patterns:
+            scope += pattern_vars(p)
+        if not locals_:
+            return matchers, self.expr(rhs, scope)
+        scope += tuple(loc.name for loc in locals_)
+        defs = tuple(
+            _Fun(loc.name, len(loc.params), (self.equation(tuple(map(PVar, loc.params)), (), loc.rhs, scope),))
+            if loc.params else self.expr(loc.rhs, scope)
+            for loc in locals_
+        )
+        rest = self.expr(rhs, scope)
+
+        def body(ev, env):
+            cells = [_Cell() for _ in defs]
+            env = env + cells
+            for cell, d in zip(cells, defs):
+                if isinstance(d, _Fun):
+                    cell.value = _Closure(d, env)
+                else:
+                    cell.thunk = (d, env)
+            return rest(ev, env)
+        return matchers, body
+
+    def expr(self, e: Expr, scope: tuple[str, ...]):
+        match e:
+            case Var(name, None) if name in scope:
+                slot = len(scope) - 1 - scope[::-1].index(name)
+
+                def code(ev, env):
+                    ev._tick()
+                    return ev.force(env[slot])
+            case Var(_, _):
+                module = self.module
+                try:
+                    ref = resolve_var(self.table, self.project, module, frozenset(), e)
+                    key = (ref.module, ref.name)
+                except ResolveError:
+                    key = None
+
+                def code(ev, env):
+                    ev._tick()
+                    if key is None:  # raises under the project being evaluated
+                        ref = resolve_var(ev.table, ev.project, module, frozenset(), e)
+                        return ev.force(ev._global((ref.module, ref.name)))
+                    return ev.force(ev._global(key))
+            case IntLit(n):
+                return _constant(VInt(n))
+            case StrLit(s):
+                return _constant(VStr(s))
+            case Builtin(name):
+                return _constant(_Builtin(name))
+            case ConApp(name, args):
+                parts = tuple(self.expr(a, scope) for a in args)
+
+                def code(ev, env):
+                    ev._tick()
+                    return _WCon(name, tuple([_Cell((p, env)) for p in parts]))
+            case Tuple(items):
+                parts = tuple(self.expr(i, scope) for i in items)
+
+                def code(ev, env):
+                    ev._tick()
+                    return _WTuple(tuple([_Cell((p, env)) for p in parts]))
+            case Infix(op, lhs, rhs):
+                left, right = self.expr(lhs, scope), self.expr(rhs, scope)
+
+                def code(ev, env):
+                    ev._tick()
+                    return _infix(op, ev._run(left, env), ev._run(right, env))
+            case App(_, _):
+                head, args = app_spine(e)
+                fn, parts = self.expr(head, scope), tuple(self.expr(a, scope) for a in args)
+
+                def code(ev, env):
+                    ev._tick()
+                    return ev._apply(ev._run(fn, env), [_Cell((p, env)) for p in parts])
+            case Case(scrutinee, branches):
+                scrut = self.expr(scrutinee, scope)
+                arms = tuple(
+                    (self.pattern(b.pattern), self.expr(b.body, scope + pattern_vars(b.pattern)))
+                    for b in branches
+                )
+                module = self.module
+
+                def code(ev, env):
+                    ev._tick()
+                    cell = _Cell((scrut, env))
+                    for match, body in arms:
+                        out: list[_Cell] = []
+                        if match(ev, cell, out):
+                            return body, env + out
+                    raise EvalError("PatternMatchFailure", f"no case branch matches in module {module}")
+            case Let(bindings, body):
+                scope += tuple(b.name for b in bindings)
+                rhss, rest = tuple(self.expr(b.rhs, scope) for b in bindings), self.expr(body, scope)
+
+                def code(ev, env):
+                    ev._tick()
+                    cells = [_Cell() for _ in rhss]
+                    env = env + cells
+                    for cell, rhs in zip(cells, rhss):
+                        cell.thunk = (rhs, env)
+                    return rest, env
+            case _:
+                raise EvalError("EvalError", f"cannot evaluate {e!r}")
+        return code
+
+    def pattern(self, p: Pattern):
+        match p:
+            case PWild():
+                return _wild
+            case PVar(_):
+                return _bind
+            case PInt(n):
+                def match(ev, cell, out):
+                    v = ev.force(cell)
+                    return isinstance(v, VInt) and v.value == n
+            case PTuple(items):
+                subs = tuple(self.pattern(q) for q in items)
+
+                def match(ev, cell, out):
+                    v = ev.force(cell)
+                    return isinstance(v, _WTuple) and _match_all(ev, subs, v.items, out)
+            case PCon(name, args, tupled):
+                subs = tuple(self.pattern(q) for q in args)
+
+                def match(ev, cell, out):
+                    v = ev.force(cell)
+                    if not isinstance(v, _WCon) or v.name != name:
+                        return False
+                    if not tupled:
+                        return _match_all(ev, subs, v.args, out)
+                    if len(v.args) != 1:
+                        return False
+                    inner = ev.force(v.args[0])
+                    return isinstance(inner, _WTuple) and _match_all(ev, subs, inner.items, out)
+            case _:
+                raise EvalError("EvalError", f"bad pattern {p!r}")
+        return match
 
 
 def evaluate(project: Project, module: str, expr: Expr, budget: int = DEFAULT_BUDGET) -> Value:
@@ -397,11 +514,10 @@ def evaluate(project: Project, module: str, expr: Expr, budget: int = DEFAULT_BU
 
 
 def _entry_module(project: Project, entry: str) -> str:
-    hits = []
-    for mname in project.module_names():
-        d = project.modules[mname].decl(entry)
-        if isinstance(d, FunDecl) and d.arity == 0:
-            hits.append(mname)
+    hits = sorted(
+        mname for mname, mod in project.modules.items()
+        if isinstance(d := decl_index(mod).get(entry), FunDecl) and d.arity == 0
+    )
     if not hits:
         raise EvalError("UnresolvedName", f"no zero-argument binding {entry} in the project")
     if len(hits) > 1:

@@ -228,14 +228,31 @@ class ByNameEvaluator:
         raise EvalError("EvalError", f"bad pattern {p!r}")
 
     def deep(self, v) -> Value:
-        self._tick()
-        if isinstance(v, (VInt, VStr, VOutput)):
-            return v
-        if isinstance(v, _NCon):
-            return VCon(v.name, tuple(self.deep(self._force_thunk(t)) for t in v.args))
-        if isinstance(v, _NTuple):
-            return VTuple(tuple(self.deep(self._force_thunk(t)) for t in v.items))
-        raise EvalError("EvalError", f"cannot observe {v!r}")
+        """Observe v depth first, one tick per node. Open nodes wait on an
+        explicit stack with their components observed so far, so infinite
+        data meets the step budget, not the host stack."""
+        stack: list[tuple[object, list[Value]]] = []
+        while True:
+            self._tick()
+            observed = None
+            if isinstance(v, (_NCon, _NTuple)):
+                stack.append((v, []))
+            elif isinstance(v, (VInt, VStr, VOutput)):
+                observed = v
+            else:
+                raise EvalError("EvalError", f"cannot observe {v!r}")
+            while stack:
+                node, parts = stack[-1]
+                if observed is not None:
+                    parts.append(observed)
+                thunks = node.args if isinstance(node, _NCon) else node.items
+                if len(parts) < len(thunks):
+                    v = self._force_thunk(thunks[len(parts)])
+                    break
+                stack.pop()
+                observed = VCon(node.name, tuple(parts)) if isinstance(node, _NCon) else VTuple(tuple(parts))
+            else:
+                return observed
 
 
 def evaluate_by_name(project: Project, module: str, expr: Expr, budget: int = DEFAULT_BUDGET) -> Value:

@@ -111,6 +111,17 @@ def module_exports(mod: ModuleDef) -> frozenset[str]:
     return own["exports"]
 
 
+def decl_index(mod: ModuleDef) -> dict[str, TopDecl]:
+    """Each name the module declares -> the declaration mod.decl finds."""
+    own = _own(mod)
+    if "index" not in own:
+        index: dict[str, TopDecl] = {}
+        for d in mod.decls:
+            index.setdefault(decl_name(d), d)
+        own["index"] = index
+    return own["index"]
+
+
 def module_scope(
     project: Project, mname: str
 ) -> tuple[dict[str, list[DefRef]], dict[str, list[tuple[DefRef, ConstructorDef]]]]:

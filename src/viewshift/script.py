@@ -173,6 +173,9 @@ def run_script(
             except (EvalError, ResolveError) as exc:
                 same = False
                 record.error = str(exc)
+            except RecursionError:
+                same = False
+                record.error = "nesting too deep"
             record.equivalence = "pass" if same else "fail"
         record.elapsed = time.perf_counter() - t0
         log.records.append(record)

@@ -163,11 +163,30 @@ def test_apply_unresolved_input_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("body", [
-    "r1 = " + "(" * 400 + "1" + ")" * 400 + "\n",
-    "data L = Nil | Cons (Int, L)\n\nones = Cons (1, ones)\n\nr1 = ones\n",
+@pytest.mark.parametrize("body, message", [
+    ("r1 = " + "(" * 400 + "1" + ")" * 400 + "\n", "nesting too deep"),
+    ("data L = Nil | Cons (Int, L)\n\nones = Cons (1, ones)\n\nr1 = ones\n",
+     "reduction budget of 1000000 steps exceeded"),
 ], ids=["deep-parens", "infinite-data"])
-def test_eval_too_deep_exits_1_without_traceback(tmp_path, capsys, body):
+def test_eval_too_deep_exits_1_without_traceback(tmp_path, capsys, body, message):
     (tmp_path / "M.mfn").write_text("module M where\n\n" + body)
     assert main(["eval", str(tmp_path), "r1"]) == 1
-    assert capsys.readouterr().err == "error: nesting too deep\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_apply_checked_too_deep_observation_exits_1_with_summary(tmp_path, capsys):
+    # len is not tail recursive, so observing r1 exhausts the host stack
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "M.mfn").write_text(
+        "module M where\n\ndata L = Nil | Cons (Int, L)\n\nones = Cons (1, ones)\n\n"
+        "len (Cons (x, t)) = 1 + len t\n\nk = 1\n\nr1 = print (show (len ones))\n"
+    )
+    script = tmp_path / "dup.vs"
+    script.write_text("duplicate-into-comment k M\n")
+    code = main(["apply", str(script), str(src), "--out", str(tmp_path / "out"),
+                 "--checked", "--entries", "r1"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "[applied, equivalence fail]" in out and "nesting too deep" in out
+    assert "1/1 step(s) applied" in out

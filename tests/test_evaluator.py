@@ -7,6 +7,8 @@ from viewshift.evaluator import (
 from viewshift.lang import Project
 from viewshift.parse import parse_expr, parse_module
 from viewshift.reference import evaluate_by_name, observe_entries_by_name
+from viewshift.resolver import ResolveError
+from viewshift.script import run_script
 
 ENTRIES = ("r1", "r2", "r3", "r4")
 EXPECTED = {"r1": "1+2", "r2": "3", "r3": "1+2+3", "r4": "6"}
@@ -169,3 +171,52 @@ def test_laziness_skips_unused_error():
         "module M where\nconst2 x y = x\nboom = boom\nentry = print (show (const2 7 boom))"
     )
     assert observe_entries(p, ["entry"], budget=10_000) == {"entry": "7"}
+
+
+ONES = (
+    "module M where\n\ndata L = Nil | Cons (Int, L)\n\n"
+    "ones = Cons (1, ones)\n\nr1 = ones\n"
+)
+
+
+@pytest.mark.parametrize("observe", [observe_entries, observe_entries_by_name], ids=["by-need", "by-name"])
+def test_infinite_data_meets_the_step_budget(observe):
+    # deep forcing walks its own stack, so the budget ends it, not the host's
+    with pytest.raises(EvalError) as exc:
+        observe(_project(ONES), ["r1"], budget=10_000)
+    assert exc.value.kind == "StepBudgetExceeded"
+
+
+LAZY = (
+    "module M where\n\n"
+    "f 0 = 1\nf n = missing n\n\n"
+    "g n = case n of\n    0 -> 2\n    m -> M.nosuch m\n\n"
+    "r1 = print (show (f 0 + g 0))\n\nr2 = f 1\n\nr3 = g 1\n"
+)
+
+
+def test_unresolved_name_fails_only_where_evaluated():
+    # f's second equation and g's second branch name nothing in scope
+    p = _project(LAZY)
+    assert observe_entries(p, ["r1"]) == {"r1": "3"}
+    for entry, name in (("r2", "missing"), ("r3", "nosuch")):
+        with pytest.raises(ResolveError) as exc:
+            observe_entries(p, [entry])
+        assert (exc.value.kind, exc.value.module, exc.value.name) == ("UnresolvedName", "M", name)
+
+
+def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
+    # The compiled machine ticks where a tree walk over the same expressions
+    # would; bench/selftest.py pins the same counts for the traced run.
+    stats = []
+    init = Evaluator.__init__
+
+    def counted(ev, *args, **kwargs):
+        init(ev, *args, **kwargs)
+        stats.append(ev.stats)
+
+    monkeypatch.setattr(Evaluator, "__init__", counted)
+    _, log = run_script(pfun, forward_script, checked=True)
+    assert log.ok
+    counts = (len(stats), sum(s.steps for s in stats), sum(s.forcings for s in stats))
+    assert counts == (408, 19_938, 8_094)

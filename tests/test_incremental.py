@@ -1,16 +1,19 @@
 """Incremental resolution: the resolver remembers per-module results on the
 module objects, valid while a module and the objects of the modules it
-imports are unchanged. These tests keep an importing module object identical
-while what it imports changes, check incremental results against resolution
-from scratch, and pin that one step pays only for the modules it changes."""
+imports are unchanged; the evaluator keeps its compiled declarations there
+too. These tests keep an importing module object identical while what it
+imports changes, check incremental results against resolution from scratch,
+and pin that one step pays (and recompiles) only for the modules it
+changes."""
 
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewshift import resolver, rewrite
+from viewshift import evaluator, resolver, rewrite
 from viewshift.corpus import load_fixture
+from viewshift.evaluator import observe_entries
 from viewshift.lang import Project, with_module
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module
@@ -50,6 +53,23 @@ def test_import_drops_export(use):
     with pytest.raises(ResolveError) as exc:
         resolve_project(p2)
     assert exc.value.kind == "UnresolvedName" and exc.value.module == "A"
+
+
+@pytest.mark.parametrize("use", ["g", "B.g"])
+def test_compiled_code_follows_its_imports(use):
+    p = _project(_A.format(use=use), _B, _C)
+    assert observe_entries(p, ["r"]) == {"r": "2"}
+    changed = with_module(p, parse_module("module B where\n\ng = 5\n"))
+    assert changed.modules["A"] is p.modules["A"]
+    assert observe_entries(changed, ["r"]) == {"r": "6"}
+    dropped = with_module(p, replace(p.modules["B"], exports=()))
+    assert dropped.modules["A"] is p.modules["A"]
+    errors = []
+    for project in (dropped, _fresh(dropped)):
+        with pytest.raises(ResolveError) as exc:
+            observe_entries(project, ["r"])
+        errors.append((exc.value.kind, exc.value.module, exc.value.name, str(exc.value)))
+    assert errors[0] == errors[1]
 
 
 def test_import_gains_clashing_name():
@@ -235,3 +255,27 @@ def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
     touched = {m for kind, ms in seen for m in ([ms] if isinstance(ms, str) else ms)}
     assert {kind for kind, _ in seen} >= {"_check_module", "_scope_of"}
     assert touched <= changed, f"{sorted(touched - changed)} re-derived without a change"
+
+
+@pytest.mark.parametrize("tokens", [
+    ("duplicate-into-comment", "eval", "EvalMod"),
+    ("rename-top-level", "toString", "ToStringMod", "render"),
+    ("rename-top-level", "p20", "Pad20", "s20"),
+], ids=["one-module", "two-modules", "padding-chain"])
+def test_step_recompiles_only_the_modules_it_changes(monkeypatch, tokens):
+    project = minimize_qualifiers(_padded_pfun(40))
+    entries = ("r1", "r2", "r3", "r4", "q39")  # q39 reaches every padding module
+    observe_entries(project, entries)
+    compiled = []
+
+    def counted(table, project, module, d):
+        compiled.append(module)
+        return compile_decl(table, project, module, d)
+
+    compile_decl = evaluator._compile_decl
+    monkeypatch.setattr(evaluator, "_compile_decl", counted)
+    step = RefactorStep(tokens[0], tokens[1:], 1)
+    out = COMMANDS[step.command][1](project, step)
+    assert observe_entries(out, entries) == observe_entries(project, entries)
+    assert compiled, "the step changed no evaluated declaration"
+    assert set(compiled) <= _changed(project, out), f"{sorted(set(compiled) - _changed(project, out))} recompiled"

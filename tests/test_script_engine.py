@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
+from viewshift.lang import App, IntLit, Project, Var
 from viewshift.names import alpha_eq_project
-from viewshift.parse import parse_project
+from viewshift.parse import parse_module, parse_project
 from viewshift.script import (
     RefactorStep, Script, ScriptSyntaxError, parse_script, run_script,
 )
@@ -126,3 +129,20 @@ def test_unresolvable_result_fails_the_step(tmp_path):
     assert log.records[0].error.startswith("PreconditionFailed:")
     assert "cannot resolve g in module N" in log.records[0].error
     assert out is project
+
+
+def test_too_deep_observation_fails_the_step():
+    # r1 = f (f (... (f 1))), 400 applications deep: built as a tree, since
+    # the parser's own stack would end first
+    mod = parse_module("module Client where\n\nf x = x + 1\n\nk = 1\n\nr1 = 0\n")
+    deep = IntLit(1)
+    for _ in range(400):
+        deep = App(Var("f"), deep)
+    r1 = mod.decl("r1")
+    r1 = replace(r1, equations=(replace(r1.equations[0], rhs=deep),))
+    project = Project({"Client": replace(mod, decls=mod.decls[:2] + (r1,))})
+    out, log = run_script(project, parse_script("duplicate-into-comment k Client"), checked=True)
+    assert not log.ok
+    assert [(r.outcome, r.equivalence, r.error) for r in log.records] == [
+        ("applied", "fail", "nesting too deep")
+    ]
