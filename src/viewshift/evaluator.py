@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .lang import (
     App, Builtin, Case, ConApp, Expr, FunDecl, Infix, IntLit, Let, PCon, PInt,
     PTuple, PVar, PWild, Pattern, Project, StrLit, Tuple, Var, app_spine,
-    pattern_vars,
+    pattern_vars, var_slot,
 )
 from .resolver import (
     SymbolTable, build_symbol_table, decl_index, imports_memo, resolve_var,
@@ -354,8 +354,8 @@ def _compile_decl(table: SymbolTable, project: Project, module: str, d: FunDecl)
 
 class _Compiler:
     """Compiles code of one module. A scope names the environment's slots in
-    order; a variable denotes the last slot of its name, or else what it
-    resolves to in the module's top-level scope."""
+    order; a variable denotes the last slot of its name (lang.var_slot), or
+    else what it resolves to in the module's top-level scope."""
 
     def __init__(self, table: SymbolTable, project: Project, module: str):
         self.table = table
@@ -391,9 +391,7 @@ class _Compiler:
 
     def expr(self, e: Expr, scope: tuple[str, ...]):
         match e:
-            case Var(name, None) if name in scope:
-                slot = len(scope) - 1 - scope[::-1].index(name)
-
+            case Var(_, _) if (slot := var_slot(e, scope)) is not None:
                 def code(ev, env):
                     ev._tick()
                     return ev.force(env[slot])

@@ -310,33 +310,94 @@ def pattern_cons(p: Pattern) -> tuple[str, ...]:
             return ()
 
 
+def equation_scope(eq: Equation) -> tuple[str, ...]:
+    """The names an equation binds over its rhs, in binding order: the
+    pattern variables, then the where-locals."""
+    pvars = tuple(v for p in eq.patterns for v in pattern_vars(p))
+    return pvars + tuple(loc.name for loc in eq.locals)
+
+
 def equation_bound_names(eq: Equation) -> set[str]:
-    bound: set[str] = set()
-    for p in eq.patterns:
-        bound.update(pattern_vars(p))
-    bound.update(loc.name for loc in eq.locals)
-    return bound
+    return set(equation_scope(eq))
 
 
 _LEAVES = (Var, IntLit, StrLit, Builtin)
 
 
-def scoped_children(e: Expr, bound: frozenset[str]) -> list[tuple[Expr, frozenset[str]]]:
-    """expr_children(e), each paired with the names bound around it.
+def binder_children(e: Expr) -> list[tuple[Expr, tuple[str, ...]]]:
+    """expr_children(e), each paired with the names e binds over it, in
+    binding order.
 
     This is the one statement of binder scoping inside expressions: a case
     branch binds its pattern variables over its body, and a let binds its
     names (recursively) over every right-hand side and the body.
     """
+    if isinstance(e, Case):
+        return [(e.scrutinee, ())] + [(b.body, pattern_vars(b.pattern)) for b in e.branches]
+    names = tuple(b.name for b in e.bindings) if isinstance(e, Let) else ()
+    return [(kid, names) for kid in expr_children(e)]
+
+
+def scoped_children(e: Expr, bound: frozenset[str]) -> list[tuple[Expr, frozenset[str]]]:
+    """expr_children(e), each paired with the names bound around it."""
     if isinstance(e, _LEAVES):  # most nodes; skips expr_children's match
         return []
-    if isinstance(e, Case):
-        return [(e.scrutinee, bound)] + [
-            (b.body, bound | frozenset(pattern_vars(b.pattern))) for b in e.branches
-        ]
-    if isinstance(e, Let):
-        bound = bound | {b.name for b in e.bindings}
+    if isinstance(e, (Case, Let)):
+        return [(kid, bound.union(names) if names else bound) for kid, names in binder_children(e)]
     return [(kid, bound) for kid in expr_children(e)]
+
+
+def var_slot(v: Var, scope: tuple[str, ...]) -> Optional[int]:
+    """The slot of scope (names in binding order) that v refers to: the last
+    one carrying its name. None for a qualified or unbound variable, since a
+    qualifier always targets a top-level name, never a binder."""
+    if v.qualifier is not None or v.name not in scope:
+        return None
+    return len(scope) - 1 - scope[::-1].index(v.name)
+
+
+def pattern_shape(p: Pattern) -> Pattern:
+    """p with every variable renamed alike: two patterns of equal shape
+    match the same values and bind as many variables, in the same order."""
+    match p:
+        case PVar(_):
+            return PVar("")
+        case PCon(name, args, tupled):
+            return PCon(name, tuple(map(pattern_shape, args)), tupled)
+        case PTuple(items):
+            return PTuple(tuple(map(pattern_shape, items)))
+        case _:
+            return p
+
+
+def _head(e: Expr):
+    """What distinguishes e from a node of its kind besides its children and
+    binder names; a variable's name is left to the caller's scopes."""
+    match e:
+        case IntLit(value) | StrLit(value):
+            return value
+        case Builtin(name) | ConApp(name, _) | Infix(name, _, _):
+            return name
+        case Case(_, branches):
+            return tuple(pattern_shape(b.pattern) for b in branches)
+        case _:
+            return None
+
+
+def paired_children(
+    a: Expr, b: Expr
+) -> Optional[list[tuple[Expr, Expr, tuple[str, ...], tuple[str, ...]]]]:
+    """The children of a and b paired, each pair with the names a and b bind
+    over it (binder_children), or None when the nodes differ in more than
+    their children and binder names: node kind, constructor name, operator,
+    literal, arity and pattern shape all count. Two variables pair with no
+    children; whether they correspond is for the caller to say."""
+    if type(a) is not type(b) or _head(a) != _head(b):
+        return None
+    kids_a, kids_b = binder_children(a), binder_children(b)
+    if len(kids_a) != len(kids_b):
+        return None
+    return [(x, y, nx, ny) for (x, nx), (y, ny) in zip(kids_a, kids_b)]
 
 
 def walk_expr_scoped(
@@ -351,9 +412,17 @@ def walk_expr_scoped(
         item = stack.pop()
         yield item
         path, e, bound = item
-        kids = scoped_children(e, bound)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), *kids[i]))
+        if isinstance(e, _LEAVES):
+            continue
+        if isinstance(e, (Case, Let)):
+            kids = scoped_children(e, bound)
+            for i in range(len(kids) - 1, -1, -1):
+                kid, inner = kids[i]
+                stack.append((path + (i,), kid, inner))
+        else:  # binds nothing: skips scoped_children's pairing
+            kids = expr_children(e)
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((path + (i,), kids[i], bound))
 
 
 def map_scoped(e: Expr, bound: frozenset[str], fn) -> Expr:

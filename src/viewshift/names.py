@@ -4,10 +4,10 @@ alpha-equivalence and fresh-name generation."""
 from __future__ import annotations
 
 from .lang import (
-    App, Builtin, Case, CaseBranch, ConApp, DataDecl, Expr, FunDecl, Infix,
-    IntLit, Let, LetBinding, PCon, PInt, PTuple, PVar, PWild, Pattern, Project,
-    StrLit, TopDecl, Tuple, Var, decl_expr_roots, decl_name, expr_children,
-    pattern_vars, walk_expr_scoped, with_expr_children,
+    Case, CaseBranch, DataDecl, Expr, FunDecl, Let, LetBinding, PCon, PTuple,
+    PVar, Pattern, Project, TopDecl, Var, decl_expr_roots, decl_name,
+    equation_scope, expr_children, paired_children, pattern_shape, pattern_vars,
+    var_slot, walk_expr_scoped, with_expr_children,
 )
 
 
@@ -44,22 +44,10 @@ def decl_free_vars(d: TopDecl) -> set[str]:
 def all_names(e: Expr) -> set[str]:
     """Every identifier appearing in the expression, bound or free."""
     out: set[str] = set()
-    match e:
-        case Var(name, _):
-            out.add(name)
-        case Case(scrutinee, branches):
-            out |= all_names(scrutinee)
-            for b in branches:
-                out.update(pattern_vars(b.pattern))
-                out |= all_names(b.body)
-        case Let(bindings, body):
-            for b in bindings:
-                out.add(b.name)
-                out |= all_names(b.rhs)
-            out |= all_names(body)
-        case _:
-            for kid in expr_children(e):
-                out |= all_names(kid)
+    for _, node, bound in walk_expr_scoped(e, frozenset()):
+        out |= bound
+        if isinstance(node, Var):
+            out.add(node.name)
     return out
 
 
@@ -140,96 +128,27 @@ def substitute_many(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 # --- alpha-equivalence ---
 
-class _AlphaEnv:
-    """Positional correspondence of binders on both sides."""
-
-    def __init__(self):
-        self.left: dict[str, int] = {}
-        self.right: dict[str, int] = {}
-        self.depth = 0
-
-    def child(self, lefts: list[str], rights: list[str]) -> "_AlphaEnv":
-        env = _AlphaEnv()
-        env.left = dict(self.left)
-        env.right = dict(self.right)
-        env.depth = self.depth
-        for l, r in zip(lefts, rights):
-            env.left[l] = env.depth
-            env.right[r] = env.depth
-            env.depth += 1
-        return env
-
-
-def _alpha_pattern(p: Pattern, q: Pattern) -> bool:
-    """Structural match of patterns ignoring variable names."""
-    match p, q:
-        case PVar(_), PVar(_):
-            return True
-        case PWild(), PWild():
-            return True
-        case PInt(a), PInt(b):
-            return a == b
-        case PCon(n1, a1, t1), PCon(n2, a2, t2):
-            return (
-                n1 == n2 and t1 == t2 and len(a1) == len(a2)
-                and all(_alpha_pattern(x, y) for x, y in zip(a1, a2))
-            )
-        case PTuple(a1), PTuple(a2):
-            return len(a1) == len(a2) and all(
-                _alpha_pattern(x, y) for x, y in zip(a1, a2)
-            )
-        case _:
-            return False
-
-
-def alpha_eq_expr(a: Expr, b: Expr, env: _AlphaEnv | None = None) -> bool:
-    env = env or _AlphaEnv()
-    match a, b:
-        case Var(n1, q1), Var(n2, q2):
-            # A qualifier always targets a top-level name, never a binder.
-            l = env.left.get(n1) if q1 is None else None
-            r = env.right.get(n2) if q2 is None else None
-            if l is not None or r is not None:
-                return l == r
-            return n1 == n2 and q1 == q2
-        case Builtin(n1), Builtin(n2):
-            return n1 == n2
-        case IntLit(v1), IntLit(v2):
-            return v1 == v2
-        case StrLit(v1), StrLit(v2):
-            return v1 == v2
-        case ConApp(n1, a1), ConApp(n2, a2):
-            return n1 == n2 and len(a1) == len(a2) and all(
-                alpha_eq_expr(x, y, env) for x, y in zip(a1, a2)
-            )
-        case App(f1, x1), App(f2, x2):
-            return alpha_eq_expr(f1, f2, env) and alpha_eq_expr(x1, x2, env)
-        case Infix(o1, l1, r1), Infix(o2, l2, r2):
-            return o1 == o2 and alpha_eq_expr(l1, l2, env) and alpha_eq_expr(r1, r2, env)
-        case Tuple(i1), Tuple(i2):
-            return len(i1) == len(i2) and all(
-                alpha_eq_expr(x, y, env) for x, y in zip(i1, i2)
-            )
-        case Case(s1, b1), Case(s2, b2):
-            if len(b1) != len(b2) or not alpha_eq_expr(s1, s2, env):
+def alpha_eq_expr(
+    a: Expr, b: Expr, left: tuple[str, ...] = (), right: tuple[str, ...] = ()
+) -> bool:
+    """True iff a and b differ only in bound-variable names; left and right
+    name the binders around a and b in binding order, and binders correspond
+    by position."""
+    stack = [(a, b, left, right)]
+    while stack:
+        a, b, left, right = stack.pop()
+        if isinstance(a, Var):
+            if not isinstance(b, Var):
                 return False
-            for x, y in zip(b1, b2):
-                if not _alpha_pattern(x.pattern, y.pattern):
-                    return False
-                inner = env.child(list(pattern_vars(x.pattern)), list(pattern_vars(y.pattern)))
-                if not alpha_eq_expr(x.body, y.body, inner):
-                    return False
-            return True
-        case Let(bs1, bod1), Let(bs2, bod2):
-            if len(bs1) != len(bs2):
+            slot = var_slot(a, left)
+            if slot != var_slot(b, right) or (slot is None and a != b):
                 return False
-            inner = env.child([b.name for b in bs1], [b.name for b in bs2])
-            for x, y in zip(bs1, bs2):
-                if not alpha_eq_expr(x.rhs, y.rhs, inner):
-                    return False
-            return alpha_eq_expr(bod1, bod2, inner)
-        case _:
+            continue
+        kids = paired_children(a, b)
+        if kids is None:
             return False
+        stack += [(x, y, left + nx, right + ny) for x, y, nx, ny in kids]
+    return True
 
 
 def alpha_eq_decl(a: TopDecl, b: TopDecl) -> bool:
@@ -246,30 +165,20 @@ def alpha_eq_decl(a: TopDecl, b: TopDecl) -> bool:
     assert isinstance(a, FunDecl) and isinstance(b, FunDecl)
     if len(a.equations) != len(b.equations):
         return False
-    base = _AlphaEnv().child([a.name], [b.name])
+    roots = []
     for ea, eb in zip(a.equations, b.equations):
-        if len(ea.patterns) != len(eb.patterns) or len(ea.locals) != len(eb.locals):
+        if (
+            tuple(map(pattern_shape, ea.patterns)) != tuple(map(pattern_shape, eb.patterns))
+            or [len(loc.params) for loc in ea.locals] != [len(loc.params) for loc in eb.locals]
+        ):
             return False
-        for pa, pb in zip(ea.patterns, eb.patterns):
-            if not _alpha_pattern(pa, pb):
-                return False
-        lefts: list[str] = []
-        rights: list[str] = []
-        for pa, pb in zip(ea.patterns, eb.patterns):
-            lefts += list(pattern_vars(pa))
-            rights += list(pattern_vars(pb))
-        lefts += [loc.name for loc in ea.locals]
-        rights += [loc.name for loc in eb.locals]
-        env = base.child(lefts, rights)
-        if not alpha_eq_expr(ea.rhs, eb.rhs, env):
-            return False
-        for la, lb in zip(ea.locals, eb.locals):
-            if len(la.params) != len(lb.params):
-                return False
-            local_env = env.child(list(la.params), list(lb.params))
-            if not alpha_eq_expr(la.rhs, lb.rhs, local_env):
-                return False
-    return True
+        left, right = (a.name,) + equation_scope(ea), (b.name,) + equation_scope(eb)
+        roots.append((ea.rhs, eb.rhs, left, right))
+        roots += [
+            (la.rhs, lb.rhs, left + la.params, right + lb.params)
+            for la, lb in zip(ea.locals, eb.locals)
+        ]
+    return all(alpha_eq_expr(*root) for root in roots)
 
 
 def alpha_eq_project(a: Project, b: Project) -> bool:

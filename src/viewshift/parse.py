@@ -376,24 +376,19 @@ class _ExprParser:
 
 # --- module-level parsing ---
 
-def _split_decl_groups(toks: list[Tok]) -> list[list[Tok]]:
-    groups: list[list[Tok]] = []
-    current: list[Tok] = []
+def _layout_split(toks: list[Tok], col: int) -> list[list[Tok]]:
+    """The layout rule of declarations and where-locals alike: a new item
+    starts at each token that starts a line at column col."""
+    items: list[list[Tok]] = []
     last_line = None
     for t in toks:
-        starts_line = t.line != last_line
+        if t.line != last_line and t.col == col:
+            items.append([])
+        elif not items:
+            raise ParseError("declaration must start in column 0", t.line, t.col)
+        items[-1].append(t)
         last_line = t.line
-        if starts_line and t.col == 0:
-            if current:
-                groups.append(current)
-            current = [t]
-        else:
-            if not current:
-                raise ParseError("declaration must start in column 0", t.line, t.col)
-            current.append(t)
-    if current:
-        groups.append(current)
-    return groups
+    return items
 
 
 def _parse_data_group(toks: list[Tok]) -> DataDecl:
@@ -477,19 +472,7 @@ def _parse_equation_group(toks: list[Tok]) -> tuple[str, Equation]:
         if not local_toks:
             t = toks[where_at]
             raise ParseError("empty where block", t.line, t.col)
-        local_col = local_toks[0].col
-        # Break the block into one slice per line starting at local_col.
-        slices: list[list[Tok]] = []
-        last_line = None
-        for t in local_toks:
-            starts_line = t.line != last_line
-            last_line = t.line
-            if (starts_line and t.col == local_col) or not slices:
-                slices.append([t])
-            else:
-                slices.append(slices.pop() + [t])
-        for sl in slices:
-            locals_.append(_parse_local(sl))
+        locals_ = [_parse_local(sl) for sl in _layout_split(local_toks, local_toks[0].col)]
         seen = set()
         for loc in locals_:
             if loc.name in seen:
@@ -545,7 +528,7 @@ def parse_module(text: str, filename: str = "<module>") -> ModuleDef:
         exports = tuple(names)
     cur.expect_kw("where")
 
-    groups = _split_decl_groups(toks[cur.pos:])
+    groups = _layout_split(toks[cur.pos:], 0)
     imports: list[str] = []
     for first, *rest in groups:
         if not (first.kind == "kw" and first.text == "import"):
@@ -625,7 +608,7 @@ def parse_decl(text: str) -> TopDecl:
     toks, _ = tokenize(text)
     if not toks:
         raise ParseError("empty declaration", 1, 0)
-    decls = _decls(_split_decl_groups(toks), {})
+    decls = _decls(_layout_split(toks, 0), {})
     if len(decls) != 1:
         t = toks[0]
         raise ParseError("expected exactly one declaration", t.line, t.col)

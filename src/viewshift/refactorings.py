@@ -90,14 +90,8 @@ def _top_scope(project: Project, m: str) -> set[str]:
 def _decl_all_names(d: FunDecl) -> set[str]:
     """Every identifier textually present in the declaration."""
     out: set[str] = {d.name}
-    for eq in d.equations:
-        for p in eq.patterns:
-            out.update(pattern_vars(p))
-        out |= all_names(eq.rhs)
-        for loc in eq.locals:
-            out.add(loc.name)
-            out.update(loc.params)
-            out |= all_names(loc.rhs)
+    for _, _, root, bound in decl_expr_roots(d):
+        out |= bound | all_names(root)
     return out
 
 
@@ -692,19 +686,20 @@ def fold_top_level(project: Project, f: str, m: str) -> Project:
     matcher = InstanceMatcher(build_symbol_table(project), params, m)
     head = Var(f, qualifier=m)
     total = 0
-    mods = {}
+    mods = dict(project.modules)
     exported = f in module_exports(mod)
     for mname, modx in project.modules.items():
         if mname != m and not (exported and m in modx.imports):
-            mods[mname] = modx
             continue
-        decls = []
+        decls, folded = [], 0
         for dd in modx.decls:
             if not (mname == m and decl_name(dd) == f):
                 dd, n = _fold_decl(matcher, eq.rhs, params, head, dd, mname)
-                total += n
+                folded += n
             decls.append(dd)
-        mods[mname] = replace(modx, decls=tuple(decls))
+        if folded:  # a module that folded nothing stays the same object
+            mods[mname] = replace(modx, decls=tuple(decls))
+            total += folded
     if not total:
         raise RefactorError("NotApplicable", f"no instance of {f}'s body found to fold")
     return _finish(Project(mods))

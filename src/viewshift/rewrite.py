@@ -14,25 +14,20 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .lang import (
-    App, Builtin, Case, ConApp, Expr, Infix, IntLit, Let, Project, StrLit,
-    Tuple, Var, map_decl_roots, map_scoped, pattern_vars,
+    Expr, Project, Var, map_decl_roots, map_scoped, paired_children, var_slot,
 )
-from .names import _alpha_pattern, free_vars
+from .names import free_vars
 from .resolver import (
     SymbolTable, build_symbol_table, imports_memo, mentioned_names,
 )
 
 
-def rewrite_project_vars(project: Project, fn) -> Project:
-    """fn(module_name, var, bound) -> Expr, applied to every occurrence.
-    Modules, declarations and nodes with no rewritten occurrence come back as
-    the same objects, and so does the project when nothing changed."""
-    return _rewrite_vars(project, fn, lambda mod: True)
-
-
 def _rewrite_vars(project: Project, fn, walk) -> Project:
-    """rewrite_project_vars over the modules for which walk(mod) holds; the
-    callers skip only modules in which fn can change no occurrence."""
+    """fn(module_name, var, bound) -> Expr, applied to every occurrence in
+    the modules for which walk(mod) holds; the callers skip only modules in
+    which fn can change no occurrence. Modules, declarations and nodes with
+    no rewritten occurrence come back as the same objects, and so does the
+    project when nothing changed."""
     mods = dict(project.modules)
     for mname, mod in project.modules.items():
         if not walk(mod):
@@ -124,17 +119,12 @@ class InstanceMatcher:
         self.params = set(params)
         self.template_module = template_module
 
-    def _target(self, module: str, v: Var, local_map: dict[str, int], outer: frozenset[str]):
-        if v.qualifier is None and v.name in local_map:
-            return ("match-local", local_map[v.name])
-        if v.qualifier is None and v.name in outer:
-            return ("enclosing", v.name)
+    def _global(self, module: str, v: Var):
+        """The (module, name) v denotes at the top level of module, or None."""
         if v.qualifier is not None:
-            return ("global", v.qualifier, v.name)
+            return (v.qualifier, v.name)
         refs = self.table.lookup(module, v.name)
-        if len(refs) != 1:
-            return ("unresolved", v.name)
-        return ("global", refs[0].module, refs[0].name)
+        return (refs[0].module, refs[0].name) if len(refs) == 1 else None
 
     def match(
         self,
@@ -144,84 +134,40 @@ class InstanceMatcher:
         site_bound: frozenset[str],
         sigma: dict[str, Expr],
     ) -> bool:
-        return self._match(
-            template, candidate, {}, {}, 0, site_module, site_bound, sigma, set()
-        )
-
-    def _match(self, t, c, tmap, cmap, depth, site_module, site_bound, sigma, inner_names):
-        if isinstance(t, Var) and t.qualifier is None and t.name in self.params and t.name not in tmap:
-            if t.name in sigma:
-                return sigma[t.name] == c
-            # The bound expression escapes the matched subtree: it must not
-            # capture names bound inside the match.
-            if free_vars(c) & inner_names:
-                return False
-            sigma[t.name] = c
-            return True
-        match t, c:
-            case Var(_, _), Var(_, _):
-                tt = self._target(self.template_module, t, tmap, frozenset())
-                ct = self._target(site_module, c, cmap, site_bound)
-                if tt[0] == "match-local" or ct[0] == "match-local":
-                    return tt == ct
-                return tt == ct and tt[0] != "unresolved"
-            case IntLit(a), IntLit(b):
-                return a == b
-            case StrLit(a), StrLit(b):
-                return a == b
-            case Builtin(a), Builtin(b):
-                return a == b
-            case ConApp(n1, a1), ConApp(n2, a2):
-                return n1 == n2 and len(a1) == len(a2) and all(
-                    self._match(x, y, tmap, cmap, depth, site_module, site_bound, sigma, inner_names)
-                    for x, y in zip(a1, a2)
-                )
-            case App(f1, x1), App(f2, x2):
-                return self._match(f1, f2, tmap, cmap, depth, site_module, site_bound, sigma, inner_names) and \
-                    self._match(x1, x2, tmap, cmap, depth, site_module, site_bound, sigma, inner_names)
-            case Infix(o1, l1, r1), Infix(o2, l2, r2):
-                return o1 == o2 and \
-                    self._match(l1, l2, tmap, cmap, depth, site_module, site_bound, sigma, inner_names) and \
-                    self._match(r1, r2, tmap, cmap, depth, site_module, site_bound, sigma, inner_names)
-            case Tuple(i1), Tuple(i2):
-                return len(i1) == len(i2) and all(
-                    self._match(x, y, tmap, cmap, depth, site_module, site_bound, sigma, inner_names)
-                    for x, y in zip(i1, i2)
-                )
-            case Case(s1, b1), Case(s2, b2):
-                if len(b1) != len(b2):
+        """Whether candidate, at a site of site_module where site_bound is
+        bound, is an instance of template; sigma receives the parameters."""
+        # Scopes name the binders inside the match only, in binding order.
+        stack = [(template, candidate, (), ())]
+        while stack:
+            t, c, tscope, cscope = stack.pop()
+            if isinstance(t, Var) and t.qualifier is None and t.name in self.params and t.name not in tscope:
+                # The bound expression escapes the matched subtree: no
+                # occurrence may capture names bound inside the match.
+                if cscope and not free_vars(c).isdisjoint(cscope):
                     return False
-                if not self._match(s1, s2, tmap, cmap, depth, site_module, site_bound, sigma, inner_names):
+                if sigma.setdefault(t.name, c) != c:
                     return False
-                for x, y in zip(b1, b2):
-                    if not _alpha_pattern(x.pattern, y.pattern):
-                        return False
-                    tm, cm, d = dict(tmap), dict(cmap), depth
-                    inn = set(inner_names)
-                    for tv, cv in zip(pattern_vars(x.pattern), pattern_vars(y.pattern)):
-                        tm[tv] = d
-                        cm[cv] = d
-                        inn.add(cv)
-                        d += 1
-                    if not self._match(x.body, y.body, tm, cm, d, site_module, site_bound, sigma, inn):
-                        return False
-                return True
-            case Let(bs1, bod1), Let(bs2, bod2):
-                if len(bs1) != len(bs2):
+            elif isinstance(t, Var):
+                if not isinstance(c, Var):
                     return False
-                tm, cm, d = dict(tmap), dict(cmap), depth
-                inn = set(inner_names)
-                for x, y in zip(bs1, bs2):
-                    tm[x.name] = d
-                    cm[y.name] = d
-                    inn.add(y.name)
-                    d += 1
-                for x, y in zip(bs1, bs2):
-                    if not self._match(x.rhs, y.rhs, tm, cm, d, site_module, site_bound, sigma, inn):
+                slot = var_slot(t, tscope)
+                if slot != var_slot(c, cscope):
+                    return False
+                if slot is None:
+                    # Neither is bound in the match: both must denote one
+                    # top-level definition, which a name bound at the site
+                    # does not.
+                    target = self._global(self.template_module, t)
+                    if target is None or (c.qualifier is None and c.name in site_bound):
                         return False
-                return self._match(bod1, bod2, tm, cm, d, site_module, site_bound, sigma, inn)
-            case _:
-                return False
+                    if target != self._global(site_module, c):
+                        return False
+            else:
+                kids = paired_children(t, c)
+                if kids is None:
+                    return False
+                stack += [(x, y, tscope + nx, cscope + ny) for x, y, nx, ny in kids]
+        return True
 
 
 def fold_instances_in_expr(

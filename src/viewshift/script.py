@@ -161,9 +161,9 @@ def run_script(
         record = StepRecord(i, step.command, step.args, "applied")
         try:
             project = COMMANDS[step.command][1](project, step)
-        except RefactorError as exc:
+        except (RefactorError, RecursionError) as exc:
             record.outcome = "failed"
-            record.error = str(exc)
+            record.error = str(exc) if isinstance(exc, RefactorError) else "nesting too deep"
             record.elapsed = time.perf_counter() - t0
             log.records.append(record)
             return project, log

@@ -1,7 +1,8 @@
 """Static hygiene of the package, with the stdlib ast module only: no module
-imports a name it never uses, and no private module-level function or class
-goes unreferenced. Also: the object-language AST is immutable, which the
-resolver's identity-keyed per-module memo relies on."""
+imports a name it never uses, no private module-level function or class goes
+unreferenced in the package, and no public one goes unreferenced in the
+package, its tests and its benchmark. Also: the object-language AST is
+immutable, which the resolver's identity-keyed per-module memo relies on."""
 
 import ast
 import dataclasses
@@ -63,22 +64,45 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_no_unreferenced_private_definitions():
-    trees = {path: _tree(path) for path in SOURCES}
-    referenced: Counter = Counter()
-    for tree in trees.values():
-        referenced += _used_names(tree)
-        referenced.update(name for name, _ in _imported(tree))
-    # A definition's references to itself (recursion) do not keep it alive.
-    dead = [
+def _references(trees, strings: bool = False) -> Counter:
+    """How often each name is read or imported in the trees, and with
+    strings=True also how often it is a string constant."""
+    out: Counter = Counter()
+    for tree in trees:
+        out += _used_names(tree)
+        out.update(name for name, _ in _imported(tree))
+        if strings:
+            out.update(
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            )
+    return out
+
+
+def _unreferenced(referenced: Counter, private: bool) -> list[str]:
+    """The package's module-level functions and classes, private or public,
+    that nothing references. A definition's references to itself
+    (recursion) do not keep it alive."""
+    return [
         f"{path.relative_to(PACKAGE)}:{node.lineno}: {node.name}"
-        for path, tree in trees.items()
-        for node in tree.body
+        for path in SOURCES
+        for node in _tree(path).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name.startswith("_") == private and not node.name.startswith("__")
         and referenced[node.name] == _used_names(node)[node.name]
     ]
-    assert dead == []
+
+
+def test_no_unreferenced_private_definitions():
+    referenced = _references(_tree(path) for path in SOURCES)
+    assert _unreferenced(referenced, private=True) == []
+
+
+def test_no_unreferenced_public_definitions():
+    # String constants count: bench/tracer.py wraps functions by name.
+    files = [p for d in ("src", "tests", "bench") for p in (PACKAGE.parents[1] / d).rglob("*.py")]
+    referenced = _references((_tree(path) for path in files), strings=True)
+    assert _unreferenced(referenced, private=False) == []
 
 
 def _classes_in(hint) -> list[type]:

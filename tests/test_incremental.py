@@ -257,6 +257,16 @@ def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
     assert touched <= changed, f"{sorted(touched - changed)} re-derived without a change"
 
 
+def test_fold_def_returns_modules_that_fold_nothing_as_the_same_objects():
+    project = _project(
+        "module A (f, g) where\n\nf x = x + 1\n\ng = 2 + 1\n",
+        "module B where\n\nimport A\n\nh = g\n",
+    )
+    out = COMMANDS["fold-def"][1](project, RefactorStep("fold-def", ("f", "A"), 1))
+    assert "g = f 2" in render_module(out.modules["A"])
+    assert out.modules["B"] is project.modules["B"]  # an importer that folded nothing
+
+
 @pytest.mark.parametrize("tokens", [
     ("duplicate-into-comment", "eval", "EvalMod"),
     ("rename-top-level", "toString", "ToStringMod", "render"),

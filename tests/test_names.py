@@ -1,9 +1,13 @@
+import pytest
+
 from viewshift.names import (
-    alpha_eq_decl, alpha_eq_project, decl_free_vars, free_vars, fresh_name,
-    substitute,
+    alpha_eq_decl, alpha_eq_expr, alpha_eq_project, decl_free_vars, free_vars,
+    fresh_name, substitute,
 )
-from viewshift.parse import parse_decl, parse_expr
-from viewshift.lang import Let, Var
+from viewshift.parse import parse_decl, parse_expr, parse_module
+from viewshift.lang import Let, Project, Var
+from viewshift.resolver import build_symbol_table
+from viewshift.rewrite import InstanceMatcher
 
 
 def test_free_vars_application():
@@ -88,6 +92,43 @@ def test_alpha_eq_where_locals():
     a = parse_decl("f x = g\n    where\n        g = x")
     b = parse_decl("f y = h\n    where\n        h = y")
     assert alpha_eq_decl(a, b)
+
+
+# Nested case/let binders that rebind, and qualified names next to bound ones.
+SHADOWING_PAIRS = [
+    ("case-in-case", "case p of\n    K x -> case x of\n        K x -> x",
+     "case p of\n    K y -> case y of\n        K z -> z", True),
+    ("case-in-case-outer", "case p of\n    K x -> case x of\n        K x -> x",
+     "case p of\n    K y -> case y of\n        K z -> y", False),
+    ("pattern-order", "case p of\n    P (x, y) -> x", "case p of\n    P (y, x) -> y", True),
+    ("pattern-order-swapped", "case p of\n    P (x, y) -> x", "case p of\n    P (y, x) -> x", False),
+    ("bound-against-free", "case p of\n    K x -> x", "case p of\n    K y -> x", False),
+    ("free-against-bound", "x", "let x = 1 in x", False),
+    ("let-in-let", "let x = 1 in let x = x in x", "let a = 1 in let b = b in b", True),
+    ("let-in-let-outer", "let x = 1 in let x = x in x", "let a = 1 in let b = a in b", False),
+    ("let-rebinds-last", "let a = 1 in let a = 2 in a", "let a = 1 in let b = 2 in a", False),
+    ("case-in-let", "let x = 1 in case x of\n    K x -> x", "let y = 1 in case y of\n    K z -> z", True),
+    ("case-in-let-outer", "let x = 1 in case x of\n    K x -> x", "let y = 1 in case y of\n    K z -> y", False),
+    ("let-in-case", "case p of\n    K x -> let x = x in x", "case p of\n    K y -> let z = z in z", True),
+    ("qualified-under-let", "let g = 1 in M.g", "let h = 1 in M.g", True),
+    ("qualified-against-bound", "let g = 1 in M.g", "let g = 1 in g", False),
+    ("qualified-beside-bound", "let g = 1 in g + M.g", "let h = 1 in h + M.g", True),
+    ("qualified-beside-case-binder", "case p of\n    K g -> M.g + g", "case p of\n    K x -> M.g + x", True),
+    ("qualified-swapped-with-binder", "case p of\n    K g -> M.g + g", "case p of\n    K x -> x + M.g", False),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b, same", [pair[1:] for pair in SHADOWING_PAIRS], ids=[pair[0] for pair in SHADOWING_PAIRS]
+)
+def test_shadowing_pairs(a, b, same):
+    ea, eb = parse_expr(a), parse_expr(b)
+    assert alpha_eq_expr(ea, eb) == same
+    # A template with no parameters matches exactly its alpha-equivalent
+    # instances when every free name resolves.
+    mod = parse_module("module M where\n\ndata T = K T | P (T, T)\n\ng = 1\n\np = 2\n\nx = 3\n")
+    matcher = InstanceMatcher(build_symbol_table(Project({"M": mod})), (), "M")
+    assert matcher.match(ea, eb, "M", frozenset(), {}) == same
 
 
 def test_alpha_eq_project_ignores_order_and_empty_modules(pfun):

@@ -231,6 +231,16 @@ def test_fold_multi_equation(pfun):
     expect(pfun, "NotApplicable", R.fold_top_level, "eval", "EvalMod")
 
 
+def test_fold_parameter_captured_at_a_later_occurrence():
+    # x first matches the top-level y, but its second occurrence sits under
+    # a let that rebinds y: folding r into f y would take r from 11 to 20
+    p = _project(
+        "module M where\n\ny = 10\n\nf x = x + (let z = 1 in x)\n\n"
+        "r = y + (let y = 1 in y)"
+    )
+    expect(p, "NotApplicable", R.fold_top_level, "f", "M")
+
+
 # --- generative-fold ---
 
 def test_generative_fold_missing_comment(pdata):

@@ -131,18 +131,21 @@ def test_unresolvable_result_fails_the_step(tmp_path):
     assert out is project
 
 
-def test_too_deep_observation_fails_the_step():
-    # r1 = f (f (... (f 1))), 400 applications deep: built as a tree, since
+@pytest.mark.parametrize("depth, record", [
+    (400, ("applied", "fail", "nesting too deep")),  # the observation nests too deep
+    (2000, ("failed", None, "nesting too deep")),  # the step itself does
+], ids=["depth-400", "depth-2000"])
+def test_too_deep_observation_fails_the_step(depth, record):
+    # r1 = f (f (... (f 1))), depth applications deep: built as a tree, since
     # the parser's own stack would end first
     mod = parse_module("module Client where\n\nf x = x + 1\n\nk = 1\n\nr1 = 0\n")
     deep = IntLit(1)
-    for _ in range(400):
+    for _ in range(depth):
         deep = App(Var("f"), deep)
     r1 = mod.decl("r1")
     r1 = replace(r1, equations=(replace(r1.equations[0], rhs=deep),))
     project = Project({"Client": replace(mod, decls=mod.decls[:2] + (r1,))})
     out, log = run_script(project, parse_script("duplicate-into-comment k Client"), checked=True)
     assert not log.ok
-    assert [(r.outcome, r.equivalence, r.error) for r in log.records] == [
-        ("applied", "fail", "nesting too deep")
-    ]
+    assert [(r.outcome, r.equivalence, r.error) for r in log.records] == [record]
+    assert (out is project) == (record[0] == "failed")
