@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit status: 0 on success, 1 on a refactoring or equivalence failure or on
-input nested too deep for the interpreter's stack, 2 on usage or parse errors. Results go to stdout, diagnostics to stderr.
+a program nested too deep for a later stage's stack, 2 on usage or parse
+errors, input nested too deep for the parser included. Results go to stdout, diagnostics to stderr.
 The input project directory is never modified.
 """
 

@@ -1,8 +1,11 @@
 """Parser for the object language.
 
-Layout rules are deliberately simple: top-level declarations start in column
-zero; `where` locals and case branches are delimited by line starts at a
-common column; `let` always uses an explicit `in`. A contiguous block of
+One layout rule, Landin's offside rule, delimits every block: the items of
+a block start lines at a common column, and while an item is parsed, a line
+that starts at or left of that column ends it. Top-level declarations (a
+block at column zero), `where` locals and case branches are such blocks.
+An equation's right-hand side ends at the keyword `where`, which opens its
+where-block; `let` always uses an explicit `in`. A contiguous block of
 full-line `--` comments directly above a declaration attaches to it.
 """
 
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .lang import (
     App, BUILTINS, Builtin, Case, CaseBranch, CommentBlock, ConApp,
@@ -119,193 +123,200 @@ def tokenize(text: str) -> tuple[list[Tok], dict[int, str]]:
     return toks, comments
 
 
-class _TokenCursor:
-    """Cursor over a token slice with a column limit for layout-sensitive exprs.
+_ENDS = -1           # layout column of a token that ends every item
+_INSIDE = 1 << 30    # layout column of a token that does not start a line
+_ATOMS = ("lower", "con", "qual", "int", "str")  # token kinds that are atoms
 
-    A token that starts a new line at a column <= the current limit is treated
-    as end-of-input until the limit is popped.
+
+class _Parser:
+    """Recursive descent over the tokens of one text, with one layout rule.
+
+    The items of a block (top-level declarations, where-locals, case
+    branches) start lines at a common column, and while an item is parsed, a
+    line that starts at or left of that column ends it: peek() returns None
+    at such a token, unless it is the item's own first one, and at the end
+    of input. In an equation's head and right-hand side it also returns
+    None at `where`.
     """
 
     def __init__(self, toks: list[Tok]):
-        self.toks = toks
+        self.toks = toks + [Tok("end", "", 1, 0)]  # also toks[-1] at position 0
+        self.layout: list[int] = []      # each token's layout column
+        self.rhs_layout: list[int] = []  # the same with `where` as an end
+        line = 0  # the first token starts a line
+        for t in toks:
+            col = t.col if t.line != line else _INSIDE
+            self.layout.append(col)
+            self.rhs_layout.append(_ENDS if t.text == "where" else col)
+            line = t.line
+        self.layout.append(_ENDS)
+        self.rhs_layout.append(_ENDS)
+        self.starts = self.layout  # the layout peek() reads
         self.pos = 0
-        self.limits: list[int] = [-1]
-        self.line_starts = set()
-        last_line = None
-        for i, t in enumerate(toks):
-            if t.line != last_line:
-                self.line_starts.add(i)
-                last_line = t.line
+        self.first = -1    # the first token of the current item
+        self.limit = -1    # the column of the innermost block
+        self.end_col = -1  # ... of the innermost block that is not case branches
 
-    def _blocked(self, i: int) -> bool:
-        return i in self.line_starts and self.toks[i].col <= self.limits[-1]
+    # tokens ----------------------------------------------------------------
 
     def peek(self) -> Tok | None:
-        if self.pos >= len(self.toks) or self._blocked(self.pos):
-            return None
-        return self.toks[self.pos]
+        pos = self.pos
+        if self.starts[pos] > self.limit or pos == self.first:
+            return self.toks[pos]
+        return None
 
     def next(self) -> Tok:
         t = self.peek()
         if t is None:
-            self.fail("unexpected end of input")
+            raise self.error("unexpected end of input")
         self.pos += 1
         return t
 
-    def at_sym(self, text: str) -> bool:
+    def at(self, text: str) -> bool:
         t = self.peek()
-        return t is not None and t.kind == "sym" and t.text == text
+        return t is not None and t.text == text
 
-    def at_kw(self, word: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "kw" and t.text == word
+    def expect(self, text: str):
+        if not self.at(text):
+            raise self.error(f"expected keyword {text!r}" if text.isalpha() else f"expected {text!r}")
+        self.pos += 1
 
-    def expect_sym(self, text: str) -> Tok:
-        t = self.peek()
-        if t is None or t.kind != "sym" or t.text != text:
-            self.fail(f"expected {text!r}")
-        return self.next()
+    def ended(self) -> bool:
+        """Whether the layout or the end of input ends the current item here;
+        `where` never does."""
+        return self.layout[self.pos] <= self.limit
 
-    def expect_kw(self, word: str) -> Tok:
-        t = self.peek()
-        if t is None or t.kind != "kw" or t.text != word:
-            self.fail(f"expected keyword {word!r}")
-        return self.next()
-
-    def fail(self, message: str):
-        if self.pos < len(self.toks):
+    def trailing(self, what: str):
+        if not self.ended():
             t = self.toks[self.pos]
-            raise ParseError(message, t.line, t.col)
-        if self.toks:
-            t = self.toks[-1]
-            raise ParseError(message, t.line, t.col + len(t.text))
-        raise ParseError(message, 1, 0)
+            raise ParseError(f"trailing tokens after {what}", t.line, t.col)
 
+    def error(self, message: str) -> ParseError:
+        """An error at the next token. Where that token ends a declaration,
+        a where-local or the input, the error is placed just after the
+        token before it; where it only ends a case branch, at the token."""
+        pos = self.pos
+        if pos != self.first and self.starts[pos] <= self.end_col:
+            t = self.toks[pos - 1]
+            return ParseError(message, t.line, t.col + len(t.text))
+        t = self.toks[pos]
+        return ParseError(message, t.line, t.col)
 
-def _check_linear(p: Pattern, line: int, col: int):
-    seen: set[str] = set()
-    for v in pattern_vars(p):
-        if v in seen:
-            raise ParseError(f"variable {v!r} bound twice in one pattern", line, col)
-        seen.add(v)
+    def block(self, col: int, case: bool = False) -> Iterator[None]:
+        """Run the loop body once per item of a block whose items start
+        lines at column col, with the layout limit at col; case branches
+        keep the end column of the item around them (see error()). A
+        generator, so that nested blocks add no stack frames."""
+        saved = self.limit, self.end_col
+        while True:
+            self.limit, self.first = col, self.pos
+            if not case:
+                self.end_col = col
+            yield
+            if self.starts[self.pos] != col:
+                break
+        self.limit, self.end_col = saved
 
+    def items(self, item: Callable) -> list:
+        """A parenthesised comma list, the `(` already read."""
+        out = [item()]
+        while self.at(","):
+            self.pos += 1
+            out.append(item())
+        self.expect(")")
+        return out
 
-class _ExprParser:
-    def __init__(self, cur: _TokenCursor):
-        self.cur = cur
+    def binder(self, expected: str) -> str:
+        """A name that a declaration, local, parameter, let or pattern binds;
+        the builtins are reserved."""
+        t = self.peek()
+        if t is None or t.kind != "lower":
+            raise self.error(expected)
+        if t.text in BUILTINS:
+            raise ParseError(f"{t.text!r} is reserved", t.line, t.col)
+        self.pos += 1
+        return t.text
 
-    # patterns ------------------------------------------------------------
+    def con(self, expected: str) -> str:
+        t = self.next()
+        if t.kind != "con":
+            raise ParseError(expected, t.line, t.col)
+        return t.text
+
+    # patterns --------------------------------------------------------------
 
     def pattern(self) -> Pattern:
-        t = self.cur.peek()
-        if t is None:
-            self.cur.fail("expected a pattern")
-        if t.kind == "con":
-            self.cur.next()
-            # Add (p, q) with nothing after the group is a tupled constructor.
-            if self.cur.at_sym("("):
-                save = self.cur.pos
-                self.cur.next()
-                items = [self.pattern()]
-                while self.cur.at_sym(","):
-                    self.cur.next()
-                    items.append(self.pattern())
-                self.cur.expect_sym(")")
-                if len(items) >= 2 and not self._at_pattern_atom():
-                    return PCon(t.text, tuple(items), tupled=True)
-                self.cur.pos = save
-            args = []
-            while self._at_pattern_atom():
-                args.append(self.pattern_atom())
-            return PCon(t.text, tuple(args), tupled=False)
-        return self.pattern_atom()
+        t = self.peek()
+        if t is None or t.kind != "con":
+            return self.pattern_atom()
+        self.pos += 1
+        # Add (p, q) with nothing after the group is a tupled constructor.
+        if self.at("("):
+            save = self.pos
+            self.pos += 1
+            items = self.items(self.pattern)
+            if len(items) >= 2 and not self._at_pattern_atom():
+                return PCon(t.text, tuple(items), tupled=True)
+            self.pos = save
+        args = []
+        while self._at_pattern_atom():
+            args.append(self.pattern_atom())
+        return PCon(t.text, tuple(args), tupled=False)
 
     def _at_pattern_atom(self) -> bool:
-        t = self.cur.peek()
-        if t is None:
-            return False
-        return (
-            t.kind in ("lower", "int", "con")
-            or (t.kind == "sym" and t.text in ("_", "("))
-        )
+        t = self.peek()
+        return t is not None and (t.kind in ("lower", "int", "con") or t.text in ("_", "("))
 
     def pattern_atom(self) -> Pattern:
-        t = self.cur.peek()
-        if t is None:
-            self.cur.fail("expected a pattern")
+        if not self._at_pattern_atom():
+            raise self.error("expected a pattern")
+        t = self.toks[self.pos]
         if t.kind == "lower":
-            self.cur.next()
-            if t.text in BUILTINS:
-                raise ParseError(f"{t.text!r} is reserved", t.line, t.col)
-            return PVar(t.text)
+            return PVar(self.binder("expected a pattern"))
+        self.pos += 1
         if t.kind == "int":
-            self.cur.next()
             return PInt(t.value)  # type: ignore[arg-type]
         if t.kind == "con":
-            self.cur.next()
             return PCon(t.text, (), tupled=False)
-        if t.kind == "sym" and t.text == "_":
-            self.cur.next()
+        if t.text == "_":
             return PWild()
-        if t.kind == "sym" and t.text == "(":
-            self.cur.next()
-            items = [self.pattern()]
-            while self.cur.at_sym(","):
-                self.cur.next()
-                items.append(self.pattern())
-            self.cur.expect_sym(")")
-            if len(items) == 1:
-                return items[0]
-            return PTuple(tuple(items))
-        self.cur.fail("expected a pattern")
+        items = self.items(self.pattern)
+        return items[0] if len(items) == 1 else PTuple(tuple(items))
 
-    # expressions ---------------------------------------------------------
+    # expressions -----------------------------------------------------------
 
     def expr(self, min_prec: int = 0) -> Expr:
-        lhs = self.application()
+        t = self.peek()
+        if t is None:
+            raise self.error("expected an expression")
+        if t.text == "case":
+            lhs = self.case_expr()
+        elif t.text == "let":
+            lhs = self.let_expr()
+        else:
+            lhs = self.atom()
+            args = []
+            while (t := self.peek()) is not None and (t.kind in _ATOMS or t.text == "("):
+                args.append(self.atom())
+            if isinstance(lhs, ConApp) and not lhs.args:
+                lhs = ConApp(lhs.name, tuple(args))
+            else:
+                for a in args:
+                    lhs = App(lhs, a)
         while True:
-            t = self.cur.peek()
-            if t is None or t.kind != "sym" or t.text not in INFIX_OPS:
+            t = self.peek()
+            if t is None or t.text not in INFIX_OPS:
                 return lhs
             prec, assoc = INFIX_OPS[t.text]
             if prec < min_prec:
                 return lhs
-            self.cur.next()
-            rhs = self.expr(prec + 1 if assoc == "left" else prec)
-            lhs = Infix(t.text, lhs, rhs)
-
-    def application(self) -> Expr:
-        t = self.cur.peek()
-        if t is None:
-            self.cur.fail("expected an expression")
-        if t.kind == "kw" and t.text == "case":
-            return self.case_expr()
-        if t.kind == "kw" and t.text == "let":
-            return self.let_expr()
-        head = self.atom()
-        args = []
-        while self._at_atom():
-            args.append(self.atom())
-        if isinstance(head, ConApp) and not head.args:
-            return ConApp(head.name, tuple(args))
-        for a in args:
-            head = App(head, a)
-        return head
-
-    def _at_atom(self) -> bool:
-        t = self.cur.peek()
-        if t is None:
-            return False
-        if t.kind in ("lower", "con", "qual", "int", "str"):
-            return True
-        return t.kind == "sym" and t.text == "("
+            self.pos += 1
+            lhs = Infix(t.text, lhs, self.expr(prec + 1 if assoc == "left" else prec))
 
     def atom(self) -> Expr:
-        t = self.cur.next()
+        t = self.next()
         if t.kind == "lower":
-            if t.text in BUILTINS:
-                return Builtin(t.text)
-            return Var(t.text)
+            return Builtin(t.text) if t.text in BUILTINS else Var(t.text)
         if t.kind == "qual":
             qual, name = t.value  # type: ignore[misc]
             return Var(name, qualifier=qual)
@@ -315,267 +326,198 @@ class _ExprParser:
             return IntLit(t.value)  # type: ignore[arg-type]
         if t.kind == "str":
             return StrLit(t.value)  # type: ignore[arg-type]
-        if t.kind == "sym" and t.text == "(":
-            items = [self.expr()]
-            while self.cur.at_sym(","):
-                self.cur.next()
-                items.append(self.expr())
-            self.cur.expect_sym(")")
-            if len(items) == 1:
-                return items[0]
-            return Tuple(tuple(items))
+        if t.text == "(":
+            items = self.items(self.expr)
+            return items[0] if len(items) == 1 else Tuple(tuple(items))
         raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
 
     def case_expr(self) -> Expr:
-        self.cur.expect_kw("case")
+        self.pos += 1
         scrutinee = self.expr()
-        self.cur.expect_kw("of")
-        first = self.cur.peek()
+        self.expect("of")
+        first = self.peek()
         if first is None:
-            self.cur.fail("expected case branches")
-        branch_col = first.col
+            raise self.error("expected case branches")
         branches = []
-        while True:
-            t = self.cur.peek()
+        for _ in self.block(first.col, case=True):
+            t = self.toks[self.pos]
             pat = self.pattern()
-            _check_linear(pat, t.line, t.col)
-            self.cur.expect_sym("->")
-            # The body may span lines indented past the branch column; the
-            # next branch starts a line exactly at the branch column.
-            self.cur.limits.append(branch_col)
-            try:
-                body = self.expr()
-            finally:
-                self.cur.limits.pop()
-            branches.append(CaseBranch(pat, body))
-            nxt = self.cur.peek()
-            if nxt is None or nxt.col != branch_col:
-                break
+            _check_distinct(pattern_vars(pat), "variable {!r} bound twice in one pattern", t)
+            self.expect("->")
+            branches.append(CaseBranch(pat, self.expr()))
         return Case(scrutinee, tuple(branches))
 
     def let_expr(self) -> Expr:
-        self.cur.expect_kw("let")
-        bindings = [self.let_binding()]
-        while self.cur.at_sym(";"):
-            self.cur.next()
-            bindings.append(self.let_binding())
-        self.cur.expect_kw("in")
-        body = self.expr()
-        return Let(tuple(bindings), body)
+        self.pos += 1
+        bindings = []
+        while True:
+            name = self.binder("expected a let binding name")
+            self.expect("=")
+            bindings.append(LetBinding(name, self.expr()))
+            if not self.at(";"):
+                break
+            self.pos += 1
+        self.expect("in")
+        return Let(tuple(bindings), self.expr())
 
-    def let_binding(self) -> LetBinding:
-        t = self.cur.peek()
-        if t is None or t.kind != "lower":
-            self.cur.fail("expected a let binding name")
-        if t.text in BUILTINS:
-            raise ParseError(f"{t.text!r} is reserved", t.line, t.col)
-        self.cur.next()
-        self.cur.expect_sym("=")
-        return LetBinding(t.text, self.expr())
+    # declarations ----------------------------------------------------------
+
+    def header(self) -> tuple[str, tuple[str, ...] | None]:
+        self.expect("module")
+        name = self.con("expected a module name")
+        exports = None
+        if self.at("("):
+            self.pos += 1
+            if self.at(")"):
+                self.pos += 1
+                exports = ()
+            else:
+                exports = tuple(self.items(self.export))
+        self.expect("where")
+        return name, exports
+
+    def export(self) -> str:
+        t = self.next()
+        if t.kind not in ("lower", "con"):
+            raise ParseError("expected an exported identifier", t.line, t.col)
+        return t.text
+
+    def decls(
+        self, comments: dict[int, str], imports_first: bool
+    ) -> tuple[list[str], list[TopDecl]]:
+        """The imports and declarations of the top-level block, whose items
+        start lines in column 0. Consecutive equations of one name and one
+        (non-zero) arity merge into a function, and each declaration takes
+        the comment block directly above it."""
+        imports: list[str] = []
+        decls: list[TopDecl] = []
+        names: set[str] = set()
+        last_fun: str | None = None  # name of the immediately preceding FunDecl
+        self.limit = self.end_col = 0
+        try:
+            while (first := self.toks[self.pos]).kind != "end":
+                if self.layout[self.pos] != 0:
+                    raise ParseError("declaration must start in column 0", first.line, first.col)
+                self.first = self.pos
+                if first.text == "import":
+                    if decls or not imports_first:
+                        raise ParseError("imports must precede declarations", first.line, first.col)
+                    self.pos += 1
+                    t = self.peek()
+                    if t is not None and t.kind == "con":
+                        self.pos += 1
+                        if self.ended():
+                            imports.append(t.text)
+                            continue
+                    raise ParseError("expected 'import ModuleName'", first.line, first.col)
+                if first.text == "data":
+                    d: TopDecl = self.data(_comment_above(comments, first.line))
+                    last_fun = None
+                else:
+                    fname, eq = self.equation()
+                    if fname == last_fun:
+                        prev = decls[-1]
+                        assert isinstance(prev, FunDecl)
+                        if len(eq.patterns) != prev.arity or prev.arity == 0:
+                            raise ParseError(f"duplicate top-level binding {fname!r}", first.line, first.col)
+                        decls[-1] = FunDecl(fname, prev.equations + (eq,), prev.comment)
+                        continue
+                    d = FunDecl(fname, (eq,), _comment_above(comments, first.line))
+                    last_fun = fname
+                if d.name in names:
+                    raise ParseError(f"duplicate top-level binding {d.name!r}", first.line, first.col)
+                names.add(d.name)
+                decls.append(d)
+        except RecursionError:
+            raise self.error("nesting too deep") from None
+        return imports, decls
+
+    def data(self, comment: CommentBlock | None) -> DataDecl:
+        self.pos += 1
+        name = self.con("expected a type name")
+        self.expect("=")
+        constructors = [self.constructor()]
+        while self.at("|"):
+            self.pos += 1
+            constructors.append(self.constructor())
+        self.trailing("data declaration")
+        return DataDecl(name, tuple(constructors), comment)
+
+    def constructor(self) -> ConstructorDef:
+        name = self.con("expected a constructor name")
+        if self.at("("):
+            self.pos += 1
+            types = self.items(lambda: self.con("expected a type name"))
+            if len(types) < 2:
+                raise self.error("a tupled constructor needs at least two components")
+            return ConstructorDef(name, tuple(types), tupled=True)
+        types = []
+        while (t := self.peek()) is not None and t.kind == "con":
+            types.append(t.text)
+            self.pos += 1
+        return ConstructorDef(name, tuple(types), tupled=False)
+
+    def equation(self) -> tuple[str, Equation]:
+        name_tok = self.toks[self.pos]
+        self.starts = self.rhs_layout
+        name = self.binder("expected a declaration name")
+        patterns = []
+        while not self.at("="):
+            if self.peek() is None:
+                raise self.error("expected '=' in declaration")
+            patterns.append(self.pattern_atom())
+        for p in patterns:
+            _check_distinct(pattern_vars(p), "variable {!r} bound twice in one pattern", name_tok)
+        self.pos += 1
+        rhs = self.expr()
+        if self.peek() is not None:
+            raise self.error("trailing tokens after expression")
+        self.starts = self.layout
+        locals_: list[LocalDef] = []
+        where = self.toks[self.pos]
+        if where.text == "where" and not self.ended():
+            self.pos += 1
+            if self.ended():
+                raise ParseError("empty where block", where.line, where.col)
+            for _ in self.block(self.toks[self.pos].col):
+                locals_.append(self.local())
+            self.trailing("local binding")
+            _check_distinct([loc.name for loc in locals_], "duplicate local binding {!r}", where)
+        return name, Equation(tuple(patterns), rhs, tuple(locals_))
+
+    def local(self) -> LocalDef:
+        name = self.binder("expected a local binding name")
+        params = []
+        while not self.at("="):
+            if self.peek() is None:
+                raise self.error("expected '=' in local binding")
+            params.append(self.binder("local parameters must be plain variables"))
+        self.pos += 1
+        rhs = self.expr()
+        self.trailing("local binding")
+        return LocalDef(name, tuple(params), rhs)
 
 
-# --- module-level parsing ---
-
-def _layout_split(toks: list[Tok], col: int) -> list[list[Tok]]:
-    """The layout rule of declarations and where-locals alike: a new item
-    starts at each token that starts a line at column col."""
-    items: list[list[Tok]] = []
-    last_line = None
-    for t in toks:
-        if t.line != last_line and t.col == col:
-            items.append([])
-        elif not items:
-            raise ParseError("declaration must start in column 0", t.line, t.col)
-        items[-1].append(t)
-        last_line = t.line
-    return items
-
-
-def _parse_data_group(toks: list[Tok]) -> DataDecl:
-    cur = _TokenCursor(toks)
-    cur.expect_kw("data")
-    t = cur.next()
-    if t.kind != "con":
-        raise ParseError("expected a type name", t.line, t.col)
-    cur.expect_sym("=")
-    constructors = [_parse_constructor(cur)]
-    while cur.at_sym("|"):
-        cur.next()
-        constructors.append(_parse_constructor(cur))
-    if cur.peek() is not None:
-        cur.fail("trailing tokens after data declaration")
-    return DataDecl(t.text, tuple(constructors))
-
-
-def _parse_constructor(cur: _TokenCursor) -> ConstructorDef:
-    t = cur.next()
-    if t.kind != "con":
-        raise ParseError("expected a constructor name", t.line, t.col)
-    if cur.at_sym("("):
-        cur.next()
-        names = [_type_name(cur)]
-        while cur.at_sym(","):
-            cur.next()
-            names.append(_type_name(cur))
-        cur.expect_sym(")")
-        if len(names) < 2:
-            cur.fail("a tupled constructor needs at least two components")
-        return ConstructorDef(t.text, tuple(names), tupled=True)
-    names = []
-    while True:
-        nxt = cur.peek()
-        if nxt is None or nxt.kind != "con":
-            break
-        names.append(cur.next().text)
-    return ConstructorDef(t.text, tuple(names), tupled=False)
-
-
-def _type_name(cur: _TokenCursor) -> str:
-    t = cur.next()
-    if t.kind != "con":
-        raise ParseError("expected a type name", t.line, t.col)
-    return t.text
-
-
-def _parse_equation_group(toks: list[Tok]) -> tuple[str, Equation]:
-    # Split off a where-block if present (the keyword only occurs here).
-    where_at = None
-    for i, t in enumerate(toks):
-        if t.kind == "kw" and t.text == "where":
-            where_at = i
-            break
-    head, local_toks = (toks, []) if where_at is None else (toks[:where_at], toks[where_at + 1:])
-
-    cur = _TokenCursor(head)
-    name_tok = cur.next()
-    if name_tok.kind != "lower":
-        raise ParseError("expected a declaration name", name_tok.line, name_tok.col)
-    if name_tok.text in BUILTINS:
-        raise ParseError(f"{name_tok.text!r} is reserved", name_tok.line, name_tok.col)
-    ep = _ExprParser(cur)
-    patterns = []
-    while not cur.at_sym("="):
-        if cur.peek() is None:
-            cur.fail("expected '=' in declaration")
-        patterns.append(ep.pattern_atom())
-    for p in patterns:
-        _check_linear(p, name_tok.line, name_tok.col)
-    cur.expect_sym("=")
-    if cur.peek() is None:
-        cur.fail("expected an expression")
-    rhs = ep.expr()
-    if cur.peek() is not None:
-        cur.fail("trailing tokens after expression")
-
-    locals_: list[LocalDef] = []
-    if where_at is not None:
-        if not local_toks:
-            t = toks[where_at]
-            raise ParseError("empty where block", t.line, t.col)
-        locals_ = [_parse_local(sl) for sl in _layout_split(local_toks, local_toks[0].col)]
-        seen = set()
-        for loc in locals_:
-            if loc.name in seen:
-                t = toks[where_at]
-                raise ParseError(f"duplicate local binding {loc.name!r}", t.line, t.col)
-            seen.add(loc.name)
-    return name_tok.text, Equation(tuple(patterns), rhs, tuple(locals_))
-
-
-def _parse_local(toks: list[Tok]) -> LocalDef:
-    cur = _TokenCursor(toks)
-    name_tok = cur.next()
-    if name_tok.kind != "lower" or name_tok.text in BUILTINS:
-        raise ParseError("expected a local binding name", name_tok.line, name_tok.col)
-    params = []
-    while not cur.at_sym("="):
-        t = cur.peek()
-        if t is None:
-            cur.fail("expected '=' in local binding")
-        if t.kind != "lower":
-            raise ParseError("local parameters must be plain variables", t.line, t.col)
-        params.append(cur.next().text)
-    cur.expect_sym("=")
-    ep = _ExprParser(cur)
-    rhs = ep.expr()
-    if cur.peek() is not None:
-        cur.fail("trailing tokens after local binding")
-    return LocalDef(name_tok.text, tuple(params), rhs)
+def _check_distinct(names, message: str, t: Tok):
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(message.format(name), t.line, t.col)
+        seen.add(name)
 
 
 def parse_module(text: str, filename: str = "<module>") -> ModuleDef:
     toks, comments = tokenize(text)
-    cur = _TokenCursor(toks)
-    cur.expect_kw("module")
-    name_tok = cur.next()
-    if name_tok.kind != "con":
-        raise ParseError("expected a module name", name_tok.line, name_tok.col)
-    exports = None
-    if cur.at_sym("("):
-        cur.next()
-        names = []
-        if not cur.at_sym(")"):
-            while True:
-                t = cur.next()
-                if t.kind not in ("lower", "con"):
-                    raise ParseError("expected an exported identifier", t.line, t.col)
-                names.append(t.text)
-                if cur.at_sym(","):
-                    cur.next()
-                    continue
-                break
-        cur.expect_sym(")")
-        exports = tuple(names)
-    cur.expect_kw("where")
-
-    groups = _layout_split(toks[cur.pos:], 0)
-    imports: list[str] = []
-    for first, *rest in groups:
-        if not (first.kind == "kw" and first.text == "import"):
-            break
-        if len(rest) != 1 or rest[0].kind != "con":
-            raise ParseError("expected 'import ModuleName'", first.line, first.col)
-        imports.append(rest[0].text)
-    decls = _decls(groups[len(imports):], comments)
-
-    mod = ModuleDef(name_tok.text, exports, tuple(imports), tuple(decls))
-    _check_exports(mod, filename)
-    return mod
-
-
-def _decls(groups: list[list[Tok]], comments: dict[int, str]) -> list[TopDecl]:
-    """The declarations of a run of declaration groups: consecutive equations
-    of one name and one (non-zero) arity merge into a function, and each
-    declaration takes the comment block directly above it."""
-    decls: list[TopDecl] = []
-    last_fun: str | None = None  # name of the immediately preceding FunDecl
-    for group in groups:
-        first = group[0]
-        if first.kind == "kw" and first.text == "import":
-            raise ParseError("imports must precede declarations", first.line, first.col)
-        comment = _comment_above(comments, first.line)
-        if first.kind == "kw" and first.text == "data":
-            d = _parse_data_group(group)
-            if any(decl_name(dd) == d.name for dd in decls):
-                raise ParseError(f"duplicate top-level binding {d.name!r}", first.line, first.col)
-            decls.append(DataDecl(d.name, d.constructors, comment))
-            last_fun = None
-            continue
-        fname, eq = _parse_equation_group(group)
-        if fname == last_fun:
-            prev = decls[-1]
-            assert isinstance(prev, FunDecl)
-            if len(eq.patterns) != prev.arity or prev.arity == 0:
-                raise ParseError(
-                    f"duplicate top-level binding {fname!r}", first.line, first.col
-                )
-            decls[-1] = FunDecl(fname, prev.equations + (eq,), prev.comment)
-            continue
-        if any(decl_name(d) == fname for d in decls):
-            raise ParseError(f"duplicate top-level binding {fname!r}", first.line, first.col)
-        decls.append(FunDecl(fname, (eq,), comment))
-        last_fun = fname
-    return decls
+    p = _Parser(toks)
+    name, exports = p.header()
+    imports, decls = p.decls(comments, imports_first=True)
+    if exports is not None:
+        declared = {decl_name(d) for d in decls}
+        declared.update(c.name for d in decls if isinstance(d, DataDecl) for c in d.constructors)
+        for export in exports:
+            if export not in declared:
+                raise ParseError(f"exported identifier {export!r} is not declared", 1, 0)
+    return ModuleDef(name, exports, tuple(imports), tuple(decls))
 
 
 def _comment_above(comments: dict[int, str], decl_line: int) -> CommentBlock | None:
@@ -590,25 +532,12 @@ def _comment_above(comments: dict[int, str], decl_line: int) -> CommentBlock | N
     return CommentBlock(tuple(lines))
 
 
-def _check_exports(mod: ModuleDef, filename: str):
-    if mod.exports is None:
-        return
-    declared = set()
-    for d in mod.decls:
-        declared.add(decl_name(d))
-        if isinstance(d, DataDecl):
-            declared.update(c.name for c in d.constructors)
-    for name in mod.exports:
-        if name not in declared:
-            raise ParseError(f"exported identifier {name!r} is not declared", 1, 0)
-
-
 def parse_decl(text: str) -> TopDecl:
     """Parse a single top-level declaration (used for comment blocks)."""
     toks, _ = tokenize(text)
     if not toks:
         raise ParseError("empty declaration", 1, 0)
-    decls = _decls(_layout_split(toks, 0), {})
+    _, decls = _Parser(toks).decls({}, imports_first=False)
     if len(decls) != 1:
         t = toks[0]
         raise ParseError("expected exactly one declaration", t.line, t.col)
@@ -616,11 +545,12 @@ def parse_decl(text: str) -> TopDecl:
 
 
 def parse_expr(text: str) -> Expr:
-    toks, _ = tokenize(text)
-    cur = _TokenCursor(toks)
-    e = _ExprParser(cur).expr()
-    if cur.peek() is not None:
-        cur.fail("trailing tokens after expression")
+    p = _Parser(tokenize(text)[0])
+    try:
+        e = p.expr()
+    except RecursionError:
+        raise p.error("nesting too deep") from None
+    p.trailing("expression")
     return e
 
 

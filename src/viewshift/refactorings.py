@@ -30,8 +30,8 @@ from .parse import ParseError, parse_decl, tokenize
 from .render import render_decl
 from .resolver import (
     OccRef, ResolveError, applications, build_symbol_table, decl_refs,
-    find_application, module_exports, module_scope, occurrences_of,
-    resolve_var, resolve_project, unused_imports, uses_of,
+    find_application, module_exports, module_names, module_scope,
+    occurrences_of, resolve_var, resolve_project, unused_imports, uses_of,
 )
 from .rewrite import (
     InstanceMatcher, fold_instances_in_expr, minimize_qualifiers,
@@ -345,15 +345,7 @@ def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> P
 
     aux_name = None
     if any(o.module != m for o in external):
-        avoid = set()
-        for modx in project.modules.values():
-            for dd in modx.decls:
-                avoid.add(decl_name(dd))
-                if isinstance(dd, FunDecl):
-                    avoid |= _decl_all_names(dd)
-                else:
-                    avoid.update(c.name for c in dd.constructors)
-        aux_name = fresh_name(f, avoid | {x, v})
+        aux_name = fresh_name(f, {x, v}.union(*map(module_names, project.modules.values())))
         mod2 = project.modules[m]
         aux = FunDecl(aux_name, (Equation((), Var(v)),))
         exports = mod2.exports
@@ -469,7 +461,7 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
     # Modules the moved body depends on; f's own recursive calls move with
     # it, so they do not make mp import m.
     needed = {
-        ref.module for _, ref, _ in decl_refs(table, project, m, d)
+        ref.module for ref in decl_refs(table, project, m, d)
         if (ref.module, ref.name) != (m, f)
     }
     needed.discard(mp)

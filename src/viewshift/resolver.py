@@ -94,6 +94,25 @@ def mentioned_names(mod: ModuleDef) -> frozenset[str]:
     return own["names"]
 
 
+def module_names(mod: ModuleDef) -> frozenset[str]:
+    """Every name the module declares (constructors included), binds or
+    uses; a fresh name outside it clashes with nothing in the module."""
+    own = _own(mod)
+    if "all_names" not in own:
+        out = set()
+        for d in mod.decls:
+            out.add(decl_name(d))
+            if isinstance(d, DataDecl):
+                out.update(c.name for c in d.constructors)
+            for _, _, root, bound in decl_expr_roots(d):
+                for _, e, scope in walk_expr_scoped(root, bound):
+                    out |= scope
+                    if isinstance(e, Var):
+                        out.add(e.name)
+        own["all_names"] = frozenset(out)
+    return own["all_names"]
+
+
 def module_exports(mod: ModuleDef) -> frozenset[str]:
     """Names the module makes visible to importers.
 
@@ -331,46 +350,40 @@ def resolve_project(project: Project) -> SymbolTable:
 # declaration use (decl_refs), and which variables use a definition
 # (uses_of). Both take the caller's table, so asking costs no extra build.
 
-def decl_refs(
-    table: SymbolTable, project: Project, module: str, d: TopDecl
-) -> Iterator[tuple[tuple[int, ...], DefRef, frozenset[str]]]:
-    """Yield (path, definition, bound names) for each use in declaration d of
-    module: every global variable, resolved strictly; every constructor of a
-    ConApp, a case pattern or an equation pattern; every type a data
-    declaration names. A constructor or type name counts only when it has
-    exactly one candidate. Paths are those of decl_expr_at; an equation
-    pattern's is (equation index,), a constructor argument's
-    (constructor index,)."""
-    def con(path: tuple[int, ...], name: str, scope: frozenset[str]):
+def decl_refs(table: SymbolTable, project: Project, module: str, d: TopDecl) -> Iterator[DefRef]:
+    """Yield the definition of each use in declaration d of module: every
+    global variable, resolved strictly; every constructor of a ConApp, a case
+    pattern or an equation pattern; every type a data declaration names. A
+    constructor or type name counts only when it has exactly one candidate."""
+    def con(name: str):
         cands = table.constructors.get(module, {}).get(name, [])
         if len(cands) == 1:
-            yield path, cands[0][0], scope
+            yield cands[0][0]
 
     if isinstance(d, DataDecl):
-        for ci, c in enumerate(d.constructors):
+        for c in d.constructors:
             for tname in c.arg_types:
                 refs = [r for r in table.lookup(module, tname) if r.kind == "type"]
                 if len(refs) == 1:
-                    yield (ci,), refs[0], frozenset()
+                    yield refs[0]
         return
     assert isinstance(d, FunDecl)
-    for ei, eq in enumerate(d.equations):
+    for eq in d.equations:
         for p in eq.patterns:
             for c in pattern_cons(p):
-                yield from con((ei,), c, frozenset())
-    for ei, slot, root, bound in decl_expr_roots(d):
-        for sub, e, scope in walk_expr_scoped(root, bound):
-            path = (ei, slot) + sub
+                yield from con(c)
+    for _, _, root, bound in decl_expr_roots(d):
+        for _, e, scope in walk_expr_scoped(root, bound):
             if isinstance(e, Var):
                 ref = resolve_var(table, project, module, scope, e)
                 if ref is not None:
-                    yield path, ref, scope
+                    yield ref
             elif isinstance(e, ConApp):
-                yield from con(path, e.name, scope)
+                yield from con(e.name)
             elif isinstance(e, Case):
                 for b in e.branches:
                     for c in pattern_cons(b.pattern):
-                        yield from con(path, c, scope)
+                        yield from con(c)
 
 
 def uses_of(
@@ -463,7 +476,7 @@ def unused_imports(project: Project, module: str) -> list[str]:
     type name is referenced."""
     table = build_symbol_table(project)
     mod = project.modules[module]
-    used = {ref.module for d in mod.decls for _, ref, _ in decl_refs(table, project, module, d)}
+    used = {ref.module for d in mod.decls for ref in decl_refs(table, project, module, d)}
     return [imp for imp in mod.imports if imp not in used]
 
 

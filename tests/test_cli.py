@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -164,14 +165,21 @@ def test_apply_unresolved_input_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, message", [
-    ("r1 = " + "(" * 400 + "1" + ")" * 400 + "\n", "nesting too deep"),
     ("data L = Nil | Cons (Int, L)\n\nones = Cons (1, ones)\n\nr1 = ones\n",
      "reduction budget of 1000000 steps exceeded"),
-], ids=["deep-parens", "infinite-data"])
+], ids=["infinite-data"])
 def test_eval_too_deep_exits_1_without_traceback(tmp_path, capsys, body, message):
     (tmp_path / "M.mfn").write_text("module M where\n\n" + body)
     assert main(["eval", str(tmp_path), "r1"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_input_nested_too_deep_to_parse_exits_2(tmp_path, capsys):
+    # the parser runs out of stack inside the parentheses and says where
+    (tmp_path / "M.mfn").write_text("module M where\n\nr1 = " + "(" * 400 + "1" + ")" * 400 + "\n")
+    assert main(["eval", str(tmp_path), "r1"]) == 2
+    m = re.fullmatch(r"parse error: nesting too deep \(line 3, column (\d+)\)\n", capsys.readouterr().err)
+    assert m and 5 < int(m.group(1)) < 5 + 400
 
 
 def test_apply_checked_too_deep_observation_exits_1_with_summary(tmp_path, capsys):

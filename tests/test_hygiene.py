@@ -1,8 +1,9 @@
 """Static hygiene of the package, with the stdlib ast module only: no module
 imports a name it never uses, no private module-level function or class goes
-unreferenced in the package, and no public one goes unreferenced in the
-package, its tests and its benchmark. Also: the object-language AST is
-immutable, which the resolver's identity-keyed per-module memo relies on."""
+unreferenced in the package, and no public one, nor any method of a package
+class, goes unreferenced in the package, its tests and its benchmark. Also:
+the object-language AST is immutable, which the resolver's identity-keyed
+per-module memo relies on."""
 
 import ast
 import dataclasses
@@ -98,11 +99,29 @@ def test_no_unreferenced_private_definitions():
     assert _unreferenced(referenced, private=True) == []
 
 
-def test_no_unreferenced_public_definitions():
-    # String constants count: bench/tracer.py wraps functions by name.
+def _references_everywhere() -> Counter:
+    """References in the package, its tests and its benchmark. String
+    constants count: bench/tracer.py wraps functions by name."""
     files = [p for d in ("src", "tests", "bench") for p in (PACKAGE.parents[1] / d).rglob("*.py")]
-    referenced = _references((_tree(path) for path in files), strings=True)
-    assert _unreferenced(referenced, private=False) == []
+    return _references((_tree(path) for path in files), strings=True)
+
+
+def test_no_unreferenced_public_definitions():
+    assert _unreferenced(_references_everywhere(), private=False) == []
+
+
+def test_no_unreferenced_methods():
+    # By name, as above: a method is kept alive by any read of its name
+    # other than its own recursive calls. Special methods are called implicitly.
+    referenced = _references_everywhere()
+    assert [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}: {cls.name}.{node.name}"
+        for path in SOURCES
+        for cls in _tree(path).body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+        and referenced[node.name] == _used_names(node)[node.name]
+    ] == []
 
 
 def _classes_in(hint) -> list[type]:

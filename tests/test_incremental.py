@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewshift import evaluator, resolver, rewrite
+from viewshift import evaluator, refactorings, resolver, rewrite
 from viewshift.corpus import load_fixture
 from viewshift.evaluator import observe_entries
 from viewshift.lang import Project, with_module
@@ -265,6 +265,29 @@ def test_fold_def_returns_modules_that_fold_nothing_as_the_same_objects():
     out = COMMANDS["fold-def"][1](project, RefactorStep("fold-def", ("f", "A"), 1))
     assert "g = f 2" in render_module(out.modules["A"])
     assert out.modules["B"] is project.modules["B"]  # an importer that folded nothing
+
+
+def test_second_generalise_ident_walks_only_the_modules_that_changed(monkeypatch):
+    # The fresh name for a function called from another module must avoid
+    # every name of the project; each module's names are remembered.
+    project = _padded_pfun(40)
+    mods = dict(project.modules)
+    mods["A"] = parse_module("module A where\n\nk = 1\n\nf y = y + k\n\ng y = y * k\n")
+    mods["B"] = parse_module("module B where\n\nimport A\n\nb = f 2 + g 3\n")
+    project = minimize_qualifiers(Project(mods))
+    first = COMMANDS["generalise-ident"][1](project, RefactorStep("generalise-ident", ("f", "A", "k", "x"), 1))
+    walked = []
+
+    def counted(mod):
+        if "all_names" not in resolver._own(mod):
+            walked.append(mod.name)
+        return module_names(mod)
+
+    module_names = refactorings.module_names
+    monkeypatch.setattr(refactorings, "module_names", counted)
+    out = COMMANDS["generalise-ident"][1](first, RefactorStep("generalise-ident", ("g", "A", "k", "x"), 1))
+    assert "g_gen" in render_module(out.modules["A"])
+    assert walked and set(walked) <= _changed(project, first) | _changed(first, out) == {"A", "B"}
 
 
 @pytest.mark.parametrize("tokens", [
