@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import corpus
-from .evaluator import EvalError, Evaluator, VOutput, default_entries, observe_entries, show_value
+from .evaluator import EvalError, VOutput, default_entries, evaluate, observe_entries, show_value
 from .lang import FunDecl, Var
 from .names import alpha_eq_project
 from .parse import ParseError, parse_project
@@ -108,8 +108,7 @@ def _cmd_eval(args) -> int:
                 print(f"cannot locate a unique binding {name}", file=sys.stderr)
                 return FAIL_EXIT
             module = hits[0]
-    ev = Evaluator(project)
-    value = ev.deep(ev.eval_expr(Var(name), {}, module))
+    value = evaluate(project, module, Var(name))
     print(value.text if isinstance(value, VOutput) else show_value(value))
     return 0
 

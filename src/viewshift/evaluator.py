@@ -8,25 +8,25 @@ observation is a pure, comparable result.
 Each function declaration is compiled once into Python closures (Feeley and
 Lapalme, "Using closures for code generation", 1987): an expression becomes
 code `code(ev, env)`, a pattern a matcher `match(ev, cell, out)` that appends
-the cells it binds to `out`. Every variable is resolved at compile time, to a
-slot of the run-time environment (a list of cells, one per bound name, in
-binding order) or to the `(module, name)` key of a global cell. A variable
-that does not resolve compiles into code that resolves it when evaluated and
-so raises the project's ResolveError then, not before: resolution stays as
-lazy as evaluation.
+the cells it binds to `out`. A bound variable compiles to a slot of the
+run-time environment (a list of cells in binding order), a global one to its
+site `(module, qualifier, name)`. Compiled code so depends only on the
+declaration and its module's name, and lives on the `FunDecl` object, keyed
+by that name: a step recompiles only the declarations it changes.
 
-Compiled declarations are kept in the resolver's memo
-`imports_memo(project, mod)`, which holds while the module and the modules it
-imports are the same objects, so a step recompiles only the modules it
-changes. An `Evaluator` owns the cells, and creates a global's cell the first
-time the global is looked up.
+Names resolve per `Evaluator`, against its project, when a site is first
+evaluated; the evaluator keeps the cell each site denotes and creates a
+binding's cell on its first lookup. A name that does not resolve raises the
+project's ResolveError when it is evaluated, and not before.
 
 Code in tail position (a case or let body, the body of a saturated call) is
-not called but returned as a `(code, env)` pair to the trampoline
-`Evaluator._run`, so runaway recursion meets the step budget instead of the
-host stack. Every expression node ticks once when entered, and so does each
+not called but returned as a `(code, env)` pair to the trampoline (`_run`,
+`force`), so runaway recursion meets the step budget instead of the host
+stack. Every expression node ticks once when entered, and so does each
 application round and each node of deep forcing: the reduction count is that
-of a tree walk over the same expressions.
+of a tree walk over the same expressions. A call whose head is a variable
+adds the ticks of the call and its head at once, only while both fit the
+budget, and a saturated call skips the general application loop.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .lang import (
     pattern_vars, var_slot,
 )
 from .resolver import (
-    SymbolTable, build_symbol_table, decl_index, imports_memo, resolve_var,
-    ResolveError,
+    SymbolTable, build_symbol_table, decl_index, resolve_var, ResolveError,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -133,10 +132,10 @@ class _Fun:
     """A compiled function: per equation, its matchers and its body code."""
     name: str
     arity: int
-    equations: tuple[tuple[tuple, object], ...]
+    equations: tuple[tuple[tuple | int, object], ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Closure:
     """Function value: compiled function, captured environment, argument cells so far."""
     fun: _Fun
@@ -144,13 +143,13 @@ class _Closure:
     args: tuple[_Cell, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class _WCon:
     name: str
     args: tuple[_Cell, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class _WTuple:
     items: tuple[_Cell, ...]
 
@@ -160,7 +159,7 @@ class _Builtin:
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalStats:
     steps: int = 0
     forcings: int = 0  # thunks entered (memoized afterwards)
@@ -172,43 +171,49 @@ class Evaluator:
         self.budget = budget
         self.stats = EvalStats()
         self.table: SymbolTable = build_symbol_table(project)
-        self.globals: dict[tuple[str, str], _Cell] = {}
+        # global site -> the cell it denotes; a binding's own cell is kept
+        # under its self-qualified site (module, module, name)
+        self.cells: dict[tuple[str, str | None, str], _Cell] = {}
 
-    def _global(self, key: tuple[str, str]) -> _Cell:
-        """The cell of a top-level binding, created on its first lookup."""
-        cell = self.globals.get(key)
-        if cell is not None:
-            return cell
-        mname, name = key
-        mod = self.project.modules[mname]
-        d = decl_index(mod).get(name)
-        if not isinstance(d, FunDecl):
-            raise EvalError("UnresolvedName", f"{mname}.{name} is not a value binding")
-        compiled = imports_memo(self.project, mod).setdefault("code", {})
-        fun = compiled.get(name)
-        if fun is None:
-            fun = compiled[name] = _compile_decl(self.table, self.project, mname, d)
-        if fun.arity:
-            cell = _Cell(value=_Closure(fun, []))
-        else:
-            cell = _Cell(thunk=(fun.equations[0][1], []))
-        self.globals[key] = cell
+    def _site(self, site: tuple[str, str | None, str]) -> _Cell:
+        """Resolve a global site in this project, on its first use; a
+        binding's cell is created on its first lookup."""
+        module, qualifier, name = site
+        ref = resolve_var(self.table, self.project, module, frozenset(), Var(name, qualifier))
+        own = (ref.module, ref.module, ref.name)
+        cell = self.cells.get(own)
+        if cell is None:
+            d = decl_index(self.project.modules[ref.module]).get(ref.name)
+            if not isinstance(d, FunDecl):
+                raise EvalError("UnresolvedName", f"{ref.module}.{ref.name} is not a value binding")
+            compiled = d.__dict__.setdefault("_code", {})  # per module name
+            fun = compiled.get(ref.module) or compiled.setdefault(ref.module, _compile_decl(ref.module, d))
+            cell = _Cell(value=_Closure(fun, [])) if fun.arity else _Cell(thunk=(fun.equations[0][1], []))
+        self.cells[own] = self.cells[site] = cell
         return cell
+
+    def _exhausted(self) -> EvalError:
+        return EvalError("StepBudgetExceeded", f"reduction budget of {self.budget} steps exceeded")
 
     def _tick(self):
         self.stats.steps += 1
         if self.stats.steps > self.budget:
-            raise EvalError("StepBudgetExceeded", f"reduction budget of {self.budget} steps exceeded")
+            raise self._exhausted()
 
     def force(self, cell: _Cell):
-        if cell.value is not None:
-            return cell.value
+        """The value of cell, running its thunk on the trampoline once."""
+        value = cell.value
+        if value is not None:
+            return value
         if cell.forcing:
             raise EvalError("CyclicEvaluation", "value depends on itself")
         cell.forcing = True
         self.stats.forcings += 1
         code, env = cell.thunk
-        value = self._run(code, env)
+        value = code(self, env)
+        while type(value) is tuple:
+            code, env = value
+            value = code(self, env)
         cell.value = value
         cell.thunk = None
         cell.forcing = False
@@ -218,8 +223,7 @@ class Evaluator:
 
     def eval_expr(self, e: Expr, env: dict, module: str):
         """Evaluate e in the scope of module, env binding names to cells."""
-        code = _Compiler(self.table, self.project, module).expr(e, tuple(env))
-        return self._run(code, list(env.values()))
+        return self._run(_Compiler(module).expr(e, tuple(env)), list(env.values()))
 
     def _run(self, code, env: list):
         """The trampoline: code in tail position comes back as a
@@ -257,9 +261,7 @@ class Evaluator:
             out: list[_Cell] = []
             if _match_all(self, matchers, args, out):
                 return body, env + out
-        raise EvalError(
-            "PatternMatchFailure", f"no equation of {fun.name} matches its arguments"
-        )
+        raise EvalError("PatternMatchFailure", f"no equation of {fun.name} matches its arguments")
 
     # -- deep forcing to public values --
 
@@ -319,6 +321,9 @@ def _infix(op: str, a, b):
 
 
 # --- the compiler ---
+#
+# Variables, the hottest code, tick inline (stats.steps += 1, then the budget
+# test); variables and matchers read a cell's value before calling force.
 
 def _bind(ev, cell, out) -> bool:
     out.append(cell)
@@ -337,16 +342,24 @@ def _constant(value):
 
 
 def _match_all(ev, matchers, cells, out) -> bool:
+    """Match cells against the matchers _Compiler.patterns compiled."""
+    if type(matchers) is int:
+        if matchers != len(cells):
+            return False
+        out += cells
+        return True
     if len(matchers) != len(cells):
         return False
     for match, cell in zip(matchers, cells):
-        if not match(ev, cell, out):
+        if match is _bind:
+            out.append(cell)
+        elif not match(ev, cell, out):
             return False
     return True
 
 
-def _compile_decl(table: SymbolTable, project: Project, module: str, d: FunDecl) -> _Fun:
-    compiler = _Compiler(table, project, module)
+def _compile_decl(module: str, d: FunDecl) -> _Fun:
+    compiler = _Compiler(module)
     return _Fun(d.name, d.arity, tuple(
         compiler.equation(eq.patterns, eq.locals, eq.rhs, ()) for eq in d.equations
     ))
@@ -355,17 +368,16 @@ def _compile_decl(table: SymbolTable, project: Project, module: str, d: FunDecl)
 class _Compiler:
     """Compiles code of one module. A scope names the environment's slots in
     order; a variable denotes the last slot of its name (lang.var_slot), or
-    else what it resolves to in the module's top-level scope."""
+    else its global site (module, qualifier, name), which the evaluator
+    resolves in the module's top-level scope."""
 
-    def __init__(self, table: SymbolTable, project: Project, module: str):
-        self.table = table
-        self.project = project
+    def __init__(self, module: str):
         self.module = module
 
     def equation(self, patterns, locals_, rhs: Expr, scope: tuple[str, ...]):
         """(matchers, body): the body runs where the patterns' variables,
         then the where-locals, follow scope's slots."""
-        matchers = tuple(self.pattern(p) for p in patterns)
+        matchers = self.patterns(patterns)
         for p in patterns:
             scope += pattern_vars(p)
         if not locals_:
@@ -393,22 +405,24 @@ class _Compiler:
         match e:
             case Var(_, _) if (slot := var_slot(e, scope)) is not None:
                 def code(ev, env):
-                    ev._tick()
-                    return ev.force(env[slot])
-            case Var(_, _):
-                module = self.module
-                try:
-                    ref = resolve_var(self.table, self.project, module, frozenset(), e)
-                    key = (ref.module, ref.name)
-                except ResolveError:
-                    key = None
+                    stats = ev.stats
+                    stats.steps += 1
+                    if stats.steps > ev.budget:
+                        raise ev._exhausted()
+                    cell = env[slot]
+                    value = cell.value
+                    return value if value is not None else ev.force(cell)
+            case Var(name, qualifier):
+                site = (self.module, qualifier, name)
 
                 def code(ev, env):
-                    ev._tick()
-                    if key is None:  # raises under the project being evaluated
-                        ref = resolve_var(ev.table, ev.project, module, frozenset(), e)
-                        return ev.force(ev._global((ref.module, ref.name)))
-                    return ev.force(ev._global(key))
+                    stats = ev.stats
+                    stats.steps += 1
+                    if stats.steps > ev.budget:
+                        raise ev._exhausted()
+                    cell = ev.cells.get(site) or ev._site(site)
+                    value = cell.value
+                    return value if value is not None else ev.force(cell)
             case IntLit(n):
                 return _constant(VInt(n))
             case StrLit(s):
@@ -436,17 +450,30 @@ class _Compiler:
             case App(_, _):
                 head, args = app_spine(e)
                 fn, parts = self.expr(head, scope), tuple(self.expr(a, scope) for a in args)
+                n, named = len(parts), isinstance(head, Var)
+                slot = var_slot(head, scope) if named else None
+                site = (self.module, head.qualifier, head.name) if named and slot is None else None
 
                 def code(ev, env):
-                    ev._tick()
-                    return ev._apply(ev._run(fn, env), [_Cell((p, env)) for p in parts])
+                    stats = ev.stats
+                    if named and stats.steps + 2 <= ev.budget:
+                        stats.steps += 2  # the ticks of the App node and its head
+                        cell = env[slot] if site is None else ev.cells.get(site) or ev._site(site)
+                        f = cell.value if cell.value is not None else ev.force(cell)
+                    else:
+                        ev._tick()
+                        f = ev._run(fn, env)
+                    cells = [_Cell((p, env)) for p in parts]
+                    if type(f) is _Closure and len(f.args) + n == f.fun.arity:
+                        ev._tick()  # a saturated call: one application round
+                        return ev._select(f.fun, f.env, f.args + tuple(cells))
+                    return ev._apply(f, cells)
             case Case(scrutinee, branches):
                 scrut = self.expr(scrutinee, scope)
                 arms = tuple(
                     (self.pattern(b.pattern), self.expr(b.body, scope + pattern_vars(b.pattern)))
                     for b in branches
                 )
-                module = self.module
 
                 def code(ev, env):
                     ev._tick()
@@ -455,7 +482,7 @@ class _Compiler:
                         out: list[_Cell] = []
                         if match(ev, cell, out):
                             return body, env + out
-                    raise EvalError("PatternMatchFailure", f"no case branch matches in module {module}")
+                    raise EvalError("PatternMatchFailure", f"no case branch matches in module {self.module}")
             case Let(bindings, body):
                 scope += tuple(b.name for b in bindings)
                 rhss, rest = tuple(self.expr(b.rhs, scope) for b in bindings), self.expr(body, scope)
@@ -471,6 +498,13 @@ class _Compiler:
                 raise EvalError("EvalError", f"cannot evaluate {e!r}")
         return code
 
+    def patterns(self, ps: tuple[Pattern, ...]):
+        """Matchers of ps in order, or their number when every one is a
+        variable and matching only binds."""
+        if all(isinstance(p, PVar) for p in ps):
+            return len(ps)
+        return tuple(self.pattern(p) for p in ps)
+
     def pattern(self, p: Pattern):
         match p:
             case PWild():
@@ -479,19 +513,19 @@ class _Compiler:
                 return _bind
             case PInt(n):
                 def match(ev, cell, out):
-                    v = ev.force(cell)
+                    v = cell.value if cell.value is not None else ev.force(cell)
                     return isinstance(v, VInt) and v.value == n
             case PTuple(items):
-                subs = tuple(self.pattern(q) for q in items)
+                subs = self.patterns(items)
 
                 def match(ev, cell, out):
-                    v = ev.force(cell)
+                    v = cell.value if cell.value is not None else ev.force(cell)
                     return isinstance(v, _WTuple) and _match_all(ev, subs, v.items, out)
             case PCon(name, args, tupled):
-                subs = tuple(self.pattern(q) for q in args)
+                subs = self.patterns(args)
 
                 def match(ev, cell, out):
-                    v = ev.force(cell)
+                    v = cell.value if cell.value is not None else ev.force(cell)
                     if not isinstance(v, _WCon) or v.name != name:
                         return False
                     if not tupled:

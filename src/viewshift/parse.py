@@ -80,9 +80,9 @@ def tokenize(text: str) -> tuple[list[Tok], dict[int, str]]:
                 toks.append(Tok("str", raw[i:j + 1], lineno, i, "".join(out)))
                 i = j + 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < n and raw[j].isdigit():
+                while j < n and "0" <= raw[j] <= "9":
                     j += 1
                 toks.append(Tok("int", raw[i:j], lineno, i, int(raw[i:j])))
                 i = j

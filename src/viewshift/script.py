@@ -105,6 +105,7 @@ class StepRecord:
     args: tuple[str, ...]
     outcome: str  # "applied" | "failed"
     error: Optional[str] = None
+    kind: Optional[str] = None  # the typed kind of error, when it has one
     equivalence: Optional[str] = None  # "pass" | "fail" | None
     elapsed: float = 0.0
 
@@ -136,6 +137,13 @@ class RunLog:
         return "\n".join(lines)
 
 
+def _failure(exc: Exception) -> tuple[str, str]:
+    """The message and the typed kind a step logs for exc."""
+    if isinstance(exc, RecursionError):
+        return "nesting too deep", "NestingTooDeep"
+    return str(exc), exc.kind
+
+
 def run_script(
     project: Project,
     script: Script,
@@ -163,19 +171,16 @@ def run_script(
             project = COMMANDS[step.command][1](project, step)
         except (RefactorError, RecursionError) as exc:
             record.outcome = "failed"
-            record.error = str(exc) if isinstance(exc, RefactorError) else "nesting too deep"
+            record.error, record.kind = _failure(exc)
             record.elapsed = time.perf_counter() - t0
             log.records.append(record)
             return project, log
         if checked:
             try:
                 same = observe_entries(origin, entries) == observe_entries(project, entries)
-            except (EvalError, ResolveError) as exc:
+            except (EvalError, ResolveError, RecursionError) as exc:
                 same = False
-                record.error = str(exc)
-            except RecursionError:
-                same = False
-                record.error = "nesting too deep"
+                record.error, record.kind = _failure(exc)
             record.equivalence = "pass" if same else "fail"
         record.elapsed = time.perf_counter() - t0
         log.records.append(record)

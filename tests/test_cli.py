@@ -174,6 +174,13 @@ def test_eval_too_deep_exits_1_without_traceback(tmp_path, capsys, body, message
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_eval_non_ascii_digit_exits_2_without_traceback(tmp_path, capsys):
+    # str.isdigit holds for "²", but only ASCII digits start an integer
+    (tmp_path / "M.mfn").write_text("module M where\n\nr1 = \u00b2\n", encoding="utf-8")
+    assert main(["eval", str(tmp_path), "r1"]) == 2
+    assert capsys.readouterr().err == "parse error: unexpected character '\u00b2' (line 3, column 5)\n"
+
+
 def test_eval_input_nested_too_deep_to_parse_exits_2(tmp_path, capsys):
     # the parser runs out of stack inside the parentheses and says where
     (tmp_path / "M.mfn").write_text("module M where\n\nr1 = " + "(" * 400 + "1" + ")" * 400 + "\n")

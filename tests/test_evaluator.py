@@ -1,10 +1,14 @@
+import sys
+
 import pytest
 
+from viewshift import resolver, rewrite
+from viewshift.corpus import load_fixture
 from viewshift.evaluator import (
     EvalError, Evaluator, VCon, VInt, VStr, VTuple, default_entries,
     evaluate, observational_eq, observe_entries, show_value,
 )
-from viewshift.lang import Project
+from viewshift.lang import Project, Var
 from viewshift.parse import parse_expr, parse_module
 from viewshift.reference import evaluate_by_name, observe_entries_by_name
 from viewshift.resolver import ResolveError
@@ -220,3 +224,65 @@ def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
     assert log.ok
     counts = (len(stats), sum(s.steps for s in stats), sum(s.forcings for s in stats))
     assert counts == (408, 19_938, 8_094)
+
+
+def _count_calls(monkeypatch, *functions) -> dict[str, int]:
+    """Count calls of each function at every module attribute of viewshift
+    that binds it, as the benchmark's tracer wraps them."""
+    counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in functions:
+        wrapper = counted(fn)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("viewshift") and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("checked, builds", [(False, 209), (True, 617)], ids=["unchecked", "checked"])
+def test_forward_run_resolver_counts(pfun, forward_script, monkeypatch, checked, builds):
+    # the call counts bench/selftest.py pins for the traced paper forward run
+    counts = _count_calls(
+        monkeypatch, resolver.build_symbol_table, resolver.resolve_project, rewrite.minimize_qualifiers
+    )
+    _, log = run_script(pfun, forward_script, checked=checked)
+    assert log.ok
+    assert counts == {"build_symbol_table": builds, "resolve_project": 103, "minimize_qualifiers": 51}
+
+
+def _entry_stats(project, entry, budget=10**6):
+    ev = Evaluator(project, budget)
+    value = ev.deep(ev.eval_expr(Var(entry), {}, "Client"))
+    return value, ev.stats
+
+
+@pytest.mark.parametrize("fixture", ["pfun", "pdata"])
+def test_step_budget_boundary_is_exact(fixture):
+    # a budget of s steps evaluates an entry that takes s, and the tick that
+    # goes over any smaller budget raises, also inside a fused call
+    project = load_fixture(fixture).project
+    for entry in ENTRIES:
+        steps = _entry_stats(project, entry)[1].steps
+        assert observe_entries(project, [entry], budget=steps) == {entry: EXPECTED[entry]}
+        for budget in sorted({steps - 1, *range(0, steps, 7)}):
+            ev = Evaluator(project, budget)
+            with pytest.raises(EvalError) as exc:
+                ev.deep(ev.eval_expr(Var(entry), {}, "Client"))
+            assert exc.value.kind == "StepBudgetExceeded"
+            assert ev.stats.steps == budget + 1
+
+
+@pytest.mark.parametrize("fixture", ["pfun", "pdata"])
+def test_cold_and_warm_observations_count_alike(fixture):
+    project = load_fixture(fixture).project  # parsed afresh: nothing compiled yet
+    cold = [_entry_stats(project, entry) for entry in ENTRIES]
+    warm = [_entry_stats(project, entry) for entry in ENTRIES]
+    assert cold == warm

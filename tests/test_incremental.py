@@ -1,10 +1,10 @@
 """Incremental resolution: the resolver remembers per-module results on the
 module objects, valid while a module and the objects of the modules it
-imports are unchanged; the evaluator keeps its compiled declarations there
-too. These tests keep an importing module object identical while what it
-imports changes, check incremental results against resolution from scratch,
-and pin that one step pays (and recompiles) only for the modules it
-changes."""
+imports are unchanged; the evaluator keeps each compiled declaration on the
+declaration object. These tests keep an importing module object identical
+while what it imports changes, check incremental results against resolution
+from scratch, and pin that one step pays only for the modules it changes and
+recompiles only the declarations it changes."""
 
 from dataclasses import replace
 
@@ -17,13 +17,14 @@ from viewshift.evaluator import observe_entries
 from viewshift.lang import Project, with_module
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module
+from viewshift.reference import observe_entries_by_name
 from viewshift.refactorings import RefactorError
 from viewshift.render import render_module
 from viewshift.resolver import (
     ResolveError, build_symbol_table, module_scope, resolve_project,
 )
 from viewshift.rewrite import minimize_qualifiers
-from viewshift.script import COMMANDS, RefactorStep
+from viewshift.script import COMMANDS, RefactorStep, run_script
 
 
 def _project(*texts: str) -> Project:
@@ -70,6 +71,32 @@ def test_compiled_code_follows_its_imports(use):
             observe_entries(project, ["r"])
         errors.append((exc.value.kind, exc.value.module, exc.value.name, str(exc.value)))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("use", ["g", "B.g"])
+def test_shared_declaration_resolves_in_each_project(use):
+    # One FunDecl object r, in module A of two projects and in module D of a
+    # third, where g names a different definition each time.
+    p = _project(_A.format(use=use), _B, _C)
+    a = p.modules["A"]
+    projects = [
+        p,
+        with_module(p, parse_module("module B where\n\ng = 5\n")),
+        Project({"D": replace(a, name="D"), "B": parse_module("module B where\n\ng = 7\n"),
+                 "C": p.modules["C"]}),
+    ]
+    assert projects[2].modules["D"].decl("r") is a.decl("r")
+    for project in projects + projects:  # cold, then with r compiled
+        assert observe_entries(project, ["r"]) == observe_entries_by_name(project, ["r"])
+    assert [observe_entries(q, ["r"]) for q in projects] == [{"r": "2"}, {"r": "6"}, {"r": "8"}]
+    gone = [with_module(q, parse_module("module B where\n\nh = 1\n")) for q in (projects[0], projects[2])]
+    for project in gone:
+        errors = []
+        for q in (project, _fresh(project)):
+            with pytest.raises(ResolveError) as exc:
+                observe_entries(q, ["r"])
+            errors.append((exc.value.kind, exc.value.module, exc.value.name, str(exc.value)))
+        assert errors[0] == errors[1]
 
 
 def test_import_gains_clashing_name():
@@ -290,25 +317,41 @@ def test_second_generalise_ident_walks_only_the_modules_that_changed(monkeypatch
     assert walked and set(walked) <= _changed(project, first) | _changed(first, out) == {"A", "B"}
 
 
+def _record_compiles(monkeypatch) -> list:
+    """Each (module, declaration) compiled from now on, in order."""
+    compiled = []
+
+    def counted(module, d):
+        compiled.append((module, d))
+        return compile_decl(module, d)
+
+    compile_decl = evaluator._compile_decl
+    monkeypatch.setattr(evaluator, "_compile_decl", counted)
+    return compiled
+
+
 @pytest.mark.parametrize("tokens", [
     ("duplicate-into-comment", "eval", "EvalMod"),
     ("rename-top-level", "toString", "ToStringMod", "render"),
     ("rename-top-level", "p20", "Pad20", "s20"),
 ], ids=["one-module", "two-modules", "padding-chain"])
-def test_step_recompiles_only_the_modules_it_changes(monkeypatch, tokens):
+def test_step_recompiles_only_the_declarations_it_changes(monkeypatch, tokens):
     project = minimize_qualifiers(_padded_pfun(40))
     entries = ("r1", "r2", "r3", "r4", "q39")  # q39 reaches every padding module
     observe_entries(project, entries)
-    compiled = []
-
-    def counted(table, project, module, d):
-        compiled.append(module)
-        return compile_decl(table, project, module, d)
-
-    compile_decl = evaluator._compile_decl
-    monkeypatch.setattr(evaluator, "_compile_decl", counted)
+    compiled = _record_compiles(monkeypatch)
     step = RefactorStep(tokens[0], tokens[1:], 1)
     out = COMMANDS[step.command][1](project, step)
     assert observe_entries(out, entries) == observe_entries(project, entries)
     assert compiled, "the step changed no evaluated declaration"
-    assert set(compiled) <= _changed(project, out), f"{sorted(set(compiled) - _changed(project, out))} recompiled"
+    kept = [(m, d.name) for m, d in compiled
+            if m in project.modules and any(d is old for old in project.modules[m].decls)]
+    assert kept == [], f"{kept} recompiled without a change"
+
+
+def test_checked_run_compiles_each_declaration_once_per_module(monkeypatch, forward_script):
+    compiled = _record_compiles(monkeypatch)
+    _, log = run_script(load_fixture("pfun").project, forward_script, checked=True)
+    assert log.ok and compiled
+    seen = [(m, id(d)) for m, d in compiled]  # compiled keeps every d alive
+    assert len(seen) == len(set(seen))

@@ -120,6 +120,24 @@ def test_default_entries_used_in_checked_runs(pfun):
 UNEXPORTED_HELPER = "module M (f) where\n\ng = 1\n\nf = g + 1\n"
 
 
+def test_failed_precondition_logs_its_kind(pfun):
+    out, log = run_script(pfun, parse_script("remove-def nosuch Client"))
+    assert [(r.outcome, r.equivalence, r.kind) for r in log.records] == [("failed", None, "NotFound")]
+    assert log.records[0].error.startswith("NotFound:")
+    assert out is pfun
+
+
+def test_check_over_the_step_budget_logs_its_kind():
+    # r1 is infinite data, so observing it meets the reduction budget
+    project = Project({"M": parse_module(
+        "module M where\n\ndata L = Nil | Cons (Int, L)\n\nones = Cons (1, ones)\n\n"
+        "k = 1\n\nr1 = ones\n"
+    )})
+    out, log = run_script(project, parse_script("duplicate-into-comment k M"), checked=True, entries=("r1",))
+    assert [(r.outcome, r.equivalence, r.kind) for r in log.records] == [("applied", "fail", "StepBudgetExceeded")]
+    assert "reduction budget of 1000000 steps exceeded" in log.records[0].error
+
+
 def test_unresolvable_result_fails_the_step(tmp_path):
     (tmp_path / "M.mfn").write_text(UNEXPORTED_HELPER)
     project = parse_project(str(tmp_path))
@@ -127,13 +145,14 @@ def test_unresolvable_result_fails_the_step(tmp_path):
     assert not log.ok
     assert [r.outcome for r in log.records] == ["failed"]
     assert log.records[0].error.startswith("PreconditionFailed:")
+    assert log.records[0].kind == "PreconditionFailed"
     assert "cannot resolve g in module N" in log.records[0].error
     assert out is project
 
 
 @pytest.mark.parametrize("depth, record", [
-    (400, ("applied", "fail", "nesting too deep")),  # the observation nests too deep
-    (2000, ("failed", None, "nesting too deep")),  # the step itself does
+    (400, ("applied", "fail", "nesting too deep", "NestingTooDeep")),  # the observation nests too deep
+    (2000, ("failed", None, "nesting too deep", "NestingTooDeep")),  # the step itself does
 ], ids=["depth-400", "depth-2000"])
 def test_too_deep_observation_fails_the_step(depth, record):
     # r1 = f (f (... (f 1))), depth applications deep: built as a tree, since
@@ -147,5 +166,5 @@ def test_too_deep_observation_fails_the_step(depth, record):
     project = Project({"Client": replace(mod, decls=mod.decls[:2] + (r1,))})
     out, log = run_script(project, parse_script("duplicate-into-comment k Client"), checked=True)
     assert not log.ok
-    assert [(r.outcome, r.equivalence, r.error) for r in log.records] == [record]
+    assert [(r.outcome, r.equivalence, r.error, r.kind) for r in log.records] == [record]
     assert (out is project) == (record[0] == "failed")
