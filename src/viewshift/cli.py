@@ -2,7 +2,8 @@
 
 Exit status: 0 on success, 1 on a refactoring or equivalence failure or on
 a program nested too deep for a later stage's stack, 2 on usage or parse
-errors, input nested too deep for the parser included. Results go to stdout, diagnostics to stderr.
+errors, input nested too deep for the parser or not UTF-8 included, and on
+a path that cannot be read or written. Results go to stdout, diagnostics to stderr.
 The input project directory is never modified.
 """
 
@@ -15,7 +16,7 @@ from . import corpus
 from .evaluator import EvalError, VOutput, default_entries, evaluate, observe_entries, show_value
 from .lang import FunDecl, Var
 from .names import alpha_eq_project
-from .parse import ParseError, parse_project
+from .parse import ParseError, parse_project, read_source
 from .refactorings import RefactorError
 from .render import write_project
 from .resolver import ResolveError, resolve_project
@@ -32,8 +33,7 @@ def _entries_arg(text: str | None, project) -> tuple[str, ...]:
 
 
 def _cmd_apply(args) -> int:
-    with open(args.script, encoding="utf-8") as fh:
-        script = parse_script(fh.read(), name=args.script)
+    script = parse_script(read_source(args.script), name=args.script)
     project = parse_project(args.project)
     entries = _entries_arg(args.entries, project) if args.checked else ()
     out, log = run_script(
@@ -41,6 +41,9 @@ def _cmd_apply(args) -> int:
     )
     print(log.summary())
     write_project(out, args.out)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.write(log.to_json())
     if not log.ok:
         print("script failed; the project as of the last successful step was written", file=sys.stderr)
         return FAIL_EXIT
@@ -149,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify observational equivalence with the origin after every step")
     p.add_argument("--entries", help="comma-separated entry names (default: Client's r*)")
     p.add_argument("--snapshots", help="directory for per-step project snapshots")
+    p.add_argument("--trace", help="file for the run's JSON lines: one record per step, then a summary")
     p.set_defaults(fn=_cmd_apply)
 
     p = sub.add_parser("op", help="apply a single operation: op <command> <args...> <project>")
@@ -203,6 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: nesting too deep", file=sys.stderr)
         return FAIL_EXIT
+    except OSError as exc:  # a path that cannot be read or written
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -299,17 +299,6 @@ def pattern_vars(p: Pattern) -> tuple[str, ...]:
             return ()
 
 
-def pattern_cons(p: Pattern) -> tuple[str, ...]:
-    """Constructor names a pattern matches on, outermost first."""
-    match p:
-        case PCon(name, args, _):
-            return (name,) + tuple(c for sub in args for c in pattern_cons(sub))
-        case PTuple(items):
-            return tuple(c for sub in items for c in pattern_cons(sub))
-        case _:
-            return ()
-
-
 def equation_scope(eq: Equation) -> tuple[str, ...]:
     """The names an equation binds over its rhs, in binding order: the
     pattern variables, then the where-locals."""

@@ -554,6 +554,22 @@ def parse_expr(text: str) -> Expr:
     return e
 
 
+def read_source(path: str) -> str:
+    """The text of a UTF-8 source file; a byte sequence that is not UTF-8 is
+    a ParseError naming the file and the position of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        col = len(data[line_start:exc.start].decode("utf-8", "replace"))
+        raise ParseError(
+            f"{path}: not UTF-8 ({exc.reason}, byte 0x{data[exc.start]:02x})",
+            data.count(b"\n", 0, exc.start) + 1, col,
+        ) from None
+
+
 def parse_project(directory: str) -> Project:
     """Read a project from a directory of <ModuleName>.mfn files."""
     modules: dict[str, ModuleDef] = {}
@@ -562,8 +578,7 @@ def parse_project(directory: str) -> Project:
         raise ParseError(f"no .mfn files in {directory}", 1, 0)
     for fname in names:
         path = os.path.join(directory, fname)
-        with open(path, encoding="utf-8") as fh:
-            mod = parse_module(fh.read(), filename=fname)
+        mod = parse_module(read_source(path), filename=fname)
         stem = fname[:-4]
         if mod.name != stem:
             raise ParseError(

@@ -10,12 +10,12 @@ Client.eval / ConstMod.eval qualifications the transformations produce).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .lang import (
     App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, ModuleDef,
     PCon, PTuple, Pattern, Project, TopDecl, Var, app_spine, decl_expr_at,
-    decl_name, decl_expr_roots, pattern_cons, walk_expr_scoped,
+    decl_name, decl_expr_roots, walk_expr_scoped,
 )
 
 
@@ -84,12 +84,13 @@ def imports_memo(project: Project, mod: ModuleDef) -> dict:
 
 
 def mentioned_names(mod: ModuleDef) -> frozenset[str]:
-    """Every variable name (qualified or not) the module's expressions use."""
+    """Every variable name the module's expressions read from its top-level
+    scope: free names, and the bare names of qualified ones."""
     own = _own(mod)
     if "names" not in own:
         own["names"] = frozenset(
-            e.name for d in mod.decls for _, _, root, _ in decl_expr_roots(d)
-            for _, e, _ in walk_expr_scoped(root, frozenset()) if isinstance(e, Var)
+            c[2] for d in mod.decls if isinstance(d, FunDecl)
+            for c in decl_reads(d).checks if c[0] == "var"
         )
     return own["names"]
 
@@ -267,74 +268,130 @@ def _resolve_constructor(
     return candidates[0]
 
 
-def _check_pattern(table: SymbolTable, module: str, p: Pattern):
-    match p:
-        case PCon(name, args, tupled):
-            _, condef = _resolve_constructor(table, module, name)
+def _pattern_checks(p: Pattern, checks: dict):
+    """The checks of pattern p: each constructor, then its argument patterns."""
+    if isinstance(p, PCon):
+        checks[("pcon", p.name, len(p.args), p.tupled)] = None
+        for sub in p.args:
+            _pattern_checks(sub, checks)
+    elif isinstance(p, PTuple):
+        for sub in p.items:
+            _pattern_checks(sub, checks)
+
+
+_ARITY = ("arity",)  # the check that fails when a declaration's equations disagree
+
+
+class DeclReads(NamedTuple):
+    """What a declaration reads from outside itself.
+
+    checks: each distinct check its validation makes, in the order a walk of
+    the declaration first meets it: ("var", qualifier, name) for a variable
+    not bound locally, ("con", name, arguments) for a constructor
+    application, ("pcon", name, argument patterns, tupled) for a
+    constructor pattern, and _ARITY where an equation's arity differs.
+    droppable: (qualifier, name) of each qualified variable whose bare name
+    is not bound where it occurs, so that minimising could drop its
+    qualifier."""
+    checks: tuple[tuple, ...]
+    droppable: tuple[tuple[str, str], ...]
+
+    def mentions(self, name: str) -> bool:
+        """Whether a variable not bound locally, qualified or not, is called name."""
+        return any(c[0] == "var" and c[2] == name for c in self.checks)
+
+
+def decl_reads(d: FunDecl) -> DeclReads:
+    """The reads of d, found by one walk on first request and kept on the
+    declaration object: they depend on d alone, and the AST is frozen."""
+    held = d.__dict__.get("_reads")
+    if held is None:
+        held = d.__dict__["_reads"] = _collect_reads(d)
+    return held
+
+
+def _collect_reads(d: FunDecl) -> DeclReads:
+    checks: dict[tuple, None] = {}  # ordered set: first occurrence wins
+    droppable: dict[tuple[str, str], None] = {}
+    arity = d.arity
+    for eq in d.equations:
+        if len(eq.patterns) != arity:
+            checks[_ARITY] = None
+        for p in eq.patterns:
+            _pattern_checks(p, checks)
+    for _, _, root, bound in decl_expr_roots(d):
+        for _, e, scope in walk_expr_scoped(root, bound):
+            kind = type(e)  # the node classes are final
+            if kind is Var:
+                if e.qualifier is not None:
+                    checks[("var", e.qualifier, e.name)] = None
+                    if e.name not in scope:
+                        droppable[e.qualifier, e.name] = None
+                elif e.name not in scope:
+                    checks[("var", None, e.name)] = None
+            elif kind is ConApp:
+                checks[("con", e.name, len(e.args))] = None
+            elif kind is Case:
+                for b in e.branches:
+                    _pattern_checks(b.pattern, checks)
+    return DeclReads(tuple(checks), tuple(droppable))
+
+
+def _check_decl(table: SymbolTable, project: Project, mname: str, d: FunDecl):
+    """The validation of one declaration in module mname: its checks, in
+    order. A walk raises at the first occurrence whose check fails, which
+    is the first occurrence of the first failing check, so the error is the
+    one a walk of d would raise."""
+    scope = table.scopes[mname]
+    for check in decl_reads(d).checks:
+        kind = check[0]
+        if kind == "var":
+            _, qualifier, name = check
+            if qualifier is None and len(scope.get(name, ())) == 1:
+                continue  # the common case, without building a Var
+            resolve_var(table, project, mname, frozenset(), Var(name, qualifier))
+        elif kind == "con":
+            _, name, nargs = check
+            _, condef = _resolve_constructor(table, mname, name)
+            if nargs != condef.value_arity:
+                raise _err(
+                    "UnresolvedName", mname, name,
+                    f"constructor {name} must be applied to {condef.value_arity} argument(s)",
+                )
+        elif kind == "pcon":
+            _, name, nargs, tupled = check
+            _, condef = _resolve_constructor(table, mname, name)
             if condef.tupled != tupled:
                 shape = "tupled" if condef.tupled else "curried"
                 raise _err(
-                    "UnresolvedName", module, name,
+                    "UnresolvedName", mname, name,
                     f"constructor {name} takes {shape} arguments",
                 )
             expected = len(condef.arg_types)
-            if len(args) != expected:
+            if nargs != expected:
                 raise _err(
-                    "UnresolvedName", module, name,
-                    f"constructor {name} expects {expected} argument pattern(s), got {len(args)}",
+                    "UnresolvedName", mname, name,
+                    f"constructor {name} expects {expected} argument pattern(s), got {nargs}",
                 )
-            for sub in args:
-                _check_pattern(table, module, sub)
-        case PTuple(items):
-            for sub in items:
-                _check_pattern(table, module, sub)
-        case _:
-            pass
-
-
-def _check_expr(table: SymbolTable, project: Project, module: str, root: Expr, bound: frozenset[str]):
-    for _, e, scope in walk_expr_scoped(root, bound):
-        match e:
-            case Var(_, _):
-                resolve_var(table, project, module, scope, e)
-            case ConApp(name, args):
-                _, condef = _resolve_constructor(table, module, name)
-                if len(args) != condef.value_arity:
-                    raise _err(
-                        "UnresolvedName", module, name,
-                        f"constructor {name} must be applied to {condef.value_arity} argument(s)",
-                    )
-            case Case(_, branches):
-                for b in branches:
-                    _check_pattern(table, module, b.pattern)
-            case _:
-                pass
+        else:
+            raise _err(
+                "DuplicateDefinition", mname, d.name,
+                f"equations of {d.name} have different arities",
+            )
 
 
 def _check_module(table: SymbolTable, project: Project, mname: str):
-    """The validation walk of one module: equation arities, patterns and
-    every expression."""
+    """The validation of one module: each function declaration's checks.
+    Only a declaration object never seen before is walked."""
     for d in project.modules[mname].decls:
-        if isinstance(d, DataDecl):
-            continue
-        assert isinstance(d, FunDecl)
-        arity = d.arity
-        for eq in d.equations:
-            if len(eq.patterns) != arity:
-                raise _err(
-                    "DuplicateDefinition", mname, d.name,
-                    f"equations of {d.name} have different arities",
-                )
-            for p in eq.patterns:
-                _check_pattern(table, mname, p)
-        for _, _, root, bound in decl_expr_roots(d):
-            _check_expr(table, project, mname, root, bound)
+        if isinstance(d, FunDecl):
+            _check_decl(table, project, mname, d)
 
 
 def resolve_project(project: Project) -> SymbolTable:
     """Validate every occurrence in the project; raises ResolveError. A
-    module already validated under the same import objects is not walked
-    again."""
+    module already validated under the same import objects is skipped; in
+    any other module each declaration's remembered reads are checked."""
     table = build_symbol_table(project)
     for mname, mod in project.modules.items():
         memo = imports_memo(project, mod)
@@ -351,15 +408,11 @@ def resolve_project(project: Project) -> SymbolTable:
 # (uses_of). Both take the caller's table, so asking costs no extra build.
 
 def decl_refs(table: SymbolTable, project: Project, module: str, d: TopDecl) -> Iterator[DefRef]:
-    """Yield the definition of each use in declaration d of module: every
-    global variable, resolved strictly; every constructor of a ConApp, a case
-    pattern or an equation pattern; every type a data declaration names. A
-    constructor or type name counts only when it has exactly one candidate."""
-    def con(name: str):
-        cands = table.constructors.get(module, {}).get(name, [])
-        if len(cands) == 1:
-            yield cands[0][0]
-
+    """Yield the definition of each distinct use in declaration d of module:
+    every global variable, resolved strictly; every constructor of a ConApp,
+    a case pattern or an equation pattern; every type a data declaration
+    names. A constructor or type name counts only when it has exactly one
+    candidate."""
     if isinstance(d, DataDecl):
         for c in d.constructors:
             for tname in c.arg_types:
@@ -368,22 +421,13 @@ def decl_refs(table: SymbolTable, project: Project, module: str, d: TopDecl) -> 
                     yield refs[0]
         return
     assert isinstance(d, FunDecl)
-    for eq in d.equations:
-        for p in eq.patterns:
-            for c in pattern_cons(p):
-                yield from con(c)
-    for _, _, root, bound in decl_expr_roots(d):
-        for _, e, scope in walk_expr_scoped(root, bound):
-            if isinstance(e, Var):
-                ref = resolve_var(table, project, module, scope, e)
-                if ref is not None:
-                    yield ref
-            elif isinstance(e, ConApp):
-                yield from con(e.name)
-            elif isinstance(e, Case):
-                for b in e.branches:
-                    for c in pattern_cons(b.pattern):
-                        yield from con(c)
+    for check in decl_reads(d).checks:
+        if check[0] == "var":
+            yield resolve_var(table, project, module, frozenset(), Var(check[2], check[1]))
+        elif check[0] in ("con", "pcon"):
+            cands = table.constructors.get(module, {}).get(check[1], [])
+            if len(cands) == 1:
+                yield cands[0][0]
 
 
 def uses_of(
@@ -397,6 +441,8 @@ def uses_of(
         if name not in mentioned_names(project.modules[mname]):
             continue
         for d in project.modules[mname].decls:
+            if isinstance(d, DataDecl) or not decl_reads(d).mentions(name):
+                continue
             for ei, slot, root, bound in decl_expr_roots(d):
                 for sub, e, scope in walk_expr_scoped(root, bound):
                     # The name test first: resolving every variable of the

@@ -14,20 +14,21 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .lang import (
-    Expr, Project, Var, map_decl_roots, map_scoped, paired_children, var_slot,
+    Expr, FunDecl, Project, Var, map_decl_roots, map_scoped, paired_children, var_slot,
 )
 from .names import free_vars
 from .resolver import (
-    SymbolTable, build_symbol_table, imports_memo, mentioned_names,
+    SymbolTable, build_symbol_table, decl_reads, imports_memo, mentioned_names,
 )
 
 
-def _rewrite_vars(project: Project, fn, walk) -> Project:
+def _rewrite_vars(project: Project, fn, walk, touches) -> Project:
     """fn(module_name, var, bound) -> Expr, applied to every occurrence in
-    the modules for which walk(mod) holds; the callers skip only modules in
-    which fn can change no occurrence. Modules, declarations and nodes with
-    no rewritten occurrence come back as the same objects, and so does the
-    project when nothing changed."""
+    the function declarations d of the modules m for which walk(m) holds
+    and touches(m, decl_reads(d)) holds; the callers skip only modules and
+    declarations in which fn can change no occurrence. Modules,
+    declarations and nodes with no rewritten occurrence come back as the
+    same objects, and so does the project when nothing changed."""
     mods = dict(project.modules)
     for mname, mod in project.modules.items():
         if not walk(mod):
@@ -38,6 +39,7 @@ def _rewrite_vars(project: Project, fn, walk) -> Project:
 
         decls = tuple(
             map_decl_roots(d, lambda root, bound: map_scoped(root, bound, on_var))
+            if isinstance(d, FunDecl) and touches(mname, decl_reads(d)) else d
             for d in mod.decls
         )
         if any(new is not old for new, old in zip(decls, mod.decls)):
@@ -59,13 +61,17 @@ def requalify_name(project: Project, name: str) -> Project:
             return Var(name, qualifier=refs[0].module)
         return v
 
-    return _rewrite_vars(project, fix, lambda mod: name in mentioned_names(mod))
+    return _rewrite_vars(
+        project, fix, lambda mod: name in mentioned_names(mod), lambda m, reads: reads.mentions(name)
+    )
 
 
 def minimize_qualifiers(project: Project) -> Project:
     """Drop qualifiers wherever the bare name resolves uniquely to the target.
     A module minimized before under the same import objects is skipped:
-    minimizing changes no module's interface, so its result stays minimal."""
+    minimizing changes no module's interface, so its result stays minimal.
+    In any other module, a declaration is rewritten only when one of its
+    droppable qualifiers names the bare name's one candidate."""
     table = build_symbol_table(project)
 
     def fix(mname: str, v: Var, bound: frozenset[str]) -> Expr:
@@ -76,7 +82,15 @@ def minimize_qualifiers(project: Project) -> Project:
             return Var(v.name)
         return v
 
-    out = _rewrite_vars(project, fix, lambda mod: "minimal" not in imports_memo(project, mod))
+    def touches(mname: str, reads) -> bool:
+        scope = table.scopes[mname]
+        for qualifier, name in reads.droppable:
+            refs = scope.get(name, ())
+            if len(refs) == 1 and refs[0].module == qualifier:
+                return True
+        return False
+
+    out = _rewrite_vars(project, fix, lambda mod: "minimal" not in imports_memo(project, mod), touches)
     for mod in out.modules.values():
         imports_memo(out, mod)["minimal"] = True
     return out
@@ -104,7 +118,10 @@ def retarget_name(
             return v
         return Var(new_name, qualifier=new_mod)
 
-    return _rewrite_vars(project, fix, lambda mod: old_name in mentioned_names(mod))
+    return _rewrite_vars(
+        project, fix, lambda mod: old_name in mentioned_names(mod),
+        lambda m, reads: reads.mentions(old_name),
+    )
 
 
 # --- second-order instance matching (fold, generative fold) ---

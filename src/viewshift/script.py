@@ -9,15 +9,15 @@ step together with a run log.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import refactorings as ops
 from .evaluator import EvalError, default_entries, observe_entries
-from .lang import Project
+from .lang import Project, TopDecl, decl_name
 from .refactorings import RefactorError
 from .render import write_project
-from .resolver import ResolveError, resolve_project
+from .resolver import ResolveError, decl_index, resolve_project
 
 
 class ScriptSyntaxError(Exception):
@@ -108,6 +108,15 @@ class StepRecord:
     kind: Optional[str] = None  # the typed kind of error, when it has one
     equivalence: Optional[str] = None  # "pass" | "fail" | None
     elapsed: float = 0.0
+    # module -> names of the declarations the step added, removed or replaced
+    changed: dict[str, list[str]] = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "index": self.index, "command": self.command, "args": list(self.args),
+            "outcome": self.outcome, "kind": self.kind, "equivalence": self.equivalence,
+            "elapsed_s": self.elapsed, "changed": self.changed,
+        }
 
 
 @dataclass
@@ -135,6 +144,76 @@ class RunLog:
         applied = sum(1 for r in self.records if r.outcome == "applied")
         lines.append(f"{applied}/{len(self.records)} step(s) applied")
         return "\n".join(lines)
+
+    def to_json(self) -> str:
+        """JSON lines: one record per step, then one summary record with the
+        process's peak resident set so far."""
+        import json  # only a traced run pays for these imports
+        import resource
+
+        summary = {
+            "summary": {
+                "script": self.script,
+                "steps": len(self.records),
+                "applied": sum(1 for r in self.records if r.outcome == "applied"),
+                "ok": self.ok,
+                "elapsed_s": sum(r.elapsed for r in self.records),
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            }
+        }
+        return "".join(json.dumps(r) + "\n" for r in [*map(StepRecord.to_dict, self.records), summary])
+
+
+def _keep_equal(before: Project, after: Project) -> Project:
+    """after, with each declaration that a step replaced by an equal copy
+    given back as the object before held. Qualifying a name and minimising
+    it again leaves such copies; keeping the older object keeps what is
+    remembered on it (its reads and compiled code), and makes object
+    identity say exactly what the step changed."""
+    mods = dict(after.modules)
+    for m, new in after.modules.items():
+        old = before.modules.get(m)
+        if old is None or old is new:
+            continue
+        index = decl_index(old)
+        decls = tuple(_older(d, index.get(decl_name(d))) for d in new.decls)
+        if all(a is b for a, b in zip(decls, new.decls)):
+            continue
+        same = (new.exports, new.imports) == (old.exports, old.imports) and len(decls) == len(old.decls)
+        if same and all(a is b for a, b in zip(decls, old.decls)):
+            mods[m] = old
+        else:
+            mods[m] = replace(new, decls=decls)
+    if all(mods[m] is mod for m, mod in after.modules.items()):
+        return after
+    return Project(mods)
+
+
+def _older(d: TopDecl, old: Optional[TopDecl]) -> TopDecl:
+    """old when it equals d, else d."""
+    if old is None or old is d:
+        return d
+    try:
+        return old if old == d else d
+    except RecursionError:  # too deep to compare: keep the copy
+        return d
+
+
+def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
+    """module -> sorted names of the declarations added, removed or replaced
+    between two projects, for each module whose object differs. Found by
+    object identity: rewrites return what they leave alone as the same
+    objects."""
+    out = {}
+    for m in sorted(before.modules.keys() | after.modules.keys()):
+        old, new = before.modules.get(m), after.modules.get(m)
+        if old is new:
+            continue
+        old_decls = old.decls if old is not None else ()
+        new_decls = new.decls if new is not None else ()
+        kept = {id(d) for d in old_decls} & {id(d) for d in new_decls}
+        out[m] = sorted({decl_name(d) for d in old_decls + new_decls if id(d) not in kept})
+    return out
 
 
 def _failure(exc: Exception) -> tuple[str, str]:
@@ -168,7 +247,7 @@ def run_script(
         t0 = time.perf_counter()
         record = StepRecord(i, step.command, step.args, "applied")
         try:
-            project = COMMANDS[step.command][1](project, step)
+            before, project = project, _keep_equal(project, COMMANDS[step.command][1](project, step))
         except (RefactorError, RecursionError) as exc:
             record.outcome = "failed"
             record.error, record.kind = _failure(exc)
@@ -183,6 +262,7 @@ def run_script(
                 record.error, record.kind = _failure(exc)
             record.equivalence = "pass" if same else "fail"
         record.elapsed = time.perf_counter() - t0
+        record.changed = _changed_decls(before, project)
         log.records.append(record)
         if snapshot_dir is not None:
             write_project(project, f"{snapshot_dir}/step_{i:03d}")

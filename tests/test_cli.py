@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -205,3 +206,82 @@ def test_apply_checked_too_deep_observation_exits_1_with_summary(tmp_path, capsy
     out = capsys.readouterr().out
     assert "[applied, equivalence fail]" in out and "nesting too deep" in out
     assert "1/1 step(s) applied" in out
+
+
+@pytest.fixture
+def unreadable(dirs):
+    """A project whose module holds the byte 0xff, a script holding it, and a
+    regular file standing where a directory is expected."""
+    bad = dirs / "bad"
+    bad.mkdir()
+    (bad / "M.mfn").write_bytes(b"module M where\n\nr1 = \"\xff\"\n")
+    (dirs / "bad.vs").write_bytes(b"clean-imports \xff\n")
+    (dirs / "file").write_text("not a directory\n")
+    return dirs
+
+
+# {p}: a readable project, {s}: a readable script, {x}: a fresh output path
+_MISSING = [
+    ("apply {missing}.vs {p} --out {x}", "{missing}.vs"),
+    ("apply {s} {missing} --out {x}", "{missing}"),
+    ("apply {s} {p} --out {file}", "{file}"),
+    ("apply {s} {p} --out {x} --snapshots {file}", "{file}/step_000"),
+    ("apply {s} {p} --out {x} --trace {missing}/t.jsonl", "{missing}/t.jsonl"),
+    ("op clean-imports Client {missing} --out {x}", "{missing}"),
+    ("op clean-imports Client {p} --out {file}", "{file}"),
+    ("alpha-eq {missing} {p}", "{missing}"),
+    ("alpha-eq {p} {missing}", "{missing}"),
+    ("obs-eq {missing} {p}", "{missing}"),
+    ("eval {missing} r1", "{missing}"),
+    ("eval {file} r1", "{file}"),
+    ("render {missing} --out {x}", "{missing}"),
+    ("render {p} --out {file}", "{file}"),
+    ("corpus extract pfun --out {file}", "{file}"),
+]
+
+
+def _id(command: str) -> str:
+    """apply {s} {missing} --out {x} -> apply-s-missing-out-x"""
+    return re.sub(r"\W+", "-", command).strip("-")
+
+
+@pytest.mark.parametrize("command, path", _MISSING, ids=[_id(c) for c, _ in _MISSING])
+def test_missing_path_exits_2_naming_it(unreadable, capsys, command, path):
+    names = {"p": unreadable / "pfun", "s": unreadable / "scripts" / "forward.vs",
+             "x": unreadable / "out", "missing": unreadable / "nosuch", "file": unreadable / "file"}
+    assert main(command.format(**names).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path.format(**names)}: ") and err.count("\n") == 1
+
+
+_NOT_UTF8 = [
+    ("apply {bad}.vs {p} --out {x}", "{bad}.vs", 1, 14),
+    ("apply {s} {bad} --out {x}", "{bad}/M.mfn", 3, 6),
+    ("op clean-imports M {bad} --out {x}", "{bad}/M.mfn", 3, 6),
+    ("alpha-eq {p} {bad}", "{bad}/M.mfn", 3, 6),
+    ("obs-eq {bad} {p}", "{bad}/M.mfn", 3, 6),
+    ("eval {bad} r1", "{bad}/M.mfn", 3, 6),
+    ("render {bad} --out {x}", "{bad}/M.mfn", 3, 6),
+]
+
+
+@pytest.mark.parametrize("command, path, line, col", _NOT_UTF8, ids=[_id(c) for c, *_ in _NOT_UTF8])
+def test_file_not_utf8_exits_2_naming_it(unreadable, capsys, command, path, line, col):
+    names = {"p": unreadable / "pfun", "s": unreadable / "scripts" / "forward.vs",
+             "x": unreadable / "out", "bad": unreadable / "bad"}
+    assert main(command.format(**names).split()) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: {path.format(**names)}: not UTF-8 (invalid start byte, byte 0xff)"
+        f" (line {line}, column {col})\n"
+    )
+    assert not (unreadable / "out").exists()
+
+
+def test_apply_trace_writes_one_record_per_step_and_a_summary(dirs):
+    trace = dirs / "run.jsonl"
+    code = main(["apply", str(dirs / "scripts" / "forward.vs"), str(dirs / "pfun"),
+                 "--out", str(dirs / "build"), "--trace", str(trace)])
+    assert code == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [r["index"] for r in records[:-1]] == list(range(1, 52))
+    assert records[-1]["summary"]["steps"] == 51 and records[-1]["summary"]["ok"] is True

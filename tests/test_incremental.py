@@ -1,10 +1,12 @@
 """Incremental resolution: the resolver remembers per-module results on the
 module objects, valid while a module and the objects of the modules it
-imports are unchanged; the evaluator keeps each compiled declaration on the
-declaration object. These tests keep an importing module object identical
-while what it imports changes, check incremental results against resolution
-from scratch, and pin that one step pays only for the modules it changes and
-recompiles only the declarations it changes."""
+imports are unchanged, and each declaration's reads on the declaration
+object; the evaluator keeps each compiled declaration on the declaration
+object. These tests keep an importing module or declaration object identical
+while what it reads changes, check incremental results against resolution
+from scratch, and pin that one step pays only for the modules it changes,
+walks only the declarations it makes and recompiles only the declarations
+it changes."""
 
 from dataclasses import replace
 
@@ -136,6 +138,112 @@ def test_unchanged_project_reuses_its_results(pfun):
     assert module_scope(p, "Client") is module_scope(p, "Client")
 
 
+# --- invalidation: the declaration stays the same object ---
+#
+# Each case changes what declaration r of A reads while r stays the same
+# object, in A itself (touched: A gains an unrelated declaration, so A is a
+# new object too) or in an unchanged A.
+
+def _touch(project: Project, m: str) -> Project:
+    """project with module m given one more, unrelated declaration."""
+    mod = project.modules[m]
+    zz = parse_module("module X where\n\nzz = 0\n").decls[0]
+    return with_module(project, replace(mod, decls=mod.decls + (zz,)))
+
+
+def _same_outcomes_as_scratch(project: Project):
+    """Resolution and minimisation give what they give on a fresh parse,
+    errors and rendered text included."""
+    _assert_same_as_scratch(project)
+    fresh = _fresh(project)
+    if _outcome(resolve_project, project)[0] == "ok":
+        got, want = minimize_qualifiers(project), minimize_qualifiers(fresh)
+        assert {m: render_module(x) for m, x in got.modules.items()} == \
+            {m: render_module(x) for m, x in want.modules.items()}
+
+
+def _keeps_r(before: Project, after: Project, m: str = "A"):
+    r = before.modules[m].decl("r")
+    assert after.modules[m].decl("r") is r and "_reads" in r.__dict__
+
+
+@pytest.mark.parametrize("touched", [False, True], ids=["same-module", "touched-module"])
+def test_declaration_meets_a_clashing_import(touched):
+    p = _project(_A.format(use="g"), _B, _C)
+    resolve_project(p)
+    p2 = with_module(p, parse_module("module C where\n\nk = 2\n\ng = 3\n"))
+    p2 = _touch(p2, "A") if touched else p2
+    _keeps_r(p, p2)
+    with pytest.raises(ResolveError) as exc:
+        resolve_project(p2)
+    assert exc.value.kind == "AmbiguousName" and exc.value.name == "g"
+    _same_outcomes_as_scratch(p2)
+
+
+@pytest.mark.parametrize("touched", [False, True], ids=["same-module", "touched-module"])
+def test_declaration_loses_a_qualified_export(touched):
+    p = _project(_A.format(use="B.g"), "module B (g, h) where\n\ng = 1\n\nh = 2\n", _C)
+    resolve_project(p)
+    p2 = with_module(p, replace(p.modules["B"], exports=("h",)))
+    p2 = _touch(p2, "A") if touched else p2
+    _keeps_r(p, p2)
+    with pytest.raises(ResolveError) as exc:
+        resolve_project(p2)
+    assert str(exc.value) == "B does not export g"
+    _same_outcomes_as_scratch(p2)
+
+
+@pytest.mark.parametrize("data", [
+    "data T = K Int",  # arity
+    "data T = K (Int, Int)",  # tupledness
+    "data T = K Int Int | J Int",  # K unchanged, a new constructor beside it
+], ids=["arity", "tupled", "unchanged"])
+@pytest.mark.parametrize("use", ["r = K 1 2", "r = case K 1 2 of K x y -> x", "r (K x y) = x"],
+                         ids=["application", "case-pattern", "equation-pattern"])
+def test_declaration_meets_a_changed_constructor(data, use):
+    p = _project(f"module A where\n\nimport D\n\n{use}\n", "module D where\n\ndata T = K Int Int\n")
+    resolve_project(p)
+    p2 = _touch(with_module(p, parse_module(f"module D where\n\n{data}\n")), "A")
+    _keeps_r(p, p2)
+    _same_outcomes_as_scratch(p2)
+    assert (_outcome(resolve_project, p2)[0] == "ok") == data.endswith("J Int")
+
+
+@pytest.mark.parametrize("touched", [False, True], ids=["same-module", "touched-module"])
+def test_declaration_qualifier_dropped_when_a_clash_disappears(touched):
+    p = _project(_A.format(use="B.g"), _B, "module C where\n\nk = 2\n\ng = 3\n")
+    assert minimize_qualifiers(p).modules["A"] is p.modules["A"]  # B.g needed
+    p2 = with_module(p, parse_module(_C))
+    p2 = _touch(p2, "A") if touched else p2
+    _keeps_r(p, p2)
+    out = minimize_qualifiers(p2)
+    assert "r = g + 1" in render_module(out.modules["A"])
+    _same_outcomes_as_scratch(p2)
+
+
+def test_declaration_shared_by_two_modules():
+    # One FunDecl object r in A and in E: g resolves in A, is ambiguous in
+    # E, then the clash moves from E to A.
+    p = _project(_A.format(use="g"), _B, _C, "module F where\n\ng = 4\n")
+    a = p.modules["A"]
+    e = replace(a, name="E", imports=("B", "F"))
+    p = with_module(p, e)
+    assert p.modules["E"].decl("r") is a.decl("r")
+    _same_outcomes_as_scratch(p)
+    with pytest.raises(ResolveError) as exc:
+        resolve_project(p)
+    assert (exc.value.kind, exc.value.module) == ("AmbiguousName", "E")
+    p2 = with_module(with_module(p, replace(e, imports=("B", "C"))), replace(a, imports=("B", "F")))
+    assert p2.modules["A"].decl("r") is p2.modules["E"].decl("r")
+    with pytest.raises(ResolveError) as exc:
+        resolve_project(p2)
+    assert (exc.value.kind, exc.value.module) == ("AmbiguousName", "A")
+    _same_outcomes_as_scratch(p2)
+    p3 = with_module(p2, replace(a, imports=("B", "C")))
+    resolve_project(p3)
+    _same_outcomes_as_scratch(p3)
+
+
 # --- incremental equals scratch ---
 
 _NEW = ["aux", "tmp", "eval", "r1", "Const"]
@@ -216,8 +324,8 @@ def _assert_same_as_scratch(inc: Project):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_incremental_equals_scratch(data):
-    origin = data.draw(st.sampled_from(["pfun", "pdata"]))
-    project = load_fixture(origin).project
+    origin = data.draw(st.sampled_from(["pfun", "pdata", "padded"]))
+    project = _PADDED if origin == "padded" else load_fixture(origin).project
     resolve_project(project)
     for _ in range(data.draw(st.integers(1, 6))):
         step = _draw_step(data.draw, project)
@@ -243,6 +351,9 @@ def _padded_pfun(count: int) -> Project:
             f"module Pad{i:02d} where\n\n{imports}{body}\nq{i:02d} = p{i:02d} {i}\n"
         )
     return Project(mods)
+
+
+_PADDED = minimize_qualifiers(_padded_pfun(8))  # an origin of test_incremental_equals_scratch
 
 
 def _changed(before: Project, after: Project) -> set[str]:
@@ -273,7 +384,7 @@ def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
     monkeypatch.setattr(resolver, "_check_module", counted(resolver._check_module, lambda t, p, m: m))
     monkeypatch.setattr(resolver, "_scope_of", counted(resolver._scope_of, lambda p, mod: mod.name))
     monkeypatch.setattr(rewrite, "_rewrite_vars", counted(
-        rewrite._rewrite_vars, lambda p, f, walk: tuple(m for m, mod in p.modules.items() if walk(mod))))
+        rewrite._rewrite_vars, lambda p, f, walk, touches: tuple(m for m, mod in p.modules.items() if walk(mod))))
     step = RefactorStep(tokens[0], tokens[1:], 1)
     out = COMMANDS[step.command][1](project, step)
 
@@ -282,6 +393,50 @@ def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
     touched = {m for kind, ms in seen for m in ([ms] if isinstance(ms, str) else ms)}
     assert {kind for kind, _ in seen} >= {"_check_module", "_scope_of"}
     assert touched <= changed, f"{sorted(touched - changed)} re-derived without a change"
+
+
+@pytest.mark.parametrize("tokens", [
+    ("duplicate-into-comment", "eval", "EvalMod"),
+    ("rename-top-level", "toString", "ToStringMod", "render"),
+    ("rename-top-level", "p20", "Pad20", "s20"),
+    ("move-def", "p39", "Pad39", "Pad40"),
+], ids=["one-module", "two-modules", "padding-chain", "move"])
+def test_step_costs_only_the_declarations_it_changes(monkeypatch, tokens):
+    # Validation checks each declaration's remembered reads against the
+    # table; only a declaration object the step made is walked, and only a
+    # declaration with a droppable qualifier is minimised.
+    project = minimize_qualifiers(_padded_pfun(40))
+    resolve_project(project)  # the state a step leaves: resolved and minimal
+    walked, minimised, inside = [], [], []
+
+    def collect(d):
+        walked.append(d)
+        return collect_reads(d)
+
+    def minimize(p):
+        inside.append(p)
+        try:
+            return minimize_qualifiers(p)
+        finally:
+            inside.pop()
+
+    def rewrite_decl(d, *args):
+        if inside:
+            minimised.append(d)
+        return map_decl_roots(d, *args)
+
+    collect_reads, map_decl_roots = resolver._collect_reads, rewrite.map_decl_roots
+    monkeypatch.setattr(resolver, "_collect_reads", collect)
+    monkeypatch.setattr(refactorings, "minimize_qualifiers", minimize)
+    monkeypatch.setattr(rewrite, "map_decl_roots", rewrite_decl)
+    step = RefactorStep(tokens[0], tokens[1:], 1)
+    out = COMMANDS[step.command][1](project, step)
+
+    assert out is not project and walked  # the step's own declarations
+    assert len({id(d) for d in walked}) == len(walked)  # walked lists keep them alive
+    old = {id(d) for mod in project.modules.values() for d in mod.decls}
+    kept = [d.name for d in walked + minimised if id(d) in old]
+    assert kept == [], f"{kept} walked or minimised again without a change"
 
 
 def test_fold_def_returns_modules_that_fold_nothing_as_the_same_objects():

@@ -1,12 +1,15 @@
+import json
+import os
 from dataclasses import replace
 
 import pytest
 
-from viewshift.lang import App, IntLit, Project, Var
+from viewshift.lang import App, Equation, FunDecl, IntLit, Project, Var, decl_name
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module, parse_project
+from viewshift.render import render_decl
 from viewshift.script import (
-    RefactorStep, Script, ScriptSyntaxError, parse_script, run_script,
+    COMMANDS, RefactorStep, Script, ScriptSyntaxError, _older, parse_script, run_script,
 )
 
 ENTRIES = ("r1", "r2", "r3", "r4")
@@ -156,7 +159,8 @@ def test_unresolvable_result_fails_the_step(tmp_path):
 ], ids=["depth-400", "depth-2000"])
 def test_too_deep_observation_fails_the_step(depth, record):
     # r1 = f (f (... (f 1))), depth applications deep: built as a tree, since
-    # the parser's own stack would end first
+    # the parser's own stack would end first. Renaming f must rewrite r1; a
+    # step that leaves r1 alone does not walk it again.
     mod = parse_module("module Client where\n\nf x = x + 1\n\nk = 1\n\nr1 = 0\n")
     deep = IntLit(1)
     for _ in range(depth):
@@ -164,7 +168,78 @@ def test_too_deep_observation_fails_the_step(depth, record):
     r1 = mod.decl("r1")
     r1 = replace(r1, equations=(replace(r1.equations[0], rhs=deep),))
     project = Project({"Client": replace(mod, decls=mod.decls[:2] + (r1,))})
-    out, log = run_script(project, parse_script("duplicate-into-comment k Client"), checked=True)
+    out, log = run_script(project, parse_script("rename-top-level f Client g"), checked=True)
     assert not log.ok
     assert [(r.outcome, r.equivalence, r.error, r.kind) for r in log.records] == [record]
     assert (out is project) == (record[0] == "failed")
+
+
+_STEP_KEYS = {"index", "command", "args", "outcome", "kind", "equivalence", "elapsed_s", "changed"}
+
+
+def _render_diff(before_dir, after_dir) -> dict[str, list[str]]:
+    """module -> names of the declarations whose rendering differs between
+    two snapshot directories, for each module whose file differs."""
+    out = {}
+    files = sorted(set(os.listdir(before_dir)) | set(os.listdir(after_dir)))
+    for fname in files:
+        texts = []
+        for d in (before_dir, after_dir):
+            path = os.path.join(d, fname)
+            texts.append(open(path).read() if os.path.exists(path) else None)
+        if texts[0] == texts[1]:
+            continue
+        old, new = ({decl_name(x): render_decl(x) for x in parse_module(t).decls} if t else {}
+                    for t in texts)
+        out[fname[:-4]] = sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
+    return out
+
+
+def test_trace_records_each_step_and_the_declarations_it_changed(pfun, forward_script, tmp_path):
+    _, log = run_script(pfun, forward_script, checked=True, entries=ENTRIES, snapshot_dir=str(tmp_path))
+    lines = log.to_json().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) == len(forward_script.steps) + 1
+    for step, record in zip(forward_script.steps, records):
+        assert set(record) == _STEP_KEYS
+        assert (record["command"], record["args"]) == (step.command, list(step.args))
+        assert (record["outcome"], record["kind"], record["equivalence"]) == ("applied", None, "pass")
+        assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] > 0
+        before = tmp_path / f"step_{record['index'] - 1:03d}"
+        after = tmp_path / f"step_{record['index']:03d}"
+        assert record["changed"] == _render_diff(before, after), str(step)
+    summary = records[-1]["summary"]
+    assert set(summary) == {"script", "steps", "applied", "ok", "elapsed_s", "peak_rss_mb"}
+    assert (summary["steps"], summary["applied"], summary["ok"]) == (51, 51, True)
+
+
+def test_trace_of_a_failed_step_holds_its_kind():
+    project = Project({"M": parse_module("module M where\n\nk = 1\n")})
+    _, log = run_script(project, parse_script("remove-def nosuch M\n"))
+    step, summary = map(json.loads, log.to_json().splitlines())
+    assert (step["outcome"], step["kind"], step["changed"]) == ("failed", "NotFound", {})
+    assert (summary["summary"]["applied"], summary["summary"]["ok"]) == (0, False)
+
+
+
+def test_step_gives_back_equal_copies_as_the_older_objects(pfun, forward_script):
+    # The first move-def requalifies Client's uses of the moved function and
+    # minimises them again, which leaves equal copies of Client's functions.
+    first = next(i for i, s in enumerate(forward_script.steps) if s.command == "move-def")
+    step = forward_script.steps[first]
+    mid, _ = run_script(pfun, Script("head", forward_script.steps[:first]))
+    raw = COMMANDS[step.command][1](mid, step)
+    copies = [d for d, old in zip(raw.modules["Client"].decls, mid.modules["Client"].decls)
+              if d is not old and d == old]
+    assert copies
+    out, log = run_script(mid, Script("move", (step,)))
+    assert log.ok and log.records[0].changed["Client"] == []  # only its imports changed
+    assert all(d is old for d, old in zip(out.modules["Client"].decls, mid.modules["Client"].decls))
+
+
+def test_declaration_too_deep_to_compare_is_kept_as_a_copy():
+    a, b = IntLit(1), IntLit(1)
+    for _ in range(5000):
+        a, b = App(Var("f"), a), App(Var("f"), b)
+    old, new = (FunDecl("r1", (Equation((), e),)) for e in (a, b))
+    assert _older(new, old) is new
