@@ -17,7 +17,9 @@ by that name: a step recompiles only the declarations it changes.
 Names resolve per `Evaluator`, against its project, when a site is first
 evaluated; the evaluator keeps the cell each site denotes and creates a
 binding's cell on its first lookup. A name that does not resolve raises the
-project's ResolveError when it is evaluated, and not before.
+project's ResolveError when it is evaluated, and not before. An observation
+(`observe_entries`) is one `Evaluator`: its entries share the heap, so a
+top-level cell one entry forced is not evaluated again for the next.
 
 Code in tail position (a case or let body, the body of a saturated call) is
 not called but returned as a `(code, env)` pair to the trampoline (`_run`,
@@ -26,7 +28,10 @@ stack. Every expression node ticks once when entered, and so does each
 application round and each node of deep forcing: the reduction count is that
 of a tree walk over the same expressions. A call whose head is a variable
 adds the ticks of the call and its head at once, only while both fit the
-budget, and a saturated call skips the general application loop.
+budget, and a saturated call skips the general application loop. The budget
+is per entry: the ticks test the evaluator's `limit`, which an observation
+moves to the count so far plus the budget before each entry, so an entry may
+perform budget reductions of its own.
 """
 
 from __future__ import annotations
@@ -169,6 +174,7 @@ class Evaluator:
     def __init__(self, project: Project, budget: int = DEFAULT_BUDGET):
         self.project = project
         self.budget = budget
+        self.limit = budget  # the step count the budget ends at; see observe_entries
         self.stats = EvalStats()
         self.table: SymbolTable = build_symbol_table(project)
         # global site -> the cell it denotes; a binding's own cell is kept
@@ -197,7 +203,7 @@ class Evaluator:
 
     def _tick(self):
         self.stats.steps += 1
-        if self.stats.steps > self.budget:
+        if self.stats.steps > self.limit:
             raise self._exhausted()
 
     def force(self, cell: _Cell):
@@ -407,7 +413,7 @@ class _Compiler:
                 def code(ev, env):
                     stats = ev.stats
                     stats.steps += 1
-                    if stats.steps > ev.budget:
+                    if stats.steps > ev.limit:
                         raise ev._exhausted()
                     cell = env[slot]
                     value = cell.value
@@ -418,7 +424,7 @@ class _Compiler:
                 def code(ev, env):
                     stats = ev.stats
                     stats.steps += 1
-                    if stats.steps > ev.budget:
+                    if stats.steps > ev.limit:
                         raise ev._exhausted()
                     cell = ev.cells.get(site) or ev._site(site)
                     value = cell.value
@@ -456,7 +462,7 @@ class _Compiler:
 
                 def code(ev, env):
                     stats = ev.stats
-                    if named and stats.steps + 2 <= ev.budget:
+                    if named and stats.steps + 2 <= ev.limit:
                         stats.steps += 2  # the ticks of the App node and its head
                         cell = env[slot] if site is None else ev.cells.get(site) or ev._site(site)
                         f = cell.value if cell.value is not None else ev.force(cell)
@@ -558,15 +564,28 @@ def _entry_module(project: Project, entry: str) -> str:
 
 
 def observe_entries(
-    project: Project, entries: list[str] | tuple[str, ...], budget: int = DEFAULT_BUDGET
+    project: Project,
+    entries: list[str] | tuple[str, ...],
+    budget: int = DEFAULT_BUDGET,
+    stats: EvalStats | None = None,
 ) -> dict[str, str]:
-    """Force each zero-argument entry; printed text for outputs, shown form otherwise."""
+    """Force each zero-argument entry, in order, on one evaluator's heap;
+    printed text for outputs, shown form otherwise. Each entry may perform
+    budget reductions of its own: a cell an earlier entry forced is not
+    counted again. The call's counts are added to stats when given."""
     out: dict[str, str] = {}
-    for entry in entries:
-        mname = _entry_module(project, entry)
-        ev = Evaluator(project, budget)
-        value = ev.deep(ev.eval_expr(Var(entry), {}, mname))
-        out[entry] = value.text if isinstance(value, VOutput) else show_value(value)
+    ev = None
+    try:
+        for entry in entries:
+            mname = _entry_module(project, entry)
+            ev = ev or Evaluator(project, budget)
+            ev.limit = ev.stats.steps + budget
+            value = ev.deep(ev.eval_expr(Var(entry), {}, mname))
+            out[entry] = value.text if isinstance(value, VOutput) else show_value(value)
+    finally:
+        if stats is not None and ev is not None:
+            stats.steps += ev.stats.steps
+            stats.forcings += ev.stats.forcings
     return out
 
 
@@ -591,10 +610,5 @@ def observational_eq(
 def default_entries(project: Project, module: str = "Client") -> list[str]:
     """Zero-argument bindings of the Client module whose names start with r."""
     mod = project.modules.get(module)
-    if mod is None:
-        return []
-    out = []
-    for d in mod.decls:
-        if isinstance(d, FunDecl) and d.arity == 0 and d.name.startswith("r"):
-            out.append(d.name)
-    return out
+    decls = mod.decls if mod is not None else ()
+    return [d.name for d in decls if isinstance(d, FunDecl) and d.arity == 0 and d.name.startswith("r")]

@@ -506,17 +506,23 @@ def _check_distinct(names, message: str, t: Tok):
         seen.add(name)
 
 
-def parse_module(text: str, filename: str = "<module>") -> ModuleDef:
-    toks, comments = tokenize(text)
-    p = _Parser(toks)
-    name, exports = p.header()
-    imports, decls = p.decls(comments, imports_first=True)
-    if exports is not None:
-        declared = {decl_name(d) for d in decls}
-        declared.update(c.name for d in decls if isinstance(d, DataDecl) for c in d.constructors)
-        for export in exports:
-            if export not in declared:
-                raise ParseError(f"exported identifier {export!r} is not declared", 1, 0)
+def parse_module(text: str, filename: str | None = None) -> ModuleDef:
+    """Parse one module; a syntax error names filename when one is given."""
+    try:
+        toks, comments = tokenize(text)
+        p = _Parser(toks)
+        name, exports = p.header()
+        imports, decls = p.decls(comments, imports_first=True)
+        if exports is not None:
+            declared = {decl_name(d) for d in decls}
+            declared.update(c.name for d in decls if isinstance(d, DataDecl) for c in d.constructors)
+            for export in exports:
+                if export not in declared:
+                    raise ParseError(f"exported identifier {export!r} is not declared", 1, 0)
+    except ParseError as exc:
+        if filename is None:
+            raise
+        raise ParseError(f"{filename}: {exc.message}", exc.line, exc.col) from None
     return ModuleDef(name, exports, tuple(imports), tuple(decls))
 
 
@@ -578,7 +584,7 @@ def parse_project(directory: str) -> Project:
         raise ParseError(f"no .mfn files in {directory}", 1, 0)
     for fname in names:
         path = os.path.join(directory, fname)
-        mod = parse_module(read_source(path), filename=fname)
+        mod = parse_module(read_source(path), filename=path)
         stem = fname[:-4]
         if mod.name != stem:
             raise ParseError(

@@ -29,8 +29,8 @@ from .names import (
 from .parse import ParseError, parse_decl, tokenize
 from .render import render_decl
 from .resolver import (
-    OccRef, ResolveError, applications, build_symbol_table, decl_refs,
-    find_application, module_exports, module_names, module_scope,
+    OccRef, ResolveError, SymbolTable, applications, build_symbol_table,
+    decl_refs, find_application, module_exports, module_names, module_scope,
     occurrences_of, resolve_var, resolve_project, unused_imports, uses_of,
 )
 from .rewrite import (
@@ -512,14 +512,14 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
 # unfold / fold
 
 def _qualified_equations(
-    project: Project, def_module: str, defn: FunDecl, site_module: str
+    table: SymbolTable, def_module: str, defn: FunDecl, site_module: str
 ) -> tuple[tuple[Equation, ...], set[str]]:
     """Qualify the free references of a definition's equations by their home
-    modules so the bodies stay correct when inlined elsewhere. Returns the
-    rewritten equations and the set of modules the site must import."""
+    modules, looked up in the caller's table, so the bodies stay correct when
+    inlined elsewhere. Returns the rewritten equations and the set of modules
+    the site must import."""
     if def_module == site_module:
         return defn.equations, set()
-    table = build_symbol_table(project)
     needed: set[str] = set()
 
     def qualify(e: Expr, bound: frozenset[str]) -> Expr:
@@ -551,6 +551,7 @@ def _case_of_equations(equations: tuple[Equation, ...], args: list[Expr]) -> Exp
 
 
 def _inline_definition(
+    table: SymbolTable,
     project: Project,
     m: str,
     def_module: str,
@@ -567,7 +568,7 @@ def _inline_definition(
             "NotApplicable",
             f"{what} takes {arity} argument(s) but is applied to {len(args)} here",
         )
-    equations, needed = _qualified_equations(project, def_module, defn, m)
+    equations, needed = _qualified_equations(table, def_module, defn, m)
     for imp in sorted(needed):
         modx = project.modules[m]
         if imp != m and imp not in modx.imports:
@@ -655,7 +656,7 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
     spine = decl_expr_at(fd, spine_path)
     _, args = app_spine(spine)
 
-    project, new_expr = _inline_definition(project, m, def_module, defn, args, d_token)
+    project, new_expr = _inline_definition(table, project, m, def_module, defn, args, d_token)
     mod = project.modules[m]
     di, fd = _fun_decl(mod, f)
     project = with_module(project, with_decl(mod, di, replace_decl_expr_at(fd, spine_path, new_expr)))
@@ -707,8 +708,9 @@ def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project
         raise RefactorError("NotApplicable", "an application has at least one argument")
     mod = _module(project, m)
 
+    table = build_symbol_table(project)
     target = None
-    for occ, ref in applications(project, m, f, arg_count):
+    for occ, ref in applications(table, project, m, f, arg_count):
         d = mod.decl(occ.decl)
         spec = _comment_spec(d)
         if spec is not None:
@@ -731,7 +733,7 @@ def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project
     td = project.modules[ref.module].decl(ref.name)
     if not isinstance(td, FunDecl):
         raise _not_found(f"{f} does not name a function definition")
-    project2, new_expr = _inline_definition(project, m, ref.module, td, args, f)
+    project2, new_expr = _inline_definition(table, project, m, ref.module, td, args, f)
     mod2 = project2.modules[m]
     di2, d2 = _fun_decl(mod2, d.name)
     d2 = replace_decl_expr_at(d2, spine_path, new_expr)

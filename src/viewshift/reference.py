@@ -263,11 +263,14 @@ def evaluate_by_name(project: Project, module: str, expr: Expr, budget: int = DE
 def observe_entries_by_name(
     project: Project, entries, budget: int = DEFAULT_BUDGET
 ) -> dict[str, str]:
-    from .evaluator import _entry_module
-
     out: dict[str, str] = {}
     for entry in entries:
-        mname = _entry_module(project, entry)
+        hits = [m for m, mod in sorted(project.modules.items()) if any(
+            isinstance(d, FunDecl) and d.name == entry and d.arity == 0 for d in mod.decls)]
+        if len(hits) != 1:
+            many = f"entry {entry} is defined in several modules: {hits}"
+            raise EvalError("UnresolvedName", many if hits else f"no zero-argument binding {entry} in the project")
+        mname = hits[0]
         value = evaluate_by_name(project, mname, Var(entry), budget)
         out[entry] = value.text if isinstance(value, VOutput) else show_value(value)
     return out

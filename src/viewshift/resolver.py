@@ -465,7 +465,7 @@ def occurrences_of(project: Project, module: str, name: str) -> list[OccRef]:
 
 
 def applications(
-    project: Project, module: str, fn: str, arg_count: int
+    table: SymbolTable, project: Project, module: str, fn: str, arg_count: int
 ) -> Iterator[tuple[OccRef, DefRef]]:
     """Applications in module of fn to exactly arg_count arguments, in
     document order, each with the definition its head resolves to: maximal
@@ -473,7 +473,6 @@ def applications(
     names in module."""
     if arg_count < 1:
         raise _err("NoSuchApplication", module, fn, "an application has at least one argument")
-    table = build_symbol_table(project)
     mod = project.modules.get(module)
     if mod is None:
         raise _err("UnresolvedName", module, fn, f"no module {module}")
@@ -508,7 +507,7 @@ def applications(
 
 def find_application(project: Project, module: str, fn: str, arg_count: int) -> OccRef:
     """First application (document order) of fn to exactly arg_count arguments."""
-    hit = next(applications(project, module, fn, arg_count), None)
+    hit = next(applications(build_symbol_table(project), project, module, fn, arg_count), None)
     if hit is None:
         raise _err(
             "NoSuchApplication", module, fn,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import refactorings as ops
-from .evaluator import EvalError, default_entries, observe_entries
+from .evaluator import EvalError, EvalStats, default_entries, observe_entries
 from .lang import Project, TopDecl, decl_name
 from .refactorings import RefactorError
 from .render import write_project
@@ -110,12 +110,18 @@ class StepRecord:
     elapsed: float = 0.0
     # module -> names of the declarations the step added, removed or replaced
     changed: dict[str, list[str]] = field(default_factory=dict)
+    # what the equivalence check cost, None when unchecked: seconds spent
+    # observing, and the evaluators' reductions and forcings
+    check_s: Optional[float] = None
+    reductions: Optional[int] = None
+    forcings: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
             "index": self.index, "command": self.command, "args": list(self.args),
             "outcome": self.outcome, "kind": self.kind, "equivalence": self.equivalence,
             "elapsed_s": self.elapsed, "changed": self.changed,
+            "check_s": self.check_s, "reductions": self.reductions, "forcings": self.forcings,
         }
 
 
@@ -233,11 +239,13 @@ def run_script(
     """Apply the script's steps in order, fail-fast.
 
     With checked=True the current project is compared observationally with
-    the origin after every step; a disagreement aborts the run. With a
-    snapshot directory, every intermediate project is rendered to disk.
+    the origin after every step; a disagreement aborts the run. The origin is
+    observed once, at the first checked step, whose record counts that cost
+    too. With a snapshot directory, every intermediate project is rendered to
+    disk.
     """
     resolve_project(project)
-    origin = project
+    origin, expected = project, None
     log = RunLog(script.name)
     if checked and not entries:
         entries = tuple(default_entries(project))
@@ -255,12 +263,17 @@ def run_script(
             log.records.append(record)
             return project, log
         if checked:
+            t1, stats = time.perf_counter(), EvalStats()
             try:
-                same = observe_entries(origin, entries) == observe_entries(project, entries)
+                if expected is None:
+                    expected = observe_entries(origin, entries, stats=stats)
+                same = expected == observe_entries(project, entries, stats=stats)
             except (EvalError, ResolveError, RecursionError) as exc:
                 same = False
                 record.error, record.kind = _failure(exc)
             record.equivalence = "pass" if same else "fail"
+            record.check_s = time.perf_counter() - t1
+            record.reductions, record.forcings = stats.steps, stats.forcings
         record.elapsed = time.perf_counter() - t0
         record.changed = _changed_decls(before, project)
         log.records.append(record)

@@ -179,14 +179,16 @@ def test_eval_non_ascii_digit_exits_2_without_traceback(tmp_path, capsys):
     # str.isdigit holds for "²", but only ASCII digits start an integer
     (tmp_path / "M.mfn").write_text("module M where\n\nr1 = \u00b2\n", encoding="utf-8")
     assert main(["eval", str(tmp_path), "r1"]) == 2
-    assert capsys.readouterr().err == "parse error: unexpected character '\u00b2' (line 3, column 5)\n"
+    path = tmp_path / "M.mfn"
+    assert capsys.readouterr().err == f"parse error: {path}: unexpected character '\u00b2' (line 3, column 5)\n"
 
 
 def test_eval_input_nested_too_deep_to_parse_exits_2(tmp_path, capsys):
     # the parser runs out of stack inside the parentheses and says where
     (tmp_path / "M.mfn").write_text("module M where\n\nr1 = " + "(" * 400 + "1" + ")" * 400 + "\n")
     assert main(["eval", str(tmp_path), "r1"]) == 2
-    m = re.fullmatch(r"parse error: nesting too deep \(line 3, column (\d+)\)\n", capsys.readouterr().err)
+    prefix = re.escape(f"parse error: {tmp_path / 'M.mfn'}: ")
+    m = re.fullmatch(prefix + r"nesting too deep \(line 3, column (\d+)\)\n", capsys.readouterr().err)
     assert m and 5 < int(m.group(1)) < 5 + 400
 
 

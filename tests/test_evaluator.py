@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -5,14 +6,15 @@ import pytest
 from viewshift import resolver, rewrite
 from viewshift.corpus import load_fixture
 from viewshift.evaluator import (
-    EvalError, Evaluator, VCon, VInt, VStr, VTuple, default_entries,
+    EvalError, EvalStats, Evaluator, VCon, VInt, VStr, VTuple, default_entries,
     evaluate, observational_eq, observe_entries, show_value,
 )
 from viewshift.lang import Project, Var
 from viewshift.parse import parse_expr, parse_module
+from viewshift.refactorings import unfold_instance
 from viewshift.reference import evaluate_by_name, observe_entries_by_name
 from viewshift.resolver import ResolveError
-from viewshift.script import run_script
+from viewshift.script import Script, run_script
 
 ENTRIES = ("r1", "r2", "r3", "r4")
 EXPECTED = {"r1": "1+2", "r2": "3", "r3": "1+2+3", "r4": "6"}
@@ -211,7 +213,8 @@ def test_unresolved_name_fails_only_where_evaluated():
 
 def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
     # The compiled machine ticks where a tree walk over the same expressions
-    # would; bench/selftest.py pins the same counts for the traced run.
+    # would. One evaluator per observation: the origin once, then each of the
+    # 51 steps, every entry forced on that evaluator's heap.
     stats = []
     init = Evaluator.__init__
 
@@ -223,7 +226,21 @@ def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
     _, log = run_script(pfun, forward_script, checked=True)
     assert log.ok
     counts = (len(stats), sum(s.steps for s in stats), sum(s.forcings for s in stats))
-    assert counts == (408, 19_938, 8_094)
+    assert counts == (52, 11_128, 4_084)
+
+
+def test_checked_forward_trace_sums_to_the_run_counts(pfun, forward_script):
+    # each step's record holds its check cost; step 1's includes the one
+    # observation of the origin
+    _, log = run_script(pfun, forward_script, checked=True)
+    records = [json.loads(line) for line in log.to_json().splitlines()[:-1]]
+    assert (sum(r["reductions"] for r in records), sum(r["forcings"] for r in records)) == (11_128, 4_084)
+    first, _ = run_script(pfun, Script("first", forward_script.steps[:1]))
+    origin, after = EvalStats(), EvalStats()
+    observe_entries(pfun, ENTRIES, stats=origin)
+    observe_entries(first, ENTRIES, stats=after)
+    assert records[0]["reductions"] == origin.steps + after.steps
+    assert records[0]["forcings"] == origin.forcings + after.forcings
 
 
 def _count_calls(monkeypatch, *functions) -> dict[str, int]:
@@ -247,15 +264,28 @@ def _count_calls(monkeypatch, *functions) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("checked, builds", [(False, 209), (True, 617)], ids=["unchecked", "checked"])
+@pytest.mark.parametrize("checked, builds", [(False, 205), (True, 257)], ids=["unchecked", "checked"])
 def test_forward_run_resolver_counts(pfun, forward_script, monkeypatch, checked, builds):
-    # the call counts bench/selftest.py pins for the traced paper forward run
+    # the call counts the benchmark reads from its traced paper forward run
     counts = _count_calls(
         monkeypatch, resolver.build_symbol_table, resolver.resolve_project, rewrite.minimize_qualifiers
     )
     _, log = run_script(pfun, forward_script, checked=checked)
     assert log.ok
     assert counts == {"build_symbol_table": builds, "resolve_project": 103, "minimize_qualifiers": 51}
+
+
+def test_unfold_from_another_module_builds_no_second_table(monkeypatch):
+    # the step's own table, then _finish's; qualifying g's body for A reads
+    # the step's table (it used to build a fifth of the same project)
+    project = _project(
+        "module A where\n\nimport B\n\nf x = g x + 1\n",
+        "module B where\n\nh = 2\n\ng y = y + h\n",
+    )
+    counts = _count_calls(monkeypatch, resolver.build_symbol_table)
+    out = unfold_instance(project, "g", "f", "A")
+    assert out.modules["A"].decl("f").equations[0].rhs == parse_expr("x + h + 1")
+    assert counts == {"build_symbol_table": 4}
 
 
 def _entry_stats(project, entry, budget=10**6):
@@ -286,3 +316,24 @@ def test_cold_and_warm_observations_count_alike(fixture):
     cold = [_entry_stats(project, entry) for entry in ENTRIES]
     warm = [_entry_stats(project, entry) for entry in ENTRIES]
     assert cold == warm
+
+
+SHARED = (
+    "module Client where\n\ndouble x = x + x\n\n"
+    "big = double (double (double (double 1)))\n\n"
+    "spin n = spin (n + 1)\n\n"
+    "r1 = big\n\nr2 = big + 1\n\nr3 = spin 0\n"
+)
+
+
+def test_step_budget_counts_each_entrys_own_reductions():
+    # r2 alone evaluates big; after r1 on the same heap it reads big's cell
+    project = _project(SHARED)
+    budget = _entry_stats(project, "r1")[1].steps
+    assert _entry_stats(project, "r2")[1].steps > budget
+    assert observe_entries(project, ["r1", "r2"], budget=budget) == {"r1": "16", "r2": "17"}
+    for entries, over in ((["r2"], budget), (["r1"], budget - 1), (["r1", "r3"], budget)):
+        with pytest.raises(EvalError) as exc:
+            observe_entries(project, entries, budget=over)
+        assert exc.value.kind == "StepBudgetExceeded"
+        assert str(exc.value) == f"reduction budget of {over} steps exceeded"

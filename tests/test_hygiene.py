@@ -159,3 +159,20 @@ def test_ast_reachable_from_module_is_frozen_and_immutable():
                 todo.append(kind)
     assert {lang.Var, lang.PCon, lang.LocalDef, lang.CommentBlock} <= seen
     assert faults == []
+
+
+def test_reference_oracle_shares_only_values_with_the_evaluator():
+    # reference.py is the independent oracle the compiled evaluator is
+    # checked against: it may share the value classes and how they print,
+    # never the evaluator's machine, its observation or its compiler
+    allowed = {
+        "Value", "VInt", "VStr", "VCon", "VTuple", "VOutput", "VClosure",
+        "show_value", "EvalError", "DEFAULT_BUDGET",
+    }
+    imported = []
+    for node in ast.walk(_tree(PACKAGE / "reference.py")):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "evaluator":
+            imported += [a.name for a in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "evaluator" not in {part for a in node.names for part in a.name.split(".")}
+    assert "show_value" in imported and set(imported) <= allowed

@@ -1,9 +1,11 @@
 """Generative property suites over small ASTs."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from viewshift import refactorings as R
-from viewshift.evaluator import evaluate
+from viewshift.evaluator import evaluate, observe_entries
 from viewshift.lang import (
     App, Builtin, Case, CaseBranch, ConApp, Equation, Expr, FunDecl, Infix,
     IntLit, Let, LetBinding, LocalDef, ModuleDef, PCon, PInt, PTuple, PVar,
@@ -13,7 +15,7 @@ from viewshift.names import (
     alpha_eq_decl, alpha_eq_expr, alpha_eq_project, free_vars, substitute,
 )
 from viewshift.parse import parse_expr, parse_module
-from viewshift.reference import evaluate_by_name
+from viewshift.reference import evaluate_by_name, observe_entries_by_name
 from viewshift.render import render_expr, render_module
 from viewshift.rewrite import minimize_qualifiers
 
@@ -251,6 +253,10 @@ t1 = A (C 1, C 2)
 t2 = A (A (C 1, C 2), C 3)
 
 double x = x + x
+
+shared = combine t2 * double 4
+
+t3 = A (t2, C shared)
 """
 
 
@@ -259,7 +265,7 @@ def _int_exprs(draw, depth=3):
     if depth == 0:
         return draw(st.one_of(
             st.integers(0, 9).map(IntLit),
-            st.sampled_from([parse_expr("combine t1"), parse_expr("combine t2")]),
+            st.sampled_from([parse_expr("combine t1"), parse_expr("combine t2"), Var("shared")]),
         ))
     kind = draw(st.integers(0, 4))
     sub = lambda: draw(_int_exprs(depth=depth - 1))
@@ -278,13 +284,13 @@ def _int_exprs(draw, depth=3):
 @st.composite
 def _tree_exprs(draw, depth=2):
     if depth == 0:
-        return draw(st.sampled_from([Var("t1"), Var("t2")]))
+        return draw(st.sampled_from([Var("t1"), Var("t2"), Var("t3")]))
     kind = draw(st.integers(0, 2))
     if kind == 0:
         return ConApp("C", (draw(_int_exprs(depth=0)),))
     if kind == 1:
         return ConApp("A", (Tuple((draw(_tree_exprs(depth=depth - 1)), draw(_tree_exprs(depth=depth - 1)))),))
-    return draw(st.sampled_from([Var("t1"), Var("t2")]))
+    return draw(st.sampled_from([Var("t1"), Var("t2"), Var("t3")]))
 
 
 _ORACLE_PROJECT = Project({"M": parse_module(_ORACLE_MODULE)})
@@ -298,9 +304,34 @@ def test_call_by_need_agrees_with_call_by_name(e):
     assert need == name
 
 
+@st.composite
+def _entry_projects(draw):
+    """The oracle module with entries e0, e1, ... over its shared bindings,
+    each perhaps reading an earlier entry too, and the entries in a random
+    order."""
+    decls = []
+    for i in range(draw(st.integers(1, 4))):
+        rhs = draw(_int_exprs(depth=2))
+        if i and draw(st.booleans()):
+            rhs = Infix("+", rhs, Var(f"e{draw(st.integers(0, i - 1))}"))
+        decls.append(FunDecl(f"e{i}", (Equation((), rhs),)))
+    mod = _ORACLE_PROJECT.modules["M"]
+    project = Project({"M": replace(mod, decls=mod.decls + tuple(decls))})
+    return project, draw(st.permutations([d.name for d in decls]))
+
+
+@CASES
+@given(_entry_projects())
+def test_entries_on_one_heap_observe_as_each_alone(case):
+    # the shared top-level cells one entry forces change no later entry
+    project, entries = case
+    together = observe_entries(project, entries)
+    assert list(together) == entries
+    assert together == {e: observe_entries(project, [e])[e] for e in entries}
+    assert together == observe_entries_by_name(project, entries)
+
+
 def test_call_by_need_agrees_on_corpus_entries(pfun, pdata):
-    from viewshift.evaluator import observe_entries
-    from viewshift.reference import observe_entries_by_name
     entries = ("r1", "r2", "r3", "r4")
     for project in (pfun, pdata):
         assert observe_entries(project, entries) == observe_entries_by_name(project, entries)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import pytest
 
+from viewshift import script
+from viewshift.evaluator import observe_entries
 from viewshift.lang import App, Equation, FunDecl, IntLit, Project, Var, decl_name
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module, parse_project
@@ -174,7 +176,10 @@ def test_too_deep_observation_fails_the_step(depth, record):
     assert (out is project) == (record[0] == "failed")
 
 
-_STEP_KEYS = {"index", "command", "args", "outcome", "kind", "equivalence", "elapsed_s", "changed"}
+_STEP_KEYS = {
+    "index", "command", "args", "outcome", "kind", "equivalence", "elapsed_s", "changed",
+    "check_s", "reductions", "forcings",
+}
 
 
 def _render_diff(before_dir, after_dir) -> dict[str, list[str]]:
@@ -205,6 +210,8 @@ def test_trace_records_each_step_and_the_declarations_it_changed(pfun, forward_s
         assert (record["command"], record["args"]) == (step.command, list(step.args))
         assert (record["outcome"], record["kind"], record["equivalence"]) == ("applied", None, "pass")
         assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] > 0
+        assert 0 < record["check_s"] < record["elapsed_s"]
+        assert record["reductions"] > 0 and record["forcings"] > 0
         before = tmp_path / f"step_{record['index'] - 1:03d}"
         after = tmp_path / f"step_{record['index']:03d}"
         assert record["changed"] == _render_diff(before, after), str(step)
@@ -218,8 +225,40 @@ def test_trace_of_a_failed_step_holds_its_kind():
     _, log = run_script(project, parse_script("remove-def nosuch M\n"))
     step, summary = map(json.loads, log.to_json().splitlines())
     assert (step["outcome"], step["kind"], step["changed"]) == ("failed", "NotFound", {})
+    assert (step["check_s"], step["reductions"], step["forcings"]) == (None, None, None)
     assert (summary["summary"]["applied"], summary["summary"]["ok"]) == (0, False)
 
+
+def test_unchecked_trace_has_no_check_cost(pfun, forward_script):
+    _, log = run_script(pfun, forward_script)
+    assert log.ok
+    assert {(r.check_s, r.reductions, r.forcings) for r in log.records} == {(None, None, None)}
+
+
+def _observed(monkeypatch) -> list[Project]:
+    """The projects the script engine observes, in call order."""
+    seen = []
+
+    def counted(project, entries, *args, **kwargs):
+        seen.append(project)
+        return observe_entries(project, entries, *args, **kwargs)
+
+    monkeypatch.setattr(script, "observe_entries", counted)
+    return seen
+
+
+def test_checked_run_observes_the_origin_once(pfun, forward_script, monkeypatch):
+    seen = _observed(monkeypatch)
+    _, log = run_script(pfun, forward_script, checked=True, entries=ENTRIES)
+    assert log.ok
+    assert [p is pfun for p in seen] == [True] + [False] * len(forward_script.steps)
+
+
+def test_checked_run_whose_first_step_fails_observes_nothing(pfun, monkeypatch):
+    seen = _observed(monkeypatch)
+    _, log = run_script(pfun, parse_script("remove-def nosuch Client\nclean-imports Client\n"), checked=True)
+    assert [r.outcome for r in log.records] == ["failed"]
+    assert seen == []
 
 
 def test_step_gives_back_equal_copies_as_the_older_objects(pfun, forward_script):
