@@ -551,16 +551,16 @@ def evaluate(project: Project, module: str, expr: Expr, budget: int = DEFAULT_BU
     return ev.deep(ev.eval_expr(expr, {}, module))
 
 
-def _entry_module(project: Project, entry: str) -> str:
-    hits = sorted(
-        mname for mname, mod in project.modules.items()
-        if isinstance(d := decl_index(mod).get(entry), FunDecl) and d.arity == 0
-    )
-    if not hits:
-        raise EvalError("UnresolvedName", f"no zero-argument binding {entry} in the project")
-    if len(hits) > 1:
-        raise EvalError("UnresolvedName", f"entry {entry} is defined in several modules: {hits}")
-    return hits[0]
+def _entry_modules(project: Project, entries) -> dict[str, list[str]]:
+    """Each entry -> the modules that bind it with no arguments, in name
+    order: one pass over the modules serves every entry."""
+    hits: dict[str, list[str]] = {entry: [] for entry in entries}
+    for mname in sorted(project.modules):
+        index = decl_index(project.modules[mname])
+        for entry in hits.keys() & index.keys():
+            if isinstance(d := index[entry], FunDecl) and d.arity == 0:
+                hits[entry].append(mname)
+    return hits
 
 
 def observe_entries(
@@ -574,10 +574,15 @@ def observe_entries(
     budget reductions of its own: a cell an earlier entry forced is not
     counted again. The call's counts are added to stats when given."""
     out: dict[str, str] = {}
-    ev = None
+    ev, homes = None, _entry_modules(project, entries)
     try:
         for entry in entries:
-            mname = _entry_module(project, entry)
+            hits = homes[entry]
+            if not hits:
+                raise EvalError("UnresolvedName", f"no zero-argument binding {entry} in the project")
+            if len(hits) > 1:
+                raise EvalError("UnresolvedName", f"entry {entry} is defined in several modules: {hits}")
+            mname = hits[0]
             ev = ev or Evaluator(project, budget)
             ev.limit = ev.stats.steps + budget
             value = ev.deep(ev.eval_expr(Var(entry), {}, mname))

@@ -220,10 +220,18 @@ def decl_name(d: TopDecl) -> str:
     return d.name  # type: ignore[union-attr]
 
 
+def rewritten(parent: Project, modules: dict[str, ModuleDef]) -> Project:
+    """The project of modules, rewritten from parent: the resolver derives
+    what it knows of it from parent (resolver.project_state)."""
+    out = Project(modules)
+    out.__dict__["_parent"] = parent
+    return out
+
+
 def with_module(project: Project, mod: ModuleDef) -> Project:
     mods = dict(project.modules)
     mods[mod.name] = mod
-    return Project(mods)
+    return rewritten(project, mods)
 
 
 def with_decl(mod: ModuleDef, index: int, d: TopDecl) -> ModuleDef:

@@ -19,7 +19,7 @@ from .lang import (
     LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern, Project,
     TopDecl, Tuple, Var, app_spine, decl_expr_at, decl_expr_roots, decl_name,
     equation_bound_names, make_app, map_decl_roots, map_scoped, pattern_vars,
-    replace_decl_expr_at, scoped_children, walk_expr_scoped, with_decl,
+    replace_decl_expr_at, rewritten, scoped_children, walk_expr_scoped, with_decl,
     with_equation, with_local, with_module,
 )
 from .names import (
@@ -695,7 +695,7 @@ def fold_top_level(project: Project, f: str, m: str) -> Project:
             total += folded
     if not total:
         raise RefactorError("NotApplicable", f"no instance of {f}'s body found to fold")
-    return _finish(Project(mods))
+    return _finish(rewritten(project, mods))
 
 
 def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project:

@@ -57,30 +57,15 @@ class SymbolTable:
         return self.scopes.get(module, {}).get(name, [])
 
 
-# --- the per-module memo ---
+# --- what the resolver knows ---
 #
 # The AST is frozen and rewrites return unchanged modules as the same
-# objects, so resolver results are remembered on the module object: in
-# _own(mod) those read from mod alone, in imports_memo(project, mod) those
-# that also read its imports. Nothing here can be configured.
+# objects. Results that read one module alone are kept on the module object
+# (_own); those that also read its imports, on the project (project_state).
+# Nothing here can be configured.
 
 def _own(mod: ModuleDef) -> dict:
     return mod.__dict__.setdefault("_own_memo", {})
-
-
-def imports_memo(project: Project, mod: ModuleDef) -> dict:
-    """The memo of results that read mod and the modules it imports; it
-    holds while project.modules gives the same objects (`is`) for those."""
-    mods = project.modules
-    held = mod.__dict__.get("_imports_memo")
-    if held is not None:
-        for imp, seen in zip(mod.imports, held[0]):
-            if mods.get(imp) is not seen:
-                break
-        else:
-            return held[1]
-    held = mod.__dict__["_imports_memo"] = (tuple(map(mods.get, mod.imports)), {})
-    return held[1]
 
 
 def mentioned_names(mod: ModuleDef) -> frozenset[str]:
@@ -148,12 +133,9 @@ def module_scope(
     """The top-level scope of one module: each name its own declarations and
     its imports' exports make visible, with every candidate definition, and
     the constructors among them. Unknown imports contribute nothing. The
-    result is shared through the memo and must not be mutated."""
-    mod = project.modules[mname]
-    memo = imports_memo(project, mod)
-    if "scope" not in memo:
-        memo["scope"] = _scope_of(project, mod)
-    return memo["scope"]
+    result is shared by the project's table and must not be mutated."""
+    table = project_state(project).table
+    return table.scopes[mname], table.constructors[mname]
 
 
 def _scope_of(
@@ -205,19 +187,60 @@ def _check_distinct(mod: ModuleDef):
             seen.add(n)
 
 
-def build_symbol_table(project: Project) -> SymbolTable:
-    table = SymbolTable()
-    for mname, mod in project.modules.items():
+@dataclass
+class ProjectState:
+    """What the resolver knows of one project: its table, the modules that
+    passed validation and the modules whose qualifiers are minimal."""
+    table: SymbolTable
+    valid: set[str] = field(default_factory=set)
+    minimal: set[str] = field(default_factory=set)
+
+
+def project_state(project: Project) -> ProjectState:
+    """The state of project, derived on its first request and kept on the
+    project object. It starts from the nearest ancestor (lang.rewritten)
+    whose state is known. A module is dirty when its object differs from the
+    ancestor's (`is`), or when it imports a name whose module differs, was
+    added or was removed. Only dirty modules are checked and scoped again,
+    and only they lose their marks; without a known ancestor every module is
+    dirty. The link to the parent is dropped once used, so a project keeps
+    no lineage alive."""
+    held = project.__dict__.get("_state")
+    if held is not None:
+        return held
+    base = project.__dict__.get("_parent")
+    while base is not None and "_state" not in base.__dict__:
+        base = base.__dict__.get("_parent")
+    mods = project.modules
+    if base is None:
+        old, changed = ProjectState(SymbolTable()), set(mods)
+    else:
+        old, was = base.__dict__["_state"], base.modules
+        changed = {m for m, mod in mods.items() if was.get(m) is not mod} | (was.keys() - mods.keys())
+    table = SymbolTable(dict(old.table.scopes), dict(old.table.constructors))
+    dirty = changed - mods.keys()  # removed
+    for mname in dirty:
+        del table.scopes[mname], table.constructors[mname]
+    for mname, mod in mods.items():
+        if mname not in changed and changed.isdisjoint(mod.imports):
+            continue
         for imp in mod.imports:
-            if imp not in project.modules:
+            if imp not in mods:
                 raise _err("UnresolvedName", mname, imp, f"module {mname} imports unknown module {imp}")
         own = _own(mod)
         if "distinct" not in own:
             _check_distinct(mod)
             own["distinct"] = True
-    for mname in project.modules:
-        table.scopes[mname], table.constructors[mname] = module_scope(project, mname)
-    return table
+        table.scopes[mname], table.constructors[mname] = _scope_of(project, mod)
+        dirty.add(mname)
+    state = project.__dict__["_state"] = ProjectState(table, old.valid - dirty, old.minimal - dirty)
+    project.__dict__.pop("_parent", None)
+    return state
+
+
+def build_symbol_table(project: Project) -> SymbolTable:
+    """The project's table (project_state), shared: it must not be mutated."""
+    return project_state(project).table
 
 
 def resolve_var(
@@ -389,15 +412,15 @@ def _check_module(table: SymbolTable, project: Project, mname: str):
 
 
 def resolve_project(project: Project) -> SymbolTable:
-    """Validate every occurrence in the project; raises ResolveError. A
-    module already validated under the same import objects is skipped; in
-    any other module each declaration's remembered reads are checked."""
+    """Validate every occurrence in the project; raises ResolveError. Only
+    modules not yet valid in its state are checked, each declaration by its
+    remembered reads, in module order: the first error is a full walk's."""
     table = build_symbol_table(project)
-    for mname, mod in project.modules.items():
-        memo = imports_memo(project, mod)
-        if "valid" not in memo:
+    valid = project_state(project).valid
+    for mname in project.modules:
+        if mname not in valid:
             _check_module(table, project, mname)
-            memo["valid"] = True
+            valid.add(mname)
     return table
 
 

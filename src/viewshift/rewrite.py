@@ -14,25 +14,25 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .lang import (
-    Expr, FunDecl, Project, Var, map_decl_roots, map_scoped, paired_children, var_slot,
+    Expr, FunDecl, Project, Var, map_decl_roots, map_scoped, paired_children, rewritten,
+    var_slot,
 )
 from .names import free_vars
 from .resolver import (
-    SymbolTable, build_symbol_table, decl_reads, imports_memo, mentioned_names,
+    SymbolTable, build_symbol_table, decl_reads, mentioned_names, project_state,
 )
 
 
-def _rewrite_vars(project: Project, fn, walk, touches) -> Project:
+def _rewrite_vars(project: Project, fn, names, touches) -> Project:
     """fn(module_name, var, bound) -> Expr, applied to every occurrence in
-    the function declarations d of the modules m for which walk(m) holds
-    and touches(m, decl_reads(d)) holds; the callers skip only modules and
+    the function declarations d of the modules named in names for which
+    touches(m, decl_reads(d)) holds; the callers skip only modules and
     declarations in which fn can change no occurrence. Modules,
     declarations and nodes with no rewritten occurrence come back as the
     same objects, and so does the project when nothing changed."""
-    mods = dict(project.modules)
-    for mname, mod in project.modules.items():
-        if not walk(mod):
-            continue
+    new = {}
+    for mname in names:
+        mod = project.modules[mname]
 
         def on_var(e: Expr, bound: frozenset[str], _m=mname) -> Expr:
             return fn(_m, e, bound) if isinstance(e, Var) else e
@@ -42,11 +42,9 @@ def _rewrite_vars(project: Project, fn, walk, touches) -> Project:
             if isinstance(d, FunDecl) and touches(mname, decl_reads(d)) else d
             for d in mod.decls
         )
-        if any(new is not old for new, old in zip(decls, mod.decls)):
-            mods[mname] = replace(mod, decls=decls)
-    if all(mods[m] is mod for m, mod in project.modules.items()):
-        return project
-    return Project(mods)
+        if any(d is not old for d, old in zip(decls, mod.decls)):
+            new[mname] = replace(mod, decls=decls)
+    return rewritten(project, {**project.modules, **new}) if new else project
 
 
 def requalify_name(project: Project, name: str) -> Project:
@@ -61,15 +59,14 @@ def requalify_name(project: Project, name: str) -> Project:
             return Var(name, qualifier=refs[0].module)
         return v
 
-    return _rewrite_vars(
-        project, fix, lambda mod: name in mentioned_names(mod), lambda m, reads: reads.mentions(name)
-    )
+    mentioning = [m for m, mod in project.modules.items() if name in mentioned_names(mod)]
+    return _rewrite_vars(project, fix, mentioning, lambda m, reads: reads.mentions(name))
 
 
 def minimize_qualifiers(project: Project) -> Project:
     """Drop qualifiers wherever the bare name resolves uniquely to the target.
-    A module minimized before under the same import objects is skipped:
-    minimizing changes no module's interface, so its result stays minimal.
+    A module the project's state marks minimal is skipped: minimizing
+    changes no module's interface, so every module of the result is marked.
     In any other module, a declaration is rewritten only when one of its
     droppable qualifiers names the bare name's one candidate."""
     table = build_symbol_table(project)
@@ -90,9 +87,9 @@ def minimize_qualifiers(project: Project) -> Project:
                 return True
         return False
 
-    out = _rewrite_vars(project, fix, lambda mod: "minimal" not in imports_memo(project, mod), touches)
-    for mod in out.modules.values():
-        imports_memo(out, mod)["minimal"] = True
+    minimal = project_state(project).minimal
+    out = _rewrite_vars(project, fix, [m for m in project.modules if m not in minimal], touches)
+    project_state(out).minimal.update(out.modules)
     return out
 
 
@@ -118,10 +115,8 @@ def retarget_name(
             return v
         return Var(new_name, qualifier=new_mod)
 
-    return _rewrite_vars(
-        project, fix, lambda mod: old_name in mentioned_names(mod),
-        lambda m, reads: reads.mentions(old_name),
-    )
+    mentioning = [m for m, mod in project.modules.items() if old_name in mentioned_names(mod)]
+    return _rewrite_vars(project, fix, mentioning, lambda m, reads: reads.mentions(old_name))
 
 
 # --- second-order instance matching (fold, generative fold) ---

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from . import refactorings as ops
 from .evaluator import EvalError, EvalStats, default_entries, observe_entries
-from .lang import Project, TopDecl, decl_name
+from .lang import Project, TopDecl, decl_name, rewritten
 from .refactorings import RefactorError
 from .render import write_project
 from .resolver import ResolveError, decl_index, resolve_project
@@ -176,7 +176,7 @@ def _keep_equal(before: Project, after: Project) -> Project:
     it again leaves such copies; keeping the older object keeps what is
     remembered on it (its reads and compiled code), and makes object
     identity say exactly what the step changed."""
-    mods = dict(after.modules)
+    kept = {}
     for m, new in after.modules.items():
         old = before.modules.get(m)
         if old is None or old is new:
@@ -187,12 +187,10 @@ def _keep_equal(before: Project, after: Project) -> Project:
             continue
         same = (new.exports, new.imports) == (old.exports, old.imports) and len(decls) == len(old.decls)
         if same and all(a is b for a, b in zip(decls, old.decls)):
-            mods[m] = old
+            kept[m] = old
         else:
-            mods[m] = replace(new, decls=decls)
-    if all(mods[m] is mod for m, mod in after.modules.items()):
-        return after
-    return Project(mods)
+            kept[m] = replace(new, decls=decls)
+    return rewritten(after, {**after.modules, **kept}) if kept else after
 
 
 def _older(d: TopDecl, old: Optional[TopDecl]) -> TopDecl:

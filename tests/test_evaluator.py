@@ -288,6 +288,21 @@ def test_unfold_from_another_module_builds_no_second_table(monkeypatch):
     assert counts == {"build_symbol_table": 4}
 
 
+def test_entry_lookup_errors():
+    # r is bound in Z and in A: the modules are listed in name order
+    project = _project(
+        "module Z where\n\nr = 1\n\nz = 2\n", "module A where\n\nr = 3\n\nf x = x\n",
+    )
+    for entries, message in (
+        (["z", "missing"], "no zero-argument binding missing in the project"),
+        (["f"], "no zero-argument binding f in the project"),
+        (["z", "r"], "entry r is defined in several modules: ['A', 'Z']"),
+    ):
+        with pytest.raises(EvalError) as exc:
+            observe_entries(project, entries)
+        assert (exc.value.kind, str(exc.value)) == ("UnresolvedName", message)
+
+
 def _entry_stats(project, entry, budget=10**6):
     ev = Evaluator(project, budget)
     value = ev.deep(ev.eval_expr(Var(entry), {}, "Client"))

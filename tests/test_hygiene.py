@@ -3,7 +3,8 @@ imports a name it never uses, no private module-level function or class goes
 unreferenced in the package, and no public one, nor any method of a package
 class, goes unreferenced in the package, its tests and its benchmark. Also:
 the object-language AST is immutable, which the resolver's identity-keyed
-per-module memo relies on."""
+derivation relies on, and derived state lives on AST and project objects
+only, never in a module-level cache."""
 
 import ast
 import dataclasses
@@ -11,7 +12,8 @@ import typing
 from collections import Counter
 from pathlib import Path
 
-from viewshift import lang
+from viewshift import evaluator, lang, resolver, rewrite
+from viewshift.script import run_script
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "viewshift"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -176,3 +178,19 @@ def test_reference_oracle_shares_only_values_with_the_evaluator():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             assert "evaluator" not in {part for a in node.names for part in a.name.split(".")}
     assert "show_value" in imported and set(imported) <= allowed
+
+
+def test_no_module_level_caches(pfun, forward_script):
+    # A module-level cache would be shared by every thread and every
+    # project lineage; what the resolver, the rewriter and the evaluator
+    # derive lives on the AST and project objects.
+    _, log = run_script(pfun, forward_script, checked=True)
+    assert log.ok
+    bound = [
+        f"{mod.__name__}.{name}"
+        for mod in (resolver, rewrite, evaluator)
+        for name, value in vars(mod).items()
+        if not name.startswith("__")
+        and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
+    ]
+    assert bound == []

@@ -1,19 +1,23 @@
-"""Incremental resolution: the resolver remembers per-module results on the
-module objects, valid while a module and the objects of the modules it
-imports are unchanged, and each declaration's reads on the declaration
-object; the evaluator keeps each compiled declaration on the declaration
-object. These tests keep an importing module or declaration object identical
-while what it reads changes, check incremental results against resolution
-from scratch, and pin that one step pays only for the modules it changes,
-walks only the declarations it makes and recompiles only the declarations
-it changes."""
+"""Incremental resolution: the resolver derives each project's table,
+validity and minimal marks from the project it was rewritten from, redoing
+only the modules whose objects changed and their importers, and keeps each
+declaration's reads on the declaration object; the evaluator keeps each
+compiled declaration on the declaration object. These tests keep an
+importing module or declaration object identical while what it reads
+changes, check incremental results against resolution from scratch, and pin
+that one step pays only for the modules it changes, walks only the
+declarations it makes and recompiles only the declarations it changes, and
+that a run keeps no lineage of projects alive."""
 
+import gc
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewshift import evaluator, refactorings, resolver, rewrite
+from viewshift import evaluator, refactorings, resolver, rewrite, script
 from viewshift.corpus import load_fixture
 from viewshift.evaluator import observe_entries
 from viewshift.lang import Project, with_module
@@ -135,7 +139,7 @@ def test_unchanged_project_reuses_its_results(pfun):
     table = resolve_project(p)
     again = resolve_project(p)
     assert all(again.scopes[m] is table.scopes[m] for m in p.modules)
-    assert module_scope(p, "Client") is module_scope(p, "Client")
+    assert all(a is b for a, b in zip(module_scope(p, "Client"), module_scope(p, "Client"), strict=True))
 
 
 # --- invalidation: the declaration stays the same object ---
@@ -309,15 +313,22 @@ def _outcome(fn, project):
 
 
 def _assert_same_as_scratch(inc: Project):
+    """The table derived for inc, the outcome of resolving it (the error's
+    kind, module, name and message included) and its minimisation are what
+    a fresh parse gives."""
     fresh = _fresh(inc)
+    got, want = _outcome(build_symbol_table, inc), _outcome(build_symbol_table, fresh)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got[1].scopes == want[1].scopes
+        assert got[1].constructors == want[1].constructors
+    else:
+        assert got == want
     got, want = _outcome(resolve_project, inc), _outcome(resolve_project, fresh)
     assert got[0] == want[0]
     if got[0] == "error":
         assert got == want
         return
-    t_inc, t_fresh = build_symbol_table(inc), build_symbol_table(fresh)
-    assert t_inc.scopes == t_fresh.scopes
-    assert t_inc.constructors == t_fresh.constructors
     assert alpha_eq_project(minimize_qualifiers(inc), minimize_qualifiers(fresh))
 
 
@@ -336,6 +347,56 @@ def test_incremental_equals_scratch(data):
         _assert_same_as_scratch(out)
         if _outcome(resolve_project, out)[0] == "ok":
             project = out  # a broken project is checked, then dropped
+
+
+@pytest.mark.parametrize("order", [("Z", "A", "B"), ("A", "Z", "B")], ids=["Z-first", "A-first"])
+def test_step_invalidating_two_modules_names_the_first_in_module_order(order):
+    # Z and A both read g from B; one step drops B's export of g
+    texts = {"Z": _A.format(use="g").replace("module A", "module Z"), "A": _A.format(use="g"), "B": _B}
+    p = Project({m: parse_module(texts[m]) for m in order} | {"C": parse_module(_C)})
+    resolve_project(p)
+    p2 = with_module(p, replace(p.modules["B"], exports=()))
+    with pytest.raises(ResolveError) as exc:
+        resolve_project(p2)
+    assert (exc.value.kind, exc.value.module) == ("UnresolvedName", order[0])
+    _assert_same_as_scratch(p2)
+
+
+def test_lineages_with_the_same_module_names_derive_their_own_tables(forward_script):
+    # The same steps, alternately, on pfun with three padding modules and on
+    # that project with a declaration added to each module: the same module
+    # names and count, other scopes.
+    plain = _padded_pfun(3)
+    touched = plain
+    for m in plain.modules:
+        touched = _touch(touched, m)
+    lineages = [plain, Project(dict(touched.modules))]  # no parent: derived in full
+    for project in lineages:
+        resolve_project(project)
+    for step in forward_script.steps[:20]:
+        for i, project in enumerate(lineages):
+            lineages[i] = COMMANDS[step.command][1](project, step)
+            _assert_same_as_scratch(lineages[i])
+    assert build_symbol_table(lineages[0]).scopes != build_symbol_table(lineages[1]).scopes
+
+
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+def test_a_run_keeps_no_lineage_alive(monkeypatch, forward_script, checked):
+    # each project of a run is derived from the one before; once derived, it
+    # drops the link, so an intermediate project dies with its last reference
+    results = []
+
+    def changed_decls(before, after):
+        results.append(weakref.ref(after))
+        return _changed_decls(before, after)
+
+    _changed_decls = script._changed_decls
+    monkeypatch.setattr(script, "_changed_decls", changed_decls)
+    out, log = run_script(_fresh(load_fixture("pfun").project), forward_script, checked=checked)
+    assert log.ok and len(results) == 51
+    gc.collect()
+    assert [i for i, ref in enumerate(results, start=1) if ref() is not None] == [51]
+    assert results[-1]() is out
 
 
 # --- cost guard: one step pays for the modules it changes ---
@@ -384,7 +445,7 @@ def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
     monkeypatch.setattr(resolver, "_check_module", counted(resolver._check_module, lambda t, p, m: m))
     monkeypatch.setattr(resolver, "_scope_of", counted(resolver._scope_of, lambda p, mod: mod.name))
     monkeypatch.setattr(rewrite, "_rewrite_vars", counted(
-        rewrite._rewrite_vars, lambda p, f, walk, touches: tuple(m for m, mod in p.modules.items() if walk(mod))))
+        rewrite._rewrite_vars, lambda p, f, names, touches: tuple(names)))
     step = RefactorStep(tokens[0], tokens[1:], 1)
     out = COMMANDS[step.command][1](project, step)
 
@@ -393,6 +454,36 @@ def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
     touched = {m for kind, ms in seen for m in ([ms] if isinstance(ms, str) else ms)}
     assert {kind for kind, _ in seen} >= {"_check_module", "_scope_of"}
     assert touched <= changed, f"{sorted(touched - changed)} re-derived without a change"
+
+
+@pytest.mark.parametrize("tokens", [
+    ("duplicate-into-comment", "eval", "EvalMod"),
+    ("rename-top-level", "toString", "ToStringMod", "render"),
+    ("move-def", "eval", "EvalMod", "Client"),
+], ids=["one-module", "two-modules", "move"])
+def test_step_visits_as_many_modules_however_large_the_project(monkeypatch, tokens):
+    # The same step on 10 and on 80 padding modules scopes, validates and
+    # rewrites the same modules.
+    visits = []
+
+    def counted(fn, modules_of):
+        def wrapper(*args):
+            visits.extend((fn.__name__, m) for m in modules_of(*args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(resolver, "_check_module", counted(resolver._check_module, lambda t, p, m: [m]))
+    monkeypatch.setattr(resolver, "_scope_of", counted(resolver._scope_of, lambda p, mod: [mod.name]))
+    monkeypatch.setattr(rewrite, "_rewrite_vars", counted(rewrite._rewrite_vars, lambda p, f, names, t: names))
+    step = RefactorStep(tokens[0], tokens[1:], 1)
+    seen = []
+    for count in (10, 80):
+        project = minimize_qualifiers(_padded_pfun(count))
+        resolve_project(project)  # the state a step leaves: resolved and minimal
+        visits.clear()
+        COMMANDS[step.command][1](project, step)
+        seen.append(sorted(visits))
+    assert seen[0] and seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("tokens", [
@@ -470,6 +561,31 @@ def test_second_generalise_ident_walks_only_the_modules_that_changed(monkeypatch
     out = COMMANDS["generalise-ident"][1](first, RefactorStep("generalise-ident", ("g", "A", "k", "x"), 1))
     assert "g_gen" in render_module(out.modules["A"])
     assert walked and set(walked) <= _changed(project, first) | _changed(first, out) == {"A", "B"}
+
+
+def test_one_observation_reads_each_module_index_once_for_its_entries(monkeypatch):
+    # finding the modules of N entries is one pass over the modules, not N
+    project = _padded_pfun(40)
+    entries = ("r1", "r2", "r3", "r4") + tuple(f"q{i:02d}" for i in range(40))
+    finding, lookups = [], Counter()
+
+    def counted_index(mod):
+        if finding:
+            lookups[mod.name] += 1
+        return decl_index(mod)
+
+    def counted_find(p, names):
+        finding.append(True)
+        try:
+            return entry_modules(p, names)
+        finally:
+            finding.pop()
+
+    decl_index, entry_modules = evaluator.decl_index, evaluator._entry_modules
+    monkeypatch.setattr(evaluator, "decl_index", counted_index)
+    monkeypatch.setattr(evaluator, "_entry_modules", counted_find)
+    assert observe_entries(project, entries) == observe_entries_by_name(project, entries)
+    assert set(lookups) == set(project.modules) and max(lookups.values()) == 1
 
 
 def _record_compiles(monkeypatch) -> list:
