@@ -12,7 +12,19 @@ the cells it binds to `out`. A bound variable compiles to a slot of the
 run-time environment (a list of cells in binding order), a global one to its
 site `(module, qualifier, name)`. Compiled code so depends only on the
 declaration and its module's name, and lives on the `FunDecl` object, keyed
-by that name: a step recompiles only the declarations it changes.
+by that name: a step recompiles only the declarations it changes. In weak
+head normal form an Int is a plain `int` and a String a plain `str`; only
+`deep` boxes them as `VInt` and `VStr`. A cell being forced holds a black
+hole, so a value that needs itself fails.
+
+A function's equations, and a case's arms, are dispatched on the constructor
+in one column k (Augustsson 1985; Maranget 2008) when every row's patterns
+before k are variables or wildcards and the first row's pattern at k is a
+constructor: the linear scan would force argument k first, and each row it
+skips (another constructor, a literal or a tuple at k) fails there without
+forcing anything else. Candidates keep source order, and a value that is not
+a constructor takes the linear scan, so the counts, the step at which the
+budget runs out and the errors are the scan's.
 
 Names resolve per `Evaluator`, against its project, when a site is first
 evaluated; the evaluator keeps the cell each site denotes and creates a
@@ -22,11 +34,11 @@ project's ResolveError when it is evaluated, and not before. An observation
 top-level cell one entry forced is not evaluated again for the next.
 
 Code in tail position (a case or let body, the body of a saturated call) is
-not called but returned as a `(code, env)` pair to the trampoline (`_run`,
-`force`), so runaway recursion meets the step budget instead of the host
-stack. Every expression node ticks once when entered, and so does each
-application round and each node of deep forcing: the reduction count is that
-of a tree walk over the same expressions. A call whose head is a variable
+not called but returned as a `(code, env)` pair to a trampoline (`_run`,
+`force`, an operand's), so runaway recursion meets the step budget instead
+of the host stack. Every expression node ticks once when entered, and so
+does each application round and each node of deep forcing: the reduction
+count is that of a tree walk over the same expressions. A call whose head is a variable
 adds the ticks of the call and its head at once, only while both fit the
 budget, and a saturated call skips the general application loop. The budget
 is per entry: the ticks test the evaluator's `limit`, which an observation
@@ -105,15 +117,8 @@ def show_value(v: Value) -> str:
         case VOutput(text):
             return text
         case VCon(name, args):
-            if not args:
-                return name
-            parts = [name]
-            for a in args:
-                s = show_value(a)
-                if isinstance(a, VCon) and a.args:
-                    s = f"({s})"
-                parts.append(s)
-            return " ".join(parts)
+            shown = (f"({show_value(a)})" if isinstance(a, VCon) and a.args else show_value(a) for a in args)
+            return " ".join((name, *shown))
         case VTuple(items):
             return "(" + ", ".join(show_value(i) for i in items) + ")"
         case VClosure(name, _):
@@ -123,21 +128,25 @@ def show_value(v: Value) -> str:
 
 # --- machine internals ---
 
+_HOLE = object()  # a cell's thunk while it is being forced (a black hole)
+
+
 class _Cell:
-    __slots__ = ("thunk", "value", "forcing")
+    __slots__ = ("thunk", "value")
 
     def __init__(self, thunk=None, value=None):
-        self.thunk = thunk  # (code, env) | None
+        self.thunk = thunk  # (code, env), then _HOLE while forced, then None
         self.value = value  # whnf value | None
-        self.forcing = False
 
 
 @dataclass(frozen=True)
 class _Fun:
-    """A compiled function: per equation, its matchers and its body code."""
+    """A compiled function: per equation, its matcher and its body code;
+    and its dispatch (_dispatch) or None."""
     name: str
     arity: int
-    equations: tuple[tuple[tuple | int, object], ...]
+    equations: tuple[tuple[object, object], ...]
+    dispatch: tuple | None = None
 
 
 @dataclass(slots=True)
@@ -201,28 +210,23 @@ class Evaluator:
     def _exhausted(self) -> EvalError:
         return EvalError("StepBudgetExceeded", f"reduction budget of {self.budget} steps exceeded")
 
-    def _tick(self):
-        self.stats.steps += 1
-        if self.stats.steps > self.limit:
-            raise self._exhausted()
-
     def force(self, cell: _Cell):
         """The value of cell, running its thunk on the trampoline once."""
         value = cell.value
         if value is not None:
             return value
-        if cell.forcing:
+        thunk = cell.thunk
+        if thunk is _HOLE:
             raise EvalError("CyclicEvaluation", "value depends on itself")
-        cell.forcing = True
+        cell.thunk = _HOLE
         self.stats.forcings += 1
-        code, env = cell.thunk
+        code, env = thunk
         value = code(self, env)
         while type(value) is tuple:
             code, env = value
             value = code(self, env)
         cell.value = value
         cell.thunk = None
-        cell.forcing = False
         return value
 
     # -- evaluation to weak head normal form --
@@ -242,8 +246,11 @@ class Evaluator:
 
     def _apply(self, fn, cells: list[_Cell]):
         """Apply cells to fn; returns a value or a tail for the trampoline."""
+        stats = self.stats
         while cells:
-            self._tick()
+            stats.steps += 1
+            if stats.steps > self.limit:
+                raise self._exhausted()
             if isinstance(fn, _Builtin):
                 fn = _apply_builtin(fn.name, self.force(cells.pop(0)))
                 continue
@@ -260,13 +267,19 @@ class Evaluator:
             fn = self._run(*tail)
         return fn
 
-    def _select(self, fun: _Fun, env: list, args: tuple[_Cell, ...]):
+    def _select(self, fun: _Fun, env: list, args):
         """The body of the first equation whose patterns match args, with
         the environment it runs in."""
-        for matchers, body in fun.equations:
-            out: list[_Cell] = []
-            if _match_all(self, matchers, args, out):
-                return body, env + out
+        equations = fun.equations
+        if fun.dispatch:
+            column, table, other = fun.dispatch
+            v = self.force(args[column])
+            if type(v) is _WCon:
+                equations = table.get(v.name, other)
+        for match, body in equations:
+            out = env.copy()
+            if match(self, args, out):
+                return body, out
         raise EvalError("PatternMatchFailure", f"no equation of {fun.name} matches its arguments")
 
     # -- deep forcing to public values --
@@ -274,25 +287,27 @@ class Evaluator:
     def deep(self, v) -> Value:
         """Force v and every component, depth first, one tick per node. The
         walk keeps its own stack, so infinite data meets the step budget."""
+        stats = self.stats
         stack: list = []  # open containers, outermost first
         firsts: list[int] = []  # per open container, where its components start in done
         done: list = []  # observed values of the open containers' components
         while True:
-            self._tick()
-            if isinstance(v, (_WCon, _WTuple)):
+            stats.steps += 1
+            if stats.steps > self.limit:
+                raise self._exhausted()
+            t = type(v)
+            if t is _WCon or t is _WTuple:
                 stack.append(v)
                 firsts.append(len(done))
-            elif isinstance(v, (VInt, VStr, VOutput)):
-                done.append(v)
-            elif isinstance(v, _Closure):
+            elif t is _Closure:
                 done.append(VClosure(v.fun.name, v.fun.arity - len(v.args)))
-            elif isinstance(v, _Builtin):
+            elif t is _Builtin:
                 done.append(VClosure(v.name, 1))
-            else:
-                raise EvalError("EvalError", f"cannot observe {v!r}")
+            else:  # int, str or VOutput
+                done.append(VInt(v) if t is int else VStr(v) if t is str else v)
             while stack:
                 top, first = stack[-1], firsts[-1]
-                cells = top.args if isinstance(top, _WCon) else top.items
+                cells = top.args if type(top) is _WCon else top.items
                 if len(done) - first < len(cells):
                     v = self.force(cells[len(done) - first])
                     break
@@ -300,36 +315,26 @@ class Evaluator:
                 firsts.pop()
                 parts = tuple(done[first:])
                 del done[first:]
-                done.append(VCon(top.name, parts) if isinstance(top, _WCon) else VTuple(parts))
+                done.append(VCon(top.name, parts) if type(top) is _WCon else VTuple(parts))
             else:
                 return done[0]
 
 
 def _apply_builtin(name: str, v):
     if name == "show":
-        if isinstance(v, VInt):
-            return VStr(str(v.value))
+        if type(v) is int:
+            return str(v)
         raise EvalError("EvalError", "show expects an integer")
     assert name == "print"
-    if isinstance(v, VStr):
-        return VOutput(v.value)
+    if type(v) is str:
+        return VOutput(v)
     raise EvalError("EvalError", "print expects text")
-
-
-def _infix(op: str, a, b):
-    if op == "++":
-        if isinstance(a, VStr) and isinstance(b, VStr):
-            return VStr(a.value + b.value)
-        raise EvalError("EvalError", "++ expects text on both sides")
-    if isinstance(a, VInt) and isinstance(b, VInt):
-        return VInt(a.value + b.value if op == "+" else a.value * b.value)
-    raise EvalError("EvalError", f"{op} expects integers on both sides")
 
 
 # --- the compiler ---
 #
-# Variables, the hottest code, tick inline (stats.steps += 1, then the budget
-# test); variables and matchers read a cell's value before calling force.
+# Every tick is inline (stats.steps += 1, then the budget test), and
+# variables and matchers read a cell's value before calling force.
 
 def _bind(ev, cell, out) -> bool:
     out.append(cell)
@@ -342,33 +347,34 @@ def _wild(ev, cell, out) -> bool:
 
 def _constant(value):
     def code(ev, env):
-        ev._tick()
+        ev.stats.steps += 1
+        if ev.stats.steps > ev.limit:
+            raise ev._exhausted()
         return value
     return code
 
 
-def _match_all(ev, matchers, cells, out) -> bool:
-    """Match cells against the matchers _Compiler.patterns compiled."""
-    if type(matchers) is int:
-        if matchers != len(cells):
-            return False
-        out += cells
-        return True
-    if len(matchers) != len(cells):
-        return False
-    for match, cell in zip(matchers, cells):
-        if match is _bind:
-            out.append(cell)
-        elif not match(ev, cell, out):
-            return False
-    return True
+_FREE = (PVar, PWild)  # the patterns that match without forcing
+
+
+def _dispatch(rows: list[tuple[Pattern, ...]], compiled: tuple) -> tuple | None:
+    """(column, constructor -> candidate rows, any other constructor's) for
+    the compiled rows of patterns, or None: the rule is the module docstring's."""
+    k = next((i for i, p in enumerate(rows[0]) if not isinstance(p, _FREE)), None) if rows else None
+    if k is None or not isinstance(rows[0][k], PCon) or any(not isinstance(p, _FREE) for r in rows for p in r[:k]):
+        return None
+
+    def candidates(name):
+        return tuple(c for r, c in zip(rows, compiled)
+                     if isinstance(r[k], _FREE) or isinstance(r[k], PCon) and r[k].name == name)
+    return k, {r[k].name: candidates(r[k].name) for r in rows if isinstance(r[k], PCon)}, candidates(None)
 
 
 def _compile_decl(module: str, d: FunDecl) -> _Fun:
     compiler = _Compiler(module)
-    return _Fun(d.name, d.arity, tuple(
-        compiler.equation(eq.patterns, eq.locals, eq.rhs, ()) for eq in d.equations
-    ))
+    equations = [eq for eq in d.equations if len(eq.patterns) == d.arity]  # others never match
+    compiled = tuple(compiler.equation(eq.patterns, eq.locals, eq.rhs, ()) for eq in equations)
+    return _Fun(d.name, d.arity, compiled, _dispatch([eq.patterns for eq in equations], compiled))
 
 
 class _Compiler:
@@ -381,13 +387,13 @@ class _Compiler:
         self.module = module
 
     def equation(self, patterns, locals_, rhs: Expr, scope: tuple[str, ...]):
-        """(matchers, body): the body runs where the patterns' variables,
+        """(matcher, body): the body runs where the patterns' variables,
         then the where-locals, follow scope's slots."""
-        matchers = self.patterns(patterns)
+        matcher = self.patterns(patterns)
         for p in patterns:
             scope += pattern_vars(p)
         if not locals_:
-            return matchers, self.expr(rhs, scope)
+            return matcher, self.expr(rhs, scope)
         scope += tuple(loc.name for loc in locals_)
         defs = tuple(
             _Fun(loc.name, len(loc.params), (self.equation(tuple(map(PVar, loc.params)), (), loc.rhs, scope),))
@@ -405,58 +411,56 @@ class _Compiler:
                 else:
                     cell.thunk = (d, env)
             return rest(ev, env)
-        return matchers, body
+        return matcher, body
 
     def expr(self, e: Expr, scope: tuple[str, ...]):
         match e:
-            case Var(_, _) if (slot := var_slot(e, scope)) is not None:
-                def code(ev, env):
-                    stats = ev.stats
-                    stats.steps += 1
-                    if stats.steps > ev.limit:
-                        raise ev._exhausted()
-                    cell = env[slot]
-                    value = cell.value
-                    return value if value is not None else ev.force(cell)
             case Var(name, qualifier):
-                site = (self.module, qualifier, name)
+                slot = var_slot(e, scope)
+                site = (self.module, qualifier, name) if slot is None else None
 
                 def code(ev, env):
-                    stats = ev.stats
-                    stats.steps += 1
-                    if stats.steps > ev.limit:
+                    ev.stats.steps += 1
+                    if ev.stats.steps > ev.limit:
                         raise ev._exhausted()
-                    cell = ev.cells.get(site) or ev._site(site)
+                    cell = env[slot] if site is None else ev.cells.get(site) or ev._site(site)
                     value = cell.value
                     return value if value is not None else ev.force(cell)
-            case IntLit(n):
-                return _constant(VInt(n))
-            case StrLit(s):
-                return _constant(VStr(s))
+            case IntLit(value) | StrLit(value):
+                return _constant(value)
             case Builtin(name):
                 return _constant(_Builtin(name))
-            case ConApp(name, args):
-                parts = tuple(self.expr(a, scope) for a in args)
+            case ConApp(_, items) | Tuple(items):
+                parts, name = tuple(self.expr(i, scope) for i in items), getattr(e, "name", None)
+                n, first = len(parts), parts[0] if parts else None
 
                 def code(ev, env):
-                    ev._tick()
-                    return _WCon(name, tuple([_Cell((p, env)) for p in parts]))
-            case Tuple(items):
-                parts = tuple(self.expr(i, scope) for i in items)
-
-                def code(ev, env):
-                    ev._tick()
-                    return _WTuple(tuple([_Cell((p, env)) for p in parts]))
+                    ev.stats.steps += 1
+                    if ev.stats.steps > ev.limit:
+                        raise ev._exhausted()
+                    cells = (_Cell((first, env)),) if n == 1 else tuple([_Cell((p, env)) for p in parts])
+                    return _WTuple(cells) if name is None else _WCon(name, cells)
             case Infix(op, lhs, rhs):
                 left, right = self.expr(lhs, scope), self.expr(rhs, scope)
+                kind, times = (str if op == "++" else int), op == "*"
 
                 def code(ev, env):
-                    ev._tick()
-                    return _infix(op, ev._run(left, env), ev._run(right, env))
+                    ev.stats.steps += 1
+                    if ev.stats.steps > ev.limit:
+                        raise ev._exhausted()
+                    a = left(ev, env)
+                    while type(a) is tuple:
+                        a = a[0](ev, a[1])
+                    b = right(ev, env)
+                    while type(b) is tuple:
+                        b = b[0](ev, b[1])
+                    if type(a) is type(b) is kind:
+                        return a * b if times else a + b
+                    raise EvalError("EvalError", f"{op} expects {'text' if op == '++' else 'integers'} on both sides")
             case App(_, _):
                 head, args = app_spine(e)
                 fn, parts = self.expr(head, scope), tuple(self.expr(a, scope) for a in args)
-                n, named = len(parts), isinstance(head, Var)
+                n, named, first = len(parts), isinstance(head, Var), parts[0]
                 slot = var_slot(head, scope) if named else None
                 site = (self.module, head.qualifier, head.name) if named and slot is None else None
 
@@ -467,12 +471,16 @@ class _Compiler:
                         cell = env[slot] if site is None else ev.cells.get(site) or ev._site(site)
                         f = cell.value if cell.value is not None else ev.force(cell)
                     else:
-                        ev._tick()
+                        stats.steps += 1
+                        if stats.steps > ev.limit:
+                            raise ev._exhausted()
                         f = ev._run(fn, env)
-                    cells = [_Cell((p, env)) for p in parts]
+                    cells = [_Cell((first, env))] if n == 1 else [_Cell((p, env)) for p in parts]
                     if type(f) is _Closure and len(f.args) + n == f.fun.arity:
-                        ev._tick()  # a saturated call: one application round
-                        return ev._select(f.fun, f.env, f.args + tuple(cells))
+                        stats.steps += 1  # a saturated call: one application round
+                        if stats.steps > ev.limit:
+                            raise ev._exhausted()
+                        return ev._select(f.fun, f.env, f.args + tuple(cells) if f.args else cells)
                     return ev._apply(f, cells)
             case Case(scrutinee, branches):
                 scrut = self.expr(scrutinee, scope)
@@ -480,21 +488,30 @@ class _Compiler:
                     (self.pattern(b.pattern), self.expr(b.body, scope + pattern_vars(b.pattern)))
                     for b in branches
                 )
+                _, table, other = _dispatch([(b.pattern,) for b in branches], arms) or (None, None, ())
 
                 def code(ev, env):
-                    ev._tick()
-                    cell = _Cell((scrut, env))
-                    for match, body in arms:
-                        out: list[_Cell] = []
+                    ev.stats.steps += 1
+                    if ev.stats.steps > ev.limit:
+                        raise ev._exhausted()
+                    cell, candidates = _Cell((scrut, env)), arms
+                    if table is not None:
+                        v = ev.force(cell)
+                        if type(v) is _WCon:
+                            candidates = table.get(v.name, other)
+                    for match, body in candidates:
+                        out = env.copy()
                         if match(ev, cell, out):
-                            return body, env + out
+                            return body, out
                     raise EvalError("PatternMatchFailure", f"no case branch matches in module {self.module}")
             case Let(bindings, body):
                 scope += tuple(b.name for b in bindings)
                 rhss, rest = tuple(self.expr(b.rhs, scope) for b in bindings), self.expr(body, scope)
 
                 def code(ev, env):
-                    ev._tick()
+                    ev.stats.steps += 1
+                    if ev.stats.steps > ev.limit:
+                        raise ev._exhausted()
                     cells = [_Cell() for _ in rhss]
                     env = env + cells
                     for cell, rhs in zip(cells, rhss):
@@ -505,13 +522,43 @@ class _Compiler:
         return code
 
     def patterns(self, ps: tuple[Pattern, ...]):
-        """Matchers of ps in order, or their number when every one is a
-        variable and matching only binds."""
-        if all(isinstance(p, PVar) for p in ps):
-            return len(ps)
-        return tuple(self.pattern(p) for p in ps)
+        """A matcher match(ev, cells, out) of a call's arguments, or of a
+        constructor's or a tuple's fields, against ps: all variables only
+        bind, and one refutable column is the only cell tested."""
+        n = len(ps)
+        refutable = [i for i, p in enumerate(ps) if not isinstance(p, PVar)]
+        if not refutable:
+            def match(ev, cells, out):
+                if len(cells) != n:
+                    return False
+                out += cells
+                return True
+        elif len(refutable) == 1:
+            j = refutable[0]
+            test = self.pattern(ps[j])
+
+            def match(ev, cells, out):
+                if len(cells) != n:
+                    return False
+                out += cells[:j]
+                if not test(ev, cells[j], out):
+                    return False
+                out += cells[j + 1:]
+                return True
+        else:
+            tests = tuple(map(self.pattern, ps))
+
+            def match(ev, cells, out):
+                if len(cells) != n:
+                    return False
+                for test, cell in zip(tests, cells):
+                    if not test(ev, cell, out):
+                        return False
+                return True
+        return match
 
     def pattern(self, p: Pattern):
+        """A matcher match(ev, cell, out) of one cell against p."""
         match p:
             case PWild():
                 return _wild
@@ -520,26 +567,29 @@ class _Compiler:
             case PInt(n):
                 def match(ev, cell, out):
                     v = cell.value if cell.value is not None else ev.force(cell)
-                    return isinstance(v, VInt) and v.value == n
+                    return type(v) is int and v == n
             case PTuple(items):
                 subs = self.patterns(items)
 
                 def match(ev, cell, out):
                     v = cell.value if cell.value is not None else ev.force(cell)
-                    return isinstance(v, _WTuple) and _match_all(ev, subs, v.items, out)
+                    return type(v) is _WTuple and subs(ev, v.items, out)
             case PCon(name, args, tupled):
                 subs = self.patterns(args)
 
                 def match(ev, cell, out):
                     v = cell.value if cell.value is not None else ev.force(cell)
-                    if not isinstance(v, _WCon) or v.name != name:
+                    if type(v) is not _WCon or v.name != name:
                         return False
-                    if not tupled:
-                        return _match_all(ev, subs, v.args, out)
-                    if len(v.args) != 1:
-                        return False
-                    inner = ev.force(v.args[0])
-                    return isinstance(inner, _WTuple) and _match_all(ev, subs, inner.items, out)
+                    fields = v.args
+                    if tupled:
+                        if len(fields) != 1:
+                            return False
+                        inner = fields[0].value if fields[0].value is not None else ev.force(fields[0])
+                        if type(inner) is not _WTuple:
+                            return False
+                        fields = inner.items
+                    return subs(ev, fields, out)
             case _:
                 raise EvalError("EvalError", f"bad pattern {p!r}")
         return match

@@ -228,6 +228,12 @@ def rewritten(parent: Project, modules: dict[str, ModuleDef]) -> Project:
     return out
 
 
+def changed_modules(was: dict[str, ModuleDef], now: dict[str, ModuleDef]) -> set[str]:
+    """Names of the modules whose object differs (`is`) between two
+    projects' modules, and of those added or removed."""
+    return {m for m, mod in now.items() if was.get(m) is not mod} | (was.keys() - now.keys())
+
+
 def with_module(project: Project, mod: ModuleDef) -> Project:
     mods = dict(project.modules)
     mods[mod.name] = mod

@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple, Optional
 from .lang import (
     App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, ModuleDef,
     PCon, PTuple, Pattern, Project, TopDecl, Var, app_spine, decl_expr_at,
-    decl_name, decl_expr_roots, walk_expr_scoped,
+    changed_modules, decl_name, decl_expr_roots, walk_expr_scoped,
 )
 
 
@@ -215,8 +215,7 @@ def project_state(project: Project) -> ProjectState:
     if base is None:
         old, changed = ProjectState(SymbolTable()), set(mods)
     else:
-        old, was = base.__dict__["_state"], base.modules
-        changed = {m for m, mod in mods.items() if was.get(m) is not mod} | (was.keys() - mods.keys())
+        old, changed = base.__dict__["_state"], changed_modules(base.modules, mods)
     table = SymbolTable(dict(old.table.scopes), dict(old.table.constructors))
     dirty = changed - mods.keys()  # removed
     for mname in dirty:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from . import refactorings as ops
 from .evaluator import EvalError, EvalStats, default_entries, observe_entries
-from .lang import Project, TopDecl, decl_name, rewritten
+from .lang import Project, TopDecl, changed_modules, decl_name, rewritten
 from .refactorings import RefactorError
 from .render import write_project
 from .resolver import ResolveError, decl_index, resolve_project
@@ -209,10 +209,8 @@ def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
     object identity: rewrites return what they leave alone as the same
     objects."""
     out = {}
-    for m in sorted(before.modules.keys() | after.modules.keys()):
+    for m in sorted(changed_modules(before.modules, after.modules)):
         old, new = before.modules.get(m), after.modules.get(m)
-        if old is new:
-            continue
         old_decls = old.decls if old is not None else ()
         new_decls = new.decls if new is not None else ()
         kept = {id(d) for d in old_decls} & {id(d) for d in new_decls}

@@ -317,12 +317,16 @@ def test_step_budget_boundary_is_exact(fixture):
     for entry in ENTRIES:
         steps = _entry_stats(project, entry)[1].steps
         assert observe_entries(project, [entry], budget=steps) == {entry: EXPECTED[entry]}
-        for budget in sorted({steps - 1, *range(0, steps, 7)}):
-            ev = Evaluator(project, budget)
-            with pytest.raises(EvalError) as exc:
-                ev.deep(ev.eval_expr(Var(entry), {}, "Client"))
-            assert exc.value.kind == "StepBudgetExceeded"
-            assert ev.stats.steps == budget + 1
+        _assert_every_smaller_budget_runs_out(project, entry, steps)
+
+
+def _assert_every_smaller_budget_runs_out(project, entry, steps):
+    for budget in range(steps):
+        ev = Evaluator(project, budget)
+        with pytest.raises(EvalError) as exc:
+            ev.deep(ev.eval_expr(Var(entry), {}, "Client"))
+        assert exc.value.kind == "StepBudgetExceeded"
+        assert ev.stats.steps == budget + 1
 
 
 @pytest.mark.parametrize("fixture", ["pfun", "pdata"])
@@ -352,3 +356,115 @@ def test_step_budget_counts_each_entrys_own_reductions():
             observe_entries(project, entries, budget=over)
         assert exc.value.kind == "StepBudgetExceeded"
         assert str(exc.value) == f"reduction budget of {over} steps exceeded"
+
+
+# Equations and case arms are selected by the constructor in one column; the
+# values and the exact counts below are those of the linear scan.
+DISPATCH = """module Client where
+
+data T = A Int | B Int | C Int
+
+wrap i = B i
+
+f (A x) = x + 1
+f y = 2
+f (B z) = z
+
+h (C 1) = 10
+h (C i) = i + 20
+
+g x (A p) = x + p
+g x (B q) = x * q
+
+m (A x) = 1
+m 0 = 2
+m y = f y
+
+n x (A p) = p
+n (B q) (C y) = q + 2
+n x y = 3
+
+k t = case t of
+    A x -> x + 1
+    y -> f y
+    B z -> z
+
+km t = case t of
+    A x -> 1
+    0 -> 2
+    y -> 4
+
+kc t = case t of
+    C 1 -> 10
+    C i -> i + 20
+
+kg x t = case t of
+    A p -> x + p
+    B q -> x * q
+"""
+
+DISPATCHED = [
+    # a catch-all equation between constructor equations
+    ("f (A 7)", "8", 10, 3),
+    ("f (wrap 7)", "2", 10, 2),
+    ("f (C 7)", "2", 7, 2),
+    ("f 5", "2", 7, 2),
+    # overlapping equations
+    ("h (C 1)", "10", 8, 3),
+    ("h (C 2)", "22", 10, 3),
+    # the constructor column is not the first
+    ("g 2 (A 3)", "5", 11, 4),
+    ("g 2 (wrap 3)", "6", 15, 5),
+    # a literal pattern between constructor and variable equations
+    ("m (A 1)", "1", 7, 2),
+    ("m 0", "2", 7, 2),
+    ("m (wrap 1)", "2", 14, 3),
+    # a refutable pattern before the first equation's constructor column
+    ("n (wrap 1) (C 2)", "3", 15, 5),
+    ("n (wrap 1) (B 2)", "3", 11, 3),
+    ("n 1 (A 2)", "2", 8, 3),
+    # case with the same shapes
+    ("k (A 0)", "1", 12, 4),
+    ("k (wrap 0)", "2", 16, 4),
+    ("k (C 0)", "2", 13, 4),
+    ("km 0", "2", 9, 3),
+    ("km (wrap 1)", "4", 12, 3),
+    ("kc (C 1)", "10", 10, 4),
+    ("kc (C 2)", "22", 12, 4),
+    ("kg 2 (A 3)", "5", 13, 5),
+    ("kg 2 (wrap 3)", "6", 17, 6),
+]
+
+UNDISPATCHED = [
+    # the dispatched argument is not a constructor, or no candidate matches
+    ("g 1 2", "no equation of g matches its arguments", 5, 2),
+    ("g 1 (C 2)", "no equation of g matches its arguments", 5, 2),
+    ("h (A 1)", "no equation of h matches its arguments", 5, 2),
+    ('h "s"', "no equation of h matches its arguments", 5, 2),
+    ("kg 1 (C 2)", "no case branch matches in module Client", 7, 3),
+    ("kg 1 (1, 2)", "no case branch matches in module Client", 7, 3),
+    ("kc 3", "no case branch matches in module Client", 7, 3),
+]
+
+
+def _dispatch_project(*uses):
+    entries = "".join(f"\nr{i} = {use}\n" for i, use in enumerate(uses))
+    return _project(DISPATCH + entries)
+
+
+@pytest.mark.parametrize("use, shown, steps, forcings", DISPATCHED, ids=[d[0] for d in DISPATCHED])
+def test_dispatch_keeps_values_and_counts(use, shown, steps, forcings):
+    project = _dispatch_project(use)
+    value, stats = _entry_stats(project, "r0")
+    assert (show_value(value), stats.steps, stats.forcings) == (shown, steps, forcings)
+    assert observe_entries_by_name(project, ["r0"]) == {"r0": shown}
+    _assert_every_smaller_budget_runs_out(project, "r0", steps)
+
+
+@pytest.mark.parametrize("use, message, steps, forcings", UNDISPATCHED, ids=[d[0] for d in UNDISPATCHED])
+def test_dispatch_failure_keeps_kind_message_and_counts(use, message, steps, forcings):
+    ev = Evaluator(_dispatch_project(use))
+    with pytest.raises(EvalError) as exc:
+        ev.deep(ev.eval_expr(Var("r0"), {}, "Client"))
+    assert (exc.value.kind, str(exc.value)) == ("PatternMatchFailure", message)
+    assert (ev.stats.steps, ev.stats.forcings) == (steps, forcings)

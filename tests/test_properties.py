@@ -257,6 +257,15 @@ double x = x + x
 shared = combine t2 * double 4
 
 t3 = A (t2, C shared)
+
+pick k (C 0) = k
+pick k (C i) = k + i
+pick k (A (l, r)) = pick k l * 2 + combine r
+
+sumcase t = case t of
+    C 0 -> 1
+    A (l, r) -> sumcase l + sumcase r
+    y -> combine y
 """
 
 
@@ -267,7 +276,7 @@ def _int_exprs(draw, depth=3):
             st.integers(0, 9).map(IntLit),
             st.sampled_from([parse_expr("combine t1"), parse_expr("combine t2"), Var("shared")]),
         ))
-    kind = draw(st.integers(0, 4))
+    kind = draw(st.integers(0, 6))
     sub = lambda: draw(_int_exprs(depth=depth - 1))
     if kind == 0:
         return Infix("+", sub(), sub())
@@ -278,6 +287,10 @@ def _int_exprs(draw, depth=3):
     if kind == 3:
         body_var = draw(st.sampled_from(["sh", "sh2"]))
         return Let((LetBinding(body_var, sub()),), Infix("+", Var(body_var), Var(body_var)))
+    if kind == 5:
+        return App(App(Var("pick"), sub()), draw(_tree_exprs(depth=depth - 1)))
+    if kind == 6:
+        return App(Var("sumcase"), draw(_tree_exprs(depth=depth - 1)))
     return App(Var("combine"), draw(_tree_exprs(depth=depth - 1)))
 
 
