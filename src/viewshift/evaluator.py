@@ -38,12 +38,12 @@ not called but returned as a `(code, env)` pair to a trampoline (`_run`,
 `force`, an operand's), so runaway recursion meets the step budget instead
 of the host stack. Every expression node ticks once when entered, and so
 does each application round and each node of deep forcing: the reduction
-count is that of a tree walk over the same expressions. A call whose head is a variable
-adds the ticks of the call and its head at once, only while both fit the
-budget, and a saturated call skips the general application loop. The budget
-is per entry: the ticks test the evaluator's `limit`, which an observation
-moves to the count so far plus the budget before each entry, so an entry may
-perform budget reductions of its own.
+count is that of a tree walk over the same expressions. A call whose head is
+a variable adds the ticks of the call and its head at once, only while both
+fit the budget, and a saturated call skips the general application loop. The
+budget is per entry: the ticks test the evaluator's `limit`, which an
+observation moves to the count so far plus the budget before each entry, so
+an entry may perform budget reductions of its own.
 """
 
 from __future__ import annotations
@@ -117,8 +117,11 @@ def show_value(v: Value) -> str:
         case VOutput(text):
             return text
         case VCon(name, args):
-            shown = (f"({show_value(a)})" if isinstance(a, VCon) and a.args else show_value(a) for a in args)
-            return " ".join((name, *shown))
+            parts = [name]
+            for a in args:
+                s = show_value(a)
+                parts.append(f"({s})" if isinstance(a, VCon) and a.args else s)
+            return " ".join(parts)
         case VTuple(items):
             return "(" + ", ".join(show_value(i) for i in items) + ")"
         case VClosure(name, _):
@@ -141,8 +144,7 @@ class _Cell:
 
 @dataclass(frozen=True)
 class _Fun:
-    """A compiled function: per equation, its matcher and its body code;
-    and its dispatch (_dispatch) or None."""
+    """A compiled function: per equation, (matcher, body); its _dispatch."""
     name: str
     arity: int
     equations: tuple[tuple[object, object], ...]
@@ -522,9 +524,8 @@ class _Compiler:
         return code
 
     def patterns(self, ps: tuple[Pattern, ...]):
-        """A matcher match(ev, cells, out) of a call's arguments, or of a
-        constructor's or a tuple's fields, against ps: all variables only
-        bind, and one refutable column is the only cell tested."""
+        """A matcher match(ev, cells, out) of a call's arguments, or of fields,
+        against ps: all variables only bind; one refutable column is tested alone."""
         n = len(ps)
         refutable = [i for i, p in enumerate(ps) if not isinstance(p, PVar)]
         if not refutable:
