@@ -3,30 +3,30 @@ constructor-centered architecture of the same program, built from
 precondition-checked, behavior-preserving refactoring operations and
 verified by an evaluator oracle and alpha-equivalence against goldens."""
 
-from .corpus import FIXTURE_NAMES, Fixture, load_fixture
-from .evaluator import (
-    EvalError, Evaluator, VCon, VInt, VOutput, VStr, VTuple, Value,
-    evaluate, observational_eq, observe_entries,
-)
-from .lang import Expr, ModuleDef, Pattern, Project, TopDecl
-from .names import alpha_eq_decl, alpha_eq_project, free_vars, fresh_name, substitute
-from .parse import ParseError, parse_decl, parse_expr, parse_module, parse_project
-from .refactorings import RefactorError
-from .render import render_decl, render_expr, render_module, render_project, write_project
-from .resolver import ResolveError, find_application, occurrences_of, resolve_project, unused_imports
-from .script import RunLog, Script, ScriptSyntaxError, parse_script, run_script
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EvalError", "Evaluator", "FIXTURE_NAMES", "Fixture", "Expr", "ModuleDef",
-    "ParseError", "Pattern", "Project", "RefactorError", "ResolveError",
-    "RunLog", "Script", "ScriptSyntaxError", "TopDecl", "VCon", "VInt",
-    "VOutput", "VStr", "VTuple", "Value", "alpha_eq_decl", "alpha_eq_project",
-    "evaluate", "find_application", "free_vars", "fresh_name", "load_fixture",
-    "observational_eq", "observe_entries", "occurrences_of", "parse_decl",
-    "parse_expr", "parse_module", "parse_project", "parse_script",
-    "render_decl", "render_expr", "render_module", "render_project",
-    "resolve_project", "run_script", "substitute", "unused_imports",
-    "write_project",
-]
+# Each submodule's public names. A submodule loads on the first read of it or of one of its names (PEP 562).
+_NAMES = {
+    "corpus": "FIXTURE_NAMES Fixture load_fixture",
+    "evaluator": "EvalError Evaluator VCon VInt VOutput VStr VTuple Value evaluate observational_eq observe_entries",
+    "lang": "Expr ModuleDef Pattern Project TopDecl",
+    "names": "alpha_eq_decl alpha_eq_project free_vars fresh_name substitute",
+    "parse": "ParseError parse_decl parse_expr parse_module parse_project",
+    "refactorings": "RefactorError",
+    "render": "render_decl render_expr render_module render_project write_project",
+    "resolver": "ResolveError find_application occurrences_of resolve_project unused_imports",
+    "rewrite": "",
+    "script": "RunLog Script ScriptSyntaxError parse_script run_script",
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names.split()}
+__all__ = [*_HOME]
+
+
+def __getattr__(name: str):
+    if name in _NAMES:
+        return import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

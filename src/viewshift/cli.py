@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import corpus
+# script first: refactorings then compiles on a small heap, which keeps a cold apply's peak RSS down.
+from .script import COMMANDS, ScriptSyntaxError, parse_script, parse_step, run_script
 from .evaluator import EvalError, VOutput, default_entries, evaluate, observe_entries, show_value
 from .lang import FunDecl, Var
 from .names import alpha_eq_project
@@ -20,16 +21,14 @@ from .parse import ParseError, parse_project, read_source
 from .refactorings import RefactorError
 from .render import write_project
 from .resolver import ResolveError, resolve_project
-from .script import COMMANDS, ScriptSyntaxError, parse_script, parse_step, run_script
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
 def _entries_arg(text: str | None, project) -> tuple[str, ...]:
-    if text:
-        return tuple(n for n in text.split(",") if n)
-    return tuple(default_entries(project))
+    """The entries text names, or the project's default ones if it names none."""
+    return tuple(n for n in (text or "").split(",") if n) or tuple(default_entries(project))
 
 
 def _cmd_apply(args) -> int:
@@ -77,6 +76,9 @@ def _cmd_obs_eq(args) -> int:
     a = parse_project(args.dir_a)
     b = parse_project(args.dir_b)
     entries = _entries_arg(args.entries, a)
+    if not entries:
+        print("obs-eq: no entry to compare: name one with --entries", file=sys.stderr)
+        return USAGE_EXIT
     obs_a = observe_entries(a, entries)
     obs_b = observe_entries(b, entries)
     same = True
@@ -124,6 +126,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from . import corpus
+
     if args.action != "extract":
         print("corpus supports: extract <name> --out <dir>", file=sys.stderr)
         return USAGE_EXIT

@@ -108,25 +108,35 @@ class VClosure(Value):
 
 
 def show_value(v: Value) -> str:
-    match v:
-        case VInt(n):
-            return str(n)
-        case VStr(s):
-            out = s.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{out}"'
-        case VOutput(text):
-            return text
-        case VCon(name, args):
-            parts = [name]
-            for a in args:
-                s = show_value(a)
-                parts.append(f"({s})" if isinstance(a, VCon) and a.args else s)
-            return " ".join(parts)
-        case VTuple(items):
-            return "(" + ", ".join(show_value(i) for i in items) + ")"
-        case VClosure(name, _):
-            return f"<{name}>"
-    raise TypeError(v)
+    """The text of a value. The walk keeps its own stack of values and
+    literal text still to show, so any value `deep` builds can be shown."""
+    out: list[str] = []
+    todo: list = [v]
+    while todo:
+        v = todo.pop()
+        match v:
+            case str():
+                out.append(v)
+            case VInt(n):
+                out.append(str(n))
+            case VStr(s):
+                out.append('"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"')
+            case VOutput(text):
+                out.append(text)
+            case VCon(name, args):
+                out.append(name)
+                for a in reversed(args):
+                    todo += (")", a, " (") if isinstance(a, VCon) and a.args else (a, " ")
+            case VTuple(items):
+                out.append("(")
+                todo.append(")")
+                for i, item in reversed(tuple(enumerate(items))):
+                    todo += (item, ", ") if i else (item,)
+            case VClosure(name, _):
+                out.append(f"<{name}>")
+            case _:
+                raise TypeError(v)
+    return "".join(out)
 
 
 # --- machine internals ---

@@ -72,6 +72,20 @@ def test_obs_eq_default_entries(dirs):
     assert main(["obs-eq", str(dirs / "pfun"), str(dirs / "pdata")]) == 0
 
 
+def test_obs_eq_entries_naming_none_take_the_defaults(dirs, capsys):
+    assert main(["obs-eq", str(dirs / "pfun"), str(dirs / "pdata"), "--entries", ",,,"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == ["r1", "r2", "r3", "r4"]
+
+
+@pytest.mark.parametrize("option", [[], ["--entries", ","]], ids=["no-option", "empty-names"])
+def test_obs_eq_without_any_entry_exits_2(tmp_path, capsys, option):
+    # nothing compared is no verdict: M has no Client r* to default to
+    (tmp_path / "M.mfn").write_text("module M where\n\nk = 1\n")
+    assert main(["obs-eq", str(tmp_path), str(tmp_path), *option]) == 2
+    assert capsys.readouterr() == ("", "obs-eq: no entry to compare: name one with --entries\n")
+
+
 def test_eval_entry(dirs, capsys):
     assert main(["eval", str(dirs / "pfun"), "r2"]) == 0
     assert capsys.readouterr().out.strip() == "3"
@@ -208,6 +222,32 @@ def test_apply_checked_too_deep_observation_exits_1_with_summary(tmp_path, capsy
     out = capsys.readouterr().out
     assert "[applied, equivalence fail]" in out and "nesting too deep" in out
     assert "1/1 step(s) applied" in out
+
+
+# r1 is a 2,000-element list: evaluated in a loop, so its depth is in the value only
+LONG_LIST = (
+    "module Client where\n\ndata L = Nil | Cons (Int, L)\n\n"
+    "build 2000 acc = acc\nbuild n acc = build (n + 1) (Cons (1, acc))\n\nk = 1\n\nr1 = build 0 Nil\n"
+)
+LONG_LIST_SHOWN = "Cons (1, " * 2000 + "Nil" + ")" * 2000
+
+
+def test_eval_shows_a_long_list(tmp_path, capsys):
+    (tmp_path / "Client.mfn").write_text(LONG_LIST)
+    assert main(["eval", str(tmp_path), "r1"]) == 0
+    assert capsys.readouterr().out == LONG_LIST_SHOWN + "\n"
+
+
+def test_apply_checked_observes_a_long_list(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "Client.mfn").write_text(LONG_LIST)
+    script = tmp_path / "dup.vs"
+    script.write_text("duplicate-into-comment k Client\n")
+    code = main(["apply", str(script), str(src), "--out", str(tmp_path / "out"), "--checked"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "[applied, equivalence pass]" in out and "1/1 step(s) applied" in out
 
 
 @pytest.fixture
