@@ -28,7 +28,8 @@ FAIL_EXIT = 1
 
 def _entries_arg(text: str | None, project) -> tuple[str, ...]:
     """The entries text names, or the project's default ones if it names none."""
-    return tuple(n for n in (text or "").split(",") if n) or tuple(default_entries(project))
+    names = (n.strip() for n in (text or "").split(","))
+    return tuple(n for n in names if n) or tuple(default_entries(project))
 
 
 def _cmd_apply(args) -> int:

@@ -432,15 +432,11 @@ def rename_top_level(project: Project, f: str, m: str, fp: str) -> Project:
     if fp in _top_scope(project, m):
         raise RefactorError("NameClash", f"{fp} is already bound in the scope of module {m}")
     _new_name(fp)
-    project = requalify_name(project, fp)
-    project = retarget_name(project, (m, f), (m, fp))
-    mod = project.modules[m]
-    di, d = _fun_decl(mod, f)
     exports = mod.exports
     if exports is not None:
         exports = tuple(fp if n == f else n for n in exports)
-    project = with_module(project, replace(with_decl(mod, di, replace(d, name=fp)), exports=exports))
-    return _finish(project)
+    after = with_module(project, replace(with_decl(mod, di, replace(d, name=fp)), exports=exports))
+    return _finish(retarget_name(project, after, (m, f), (m, fp)))
 
 
 def move_def(project: Project, f: str, m: str, mp: str) -> Project:
@@ -483,62 +479,30 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
             "PreconditionFailed", f"moving {f} from {m} to {mp} would create an import cycle"
         )
 
-    project = requalify_name(project, f)
-
-    mod = project.modules[m]
-    _, d = _fun_decl(mod, f)
-    project = with_module(project, _without_decl(mod, f))
-
-    dest = project.modules[mp]
+    # The moved body reads, from mp, exactly what it read in m.
+    equations, _ = requalify_name(table, m, d, mp)
+    after = with_module(project, _without_decl(mod, f))
+    dest = after.modules[mp]
     new_imports = dest.imports + tuple(sorted(needed - set(dest.imports)))
     dest_exports = dest.exports
     if dest_exports is not None and referencing and f not in dest_exports:
         dest_exports = dest_exports + (f,)
-    project = with_module(
-        project,
-        replace(dest, imports=new_imports, decls=dest.decls + (d,), exports=dest_exports),
+    moved = replace(d, equations=equations)
+    after = with_module(
+        after,
+        replace(dest, imports=new_imports, decls=dest.decls + (moved,), exports=dest_exports),
     )
 
     for r in sorted(referencing):
-        rm = project.modules[r]
+        rm = after.modules[r]
         if mp not in rm.imports:
-            project = with_module(project, replace(rm, imports=rm.imports + (mp,)))
+            after = with_module(after, replace(rm, imports=rm.imports + (mp,)))
 
-    project = retarget_name(project, (m, f), (mp, f))
-    return _finish(project)
+    return _finish(retarget_name(project, after, (m, f), (mp, f)))
 
 
 # ---------------------------------------------------------------------------
 # unfold / fold
-
-def _qualified_equations(
-    table: SymbolTable, def_module: str, defn: FunDecl, site_module: str
-) -> tuple[tuple[Equation, ...], set[str]]:
-    """Qualify the free references of a definition's equations by their home
-    modules, looked up in the caller's table, so the bodies stay correct when
-    inlined elsewhere. Returns the rewritten equations and the set of modules
-    the site must import."""
-    if def_module == site_module:
-        return defn.equations, set()
-    needed: set[str] = set()
-
-    def qualify(e: Expr, bound: frozenset[str]) -> Expr:
-        if not isinstance(e, Var):
-            return e
-        if e.qualifier is not None:
-            needed.add(e.qualifier)
-            return e
-        if e.name in bound:
-            return e
-        refs = table.lookup(def_module, e.name)
-        if len(refs) == 1:
-            needed.add(refs[0].module)
-            return Var(e.name, qualifier=refs[0].module)
-        return e
-
-    out = map_decl_roots(defn, lambda root, bound: map_scoped(root, bound, qualify))
-    return out.equations, {n for n in needed if n != site_module}  # type: ignore[union-attr]
-
 
 def _case_of_equations(equations: tuple[Equation, ...], args: list[Expr]) -> Expr:
     arity = len(equations[0].patterns)
@@ -568,7 +532,7 @@ def _inline_definition(
             "NotApplicable",
             f"{what} takes {arity} argument(s) but is applied to {len(args)} here",
         )
-    equations, needed = _qualified_equations(table, def_module, defn, m)
+    equations, needed = requalify_name(table, def_module, defn, m)
     for imp in sorted(needed):
         modx = project.modules[m]
         if imp != m and imp not in modx.imports:
@@ -1043,5 +1007,5 @@ def unify_alpha_equivalent(project: Project, keep: str, drop: str, m: str) -> Pr
         raise RefactorError(
             "PreconditionFailed", f"{keep} and {drop} are not alpha-equivalent"
         )
-    project = retarget_name(project, (m, drop), (m, keep))
-    return _finish(with_module(project, _without_decl(project.modules[m], drop)))
+    after = with_module(project, _without_decl(mod, drop))
+    return _finish(retarget_name(project, after, (m, drop), (m, keep)))

@@ -1,12 +1,13 @@
 """Shared rewriting machinery for the refactoring catalog.
 
-Qualification discipline: operations first re-qualify occurrences whose
-resolution is about to become ambiguous, then perform the structural change
-with fully qualified references, and finally minimize qualifiers project-wide
-(a qualifier is kept only where the unqualified name would not resolve
-uniquely to the same definition). This reproduces the qualified forms the
-transformations display (Client.eval, ConstMod.eval, ...) without ever
-guessing an occurrence's intent.
+Access construction: an operation that renames, moves or drops a top-level
+definition first builds its structural result, then gives each use of the
+name the shortest access (bare `n` or `Q.n`) that denotes, in the result,
+what the use denoted before the step, with the old definition read as the
+new one (retarget_name). A body that moves to another module first has its
+free references qualified by their home modules (requalify_name), so it
+reads the same definitions wherever it lands. A use whose access does not
+change is left as the same object, and so is everything around it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .lang import (
-    Expr, FunDecl, Project, Var, map_decl_roots, map_scoped, paired_children, rewritten,
-    var_slot,
+    Equation, Expr, FunDecl, Project, Var, map_decl_roots, map_scoped, paired_children,
+    rewritten, var_slot,
 )
 from .names import free_vars
 from .resolver import (
@@ -47,20 +48,33 @@ def _rewrite_vars(project: Project, fn, names, touches) -> Project:
     return rewritten(project, {**project.modules, **new}) if new else project
 
 
-def requalify_name(project: Project, name: str) -> Project:
-    """Pin down every free occurrence of name with an explicit qualifier."""
-    table = build_symbol_table(project)
+def requalify_name(
+    table: SymbolTable, def_module: str, defn: FunDecl, site_module: str
+) -> tuple[tuple[Equation, ...], set[str]]:
+    """Qualify the free references of a definition's equations by their home
+    modules, looked up in the caller's table, so the bodies read the same
+    definitions at site_module. Returns the rewritten equations and the set
+    of modules the site must import."""
+    if def_module == site_module:
+        return defn.equations, set()
+    needed: set[str] = set()
 
-    def fix(mname: str, v: Var, bound: frozenset[str]) -> Expr:
-        if v.name != name or v.qualifier is not None or v.name in bound:
-            return v
-        refs = table.lookup(mname, name)
+    def qualify(e: Expr, bound: frozenset[str]) -> Expr:
+        if not isinstance(e, Var):
+            return e
+        if e.qualifier is not None:
+            needed.add(e.qualifier)
+            return e
+        if e.name in bound:
+            return e
+        refs = table.lookup(def_module, e.name)
         if len(refs) == 1:
-            return Var(name, qualifier=refs[0].module)
-        return v
+            needed.add(refs[0].module)
+            return Var(e.name, qualifier=refs[0].module)
+        return e
 
-    mentioning = [m for m, mod in project.modules.items() if name in mentioned_names(mod)]
-    return _rewrite_vars(project, fix, mentioning, lambda m, reads: reads.mentions(name))
+    out = map_decl_roots(defn, lambda root, bound: map_scoped(root, bound, qualify))
+    return out.equations, {n for n in needed if n != site_module}  # type: ignore[union-attr]
 
 
 def minimize_qualifiers(project: Project) -> Project:
@@ -94,29 +108,38 @@ def minimize_qualifiers(project: Project) -> Project:
 
 
 def retarget_name(
-    project: Project, old: tuple[str, str], new: tuple[str, str]
+    before: Project, after: Project, old: tuple[str, str], new: tuple[str, str]
 ) -> Project:
-    """Repoint every occurrence of a top-level definition to a new (module,
-    name), emitting fully qualified references; minimize afterwards."""
-    table = build_symbol_table(project)
-    old_mod, old_name = old
-    new_mod, new_name = new
+    """after, with each free variable named old's or new's name given the
+    shortest access to what it denoted in before, old read as new. A
+    variable resolves against before's table, a qualified one to its
+    qualifier; its access is the bare name where that name is not bound
+    locally and after's table has the target as its one candidate, else
+    Q.n. A variable whose access does not change comes back as the same
+    object."""
+    was, now = build_symbol_table(before), build_symbol_table(after)
+    names = {old[1], new[1]}
 
     def fix(mname: str, v: Var, bound: frozenset[str]) -> Expr:
-        if v.name != old_name:
+        if v.name not in names:
             return v
-        if v.qualifier is None:
-            if v.name in bound:
-                return v
-            refs = table.lookup(mname, v.name)
-            if len(refs) != 1 or (refs[0].module, refs[0].name) != old:
-                return v
-        elif v.qualifier != old_mod:
+        if v.qualifier is not None:
+            target = (v.qualifier, v.name)
+        elif v.name in bound:
             return v
-        return Var(new_name, qualifier=new_mod)
+        else:
+            refs = was.lookup(mname, v.name)
+            if len(refs) != 1:
+                return v
+            target = (refs[0].module, refs[0].name)
+        module, name = new if target == old else target
+        refs = now.lookup(mname, name)
+        bare = name not in bound and len(refs) == 1 and refs[0].module == module
+        qualifier = None if bare else module
+        return v if (qualifier, name) == (v.qualifier, v.name) else Var(name, qualifier)
 
-    mentioning = [m for m, mod in project.modules.items() if old_name in mentioned_names(mod)]
-    return _rewrite_vars(project, fix, mentioning, lambda m, reads: reads.mentions(old_name))
+    mentioning = [m for m, mod in after.modules.items() if not names.isdisjoint(mentioned_names(mod))]
+    return _rewrite_vars(after, fix, mentioning, lambda m, reads: any(map(reads.mentions, names)))
 
 
 # --- second-order instance matching (fold, generative fold) ---

@@ -9,15 +9,15 @@ step together with a run log.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import refactorings as ops
 from .evaluator import EvalError, EvalStats, default_entries, observe_entries
-from .lang import Project, TopDecl, changed_modules, decl_name, rewritten
+from .lang import Project, changed_modules, decl_name
 from .refactorings import RefactorError
 from .render import write_project
-from .resolver import ResolveError, decl_index, resolve_project
+from .resolver import ResolveError, resolve_project
 
 
 class ScriptSyntaxError(Exception):
@@ -170,39 +170,6 @@ class RunLog:
         return "".join(json.dumps(r) + "\n" for r in [*map(StepRecord.to_dict, self.records), summary])
 
 
-def _keep_equal(before: Project, after: Project) -> Project:
-    """after, with each declaration that a step replaced by an equal copy
-    given back as the object before held. Qualifying a name and minimising
-    it again leaves such copies; keeping the older object keeps what is
-    remembered on it (its reads and compiled code), and makes object
-    identity say exactly what the step changed."""
-    kept = {}
-    for m, new in after.modules.items():
-        old = before.modules.get(m)
-        if old is None or old is new:
-            continue
-        index = decl_index(old)
-        decls = tuple(_older(d, index.get(decl_name(d))) for d in new.decls)
-        if all(a is b for a, b in zip(decls, new.decls)):
-            continue
-        same = (new.exports, new.imports) == (old.exports, old.imports) and len(decls) == len(old.decls)
-        if same and all(a is b for a, b in zip(decls, old.decls)):
-            kept[m] = old
-        else:
-            kept[m] = replace(new, decls=decls)
-    return rewritten(after, {**after.modules, **kept}) if kept else after
-
-
-def _older(d: TopDecl, old: Optional[TopDecl]) -> TopDecl:
-    """old when it equals d, else d."""
-    if old is None or old is d:
-        return d
-    try:
-        return old if old == d else d
-    except RecursionError:  # too deep to compare: keep the copy
-        return d
-
-
 def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
     """module -> sorted names of the declarations added, removed or replaced
     between two projects, for each module whose object differs. Found by
@@ -251,7 +218,7 @@ def run_script(
         t0 = time.perf_counter()
         record = StepRecord(i, step.command, step.args, "applied")
         try:
-            before, project = project, _keep_equal(project, COMMANDS[step.command][1](project, step))
+            before, project = project, COMMANDS[step.command][1](project, step)
         except (RefactorError, RecursionError) as exc:
             record.outcome = "failed"
             record.error, record.kind = _failure(exc)

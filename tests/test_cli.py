@@ -78,6 +78,15 @@ def test_obs_eq_entries_naming_none_take_the_defaults(dirs, capsys):
     assert [line.split(":")[0] for line in out.splitlines()[:-1]] == ["r1", "r2", "r3", "r4"]
 
 
+def test_entries_with_blanks_around_names(dirs, capsys):
+    assert main(["obs-eq", str(dirs / "pfun"), str(dirs / "pfun"), "--entries", "r1, r2"]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:-1]] == ["r1", "r2"]
+    assert main([
+        "apply", str(dirs / "scripts" / "forward.vs"), str(dirs / "pfun"),
+        "--out", str(dirs / "b4"), "--checked", "--entries", " r1 , r2 ",
+    ]) == 0
+
+
 @pytest.mark.parametrize("option", [[], ["--entries", ","]], ids=["no-option", "empty-names"])
 def test_obs_eq_without_any_entry_exits_2(tmp_path, capsys, option):
     # nothing compared is no verdict: M has no Client r* to default to
@@ -162,7 +171,7 @@ def test_apply_unresolvable_step_exits_1_with_summary(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "move-def f M N" in out and "[failed]" in out
-    assert "PreconditionFailed: cannot resolve g in module N" in out
+    assert "PreconditionFailed: M does not export g" in out
     assert "0/1 step(s) applied" in out
 
 

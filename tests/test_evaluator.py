@@ -264,7 +264,7 @@ def _count_calls(monkeypatch, *functions) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("checked, builds", [(False, 205), (True, 257)], ids=["unchecked", "checked"])
+@pytest.mark.parametrize("checked, builds", [(False, 206), (True, 258)], ids=["unchecked", "checked"])
 def test_forward_run_resolver_counts(pfun, forward_script, monkeypatch, checked, builds):
     # the call counts the benchmark reads from its traced paper forward run
     counts = _count_calls(

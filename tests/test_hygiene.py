@@ -40,6 +40,7 @@ def _all_names(tree: ast.Module) -> set[str]:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
+            assert isinstance(node.value, (ast.List, ast.Tuple)), "__all__ is not a list or tuple display"
             return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
     return set()
 

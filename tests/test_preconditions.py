@@ -205,6 +205,21 @@ def test_move_along_long_import_chain():
     assert out.modules["M0"].decls == ()
 
 
+def test_move_does_not_rebind_the_moved_body():
+    # f reads M's private g; a bare g in P would read P's own g, and r1
+    # would go from 2 to 3
+    p = _project(
+        "module M (f) where\n\ng = 1\n\nf = g + 1",
+        "module P where\n\ng = 2",
+        "module Client where\n\nimport M\n\nr1 = f",
+    )
+    modules = dict(p.modules)
+    err = expect(p, "PreconditionFailed", R.move_def, "f", "M", "P")
+    assert err.message == "M does not export g"
+    assert p.modules.keys() == modules.keys()
+    assert all(p.modules[name] is mod for name, mod in modules.items())
+
+
 # --- unfold-instance ---
 
 def test_unfold_no_occurrence(pfun):

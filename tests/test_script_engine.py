@@ -4,14 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from viewshift import script
+from viewshift import refactorings, script
 from viewshift.evaluator import observe_entries
 from viewshift.lang import App, Equation, FunDecl, IntLit, Project, Var, decl_name
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module, parse_project
 from viewshift.render import render_decl
 from viewshift.script import (
-    COMMANDS, RefactorStep, Script, ScriptSyntaxError, _older, parse_script, run_script,
+    COMMANDS, RefactorStep, Script, ScriptSyntaxError, parse_script, run_script,
 )
 
 ENTRIES = ("r1", "r2", "r3", "r4")
@@ -151,7 +151,7 @@ def test_unresolvable_result_fails_the_step(tmp_path):
     assert [r.outcome for r in log.records] == ["failed"]
     assert log.records[0].error.startswith("PreconditionFailed:")
     assert log.records[0].kind == "PreconditionFailed"
-    assert "cannot resolve g in module N" in log.records[0].error
+    assert "M does not export g" in log.records[0].error
     assert out is project
 
 
@@ -261,24 +261,22 @@ def test_checked_run_whose_first_step_fails_observes_nothing(pfun, monkeypatch):
     assert seen == []
 
 
-def test_step_gives_back_equal_copies_as_the_older_objects(pfun, forward_script):
-    # The first move-def requalifies Client's uses of the moved function and
-    # minimises them again, which leaves equal copies of Client's functions.
-    first = next(i for i, s in enumerate(forward_script.steps) if s.command == "move-def")
-    step = forward_script.steps[first]
-    mid, _ = run_script(pfun, Script("head", forward_script.steps[:first]))
-    raw = COMMANDS[step.command][1](mid, step)
-    copies = [d for d, old in zip(raw.modules["Client"].decls, mid.modules["Client"].decls)
-              if d is not old and d == old]
-    assert copies
-    out, log = run_script(mid, Script("move", (step,)))
-    assert log.ok and log.records[0].changed["Client"] == []  # only its imports changed
-    assert all(d is old for d, old in zip(out.modules["Client"].decls, mid.modules["Client"].decls))
-
-
-def test_declaration_too_deep_to_compare_is_kept_as_a_copy():
-    a, b = IntLit(1), IntLit(1)
-    for _ in range(5000):
-        a, b = App(Var("f"), a), App(Var("f"), b)
-    old, new = (FunDecl("r1", (Equation((), e),)) for e in (a, b))
-    assert _older(new, old) is new
+def test_move_def_gives_back_every_declaration_it_did_not_move(pfun, forward_script):
+    # viewshift op calls the operation itself: uses of the moved function
+    # keep their access where it still reads the same, so each declaration
+    # other than the moved one is the object the input held
+    project, moves = pfun, 0
+    for step in forward_script.steps:
+        if step.command != "move-def":
+            project = COMMANDS[step.command][1](project, step)
+            continue
+        f, m, mp = step.args
+        out = refactorings.move_def(project, f, m, mp)
+        kept = [
+            (name, decl_name(d)) for name, mod in out.modules.items() for d in mod.decls
+            if (name, decl_name(d)) != (mp, f)
+            and d is not project.modules[name].decl(decl_name(d))
+        ]
+        assert kept == [], str(step)
+        project, moves = out, moves + 1
+    assert moves == 6
