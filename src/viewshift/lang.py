@@ -12,7 +12,7 @@ All nodes are frozen dataclasses; every transformation builds new trees.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 BUILTINS = ("show", "print")
 KEYWORDS = ("module", "where", "import", "data", "case", "of", "let", "in")
@@ -220,24 +220,22 @@ def decl_name(d: TopDecl) -> str:
     return d.name  # type: ignore[union-attr]
 
 
-def rewritten(parent: Project, modules: dict[str, ModuleDef]) -> Project:
-    """The project of modules, rewritten from parent: the resolver derives
-    what it knows of it from parent (resolver.project_state)."""
-    out = Project(modules)
-    out.__dict__["_parent"] = parent
+def rewritten(parent: Project, replaced: dict[str, ModuleDef]) -> Project:
+    """parent with the modules of replaced put in by name, new names last.
+    The result records its parent and the names replaced, from which the
+    resolver derives what it knows of it (resolver.project_state)."""
+    out = Project({**parent.modules, **replaced})
+    out.__dict__["_parent"] = parent, tuple(replaced)
     return out
 
 
-def changed_modules(was: dict[str, ModuleDef], now: dict[str, ModuleDef]) -> set[str]:
-    """Names of the modules whose object differs (`is`) between two
-    projects' modules, and of those added or removed."""
-    return {m for m, mod in now.items() if was.get(m) is not mod} | (was.keys() - now.keys())
+def changed_modules(was: dict[str, ModuleDef], now: dict[str, ModuleDef], names: Iterable[str]) -> set[str]:
+    """Those of names whose module object differs (`is`) between was and now."""
+    return {m for m in names if was.get(m) is not now.get(m)}
 
 
 def with_module(project: Project, mod: ModuleDef) -> Project:
-    mods = dict(project.modules)
-    mods[mod.name] = mod
-    return rewritten(project, mods)
+    return rewritten(project, {mod.name: mod})
 
 
 def with_decl(mod: ModuleDef, index: int, d: TopDecl) -> ModuleDef:

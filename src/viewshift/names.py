@@ -3,6 +3,9 @@ alpha-equivalence and fresh-name generation."""
 
 from __future__ import annotations
 
+from collections.abc import Container
+from itertools import count
+
 from .lang import (
     Case, CaseBranch, DataDecl, Expr, FunDecl, Let, LetBinding, PCon, PTuple,
     PVar, Pattern, Project, TopDecl, Var, decl_expr_roots, decl_name,
@@ -11,15 +14,10 @@ from .lang import (
 )
 
 
-def fresh_name(base: str, avoid: set[str]) -> str:
-    """First of <base>_gen, <base>_gen_1, <base>_gen_2, ... not in avoid."""
-    candidate = f"{base}_gen"
-    if candidate not in avoid:
-        return candidate
-    i = 1
-    while f"{base}_gen_{i}" in avoid:
-        i += 1
-    return f"{base}_gen_{i}"
+def fresh_name(base: str, *avoid: Container[str]) -> str:
+    """First of <base>_gen, <base>_gen_1, <base>_gen_2, ... in none of avoid."""
+    candidates = (f"{base}_gen_{i}" if i else f"{base}_gen" for i in count())
+    return next(c for c in candidates if not any(c in names for names in avoid))
 
 
 def free_vars(e: Expr, include_qualified: bool = False) -> set[str]:

@@ -11,7 +11,6 @@ never by source positions.
 
 from __future__ import annotations
 
-import graphlib
 from dataclasses import replace
 
 from .lang import (
@@ -29,9 +28,9 @@ from .names import (
 from .parse import ParseError, parse_decl, tokenize
 from .render import render_decl
 from .resolver import (
-    OccRef, ResolveError, SymbolTable, applications, build_symbol_table,
+    OccRef, ResolveError, SymbolTable, applications, build_symbol_table, decl_reads,
     decl_refs, find_application, module_exports, module_names, module_scope,
-    occurrences_of, resolve_var, resolve_project, unused_imports, uses_of,
+    occurrences_of, project_state, resolve_var, resolve_project, unused_imports, uses_of,
 )
 from .rewrite import (
     InstanceMatcher, fold_instances_in_expr, minimize_qualifiers,
@@ -85,14 +84,6 @@ def _fun_decl(mod: ModuleDef, f: str) -> tuple[int, FunDecl]:
 def _top_scope(project: Project, m: str) -> set[str]:
     """Names visible at the top level of m: own declarations plus imports."""
     return set(module_scope(project, m)[0])
-
-
-def _decl_all_names(d: FunDecl) -> set[str]:
-    """Every identifier textually present in the declaration."""
-    out: set[str] = {d.name}
-    for _, _, root, bound in decl_expr_roots(d):
-        out |= bound | all_names(root)
-    return out
 
 
 def _without_decl(mod: ModuleDef, name: str) -> ModuleDef:
@@ -316,7 +307,7 @@ def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> P
         raise _not_found(f"{v} is not free in the body of {f}")
     if v not in _top_scope(project, m):
         raise _not_found(f"{v} does not resolve at the top level of {m}")
-    if x in _decl_all_names(d) or x == v:
+    if x in decl_reads(d).names or x == v:
         raise RefactorError("NameClash", f"{x} is already used inside {f}")
 
     # f's own equations: occurrences of v become x, recursive calls gain x,
@@ -345,7 +336,7 @@ def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> P
 
     aux_name = None
     if any(o.module != m for o in external):
-        aux_name = fresh_name(f, {x, v}.union(*map(module_names, project.modules.values())))
+        aux_name = fresh_name(f, {x, v}, *map(module_names, project.modules.values()))
         mod2 = project.modules[m]
         aux = FunDecl(aux_name, (Equation((), Var(v)),))
         exports = mod2.exports
@@ -375,7 +366,7 @@ def _generalise_ident_local(
     f = loc.name
     if v not in free_vars(loc.rhs) - set(loc.params):
         raise _not_found(f"{v} is not free in the body of {f}")
-    if x in _decl_all_names(d) or x == v:
+    if x in decl_reads(d).names or x == v:
         raise RefactorError("NameClash", f"{x} is already used inside {d.name}")
 
     eq = with_local(eq, li, LocalDef(f, (x,) + loc.params, substitute(loc.rhs, v, Var(x))))
@@ -468,13 +459,9 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
     }
     referencing.discard(mp)
 
-    graph = {name: set(modx.imports) for name, modx in project.modules.items()}
-    graph[mp] |= needed
-    for r in referencing:
-        graph[r].add(mp)
-    try:
-        graphlib.TopologicalSorter(graph).prepare()
-    except graphlib.CycleError:
+    # The move adds imports mp -> needed and r -> mp: a new cycle passes through mp.
+    added = {r: (mp,) for r in referencing} | {mp: tuple(sorted(needed))}
+    if mp in _imported_from(project, mp, added):
         raise RefactorError(
             "PreconditionFailed", f"moving {f} from {m} to {mp} would create an import cycle"
         )
@@ -499,6 +486,18 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
             after = with_module(after, replace(rm, imports=rm.imports + (mp,)))
 
     return _finish(retarget_name(project, after, (m, f), (mp, f)))
+
+
+def _imported_from(project: Project, start: str, added: dict[str, tuple[str, ...]]):
+    """Each module start imports, directly or not, once; added[m] adds to m's imports."""
+    seen, stack = set(), [start]
+    while stack:
+        m = stack.pop()
+        for imp in project.modules[m].imports + added.get(m, ()):
+            if imp not in seen:
+                seen.add(imp)
+                stack.append(imp)
+                yield imp
 
 
 # ---------------------------------------------------------------------------
@@ -643,11 +642,10 @@ def fold_top_level(project: Project, f: str, m: str) -> Project:
     matcher = InstanceMatcher(build_symbol_table(project), params, m)
     head = Var(f, qualifier=m)
     total = 0
-    mods = dict(project.modules)
-    exported = f in module_exports(mod)
-    for mname, modx in project.modules.items():
-        if mname != m and not (exported and m in modx.imports):
-            continue
+    mods = {}
+    importers = project_state(project).importers.get(m, ()) if f in module_exports(mod) else ()
+    for mname in sorted({m, *importers}):
+        modx = project.modules[mname]
         decls, folded = [], 0
         for dd in modx.decls:
             if not (mname == m and decl_name(dd) == f):

@@ -9,13 +9,14 @@ Client.eval / ConstMod.eval qualifications the transformations produce).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .lang import (
-    App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, ModuleDef,
-    PCon, PTuple, Pattern, Project, TopDecl, Var, app_spine, decl_expr_at,
-    changed_modules, decl_name, decl_expr_roots, walk_expr_scoped,
+    App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, Let, ModuleDef,
+    PCon, PTuple, Pattern, Project, TopDecl, Var, app_spine, changed_modules,
+    decl_expr_at, decl_name, decl_expr_roots, pattern_vars, walk_expr_scoped,
 )
 
 
@@ -82,20 +83,15 @@ def mentioned_names(mod: ModuleDef) -> frozenset[str]:
 
 def module_names(mod: ModuleDef) -> frozenset[str]:
     """Every name the module declares (constructors included), binds or
-    uses; a fresh name outside it clashes with nothing in the module."""
+    uses; a fresh name outside it clashes with nothing in the module. Read
+    from each declaration's remembered reads, without a walk of its own."""
     own = _own(mod)
     if "all_names" not in own:
-        out = set()
-        for d in mod.decls:
-            out.add(decl_name(d))
-            if isinstance(d, DataDecl):
-                out.update(c.name for c in d.constructors)
-            for _, _, root, bound in decl_expr_roots(d):
-                for _, e, scope in walk_expr_scoped(root, bound):
-                    out |= scope
-                    if isinstance(e, Var):
-                        out.add(e.name)
-        own["all_names"] = frozenset(out)
+        own["all_names"] = frozenset().union(*(
+            decl_reads(d).names if isinstance(d, FunDecl)
+            else {d.name, *(c.name for c in d.constructors)}  # type: ignore[union-attr]
+            for d in mod.decls
+        ))
     return own["all_names"]
 
 
@@ -132,8 +128,8 @@ def module_scope(
 ) -> tuple[dict[str, list[DefRef]], dict[str, list[tuple[DefRef, ConstructorDef]]]]:
     """The top-level scope of one module: each name its own declarations and
     its imports' exports make visible, with every candidate definition, and
-    the constructors among them. Unknown imports contribute nothing. The
-    result is shared by the project's table and must not be mutated."""
+    the constructors among them. The result is shared by the project's
+    table and must not be mutated."""
     table = project_state(project).table
     return table.scopes[mname], table.constructors[mname]
 
@@ -167,10 +163,9 @@ def _scope_of(
                     add(n, DefRef(src.name, n, "fun"))
 
     add_module(mod, None)
-    for imp in mod.imports:
-        imported = project.modules.get(imp)
-        if imported is not None:
-            add_module(imported, module_exports(imported))
+    for imp in mod.imports:  # each known: project_state checks first
+        imported = project.modules[imp]
+        add_module(imported, module_exports(imported))
     return scope, cons
 
 
@@ -187,42 +182,64 @@ def _check_distinct(mod: ModuleDef):
             seen.add(n)
 
 
+def _in_module_order(project: Project, names: Iterable[str], fn: Callable[[str], object]):
+    """fn(name) for each of names, in any order. When one raises
+    ResolveError, fn runs again over names in project order, so the error
+    raised is the one a pass in that order meets first."""
+    try:
+        for mname in names:
+            fn(mname)
+    except ResolveError:
+        for mname in [m for m in project.modules if m in names]:
+            fn(mname)
+        raise
+
+
 @dataclass
 class ProjectState:
-    """What the resolver knows of one project: its table, the modules that
-    passed validation and the modules whose qualifiers are minimal."""
+    """What the resolver knows of one project: its table, the importers of
+    each module, the modules still to validate and to minimise, and its
+    ancestors with a state, newest first, as (weak reference, the modules
+    changed from it to the next newer one)."""
     table: SymbolTable
-    valid: set[str] = field(default_factory=set)
-    minimal: set[str] = field(default_factory=set)
+    importers: dict[str, frozenset[str]]
+    unchecked: set[str]
+    unminimised: set[str]
+    since: list[tuple[weakref.ref, set[str]]]
 
 
 def project_state(project: Project) -> ProjectState:
     """The state of project, derived on its first request and kept on the
     project object. It starts from the nearest ancestor (lang.rewritten)
-    whose state is known. A module is dirty when its object differs from the
-    ancestor's (`is`), or when it imports a name whose module differs, was
-    added or was removed. Only dirty modules are checked and scoped again,
-    and only they lose their marks; without a known ancestor every module is
-    dirty. The link to the parent is dropped once used, so a project keeps
-    no lineage alive."""
+    whose state is known. A module is changed when a rewrite on the way
+    replaced its object (`is`), and dirty when it changed or imports a
+    changed module (the importer map). Only dirty modules are checked and
+    scoped again, and only they become pending; without a known ancestor
+    every module is dirty. The link to the parent is dropped once used."""
     held = project.__dict__.get("_state")
     if held is not None:
         return held
-    base = project.__dict__.get("_parent")
-    while base is not None and "_state" not in base.__dict__:
-        base = base.__dict__.get("_parent")
-    mods = project.modules
-    if base is None:
-        old, changed = ProjectState(SymbolTable()), set(mods)
+    base, replaced = project, set()
+    while "_state" not in base.__dict__ and "_parent" in base.__dict__:
+        base, names = base.__dict__["_parent"]
+        replaced.update(names)
+    mods, old = project.modules, base.__dict__.get("_state")
+    if old is None:
+        old, was, changed, since = ProjectState(SymbolTable(), {}, set(), set(), []), {}, set(mods), []
     else:
-        old, changed = base.__dict__["_state"], changed_modules(base.modules, mods)
+        was, changed = base.modules, changed_modules(base.modules, mods, replaced)
+        # newest first, a few at most: a step's input is among them
+        since = [(weakref.ref(base), changed), *old.since[:7]]
+    importers = dict(old.importers)
+    for mname in changed:
+        prior = was.get(mname)
+        for imp in set(prior.imports if prior else ()) ^ set(mods[mname].imports):
+            importers[imp] = importers.get(imp, frozenset()) ^ {mname}
+    dirty = changed.union(*(importers.get(m, ()) for m in changed))
     table = SymbolTable(dict(old.table.scopes), dict(old.table.constructors))
-    dirty = changed - mods.keys()  # removed
-    for mname in dirty:
-        del table.scopes[mname], table.constructors[mname]
-    for mname, mod in mods.items():
-        if mname not in changed and changed.isdisjoint(mod.imports):
-            continue
+
+    def rescope(mname: str):
+        mod = mods[mname]
         for imp in mod.imports:
             if imp not in mods:
                 raise _err("UnresolvedName", mname, imp, f"module {mname} imports unknown module {imp}")
@@ -231,8 +248,10 @@ def project_state(project: Project) -> ProjectState:
             _check_distinct(mod)
             own["distinct"] = True
         table.scopes[mname], table.constructors[mname] = _scope_of(project, mod)
-        dirty.add(mname)
-    state = project.__dict__["_state"] = ProjectState(table, old.valid - dirty, old.minimal - dirty)
+
+    _in_module_order(project, dirty, rescope)
+    state = project.__dict__["_state"] = ProjectState(
+        table, importers, old.unchecked | dirty, old.unminimised | dirty, since)
     project.__dict__.pop("_parent", None)
     return state
 
@@ -314,9 +333,11 @@ class DeclReads(NamedTuple):
     constructor pattern, and _ARITY where an equation's arity differs.
     droppable: (qualifier, name) of each qualified variable whose bare name
     is not bound where it occurs, so that minimising could drop its
-    qualifier."""
+    qualifier.
+    names: every name the declaration declares, binds or uses."""
     checks: tuple[tuple, ...]
     droppable: tuple[tuple[str, str], ...]
+    names: frozenset[str]
 
     def mentions(self, name: str) -> bool:
         """Whether a variable not bound locally, qualified or not, is called name."""
@@ -335,6 +356,7 @@ def decl_reads(d: FunDecl) -> DeclReads:
 def _collect_reads(d: FunDecl) -> DeclReads:
     checks: dict[tuple, None] = {}  # ordered set: first occurrence wins
     droppable: dict[tuple[str, str], None] = {}
+    names = {d.name}
     arity = d.arity
     for eq in d.equations:
         if len(eq.patterns) != arity:
@@ -342,9 +364,11 @@ def _collect_reads(d: FunDecl) -> DeclReads:
         for p in eq.patterns:
             _pattern_checks(p, checks)
     for _, _, root, bound in decl_expr_roots(d):
+        names |= bound
         for _, e, scope in walk_expr_scoped(root, bound):
             kind = type(e)  # the node classes are final
             if kind is Var:
+                names.add(e.name)
                 if e.qualifier is not None:
                     checks[("var", e.qualifier, e.name)] = None
                     if e.name not in scope:
@@ -356,7 +380,10 @@ def _collect_reads(d: FunDecl) -> DeclReads:
             elif kind is Case:
                 for b in e.branches:
                     _pattern_checks(b.pattern, checks)
-    return DeclReads(tuple(checks), tuple(droppable))
+                    names.update(pattern_vars(b.pattern))
+            elif kind is Let:
+                names.update(b.name for b in e.bindings)
+    return DeclReads(tuple(checks), tuple(droppable), frozenset(names))
 
 
 def _check_decl(table: SymbolTable, project: Project, mname: str, d: FunDecl):
@@ -412,14 +439,12 @@ def _check_module(table: SymbolTable, project: Project, mname: str):
 
 def resolve_project(project: Project) -> SymbolTable:
     """Validate every occurrence in the project; raises ResolveError. Only
-    modules not yet valid in its state are checked, each declaration by its
-    remembered reads, in module order: the first error is a full walk's."""
+    the modules its state has pending are checked, each declaration by its
+    remembered reads, so the error is a full walk's (_in_module_order)."""
     table = build_symbol_table(project)
-    valid = project_state(project).valid
-    for mname in project.modules:
-        if mname not in valid:
-            _check_module(table, project, mname)
-            valid.add(mname)
+    pending = project_state(project).unchecked
+    _in_module_order(project, pending, lambda mname: _check_module(table, project, mname))
+    pending.clear()
     return table
 
 
@@ -457,12 +482,14 @@ def uses_of(
 ) -> Iterator[tuple[OccRef, frozenset[str]]]:
     """Yield (occurrence, bound names) for each variable, in any module, that
     resolves to the top-level definition target = (module, name), recursive
-    ones included; document order per module, modules in name order."""
-    name = target[1]
-    for mname in project.module_names():
-        if name not in mentioned_names(project.modules[mname]):
+    ones included; document order per module, modules in name order. Only
+    target's module and its importers can name it (resolve_var)."""
+    home, name = target
+    for mname in sorted({home, *project_state(project).importers.get(home, ())}):
+        mod = project.modules.get(mname)
+        if mod is None or name not in mentioned_names(mod):
             continue
-        for d in project.modules[mname].decls:
+        for d in mod.decls:
             if isinstance(d, DataDecl) or not decl_reads(d).mentions(name):
                 continue
             for ei, slot, root, bound in decl_expr_roots(d):

@@ -45,7 +45,7 @@ def _rewrite_vars(project: Project, fn, names, touches) -> Project:
         )
         if any(d is not old for d, old in zip(decls, mod.decls)):
             new[mname] = replace(mod, decls=decls)
-    return rewritten(project, {**project.modules, **new}) if new else project
+    return rewritten(project, new) if new else project
 
 
 def requalify_name(
@@ -79,10 +79,10 @@ def requalify_name(
 
 def minimize_qualifiers(project: Project) -> Project:
     """Drop qualifiers wherever the bare name resolves uniquely to the target.
-    A module the project's state marks minimal is skipped: minimizing
-    changes no module's interface, so every module of the result is marked.
-    In any other module, a declaration is rewritten only when one of its
-    droppable qualifiers names the bare name's one candidate."""
+    Only the modules the project's state has pending are visited, and the
+    result has none: minimizing changes no module's interface. In those
+    modules, a declaration is rewritten only when one of its droppable
+    qualifiers names the bare name's one candidate."""
     table = build_symbol_table(project)
 
     def fix(mname: str, v: Var, bound: frozenset[str]) -> Expr:
@@ -101,9 +101,8 @@ def minimize_qualifiers(project: Project) -> Project:
                 return True
         return False
 
-    minimal = project_state(project).minimal
-    out = _rewrite_vars(project, fix, [m for m in project.modules if m not in minimal], touches)
-    project_state(out).minimal.update(out.modules)
+    out = _rewrite_vars(project, fix, sorted(project_state(project).unminimised), touches)
+    project_state(out).unminimised.clear()
     return out
 
 
@@ -116,7 +115,8 @@ def retarget_name(
     qualifier; its access is the bare name where that name is not bound
     locally and after's table has the target as its one candidate, else
     Q.n. A variable whose access does not change comes back as the same
-    object."""
+    object. Only the homes of old and new and their importers, before and
+    after, can see either definition or have a changed scope: only they are scanned."""
     was, now = build_symbol_table(before), build_symbol_table(after)
     names = {old[1], new[1]}
 
@@ -138,7 +138,9 @@ def retarget_name(
         qualifier = None if bare else module
         return v if (qualifier, name) == (v.qualifier, v.name) else Var(name, qualifier)
 
-    mentioning = [m for m, mod in after.modules.items() if not names.isdisjoint(mentioned_names(mod))]
+    homes = {old[0], new[0]}
+    scan = homes.union(*(project_state(p).importers.get(h, ()) for p in (before, after) for h in homes))
+    mentioning = [m for m in sorted(scan) if not names.isdisjoint(mentioned_names(after.modules[m]))]
     return _rewrite_vars(after, fix, mentioning, lambda m, reads: any(map(reads.mentions, names)))
 
 

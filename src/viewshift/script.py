@@ -17,7 +17,7 @@ from .evaluator import EvalError, EvalStats, default_entries, observe_entries
 from .lang import Project, changed_modules, decl_name
 from .refactorings import RefactorError
 from .render import write_project
-from .resolver import ResolveError, resolve_project
+from .resolver import ResolveError, project_state, resolve_project
 
 
 class ScriptSyntaxError(Exception):
@@ -173,10 +173,17 @@ class RunLog:
 def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
     """module -> sorted names of the declarations added, removed or replaced
     between two projects, for each module whose object differs. Found by
-    object identity: rewrites return what they leave alone as the same
-    objects."""
-    out = {}
-    for m in sorted(changed_modules(before.modules, after.modules)):
+    object identity among the modules after's state says may differ from
+    before (all when it does not say): rewrites return what they leave
+    alone as the same objects."""
+    out, names = {}, set()
+    for ref, changed in () if after is before else project_state(after).since:
+        names |= changed
+        if ref() is before:
+            break
+    else:
+        names = set() if after is before else before.modules.keys() | after.modules.keys()
+    for m in sorted(changed_modules(before.modules, after.modules, names)):
         old, new = before.modules.get(m), after.modules.get(m)
         old_decls = old.decls if old is not None else ()
         new_decls = new.decls if new is not None else ()

@@ -1,8 +1,8 @@
 """Incremental resolution: the resolver derives each project's table,
-validity and minimal marks from the project it was rewritten from, redoing
-only the modules whose objects changed and their importers, and keeps each
-declaration's reads on the declaration object; the evaluator keeps each
-compiled declaration on the declaration object. These tests keep an
+importer map and pending modules from the project it was rewritten from,
+redoing only the modules whose objects changed and their importers, and
+keeps each declaration's reads on the declaration object; the evaluator
+keeps each compiled declaration on the declaration object. These tests keep an
 importing module or declaration object identical while what it reads
 changes, check incremental results against resolution from scratch, and pin
 that one step pays only for the modules it changes, walks only the
@@ -20,14 +20,15 @@ from hypothesis import given, settings, strategies as st
 from viewshift import evaluator, refactorings, resolver, rewrite, script
 from viewshift.corpus import load_fixture
 from viewshift.evaluator import observe_entries
-from viewshift.lang import Project, with_module
+from viewshift.lang import Project, Var, decl_expr_roots, walk_expr_scoped, with_module
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module
 from viewshift.reference import observe_entries_by_name
 from viewshift.refactorings import RefactorError
 from viewshift.render import render_module
 from viewshift.resolver import (
-    ResolveError, build_symbol_table, module_scope, resolve_project,
+    OccRef, ResolveError, build_symbol_table, module_scope, project_state, resolve_project,
+    resolve_var, uses_of,
 )
 from viewshift.rewrite import minimize_qualifiers
 from viewshift.script import COMMANDS, RefactorStep, run_script
@@ -312,6 +313,20 @@ def _outcome(fn, project):
         return "error", (exc.kind, exc.module, exc.name, str(exc))
 
 
+def _importers(project: Project) -> dict[str, frozenset[str]]:
+    """The importer map derived for project, without empty entries."""
+    return {m: importers for m, importers in project_state(project).importers.items() if importers}
+
+
+def _inverted_imports(project: Project) -> dict[str, frozenset[str]]:
+    """module -> the modules that import it, inverted from every module's imports."""
+    out: dict[str, set[str]] = {}
+    for m, mod in project.modules.items():
+        for imp in mod.imports:
+            out.setdefault(imp, set()).add(m)
+    return {m: frozenset(importers) for m, importers in out.items()}
+
+
 def _assert_same_as_scratch(inc: Project):
     """The table derived for inc, the outcome of resolving it (the error's
     kind, module, name and message included) and its minimisation are what
@@ -322,6 +337,7 @@ def _assert_same_as_scratch(inc: Project):
     if got[0] == "ok":
         assert got[1].scopes == want[1].scopes
         assert got[1].constructors == want[1].constructors
+        assert _importers(inc) == _inverted_imports(fresh)
     else:
         assert got == want
     got, want = _outcome(resolve_project, inc), _outcome(resolve_project, fresh)
@@ -456,14 +472,18 @@ def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
     assert touched <= changed, f"{sorted(touched - changed)} re-derived without a change"
 
 
-@pytest.mark.parametrize("tokens", [
-    ("duplicate-into-comment", "eval", "EvalMod"),
-    ("rename-top-level", "toString", "ToStringMod", "render"),
-    ("move-def", "eval", "EvalMod", "Client"),
-], ids=["one-module", "two-modules", "move"])
-def test_step_visits_as_many_modules_however_large_the_project(monkeypatch, tokens):
-    # The same step on 10 and on 80 padding modules scopes, validates and
-    # rewrites the same modules.
+@pytest.mark.parametrize("tokens, probes", [
+    (("duplicate-into-comment", "eval", "EvalMod"), {"changed_modules"}),
+    (("rename-top-level", "toString", "ToStringMod", "render"), {"changed_modules", "mentioned_names"}),
+    (("move-def", "eval", "EvalMod", "Client"), {"changed_modules", "mentioned_names", "_imported_from"}),
+    (("generalise-ident", "p05", "Pad05", "p04", "y"), {"changed_modules", "mentioned_names"}),
+], ids=["one-module", "two-modules", "move", "generalise-ident"])
+def test_step_visits_as_many_modules_however_large_the_project(monkeypatch, tokens, probes):
+    # The same step on 10, 80 and 320 padding modules scopes, validates and
+    # rewrites the same modules, compares the same modules by identity when
+    # it derives a project's state, probes the same modules' names, walks
+    # the same declarations to learn a module's names and visits the same
+    # modules of the import graph.
     visits = []
 
     def counted(fn, modules_of):
@@ -475,15 +495,50 @@ def test_step_visits_as_many_modules_however_large_the_project(monkeypatch, toke
     monkeypatch.setattr(resolver, "_check_module", counted(resolver._check_module, lambda t, p, m: [m]))
     monkeypatch.setattr(resolver, "_scope_of", counted(resolver._scope_of, lambda p, mod: [mod.name]))
     monkeypatch.setattr(rewrite, "_rewrite_vars", counted(rewrite._rewrite_vars, lambda p, f, names, t: names))
+    monkeypatch.setattr(resolver, "changed_modules", counted(
+        resolver.changed_modules, lambda was, now, names: sorted(names)))
+    mentioned = counted(resolver.mentioned_names, lambda mod: [mod.name])
+    monkeypatch.setattr(resolver, "mentioned_names", mentioned)
+    monkeypatch.setattr(rewrite, "mentioned_names", mentioned)
+    naming, asked = [], []
+
+    def names_of(mod):
+        naming.append(mod.name)
+        asked.append(mod.name)
+        try:
+            return module_names(mod)
+        finally:
+            naming.pop()
+
+    def collect(d):
+        if naming:
+            visits.append(("walk", (naming[-1], d.name)))
+        return collect_reads(d)
+
+    def imported_from(*args):
+        for m in imported(*args):
+            visits.append(("_imported_from", m))
+            yield m
+
+    module_names, collect_reads, imported = (
+        refactorings.module_names, resolver._collect_reads, refactorings._imported_from)
+    monkeypatch.setattr(refactorings, "module_names", names_of)
+    monkeypatch.setattr(resolver, "_collect_reads", collect)
+    monkeypatch.setattr(refactorings, "_imported_from", imported_from)
     step = RefactorStep(tokens[0], tokens[1:], 1)
     seen = []
-    for count in (10, 80):
+    for count in (10, 80, 320):
         project = minimize_qualifiers(_padded_pfun(count))
         resolve_project(project)  # the state a step leaves: resolved and minimal
         visits.clear()
+        asked.clear()
         COMMANDS[step.command][1](project, step)
         seen.append(sorted(visits))
-    assert seen[0] and seen[0] == seen[1]
+        # a fresh name for a call from another module avoids every module's
+        # names, read from remembered reads: no declaration is walked
+        assert sorted(asked) == (sorted(project.modules) if step.command == "generalise-ident" else [])
+    assert {kind for kind, _ in seen[0]} >= probes | {"_check_module", "_scope_of"}
+    assert seen[0] == seen[1] == seen[2]
 
 
 @pytest.mark.parametrize("tokens", [
@@ -538,6 +593,75 @@ def test_fold_def_returns_modules_that_fold_nothing_as_the_same_objects():
     out = COMMANDS["fold-def"][1](project, RefactorStep("fold-def", ("f", "A"), 1))
     assert "g = f 2" in render_module(out.modules["A"])
     assert out.modules["B"] is project.modules["B"]  # an importer that folded nothing
+
+
+def _uses_by_scanning_every_module(project: Project, target: tuple[str, str]) -> list:
+    """uses_of's answer, found by resolving every variable called target's
+    name in every module, modules in name order."""
+    table = build_symbol_table(project)
+    out = []
+    for mname in sorted(project.modules):
+        for d in project.modules[mname].decls:
+            for ei, slot, root, bound in decl_expr_roots(d):
+                for sub, e, scope in walk_expr_scoped(root, bound):
+                    if isinstance(e, Var) and e.name == target[1]:
+                        ref = resolve_var(table, project, mname, scope, e)
+                        if ref is not None and (ref.module, ref.name) == target:
+                            out.append((OccRef(mname, d.name, (ei, slot) + sub), scope))
+    return out
+
+
+def test_restricted_scans_agree_with_scanning_every_module(monkeypatch, forward_script, reverse_script):
+    # After every step of the forward and reverse scripts on a padded pfun:
+    # uses_of, which scans a module and its importers, finds what a scan of
+    # every module finds; the step gives the same result when uses_of and
+    # retarget_name scan every module; the importer map is the inverted
+    # imports.
+    def every_module_uses(table, project, target):
+        return iter(_uses_by_scanning_every_module(project, target))
+
+    def every_module_retarget(before, after, old, new):
+        with monkeypatch.context() as patch:
+            patch.setattr(rewrite, "_rewrite_vars", lambda p, fn, names, touches: rewrite_vars(
+                p, fn, list(p.modules), lambda m, reads: True))
+            return retarget_name(before, after, old, new)
+
+    rewrite_vars, retarget_name = rewrite._rewrite_vars, refactorings.retarget_name
+    project = minimize_qualifiers(_padded_pfun(8))
+    resolve_project(project)
+    steps = forward_script.steps + reverse_script.steps
+    for step in steps:
+        out = COMMANDS[step.command][1](project, step)
+        with monkeypatch.context() as patch:
+            patch.setattr(refactorings, "uses_of", every_module_uses)
+            patch.setattr(resolver, "uses_of", every_module_uses)
+            patch.setattr(refactorings, "retarget_name", every_module_retarget)
+            scanned = COMMANDS[step.command][1](project, step)
+        assert {m: render_module(mod) for m, mod in out.modules.items()} == \
+            {m: render_module(mod) for m, mod in scanned.modules.items()}, step
+        table = build_symbol_table(out)
+        for m, mod in out.modules.items():
+            for d in mod.decls:
+                assert list(uses_of(table, out, (m, d.name))) == _uses_by_scanning_every_module(out, (m, d.name))
+        assert _importers(out) == _inverted_imports(out)
+        project = out
+    assert alpha_eq_project(project, minimize_qualifiers(_padded_pfun(8)))
+
+
+def test_fresh_name_avoids_a_name_only_an_unrelated_module_uses():
+    # f is called from B, so generalise-ident adds f_gen to A; a where-local
+    # f_gen in a padding module that neither A nor B imports still takes
+    # that name
+    project = _padded_pfun(10)
+    mods = dict(project.modules)
+    mods["A"] = parse_module("module A where\n\nk = 1\n\nf y = y + k\n")
+    mods["B"] = parse_module("module B where\n\nimport A\n\nb = f 2\n")
+    mods["Pad10"] = parse_module(
+        "module Pad10 where\n\nu x = f_gen x\n    where\n        f_gen z = z\n")
+    project = minimize_qualifiers(Project(mods))
+    out = COMMANDS["generalise-ident"][1](project, RefactorStep("generalise-ident", ("f", "A", "k", "x"), 1))
+    assert "f_gen_1 = k" in render_module(out.modules["A"])
+    assert "b = f f_gen_1 2" in render_module(out.modules["B"])
 
 
 def test_second_generalise_ident_walks_only_the_modules_that_changed(monkeypatch):

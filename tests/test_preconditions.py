@@ -5,9 +5,11 @@ canonical rendering)."""
 import pytest
 
 from viewshift import refactorings as R
+from viewshift.evaluator import observe_entries
 from viewshift.lang import Project
 from viewshift.parse import parse_module
-from viewshift.render import render_project
+from viewshift.render import render_module, render_project
+from viewshift.resolver import resolve_project
 
 
 def _project(*sources):
@@ -193,6 +195,21 @@ def test_move_import_cycle():
         "module A where\n\ndata T = K Int\n\nf (K i) = i\n\nuse = f (K 1)",
     )
     expect(p, "PreconditionFailed", R.move_def, "f", "A", "B")
+
+
+def test_move_beside_an_unrelated_import_cycle():
+    # A and B import each other, which resolution accepts; moving C's f to
+    # a new D adds only C -> D, and a cycle the move makes passes through D
+    p = _project(
+        "module A where\n\nimport B\n\na = 1",
+        "module B where\n\nimport A\n\nb = a",
+        "module C where\n\nf = 2\n\ng = f",
+    )
+    resolve_project(p)
+    out = R.move_def(p, "f", "C", "D")
+    assert out.modules["C"].imports == ("D",)
+    assert render_module(out.modules["D"]) == "module D where\n\nf = 2\n"
+    assert observe_entries(out, ["g"]) == {"g": "2"}
 
 
 def test_move_along_long_import_chain():
