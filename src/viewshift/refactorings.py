@@ -30,7 +30,7 @@ from .render import render_decl
 from .resolver import (
     OccRef, ResolveError, SymbolTable, applications, build_symbol_table, decl_reads,
     decl_refs, find_application, module_exports, module_names, module_scope,
-    occurrences_of, project_state, resolve_var, resolve_project, unused_imports, uses_of,
+    importers_of, occurrences_of, resolve_var, resolve_project, unused_imports, uses_of,
 )
 from .rewrite import (
     InstanceMatcher, fold_instances_in_expr, minimize_qualifiers,
@@ -643,7 +643,7 @@ def fold_top_level(project: Project, f: str, m: str) -> Project:
     head = Var(f, qualifier=m)
     total = 0
     mods = {}
-    importers = project_state(project).importers.get(m, ()) if f in module_exports(mod) else ()
+    importers = importers_of(project, m) if f in module_exports(mod) else frozenset()
     for mname in sorted({m, *importers}):
         modx = project.modules[mname]
         decls, folded = [], 0

@@ -9,7 +9,6 @@ Client.eval / ConstMod.eval qualifications the transformations produce).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -197,15 +196,12 @@ def _in_module_order(project: Project, names: Iterable[str], fn: Callable[[str],
 
 @dataclass
 class ProjectState:
-    """What the resolver knows of one project: its table, the importers of
-    each module, the modules still to validate and to minimise, and its
-    ancestors with a state, newest first, as (weak reference, the modules
-    changed from it to the next newer one)."""
+    """What the resolver knows of one project: its table, each module's
+    importers and the modules still to validate and to minimise."""
     table: SymbolTable
     importers: dict[str, frozenset[str]]
     unchecked: set[str]
     unminimised: set[str]
-    since: list[tuple[weakref.ref, set[str]]]
 
 
 def project_state(project: Project) -> ProjectState:
@@ -225,11 +221,9 @@ def project_state(project: Project) -> ProjectState:
         replaced.update(names)
     mods, old = project.modules, base.__dict__.get("_state")
     if old is None:
-        old, was, changed, since = ProjectState(SymbolTable(), {}, set(), set(), []), {}, set(mods), []
+        old, was, changed = ProjectState(SymbolTable(), {}, set(), set()), {}, set(mods)
     else:
         was, changed = base.modules, changed_modules(base.modules, mods, replaced)
-        # newest first, a few at most: a step's input is among them
-        since = [(weakref.ref(base), changed), *old.since[:7]]
     importers = dict(old.importers)
     for mname in changed:
         prior = was.get(mname)
@@ -251,9 +245,14 @@ def project_state(project: Project) -> ProjectState:
 
     _in_module_order(project, dirty, rescope)
     state = project.__dict__["_state"] = ProjectState(
-        table, importers, old.unchecked | dirty, old.unminimised | dirty, since)
+        table, importers, old.unchecked | dirty, old.unminimised | dirty)
     project.__dict__.pop("_parent", None)
     return state
+
+
+def importers_of(project: Project, mname: str) -> frozenset[str]:
+    """The modules of project that import module mname."""
+    return project_state(project).importers.get(mname, frozenset())
 
 
 def build_symbol_table(project: Project) -> SymbolTable:
@@ -368,7 +367,6 @@ def _collect_reads(d: FunDecl) -> DeclReads:
         for _, e, scope in walk_expr_scoped(root, bound):
             kind = type(e)  # the node classes are final
             if kind is Var:
-                names.add(e.name)
                 if e.qualifier is not None:
                     checks[("var", e.qualifier, e.name)] = None
                     if e.name not in scope:
@@ -383,6 +381,8 @@ def _collect_reads(d: FunDecl) -> DeclReads:
                     names.update(pattern_vars(b.pattern))
             elif kind is Let:
                 names.update(b.name for b in e.bindings)
+    # a variable that no check names is bound, and came in with its binder
+    names.update(c[2] for c in checks if c[0] == "var")
     return DeclReads(tuple(checks), tuple(droppable), frozenset(names))
 
 
@@ -485,7 +485,7 @@ def uses_of(
     ones included; document order per module, modules in name order. Only
     target's module and its importers can name it (resolve_var)."""
     home, name = target
-    for mname in sorted({home, *project_state(project).importers.get(home, ())}):
+    for mname in sorted({home, *importers_of(project, home)}):
         mod = project.modules.get(mname)
         if mod is None or name not in mentioned_names(mod):
             continue

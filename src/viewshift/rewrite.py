@@ -20,7 +20,7 @@ from .lang import (
 )
 from .names import free_vars
 from .resolver import (
-    SymbolTable, build_symbol_table, decl_reads, mentioned_names, project_state,
+    SymbolTable, build_symbol_table, decl_reads, importers_of, mentioned_names, project_state,
 )
 
 
@@ -139,7 +139,7 @@ def retarget_name(
         return v if (qualifier, name) == (v.qualifier, v.name) else Var(name, qualifier)
 
     homes = {old[0], new[0]}
-    scan = homes.union(*(project_state(p).importers.get(h, ()) for p in (before, after) for h in homes))
+    scan = homes.union(*(importers_of(p, h) for p in (before, after) for h in homes))
     mentioning = [m for m in sorted(scan) if not names.isdisjoint(mentioned_names(after.modules[m]))]
     return _rewrite_vars(after, fix, mentioning, lambda m, reads: any(map(reads.mentions, names)))
 

@@ -14,10 +14,10 @@ from typing import Callable, Optional
 
 from . import refactorings as ops
 from .evaluator import EvalError, EvalStats, default_entries, observe_entries
-from .lang import Project, changed_modules, decl_name
+from .lang import Project, decl_name
 from .refactorings import RefactorError
 from .render import write_project
-from .resolver import ResolveError, project_state, resolve_project
+from .resolver import ResolveError, resolve_project
 
 
 class ScriptSyntaxError(Exception):
@@ -173,18 +173,11 @@ class RunLog:
 def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
     """module -> sorted names of the declarations added, removed or replaced
     between two projects, for each module whose object differs. Found by
-    object identity among the modules after's state says may differ from
-    before (all when it does not say): rewrites return what they leave
-    alone as the same objects."""
-    out, names = {}, set()
-    for ref, changed in () if after is before else project_state(after).since:
-        names |= changed
-        if ref() is before:
-            break
-    else:
-        names = set() if after is before else before.modules.keys() | after.modules.keys()
-    for m in sorted(changed_modules(before.modules, after.modules, names)):
-        old, new = before.modules.get(m), after.modules.get(m)
+    object identity: rewrites return what they leave alone as the same
+    objects."""
+    out, was, now = {}, before.modules, after.modules
+    for m in sorted({m for m, mod in now.items() if was.get(m) is not mod} | (was.keys() - now.keys())):
+        old, new = was.get(m), now.get(m)
         old_decls = old.decls if old is not None else ()
         new_decls = new.decls if new is not None else ()
         kept = {id(d) for d in old_decls} & {id(d) for d in new_decls}
