@@ -283,17 +283,8 @@ def with_expr_children(e: Expr, kids: tuple[Expr, ...]) -> Expr:
             return Infix(op, kids[0], kids[1])
         case Tuple(_):
             return Tuple(kids)
-        case Case(_, branches):
-            new_branches = tuple(
-                CaseBranch(b.pattern, body) for b, body in zip(branches, kids[1:])
-            )
-            return Case(kids[0], new_branches)
-        case Let(bindings, _):
-            n = len(bindings)
-            new_bindings = tuple(
-                LetBinding(b.name, rhs) for b, rhs in zip(bindings, kids[:n])
-            )
-            return Let(new_bindings, kids[n])
+        case Case() | Let():
+            return with_binder_children(e, [(k, n) for k, (_, n) in zip(kids, binder_children(e))])
         case _:
             return e
 
@@ -318,10 +309,6 @@ def equation_scope(eq: Equation) -> tuple[str, ...]:
     return pvars + tuple(loc.name for loc in eq.locals)
 
 
-def equation_bound_names(eq: Equation) -> set[str]:
-    return set(equation_scope(eq))
-
-
 _LEAVES = (Var, IntLit, StrLit, Builtin)
 
 
@@ -331,12 +318,46 @@ def binder_children(e: Expr) -> list[tuple[Expr, tuple[str, ...]]]:
 
     This is the one statement of binder scoping inside expressions: a case
     branch binds its pattern variables over its body, and a let binds its
-    names (recursively) over every right-hand side and the body.
+    names (recursively) over every right-hand side and the body. The scoped
+    walk, free variables, alpha-equivalence, capture-avoiding substitution
+    (with with_binder_children) and the resolver's validation walk all read
+    it; only the evaluator's compiler and the reference oracle keep their own.
     """
     if isinstance(e, Case):
         return [(e.scrutinee, ())] + [(b.body, pattern_vars(b.pattern)) for b in e.branches]
-    names = tuple(b.name for b in e.bindings) if isinstance(e, Let) else ()
-    return [(kid, names) for kid in expr_children(e)]
+    if isinstance(e, Let):
+        names = tuple(b.name for b in e.bindings)
+        return [(b.rhs, names) for b in e.bindings] + [(e.body, names)]
+    return [(kid, ()) for kid in expr_children(e)]
+
+
+def with_binder_children(e: Expr, kids: list[tuple[Expr, tuple[str, ...]]]) -> Expr:
+    """e rebuilt from kids shaped as binder_children(e) gives them: each new
+    child with the names e is to bind over it. A case branch's pattern
+    variables are renamed, in order, to the names paired with its body, and
+    a let's bindings to the names paired with its body."""
+    if isinstance(e, Case):
+        return Case(kids[0][0], tuple(
+            CaseBranch(_rename_pattern(b.pattern, dict(zip(pattern_vars(b.pattern), names))), body)
+            for b, (body, names) in zip(e.branches, kids[1:])
+        ))
+    if isinstance(e, Let):
+        body, names = kids[-1]
+        return Let(tuple(LetBinding(n, rhs) for n, (rhs, _) in zip(names, kids)), body)
+    return with_expr_children(e, tuple(kid for kid, _ in kids))
+
+
+def _rename_pattern(p: Pattern, renaming: dict[str, str]) -> Pattern:
+    """p with its variables renamed as renaming says, all at once."""
+    match p:
+        case PVar(name) if name in renaming:
+            return PVar(renaming[name])
+        case PCon(name, args, tupled):
+            return PCon(name, tuple(_rename_pattern(a, renaming) for a in args), tupled)
+        case PTuple(items):
+            return PTuple(tuple(_rename_pattern(i, renaming) for i in items))
+        case _:
+            return p
 
 
 def scoped_children(e: Expr, bound: frozenset[str]) -> list[tuple[Expr, frozenset[str]]]:
@@ -441,12 +462,6 @@ def map_scoped(e: Expr, bound: frozenset[str], fn) -> Expr:
     return fn(e, bound)
 
 
-def expr_at(e: Expr, path: tuple[int, ...]) -> Expr:
-    for i in path:
-        e = expr_children(e)[i]
-    return e
-
-
 def replace_expr_at(e: Expr, path: tuple[int, ...], new: Expr) -> Expr:
     if not path:
         return new
@@ -476,7 +491,7 @@ def decl_expr_roots(
         return
     for ei, eq in enumerate(d.equations):
         if local_of is None:
-            base = frozenset(equation_bound_names(eq))
+            base = frozenset(equation_scope(eq))
         elif ei == local_of:
             base = frozenset()
         else:
@@ -500,18 +515,20 @@ def map_decl_roots(d: TopDecl, fn, local_of: Optional[int] = None) -> TopDecl:
 def decl_expr_at(d: TopDecl, path: tuple[int, ...]) -> Expr:
     ei, slot = path[0], path[1]
     eq = d.equations[ei]  # type: ignore[union-attr]
-    root = eq.rhs if slot == 0 else eq.locals[slot - 1].rhs
-    return expr_at(root, path[2:])
+    e = eq.rhs if slot == 0 else eq.locals[slot - 1].rhs
+    for i in path[2:]:
+        e = expr_children(e)[i]
+    return e
 
 
 def replace_decl_expr_at(d: FunDecl, path: tuple[int, ...], new: Expr) -> FunDecl:
     ei, slot = path[0], path[1]
     eq = d.equations[ei]
-    if slot == 0:
-        eq = replace(eq, rhs=replace_expr_at(eq.rhs, path[2:], new))
+    root = replace_expr_at(decl_expr_at(d, path[:2]), path[2:], new)
+    if slot:
+        eq = with_local(eq, slot - 1, replace(eq.locals[slot - 1], rhs=root))
     else:
-        loc = eq.locals[slot - 1]
-        eq = with_local(eq, slot - 1, replace(loc, rhs=replace_expr_at(loc.rhs, path[2:], new)))
+        eq = replace(eq, rhs=root)
     return with_equation(d, ei, eq)
 
 

@@ -7,10 +7,9 @@ from collections.abc import Container
 from itertools import count
 
 from .lang import (
-    Case, CaseBranch, DataDecl, Expr, FunDecl, Let, LetBinding, PCon, PTuple,
-    PVar, Pattern, Project, TopDecl, Var, decl_expr_roots, decl_name,
-    equation_scope, expr_children, paired_children, pattern_shape, pattern_vars,
-    var_slot, walk_expr_scoped, with_expr_children,
+    DataDecl, Expr, FunDecl, Project, TopDecl, Var, binder_children, decl_name,
+    equation_scope, paired_children, pattern_shape, var_slot, walk_expr_scoped,
+    with_binder_children,
 )
 
 
@@ -20,23 +19,13 @@ def fresh_name(base: str, *avoid: Container[str]) -> str:
     return next(c for c in candidates if not any(c in names for names in avoid))
 
 
-def free_vars(e: Expr, include_qualified: bool = False) -> set[str]:
-    """Variables not bound within the expression (unqualified by default)."""
+def free_vars(e: Expr) -> set[str]:
+    """Unqualified variables not bound within the expression."""
     return {
         v.name
         for _, v, bound in walk_expr_scoped(e, frozenset())
-        if isinstance(v, Var) and v.name not in bound
-        and (v.qualifier is None or include_qualified)
+        if isinstance(v, Var) and v.name not in bound and v.qualifier is None
     }
-
-
-def decl_free_vars(d: TopDecl) -> set[str]:
-    """Free variables of a declaration, the declared name excluded."""
-    out: set[str] = set()
-    for _, _, root, bound in decl_expr_roots(d):
-        out |= free_vars(root) - bound
-    out.discard(decl_name(d))
-    return out
 
 
 def all_names(e: Expr) -> set[str]:
@@ -49,24 +38,16 @@ def all_names(e: Expr) -> set[str]:
     return out
 
 
-def _rename_pattern(p: Pattern, old: str, new: str) -> Pattern:
-    match p:
-        case PVar(name) if name == old:
-            return PVar(new)
-        case PCon(name, args, tupled):
-            return PCon(name, tuple(_rename_pattern(a, old, new) for a in args), tupled)
-        case PTuple(items):
-            return PTuple(tuple(_rename_pattern(i, old, new) for i in items))
-        case _:
-            return p
-
-
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     """Capture-avoiding substitution of unqualified occurrences of name."""
     return substitute_many(e, {name: replacement})
 
 
 def substitute_many(e: Expr, mapping: dict[str, Expr]) -> Expr:
+    """Simultaneous capture-avoiding substitution. Where a mapping is still
+    substituted under a binder (binder_children) that would capture a free
+    name of a replacement, the binder is renamed in the same pass: once for
+    all the children it binds over, each name fresh for all of them."""
     if not mapping:
         return e
     repl_free: set[str] = set()
@@ -76,50 +57,28 @@ def substitute_many(e: Expr, mapping: dict[str, Expr]) -> Expr:
     def go(e: Expr, mapping: dict[str, Expr]) -> Expr:
         if not mapping:
             return e
-        match e:
-            case Var(name, qualifier):
-                if qualifier is None and name in mapping:
-                    return mapping[name]
-                return e
-            case Case(scrutinee, branches):
-                new_branches = []
-                for b in branches:
-                    pvars = set(pattern_vars(b.pattern))
-                    inner = {k: v for k, v in mapping.items() if k not in pvars}
-                    pat, body = b.pattern, b.body
-                    clashing = [v for v in pattern_vars(pat) if v in repl_free and inner]
-                    for v in clashing:
-                        avoid = repl_free | all_names(body) | set(pattern_vars(pat)) | set(inner)
-                        fresh = fresh_name(v, avoid)
-                        pat = _rename_pattern(pat, v, fresh)
-                        body = go(body, {v: Var(fresh)})
-                    new_branches.append(CaseBranch(pat, go(body, inner)))
-                return Case(go(scrutinee, mapping), tuple(new_branches))
-            case Let(bindings, body):
-                bound = {b.name for b in bindings}
-                inner = {k: v for k, v in mapping.items() if k not in bound}
-                names = [b.name for b in bindings]
-                rhss = [b.rhs for b in bindings]
-                if inner:
-                    for i, n in enumerate(list(names)):
-                        if n in repl_free:
-                            avoid = repl_free | all_names(body) | set(names) | set(inner)
-                            for r in rhss:
-                                avoid |= all_names(r)
-                            fresh = fresh_name(n, avoid)
-                            ren = {n: Var(fresh)}
-                            names[i] = fresh
-                            rhss = [go(r, ren) for r in rhss]
-                            body = go(body, ren)
-                new_bindings = tuple(
-                    LetBinding(n, go(r, inner)) for n, r in zip(names, rhss)
-                )
-                return Let(new_bindings, go(body, inner))
-            case _:
-                kids = expr_children(e)
-                if not kids:
-                    return e
-                return with_expr_children(e, tuple(go(k, mapping) for k in kids))
+        if isinstance(e, Var):
+            return mapping[e.name] if e.qualifier is None and e.name in mapping else e
+        kids = binder_children(e)
+        if not kids:
+            return e
+        # Keyed by the names bound, so a let's binders are renamed once for all
+        # its children; case branches binding the same names share fresh ones.
+        renamed: dict[tuple[str, ...], tuple[str, ...]] = {(): ()}
+        out = []
+        for kid, names in kids:
+            inner = {k: r for k, r in mapping.items() if k not in names} if names else mapping
+            if names not in renamed:
+                renamed[names] = names
+                if inner and not repl_free.isdisjoint(names):
+                    avoid = repl_free.union(inner, names, *(all_names(k) for k, ns in kids if ns == names))
+                    new: list[str] = []
+                    for n in names:
+                        new.append(fresh_name(n, avoid, new) if n in repl_free else n)
+                    renamed[names] = tuple(new)
+            ren = {n: Var(f) for n, f in zip(names, renamed[names]) if n != f}
+            out.append((go(kid, {**inner, **ren} if ren else inner), renamed[names]))
+        return with_binder_children(e, out)
 
     return go(e, dict(mapping))
 

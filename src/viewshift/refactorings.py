@@ -16,13 +16,13 @@ from dataclasses import replace
 from .lang import (
     BUILTINS, App, Case, CaseBranch, CommentBlock, Equation, Expr, FunDecl, Let,
     LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern, Project,
-    TopDecl, Tuple, Var, app_spine, decl_expr_at, decl_expr_roots, decl_name,
-    equation_bound_names, make_app, map_decl_roots, map_scoped, pattern_vars,
+    TopDecl, Tuple, Var, app_spine, binder_children, decl_expr_at, decl_expr_roots,
+    decl_name, equation_scope, make_app, map_decl_roots, map_scoped, pattern_vars,
     replace_decl_expr_at, rewritten, scoped_children, walk_expr_scoped, with_decl,
     with_equation, with_local, with_module,
 )
 from .names import (
-    alpha_eq_decl, all_names, decl_free_vars, free_vars, fresh_name,
+    alpha_eq_decl, all_names, free_vars, fresh_name,
     substitute, substitute_many,
 )
 from .parse import ParseError, parse_decl, tokenize
@@ -79,11 +79,6 @@ def _fun_decl(mod: ModuleDef, f: str) -> tuple[int, FunDecl]:
                 raise RefactorError("NotApplicable", f"{f} in {mod.name} is a data declaration")
             return i, d
     raise _not_found(f"no top-level {f} in module {mod.name}")
-
-
-def _top_scope(project: Project, m: str) -> set[str]:
-    """Names visible at the top level of m: own declarations plus imports."""
-    return set(module_scope(project, m)[0])
 
 
 def _without_decl(mod: ModuleDef, name: str) -> ModuleDef:
@@ -144,7 +139,7 @@ def exhibit_function(project: Project, f: str, c: str, n: str, m: str) -> Projec
     mod = _module(project, m)
     di, d = _fun_decl(mod, f)
     ei, eq, _ = _con_equation(d, c)
-    if n in _top_scope(project, m) | equation_bound_names(eq):
+    if n in module_scope(project, m)[0] or n in equation_scope(eq):
         raise RefactorError("NameClash", f"{n} is already bound in the scope of {f}'s equation")
     new_eq = replace(eq, rhs=Var(n), locals=eq.locals + (LocalDef(n, (), eq.rhs),))
     project = with_module(project, with_decl(mod, di, with_equation(d, ei, new_eq)))
@@ -167,11 +162,10 @@ def new_def_fun_app(project: Project, f: str, arg_count: int, fp: str, m: str) -
     # The new local sits beside the equation's others, outside the case and
     # let binders and the local's parameters between the root and the
     # application: a name they bind must not be used or shadow fp there.
-    app_expr = eq.rhs if slot == 0 else eq.locals[slot - 1].rhs
-    between = frozenset() if slot == 0 else frozenset(eq.locals[slot - 1].params)
+    _, _, app_expr, between = next(r for r in decl_expr_roots(d, ei) if r[1] == slot)
     for i in occ.path[2:]:
         app_expr, between = scoped_children(app_expr, between)[i]
-    if fp in _top_scope(project, m) | equation_bound_names(eq) | between:
+    if fp in module_scope(project, m)[0] or fp in equation_scope(eq) or fp in between:
         raise RefactorError("NameClash", f"{fp} is already bound around the application of {f}")
     escaping = free_vars(app_expr) & between
     if escaping:
@@ -268,7 +262,7 @@ def generalise(
     if not found:
         what = v if mode == "OtherType" else f"{f} {v}"
         raise RefactorError("NotApplicable", f"{what} does not occur in the body of {fp}")
-    if x in all_names(loc.rhs) or x in loc.params or x in equation_bound_names(eq):
+    if x in all_names(loc.rhs) or x in loc.params or x in equation_scope(eq):
         raise RefactorError("NameClash", f"{x} is already in scope in {fp}")
 
     eq = with_local(eq, li, LocalDef(fp, (x,) + loc.params, new_body))
@@ -303,9 +297,9 @@ def generalise_ident(project: Project, f: str, m: str, v: str, x: str) -> Projec
 def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> Project:
     mod = _module(project, m)
     di, d = _fun_decl(mod, f)
-    if v not in decl_free_vars(d):
+    if v == f or ("var", None, v) not in decl_reads(d).checks:
         raise _not_found(f"{v} is not free in the body of {f}")
-    if v not in _top_scope(project, m):
+    if v not in module_scope(project, m)[0]:
         raise _not_found(f"{v} does not resolve at the top level of {m}")
     if x in decl_reads(d).names or x == v:
         raise RefactorError("NameClash", f"{x} is already used inside {f}")
@@ -389,7 +383,7 @@ def lift_to_top(project: Project, f: str, d_name: str, m: str) -> Project:
     _, ei, li = hit
     eq = d.equations[ei]
     loc = eq.locals[li]
-    if d_name in _top_scope(project, m):
+    if d_name in module_scope(project, m)[0]:
         raise RefactorError("NameClash", f"{d_name} is already bound at the top level of {m}")
 
     sibling_names = {other.name for other in eq.locals} - {d_name}
@@ -420,7 +414,7 @@ def rename_top_level(project: Project, f: str, m: str, fp: str) -> Project:
     di, d = _fun_decl(mod, f)
     if f == fp:
         return project
-    if fp in _top_scope(project, m):
+    if fp in module_scope(project, m)[0]:
         raise RefactorError("NameClash", f"{fp} is already bound in the scope of module {m}")
     _new_name(fp)
     exports = mod.exports
@@ -948,15 +942,14 @@ def case_to_eq(project: Project, f: str, m: str, matched_arity: int) -> Project:
             "NotApplicable", "the scrutinee is not the tuple of the two parameters"
         )
     new_eqs = []
-    branch_scopes = scoped_children(case, frozenset())[1:]
-    for b, (_, bound) in zip(case.branches, branch_scopes):
+    for b, (_, bound) in zip(case.branches, binder_children(case)[1:]):
         if matched_arity == 1:
             pats: tuple[Pattern, ...] = (b.pattern,)
         else:
             if not isinstance(b.pattern, PTuple) or len(b.pattern.items) != 2:
                 raise RefactorError("NotApplicable", "branch patterns must be pairs")
             pats = b.pattern.items
-        leaked = (set(params) & free_vars(b.body)) - bound
+        leaked = (set(params) & free_vars(b.body)).difference(bound)
         if leaked:
             raise RefactorError(
                 "NotApplicable",

@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .lang import (
     App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, Let, ModuleDef,
-    PCon, PTuple, Pattern, Project, TopDecl, Var, app_spine, changed_modules,
-    decl_expr_at, decl_name, decl_expr_roots, pattern_vars, walk_expr_scoped,
+    PCon, PTuple, Pattern, Project, TopDecl, Var, app_spine, binder_children,
+    changed_modules, decl_name, decl_expr_roots, walk_expr_scoped,
 )
 
 
@@ -375,12 +375,11 @@ def _collect_reads(d: FunDecl) -> DeclReads:
                     checks[("var", None, e.name)] = None
             elif kind is ConApp:
                 checks[("con", e.name, len(e.args))] = None
-            elif kind is Case:
-                for b in e.branches:
-                    _pattern_checks(b.pattern, checks)
-                    names.update(pattern_vars(b.pattern))
-            elif kind is Let:
-                names.update(b.name for b in e.bindings)
+            elif kind is Case or kind is Let:
+                if kind is Case:
+                    for b in e.branches:
+                        _pattern_checks(b.pattern, checks)
+                names.update(*(bound for _, bound in binder_children(e)))
     # a variable that no check names is bound, and came in with its binder
     names.update(c[2] for c in checks if c[0] == "var")
     return DeclReads(tuple(checks), tuple(droppable), frozenset(names))
@@ -572,12 +571,3 @@ def unused_imports(project: Project, module: str) -> list[str]:
     mod = project.modules[module]
     used = {ref.module for d in mod.decls for ref in decl_refs(table, project, module, d)}
     return [imp for imp in mod.imports if imp not in used]
-
-
-def deref(project: Project, ref: OccRef) -> Expr:
-    """Fetch the expression node an OccRef addresses in the current project."""
-    mod = project.modules[ref.module]
-    d = mod.decl(ref.decl)
-    if d is None:
-        raise _err("UnresolvedName", ref.module, ref.decl, f"no declaration {ref.decl}")
-    return decl_expr_at(d, ref.path)

@@ -1,12 +1,12 @@
 import pytest
 
 from viewshift.names import (
-    alpha_eq_decl, alpha_eq_expr, alpha_eq_project, decl_free_vars, free_vars,
-    fresh_name, substitute,
+    alpha_eq_decl, alpha_eq_expr, alpha_eq_project, free_vars, fresh_name,
+    substitute, substitute_many,
 )
 from viewshift.parse import parse_decl, parse_expr, parse_module
 from viewshift.lang import Let, Project, Var
-from viewshift.resolver import build_symbol_table
+from viewshift.resolver import build_symbol_table, decl_reads
 from viewshift.rewrite import InstanceMatcher
 
 
@@ -23,7 +23,8 @@ def test_free_vars_fold1_body_closed():
         "fold1 a c (Const i) = c i\n"
         "fold1 a c (Add (e1, e2)) = a (fold1 a c e1) (fold1 a c e2)"
     )
-    assert decl_free_vars(d) == set()
+    # only the recursive calls read a name from outside
+    assert {c[2] for c in decl_reads(d).checks if c[:2] == ("var", None)} == {"fold1"}
 
 
 def test_free_vars_let_recursive():
@@ -35,7 +36,6 @@ def test_free_vars_let_recursive():
 def test_qualified_vars_not_free_by_default():
     e = parse_expr("ConstMod.eval i")
     assert free_vars(e) == {"i"}
-    assert free_vars(e, include_qualified=True) == {"eval", "i"}
 
 
 def test_substitute_simple():
@@ -65,6 +65,30 @@ def test_substitute_case_binder_freshened():
     bound = branch.pattern.args[0].name
     assert bound != "i"
     assert free_vars(e) == {"z", "i"}
+
+
+def test_substitute_renames_let_binder_once():
+    # y is read in both right-hand sides and the body; one fresh name serves
+    # all three, and it avoids y_gen, which only the body reads
+    e = parse_expr("let y = x + y; z = y + x in y + z + y_gen")
+    out = substitute(e, "x", parse_expr("y"))
+    assert alpha_eq_expr(out, parse_expr("let a = y + a; z = a + y in a + z + y_gen"))
+    assert free_vars(out) == {"y", "y_gen"}
+
+
+def test_substitute_renames_binder_in_each_case_branch():
+    e = parse_expr("case p of\n    K i -> x + i\n    J (i, j) -> i + j + x + i_gen")
+    out = substitute(e, "x", parse_expr("i"))
+    expected = "case p of\n    K a -> i + a\n    J (b, j) -> b + j + i + i_gen"
+    assert alpha_eq_expr(out, parse_expr(expected))
+
+
+def test_substitute_keeps_binder_where_nothing_is_substituted():
+    # the second branch binds x itself, so nothing is substituted under its i
+    e = parse_expr("case p of\n    K i -> x + i\n    J (x, i) -> x + i")
+    out = substitute_many(e, {"x": parse_expr("i")})
+    assert alpha_eq_expr(out, parse_expr("case p of\n    K a -> i + a\n    J (x, i) -> x + i"))
+    assert out.branches[1] == e.branches[1]
 
 
 def test_alpha_eq_fold1_fold2():

@@ -172,8 +172,8 @@ def _rename_decl(d: FunDecl, mapping: dict) -> FunDecl:
             new = mapping.get(old)
             if new is None:
                 continue
-            from viewshift.names import _rename_pattern
-            new_pats = tuple(_rename_pattern(p, old, new) for p in new_pats)
+            from viewshift.lang import _rename_pattern
+            new_pats = tuple(_rename_pattern(p, {old: new}) for p in new_pats)
             rhs = substitute(rhs, old, Var(new))
         new_eqs.append(Equation(new_pats, rhs, eq.locals))
     return FunDecl(d.name, tuple(new_eqs))

@@ -1,9 +1,9 @@
 import pytest
 
-from viewshift.lang import Project, Var
+from viewshift.lang import Project, Var, decl_expr_at
 from viewshift.parse import parse_module
 from viewshift.resolver import (
-    ResolveError, build_symbol_table, deref, find_application, occurrences_of,
+    ResolveError, build_symbol_table, find_application, occurrences_of,
     resolve_project, resolve_var, unused_imports,
 )
 from viewshift.refactorings import rename_top_level
@@ -65,7 +65,7 @@ def test_occurrences_of_eval(pfun):
         ("Client", "r2"), ("Client", "r4"), ("EvalMod", "eval"), ("EvalMod", "eval"),
     ]
     for o in occ:
-        node = deref(pfun, o)
+        node = decl_expr_at(pfun.modules[o.module].decl(o.decl), o.path)
         assert isinstance(node, Var) and node.name == "eval"
 
 
