@@ -8,7 +8,6 @@ CLI's `corpus extract` verb.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
@@ -59,13 +58,18 @@ _SCRIPTS = {
 }
 
 
-@dataclass
 class Fixture:
-    name: str
-    project: Optional[Project] = None
-    scripts: dict[str, Script] = field(default_factory=dict)
-    expected: dict[str, str] = field(default_factory=dict)
-    step_states: tuple[tuple[int, int, Project], ...] = ()
+    def __init__(
+        self,
+        name: str,
+        project: Optional[Project] = None,
+        scripts: Optional[dict[str, Script]] = None,
+        expected: Optional[dict[str, str]] = None,
+        step_states: tuple[tuple[int, int, Project], ...] = (),
+    ):
+        self.name, self.project, self.step_states = name, project, step_states
+        self.scripts = {} if scripts is None else scripts
+        self.expected = {} if expected is None else expected
 
 
 def _root():

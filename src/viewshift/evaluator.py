@@ -48,15 +48,13 @@ an entry may perform budget reductions of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lang import (
     App, Builtin, Case, ConApp, Expr, FunDecl, Infix, IntLit, Let, PCon, PInt,
     PTuple, PVar, PWild, Pattern, Project, StrLit, Tuple, Var, app_spine,
-    pattern_vars, var_slot,
+    pattern_vars, record, var_slot,
 )
 from .resolver import (
-    SymbolTable, build_symbol_table, decl_index, resolve_var, ResolveError,
+    SymbolTable, build_symbol_table, decl_index, project_state, resolve_var, ResolveError,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -74,33 +72,33 @@ class Value:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class VInt(Value):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class VStr(Value):
     value: str
 
 
-@dataclass(frozen=True)
+@record
 class VCon(Value):
     name: str
     args: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
+@record
 class VTuple(Value):
     items: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
+@record
 class VOutput(Value):
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class VClosure(Value):
     """A partially applied function; opaque under deep forcing."""
     name: str
@@ -152,7 +150,7 @@ class _Cell:
         self.value = value  # whnf value | None
 
 
-@dataclass(frozen=True)
+@record
 class _Fun:
     """A compiled function: per equation, (matcher, body); its _dispatch."""
     name: str
@@ -161,34 +159,42 @@ class _Fun:
     dispatch: tuple | None = None
 
 
-@dataclass(slots=True)
 class _Closure:
     """Function value: compiled function, captured environment, argument cells so far."""
-    fun: _Fun
-    env: list
-    args: tuple[_Cell, ...] = ()
+    __slots__ = ("fun", "env", "args")
+
+    def __init__(self, fun: _Fun, env: list, args: tuple[_Cell, ...] = ()):
+        self.fun, self.env, self.args = fun, env, args
 
 
-@dataclass(slots=True)
 class _WCon:
-    name: str
-    args: tuple[_Cell, ...]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[_Cell, ...]):
+        self.name, self.args = name, args
 
 
-@dataclass(slots=True)
 class _WTuple:
-    items: tuple[_Cell, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[_Cell, ...]):
+        self.items = items
 
 
-@dataclass(frozen=True)
+@record
 class _Builtin:
     name: str
 
 
-@dataclass(slots=True)
 class EvalStats:
-    steps: int = 0
-    forcings: int = 0  # thunks entered (memoized afterwards)
+    __slots__ = ("steps", "forcings")
+
+    def __init__(self):
+        self.steps = 0
+        self.forcings = 0  # thunks entered (memoized afterwards)
+
+    def __eq__(self, other):
+        return (self.steps, self.forcings) == (other.steps, other.forcings)
 
 
 class Evaluator:
@@ -614,13 +620,19 @@ def evaluate(project: Project, module: str, expr: Expr, budget: int = DEFAULT_BU
 
 def _entry_modules(project: Project, entries) -> dict[str, list[str]]:
     """Each entry -> the modules that bind it with no arguments, in name
-    order: one pass over the modules serves every entry."""
-    hits: dict[str, list[str]] = {entry: [] for entry in entries}
-    for mname in sorted(project.modules):
+    order: one pass over the modules serves every entry. The result is kept
+    on the project's state (ProjectState.found); a state derived from one
+    that found the same entries reads only the modules changed since."""
+    state, entries = project_state(project), tuple(entries)
+    _, was, todo = state.found if state.found and state.found[0] == entries else ((), {}, project.modules)
+    hits = {entry: [m for m in was.get(entry, ()) if m not in todo] for entry in entries}
+    for mname in sorted(todo):
         index = decl_index(project.modules[mname])
         for entry in hits.keys() & index.keys():
             if isinstance(d := index[entry], FunDecl) and d.arity == 0:
                 hits[entry].append(mname)
+                hits[entry].sort()
+    state.found = (entries, hits, frozenset())
     return hits
 
 

@@ -6,12 +6,13 @@ function equations with where-locals, case/let/tuples, integer and string
 literals, the infix operators + * ++, and the builtins show and print.
 Declarations may carry an attached line-comment block.
 
-All nodes are frozen dataclasses; every transformation builds new trees.
+All nodes are immutable records (`record`); every transformation builds new
+trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 BUILTINS = ("show", "print")
@@ -25,77 +26,129 @@ INFIX_OPS = {
 }
 
 
+# --- records ---
+
+_set = object.__setattr__
+
+
+def _inits(_0=None, _1=None, _2=None, _3=None, _4=None):
+    """An __init__ of each arity up to five, setting the fields named _0... in order."""
+    def i0(self): pass
+    def i1(self, a): _set(self, _0, a)
+    def i2(self, a, b): _set(self, _0, a); _set(self, _1, b)
+    def i3(self, a, b, c): _set(self, _0, a); _set(self, _1, b); _set(self, _2, c)
+    def i4(self, a, b, c, d): _set(self, _0, a); _set(self, _1, b); _set(self, _2, c); _set(self, _3, d)
+    def i5(self, a, b, c, d, e): _set(self, _0, a); _set(self, _1, b); _set(self, _2, c); _set(self, _3, d); _set(self, _4, e)
+    return i0, i1, i2, i3, i4, i5
+
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def record(cls):
+    """cls as an immutable record of the fields it annotates, in order (a
+    class attribute is a default), built by position or keyword, equal only
+    within its class, hashed, printed and matched as a frozen dataclass is.
+    Nothing is compiled: __init__ is an _inits closure with renamed
+    parameters. Instances keep a __dict__ for the memos kept on AST nodes."""
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    init = _inits(*fields)[len(fields)]
+    init.__code__ = init.__code__.replace(co_varnames=("self",) + fields)
+    init.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    key = attrgetter(*fields) if len(fields) > 1 else lambda self: tuple(getattr(self, f) for f in fields)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, __eq__, lambda self: hash(key(self)), _repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__match_args__ = fields
+    return cls
+
+
+def replace(obj, **changes):
+    """The record obj with the fields named in changes replaced."""
+    return obj.__class__(**{f: getattr(obj, f) for f in obj.__match_args__} | changes)
+
+
 # --- expressions ---
 
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Var(Expr):
     name: str
     qualifier: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class StrLit(Expr):
     value: str
 
 
-@dataclass(frozen=True)
+@record
 class Builtin(Expr):
     name: str  # "show" | "print"
 
 
-@dataclass(frozen=True)
+@record
 class ConApp(Expr):
     """Saturated constructor application; a tupled constructor takes one Tuple arg."""
     name: str
     args: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Infix(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Tuple(Expr):
     items: tuple[Expr, ...]  # arity >= 2
 
 
-@dataclass(frozen=True)
+@record
 class CaseBranch:
     pattern: "Pattern"
     body: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Case(Expr):
     scrutinee: Expr
     branches: tuple[CaseBranch, ...]
 
 
-@dataclass(frozen=True)
+@record
 class LetBinding:
     name: str
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Let(Expr):
     bindings: tuple[LetBinding, ...]
     body: Expr
@@ -107,22 +160,22 @@ class Pattern:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PVar(Pattern):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class PInt(Pattern):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class PWild(Pattern):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PCon(Pattern):
     """Constructor pattern; `tupled` records `Add (e1, e2)` vs curried `Const i`."""
     name: str
@@ -130,14 +183,14 @@ class PCon(Pattern):
     tupled: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class PTuple(Pattern):
     items: tuple[Pattern, ...]
 
 
 # --- declarations and modules ---
 
-@dataclass(frozen=True)
+@record
 class CommentBlock:
     lines: tuple[str, ...]
 
@@ -145,7 +198,7 @@ class CommentBlock:
         return "\n".join(self.lines)
 
 
-@dataclass(frozen=True)
+@record
 class ConstructorDef:
     name: str
     arg_types: tuple[str, ...] = ()
@@ -157,14 +210,14 @@ class ConstructorDef:
         return 1 if self.tupled else len(self.arg_types)
 
 
-@dataclass(frozen=True)
+@record
 class LocalDef:
     name: str
     params: tuple[str, ...]
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Equation:
     patterns: tuple[Pattern, ...]
     rhs: Expr
@@ -175,14 +228,14 @@ class TopDecl:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class DataDecl(TopDecl):
     name: str
     constructors: tuple[ConstructorDef, ...]
     comment: Optional[CommentBlock] = None
 
 
-@dataclass(frozen=True)
+@record
 class FunDecl(TopDecl):
     """A function or value binding; a value is a single zero-pattern equation."""
     name: str
@@ -194,7 +247,7 @@ class FunDecl(TopDecl):
         return len(self.equations[0].patterns)
 
 
-@dataclass(frozen=True)
+@record
 class ModuleDef:
     name: str
     exports: Optional[tuple[str, ...]]  # None means everything is exported
@@ -208,7 +261,7 @@ class ModuleDef:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class Project:
     modules: dict[str, ModuleDef]
 

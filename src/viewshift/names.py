@@ -44,10 +44,10 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
 
 
 def substitute_many(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Simultaneous capture-avoiding substitution. Where a mapping is still
-    substituted under a binder (binder_children) that would capture a free
-    name of a replacement, the binder is renamed in the same pass: once for
-    all the children it binds over, each name fresh for all of them."""
+    """Simultaneous capture-avoiding substitution. Where a binder
+    (binder_children) would capture a free name of a replacement for a name
+    that occurs free beneath it, the binder is renamed in the same pass: once
+    for all the children it binds over, each name fresh for all of them."""
     if not mapping:
         return e
     repl_free: set[str] = set()
@@ -71,10 +71,13 @@ def substitute_many(e: Expr, mapping: dict[str, Expr]) -> Expr:
             if names not in renamed:
                 renamed[names] = names
                 if inner and not repl_free.isdisjoint(names):
-                    avoid = repl_free.union(inner, names, *(all_names(k) for k, ns in kids if ns == names))
+                    under = [k for k, ns in kids if ns == names]
+                    used = inner.keys() & set().union(*map(free_vars, under))
+                    clash = {n for k in used for n in free_vars(inner[k]) if n in names}
+                    avoid = repl_free.union(inner, names, *map(all_names, under))
                     new: list[str] = []
                     for n in names:
-                        new.append(fresh_name(n, avoid, new) if n in repl_free else n)
+                        new.append(fresh_name(n, avoid, new) if n in clash else n)
                     renamed[names] = tuple(new)
             ren = {n: Var(f) for n, f in zip(names, renamed[names]) if n != f}
             out.append((go(kid, {**inner, **ren} if ren else inner), renamed[names]))

@@ -12,7 +12,6 @@ full-line `--` comments directly above a declaration attaches to it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .lang import (
@@ -20,7 +19,7 @@ from .lang import (
     ConstructorDef, DataDecl, Equation, Expr, FunDecl, INFIX_OPS, Infix,
     IntLit, KEYWORDS, Let, LetBinding, LocalDef, ModuleDef, PCon, PInt,
     PTuple, PVar, PWild, Pattern, Project, StrLit, TopDecl, Tuple, Var,
-    decl_name, pattern_vars,
+    decl_name, pattern_vars, record,
 )
 
 
@@ -32,7 +31,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record
 class Tok:
     kind: str  # lower | con | qual | int | str | sym | kw
     text: str

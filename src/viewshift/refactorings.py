@@ -11,14 +11,12 @@ never by source positions.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .lang import (
     BUILTINS, App, Case, CaseBranch, CommentBlock, Equation, Expr, FunDecl, Let,
     LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern, Project,
     TopDecl, Tuple, Var, app_spine, binder_children, decl_expr_at, decl_expr_roots,
     decl_name, equation_scope, make_app, map_decl_roots, map_scoped, pattern_vars,
-    replace_decl_expr_at, rewritten, scoped_children, walk_expr_scoped, with_decl,
+    replace, replace_decl_expr_at, rewritten, scoped_children, walk_expr_scoped, with_decl,
     with_equation, with_local, with_module,
 )
 from .names import (

@@ -9,8 +9,6 @@ evaluator.py so the two implementations stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .evaluator import (
     DEFAULT_BUDGET, EvalError, VCon, VInt, VOutput, VStr, VTuple, Value,
     show_value,
@@ -18,19 +16,19 @@ from .evaluator import (
 from .lang import (
     App, Builtin, Case, ConApp, Equation, Expr, FunDecl, Infix, IntLit, Let,
     LocalDef, PCon, PInt, PTuple, PVar, PWild, Pattern, Project, StrLit,
-    Tuple, Var, app_spine,
+    Tuple, Var, app_spine, record,
 )
 from .resolver import build_symbol_table, resolve_var
 
 
-@dataclass(frozen=True)
+@record
 class _Thunk:
     expr: Expr
     env: object  # _Env
     module: str
 
 
-@dataclass(frozen=True)
+@record
 class _Env:
     frame: dict
     parent: object = None
@@ -44,27 +42,24 @@ class _Env:
         return None
 
 
-@dataclass
 class _NFun:
-    name: str
-    module: str
-    equations: tuple[Equation, ...]
-    env: _Env
-    args: tuple[_Thunk, ...] = ()
+    def __init__(self, name: str, module: str, equations: tuple[Equation, ...], env: _Env,
+                 args: tuple[_Thunk, ...] = ()):
+        self.name, self.module, self.equations, self.env, self.args = name, module, equations, env, args
 
 
-@dataclass
+@record
 class _NCon:
     name: str
     args: tuple[_Thunk, ...]
 
 
-@dataclass
+@record
 class _NTuple:
     items: tuple[_Thunk, ...]
 
 
-@dataclass
+@record
 class _NBuiltin:
     name: str
 

@@ -9,13 +9,12 @@ Client.eval / ConstMod.eval qualifications the transformations produce).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .lang import (
     App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, Let, ModuleDef,
     PCon, PTuple, Pattern, Project, TopDecl, Var, app_spine, binder_children,
-    changed_modules, decl_name, decl_expr_roots, walk_expr_scoped,
+    changed_modules, decl_name, decl_expr_roots, record, walk_expr_scoped,
 )
 
 
@@ -31,14 +30,14 @@ def _err(kind: str, module: str, name: str, message: str) -> ResolveError:
     return ResolveError(kind, module, name, message)
 
 
-@dataclass(frozen=True)
+@record
 class DefRef:
     module: str
     name: str
     kind: str  # "fun" | "type" | "con"
 
 
-@dataclass(frozen=True)
+@record
 class OccRef:
     """Position-free address of an occurrence: declaration plus child path."""
     module: str
@@ -46,12 +45,12 @@ class OccRef:
     path: tuple[int, ...]
 
 
-@dataclass
 class SymbolTable:
-    # per module: unqualified top-scope name -> list of DefRef candidates
-    scopes: dict[str, dict[str, list[DefRef]]] = field(default_factory=dict)
-    # per module: constructor name -> (DefRef, ConstructorDef)
-    constructors: dict[str, dict[str, list[tuple[DefRef, ConstructorDef]]]] = field(default_factory=dict)
+    def __init__(self, scopes: dict, constructors: dict):
+        # per module: unqualified top-scope name -> list of DefRef candidates
+        self.scopes: dict[str, dict[str, list[DefRef]]] = scopes
+        # per module: constructor name -> (DefRef, ConstructorDef)
+        self.constructors: dict[str, dict[str, list[tuple[DefRef, ConstructorDef]]]] = constructors
 
     def lookup(self, module: str, name: str) -> list[DefRef]:
         return self.scopes.get(module, {}).get(name, [])
@@ -194,14 +193,16 @@ def _in_module_order(project: Project, names: Iterable[str], fn: Callable[[str],
         raise
 
 
-@dataclass
 class ProjectState:
     """What the resolver knows of one project: its table, each module's
-    importers and the modules still to validate and to minimise."""
-    table: SymbolTable
-    importers: dict[str, frozenset[str]]
-    unchecked: set[str]
-    unminimised: set[str]
+    importers and the modules still to validate and to minimise. found is
+    what the evaluator last found of its entries' modules (_entry_modules):
+    (entries, entry -> modules, modules changed since), or None."""
+
+    def __init__(self, table: SymbolTable, importers: dict[str, frozenset[str]], unchecked: set[str],
+                 unminimised: set[str], found: Optional[tuple] = None):
+        self.table, self.importers, self.unchecked, self.unminimised = table, importers, unchecked, unminimised
+        self.found = found
 
 
 def project_state(project: Project) -> ProjectState:
@@ -221,7 +222,7 @@ def project_state(project: Project) -> ProjectState:
         replaced.update(names)
     mods, old = project.modules, base.__dict__.get("_state")
     if old is None:
-        old, was, changed = ProjectState(SymbolTable(), {}, set(), set()), {}, set(mods)
+        old, was, changed = ProjectState(SymbolTable({}, {}), {}, set(), set()), {}, set(mods)
     else:
         was, changed = base.modules, changed_modules(base.modules, mods, replaced)
     importers = dict(old.importers)
@@ -244,8 +245,9 @@ def project_state(project: Project) -> ProjectState:
         table.scopes[mname], table.constructors[mname] = _scope_of(project, mod)
 
     _in_module_order(project, dirty, rescope)
+    found = old.found and (*old.found[:2], old.found[2] | changed)
     state = project.__dict__["_state"] = ProjectState(
-        table, importers, old.unchecked | dirty, old.unminimised | dirty)
+        table, importers, old.unchecked | dirty, old.unminimised | dirty, found)
     project.__dict__.pop("_parent", None)
     return state
 
@@ -322,7 +324,8 @@ def _pattern_checks(p: Pattern, checks: dict):
 _ARITY = ("arity",)  # the check that fails when a declaration's equations disagree
 
 
-class DeclReads(NamedTuple):
+@record
+class DeclReads:
     """What a declaration reads from outside itself.
 
     checks: each distinct check its validation makes, in the order a walk of

@@ -12,11 +12,9 @@ change is left as the same object, and so is everything around it.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .lang import (
     Equation, Expr, FunDecl, Project, Var, map_decl_roots, map_scoped, paired_children,
-    rewritten, var_slot,
+    replace, rewritten, var_slot,
 )
 from .names import free_vars
 from .resolver import (

@@ -9,12 +9,11 @@ step together with a run log.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import refactorings as ops
 from .evaluator import EvalError, EvalStats, default_entries, observe_entries
-from .lang import Project, decl_name
+from .lang import Project, decl_name, record
 from .refactorings import RefactorError
 from .render import write_project
 from .resolver import ResolveError, resolve_project
@@ -26,7 +25,7 @@ class ScriptSyntaxError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
+@record
 class RefactorStep:
     command: str
     args: tuple[str, ...]
@@ -36,7 +35,7 @@ class RefactorStep:
         return " ".join((self.command,) + self.args)
 
 
-@dataclass(frozen=True)
+@record
 class Script:
     name: str
     steps: tuple[RefactorStep, ...]
@@ -98,23 +97,21 @@ def parse_script(text: str, name: str = "script") -> Script:
     return Script(name, tuple(steps))
 
 
-@dataclass
 class StepRecord:
-    index: int
-    command: str
-    args: tuple[str, ...]
-    outcome: str  # "applied" | "failed"
-    error: Optional[str] = None
-    kind: Optional[str] = None  # the typed kind of error, when it has one
-    equivalence: Optional[str] = None  # "pass" | "fail" | None
-    elapsed: float = 0.0
-    # module -> names of the declarations the step added, removed or replaced
-    changed: dict[str, list[str]] = field(default_factory=dict)
-    # what the equivalence check cost, None when unchecked: seconds spent
-    # observing, and the evaluators' reductions and forcings
-    check_s: Optional[float] = None
-    reductions: Optional[int] = None
-    forcings: Optional[int] = None
+    def __init__(self, index: int, command: str, args: tuple[str, ...], outcome: str):
+        self.index, self.command, self.args = index, command, args
+        self.outcome = outcome  # "applied" | "failed"
+        self.error: Optional[str] = None
+        self.kind: Optional[str] = None  # the typed kind of error, when it has one
+        self.equivalence: Optional[str] = None  # "pass" | "fail" | None
+        self.elapsed = 0.0
+        # module -> names of the declarations the step added, removed or replaced
+        self.changed: dict[str, list[str]] = {}
+        # what the equivalence check cost, None when unchecked: seconds spent
+        # observing, and the evaluators' reductions and forcings
+        self.check_s: Optional[float] = None
+        self.reductions: Optional[int] = None
+        self.forcings: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
@@ -125,10 +122,10 @@ class StepRecord:
         }
 
 
-@dataclass
 class RunLog:
-    script: str
-    records: list[StepRecord] = field(default_factory=list)
+    def __init__(self, script: str, records: Optional[list[StepRecord]] = None):
+        self.script = script
+        self.records = [] if records is None else records
 
     @property
     def ok(self) -> bool:

@@ -7,7 +7,6 @@ derivation relies on, and derived state lives on AST and project objects
 only, never in a module-level cache."""
 
 import ast
-import dataclasses
 import typing
 from collections import Counter
 from pathlib import Path
@@ -139,6 +138,31 @@ def _classes_in(hint) -> list[type]:
     return out
 
 
+def _is_record(cls: type) -> bool:
+    """Whether cls went through lang.record: its own __match_args__ name the
+    fields it annotates, and it has its own __init__, __eq__, __hash__ and
+    __repr__."""
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    own = {"__init__", "__eq__", "__hash__", "__repr__", "__match_args__"}
+    return own <= cls.__dict__.keys() and cls.__match_args__ == fields
+
+
+def _assignment_raises(cls: type) -> bool:
+    """Whether an instance refuses to assign or delete each field and to
+    assign a new attribute, and keeps its fields as built."""
+    fields = cls.__match_args__
+    obj = cls(*range(len(fields)))
+    for name, change in [(f, lambda f=f: setattr(obj, f, None)) for f in fields + ("extra",)] + [
+        (f, lambda f=f: delattr(obj, f)) for f in fields
+    ]:
+        try:
+            change()
+            return False
+        except AttributeError:
+            pass
+    return vars(obj) == dict(zip(fields, range(len(fields))))
+
+
 def test_ast_reachable_from_module_is_frozen_and_immutable():
     seen: set[type] = set()
     todo = [lang.ModuleDef]
@@ -149,11 +173,11 @@ def test_ast_reachable_from_module_is_frozen_and_immutable():
             continue
         seen.add(cls)
         todo += cls.__subclasses__()  # an abstract base stands for its subclasses
-        if not dataclasses.is_dataclass(cls):
+        if not _is_record(cls):
             if not cls.__subclasses__():
-                faults.append(f"{cls.__name__} is not a dataclass")
+                faults.append(f"{cls.__name__} is not a record")
             continue
-        if not cls.__dataclass_params__.frozen:
+        if not _assignment_raises(cls):
             faults.append(f"{cls.__name__} is not frozen")
         for name, hint in typing.get_type_hints(cls).items():
             for kind in _classes_in(hint):

@@ -12,7 +12,6 @@ that a run keeps no lineage of projects alive."""
 import gc
 import weakref
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 from viewshift import evaluator, refactorings, resolver, rewrite, script
 from viewshift.corpus import load_fixture
 from viewshift.evaluator import observe_entries
-from viewshift.lang import Project, Var, decl_expr_roots, walk_expr_scoped, with_module
+from viewshift.lang import (
+    Project, Var, decl_expr_roots, replace, rewritten, walk_expr_scoped, with_module,
+)
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module
 from viewshift.reference import observe_entries_by_name
@@ -710,6 +711,42 @@ def test_one_observation_reads_each_module_index_once_for_its_entries(monkeypatc
     monkeypatch.setattr(evaluator, "_entry_modules", counted_find)
     assert observe_entries(project, entries) == observe_entries_by_name(project, entries)
     assert set(lookups) == set(project.modules) and max(lookups.values()) == 1
+
+
+def test_observation_after_a_step_reads_only_the_changed_modules_index(monkeypatch):
+    # the entries' modules are derived from the last observed project state
+    project = minimize_qualifiers(_padded_pfun(40))
+    entries = ("r1", "r2", "r3", "r4") + tuple(f"q{i:02d}" for i in range(40))
+    observe_entries(project, entries)
+    finding, lookups = [], []
+
+    def counted_index(mod):
+        if finding:
+            lookups.append(mod.name)
+        return decl_index(mod)
+
+    def counted_find(p, names):
+        finding.append(True)
+        try:
+            return entry_modules(p, names)
+        finally:
+            finding.pop()
+
+    decl_index, entry_modules = evaluator.decl_index, evaluator._entry_modules
+    monkeypatch.setattr(evaluator, "decl_index", counted_index)
+    monkeypatch.setattr(evaluator, "_entry_modules", counted_find)
+    commented = refactorings.duplicate_into_comment(project, "q07", "Pad07")
+    assert observe_entries(commented, entries) == observe_entries_by_name(commented, entries)
+    assert lookups == ["Pad07"]
+    # q07 moves from Pad07 to Pad39: both are read again, and only they
+    lookups.clear()
+    pad07 = commented.modules["Pad07"]
+    moved = rewritten(commented, {
+        "Pad07": replace(pad07, decls=pad07.decls[:1]),
+        "Pad39": parse_module(render_module(commented.modules["Pad39"]) + "\nq07 = 7\n"),
+    })
+    assert observe_entries(moved, entries) == observe_entries_by_name(moved, entries)
+    assert sorted(lookups) == ["Pad07", "Pad39"]
 
 
 def _record_compiles(monkeypatch) -> list:

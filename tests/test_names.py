@@ -91,6 +91,23 @@ def test_substitute_keeps_binder_where_nothing_is_substituted():
     assert out.branches[1] == e.branches[1]
 
 
+def test_substitute_keeps_binder_where_no_mapped_name_is_free():
+    # z is free in the replacement, but x does not occur under J z
+    out = substitute(parse_expr("x + (case q of\n    J z -> 1)"), "x", parse_expr("z"))
+    expected = parse_expr("z + (case q of\n    J z -> 1)")
+    assert alpha_eq_expr(out, expected) and out == expected
+
+
+def test_substitute_keeps_inner_binder_of_a_renamed_branch():
+    # y is renamed under K y, where x occurs; under J z only the renamed y
+    # is substituted, and its fresh name is not z
+    e = parse_expr("case p of\n    K y -> x + y + (case q of\n        J z -> y)")
+    out = substitute(e, "x", parse_expr("y + z"))
+    expected = parse_expr("case p of\n    K a -> y + z + a + (case q of\n        J z -> a)")
+    assert alpha_eq_expr(out, expected)
+    assert out.branches[0].body.rhs.branches[0].pattern == expected.branches[0].body.rhs.branches[0].pattern
+
+
 def test_alpha_eq_fold1_fold2():
     fold1 = parse_decl(
         "fold1 a c (Const i) = c i\n"
@@ -159,7 +176,7 @@ def test_alpha_eq_project_ignores_order_and_empty_modules(pfun):
     from viewshift.lang import Project
     scrambled = {}
     for name, mod in pfun.modules.items():
-        from dataclasses import replace
+        from viewshift.lang import replace
         scrambled[name] = replace(mod, decls=tuple(reversed(mod.decls)))
     from viewshift.parse import parse_module
     scrambled["Empty"] = parse_module("module Empty where\n")

@@ -32,10 +32,11 @@ HOMES = {
 SUBMODULES = (*HOMES, "rewrite")
 
 
-def _fresh(code: str) -> str:
-    """What a fresh interpreter prints after running code with this src first on its path."""
+def _fresh(code: str, *args: str) -> str:
+    """What a fresh interpreter prints after running code, with args in
+    sys.argv[1:] and this src first on its path."""
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {SRC!r})\n{code}"],
+        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {SRC!r})\n{code}", *args],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -90,3 +91,38 @@ def test_cli_import_leaves_corpus_and_reference_unloaded():
     loaded = _loaded_after("import viewshift.cli")
     assert "viewshift.script" in loaded
     assert not loaded & {"viewshift.corpus", "viewshift.reference"}
+
+
+# Wraps the builtins that generate code, then loads what the benchmark's
+# setup child and a checked CLI run load, and runs the CLI with sys.argv.
+NO_CODEGEN = """
+import builtins
+called = []
+
+
+def watched(name, real):
+    def call(*args, **kwargs):
+        # the import system itself compiles and runs each module's source
+        if not sys._getframe(1).f_globals["__name__"].startswith(("importlib._bootstrap", "_frozen_importlib")):
+            called.append(name)
+        return real(*args, **kwargs)
+    return call
+
+
+for name in ("exec", "eval", "compile"):
+    setattr(builtins, name, watched(name, getattr(builtins, name)))
+from viewshift import parse_project, resolve_project
+from viewshift.cli import main
+assert main(sys.argv[1:]) == 0
+print(*called, "dataclasses" in sys.modules)
+"""
+
+
+def test_checked_cli_run_generates_no_code_and_loads_no_dataclasses(tmp_path):
+    from viewshift.corpus import extract
+
+    extract("pfun", str(tmp_path / "pfun"))
+    extract("forward-script", str(tmp_path / "scripts"))
+    out = _fresh(NO_CODEGEN, "apply", str(tmp_path / "scripts" / "forward.vs"), str(tmp_path / "pfun"),
+                 "--out", str(tmp_path / "out"), "--checked")
+    assert out.splitlines()[-1] == "False"  # the CLI's own output comes first

@@ -1,7 +1,5 @@
 """Generative property suites over small ASTs."""
 
-from dataclasses import replace
-
 from hypothesis import given, settings, strategies as st
 
 from viewshift import refactorings as R
@@ -9,7 +7,7 @@ from viewshift.evaluator import evaluate, observe_entries
 from viewshift.lang import (
     App, Builtin, Case, CaseBranch, ConApp, Equation, Expr, FunDecl, Infix,
     IntLit, Let, LetBinding, LocalDef, ModuleDef, PCon, PInt, PTuple, PVar,
-    PWild, Project, StrLit, Tuple, Var, map_scoped, walk_expr_scoped,
+    PWild, Project, StrLit, Tuple, Var, map_scoped, replace, walk_expr_scoped,
 )
 from viewshift.names import (
     alpha_eq_decl, alpha_eq_expr, alpha_eq_project, free_vars, substitute,

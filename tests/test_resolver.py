@@ -26,7 +26,7 @@ def test_client_eval_resolves_to_evalmod(pfun):
 def test_duplicate_definition_rejected():
     # built directly; the parser rejects the same thing at parse time
     mod = parse_module("module M where\nf = 1")
-    from dataclasses import replace
+    from viewshift.lang import replace
     bad = replace(mod, decls=mod.decls + mod.decls)
     with pytest.raises(ResolveError) as exc:
         resolve_project(Project({"M": bad}))

@@ -1,12 +1,11 @@
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
 from viewshift import refactorings, script
 from viewshift.evaluator import observe_entries
-from viewshift.lang import App, Equation, FunDecl, IntLit, Project, Var, decl_name
+from viewshift.lang import App, Equation, FunDecl, IntLit, Project, Var, decl_name, replace
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module, parse_project
 from viewshift.render import render_decl
