@@ -152,9 +152,8 @@ def _assignment_raises(cls: type) -> bool:
     assign a new attribute, and keeps its fields as built."""
     fields = cls.__match_args__
     obj = cls(*range(len(fields)))
-    for name, change in [(f, lambda f=f: setattr(obj, f, None)) for f in fields + ("extra",)] + [
-        (f, lambda f=f: delattr(obj, f)) for f in fields
-    ]:
+    changes = [lambda f=f: setattr(obj, f, None) for f in fields + ("extra",)]
+    for change in changes + [lambda f=f: delattr(obj, f) for f in fields]:
         try:
             change()
             return False
