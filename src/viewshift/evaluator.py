@@ -14,8 +14,10 @@ site `(module, qualifier, name)`. Compiled code so depends only on the
 declaration and its module's name, and lives on the `FunDecl` object, keyed
 by that name: a step recompiles only the declarations it changes. In weak
 head normal form an Int is a plain `int` and a String a plain `str`; only
-`deep` boxes them as `VInt` and `VStr`. A cell being forced holds a black
-hole, so a value that needs itself fails.
+`deep` boxes them as `VInt` and `VStr`. A cell is a list `[value, code, env]`:
+a thunk's value is None; forcing puts the black hole `_HOLE` in its code
+slot, so a value that needs itself fails, then stores the value and clears
+code and env, so a memoized cell keeps no environment alive.
 
 A function's equations, and a case's arms, are dispatched on the constructor
 in one column k (Augustsson 1985; Maranget 2008) when every row's patterns
@@ -139,15 +141,7 @@ def show_value(v: Value) -> str:
 
 # --- machine internals ---
 
-_HOLE = object()  # a cell's thunk while it is being forced (a black hole)
-
-
-class _Cell:
-    __slots__ = ("thunk", "value")
-
-    def __init__(self, thunk=None, value=None):
-        self.thunk = thunk  # (code, env), then _HOLE while forced, then None
-        self.value = value  # whnf value | None
+_HOLE = object()  # a cell's code while it is being forced (a black hole)
 
 
 @record
@@ -163,21 +157,21 @@ class _Closure:
     """Function value: compiled function, captured environment, argument cells so far."""
     __slots__ = ("fun", "env", "args")
 
-    def __init__(self, fun: _Fun, env: list, args: tuple[_Cell, ...] = ()):
+    def __init__(self, fun: _Fun, env: list, args: tuple = ()):
         self.fun, self.env, self.args = fun, env, args
 
 
 class _WCon:
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: tuple[_Cell, ...]):
+    def __init__(self, name: str, args: tuple):
         self.name, self.args = name, args
 
 
 class _WTuple:
     __slots__ = ("items",)
 
-    def __init__(self, items: tuple[_Cell, ...]):
+    def __init__(self, items: tuple):
         self.items = items
 
 
@@ -206,13 +200,16 @@ class Evaluator:
         self.table: SymbolTable = build_symbol_table(project)
         # global site -> the cell it denotes; a binding's own cell is kept
         # under its self-qualified site (module, module, name)
-        self.cells: dict[tuple[str, str | None, str], _Cell] = {}
+        self.cells: dict[tuple[str, str | None, str], list] = {}
 
-    def _site(self, site: tuple[str, str | None, str]) -> _Cell:
+    def _site(self, site: tuple[str, str | None, str]) -> list:
         """Resolve a global site in this project, on its first use; a
-        binding's cell is created on its first lookup."""
+        binding's cell is created on its first lookup. An unqualified name
+        with one candidate in its module's scope is read from the table, any
+        other through resolve_var, whose errors are the resolver's."""
         module, qualifier, name = site
-        ref = resolve_var(self.table, self.project, module, frozenset(), Var(name, qualifier))
+        refs = self.table.scopes.get(module, {}).get(name, ()) if qualifier is None else ()
+        ref = refs[0] if len(refs) == 1 else resolve_var(self.table, self.project, module, frozenset(), Var(name, qualifier))
         own = (ref.module, ref.module, ref.name)
         cell = self.cells.get(own)
         if cell is None:
@@ -221,30 +218,28 @@ class Evaluator:
                 raise EvalError("UnresolvedName", f"{ref.module}.{ref.name} is not a value binding")
             compiled = d.__dict__.setdefault("_code", {})  # per module name
             fun = compiled.get(ref.module) or compiled.setdefault(ref.module, _compile_decl(ref.module, d))
-            cell = _Cell(value=_Closure(fun, [])) if fun.arity else _Cell(thunk=(fun.equations[0][1], []))
+            cell = [_Closure(fun, []), None, None] if fun.arity else [None, fun.equations[0][1], []]
         self.cells[own] = self.cells[site] = cell
         return cell
 
     def _exhausted(self) -> EvalError:
         return EvalError("StepBudgetExceeded", f"reduction budget of {self.budget} steps exceeded")
 
-    def force(self, cell: _Cell):
+    def force(self, cell: list):
         """The value of cell, running its thunk on the trampoline once."""
-        value = cell.value
+        value, code, env = cell
         if value is not None:
             return value
-        thunk = cell.thunk
-        if thunk is _HOLE:
+        if code is _HOLE:
             raise EvalError("CyclicEvaluation", "value depends on itself")
-        cell.thunk = _HOLE
+        cell[1] = _HOLE
         self.stats.forcings += 1
-        code, env = thunk
         value = code(self, env)
         while type(value) is tuple:
             code, env = value
             value = code(self, env)
-        cell.value = value
-        cell.thunk = None
+        cell[0] = value
+        cell[1] = cell[2] = None
         return value
 
     # -- evaluation to weak head normal form --
@@ -262,7 +257,7 @@ class Evaluator:
             value = code(self, env)
         return value
 
-    def _apply(self, fn, cells: list[_Cell]):
+    def _apply(self, fn, cells: list[list]):
         """Apply cells to fn; returns a value or a tail for the trampoline."""
         stats = self.stats
         while cells:
@@ -421,13 +416,13 @@ class _Compiler:
         rest = self.expr(rhs, scope)
 
         def body(ev, env):
-            cells = [_Cell() for _ in defs]
+            cells = [[None, d, None] for d in defs]
             env = env + cells
-            for cell, d in zip(cells, defs):
-                if isinstance(d, _Fun):
-                    cell.value = _Closure(d, env)
+            for cell in cells:
+                if type(cell[1]) is _Fun:
+                    cell[0], cell[1] = _Closure(cell[1], env), None
                 else:
-                    cell.thunk = (d, env)
+                    cell[2] = env
             return rest(ev, env)
         return matcher, body
 
@@ -442,21 +437,23 @@ class _Compiler:
                     if ev.stats.steps > ev.limit:
                         raise ev._exhausted()
                     cell = env[slot] if site is None else ev.cells.get(site) or ev._site(site)
-                    value = cell.value
+                    value = cell[0]
                     return value if value is not None else ev.force(cell)
             case IntLit(value) | StrLit(value):
                 return _constant(value)
             case Builtin(name):
                 return _constant(_Builtin(name))
             case ConApp(_, items) | Tuple(items):
-                parts, name = tuple(self.expr(i, scope) for i in items), getattr(e, "name", None)
-                n, first = len(parts), parts[0] if parts else None
+                parts = tuple(self.expr(i, scope) for i in items)
+                n, name = len(parts), getattr(e, "name", None)
+                first, second = (parts + (None, None))[:2]
 
                 def code(ev, env):
                     ev.stats.steps += 1
                     if ev.stats.steps > ev.limit:
                         raise ev._exhausted()
-                    cells = (_Cell((first, env)),) if n == 1 else tuple([_Cell((p, env)) for p in parts])
+                    cells = ([None, first, env],) if n == 1 else ([None, first, env], [None, second, env]) \
+                        if n == 2 else tuple([[None, p, env] for p in parts])
                     return _WTuple(cells) if name is None else _WCon(name, cells)
             case Infix(op, lhs, rhs):
                 left, right = self.expr(lhs, scope), self.expr(rhs, scope)
@@ -478,7 +475,7 @@ class _Compiler:
             case App(_, _):
                 head, args = app_spine(e)
                 fn, parts = self.expr(head, scope), tuple(self.expr(a, scope) for a in args)
-                n, named, first = len(parts), isinstance(head, Var), parts[0]
+                n, named, (first, second) = len(parts), isinstance(head, Var), (parts + (None,))[:2]
                 slot = var_slot(head, scope) if named else None
                 site = (self.module, head.qualifier, head.name) if named and slot is None else None
 
@@ -487,13 +484,15 @@ class _Compiler:
                     if named and stats.steps + 2 <= ev.limit:
                         stats.steps += 2  # the ticks of the App node and its head
                         cell = env[slot] if site is None else ev.cells.get(site) or ev._site(site)
-                        f = cell.value if cell.value is not None else ev.force(cell)
+                        f = cell[0] if cell[0] is not None else ev.force(cell)
                     else:
                         stats.steps += 1
                         if stats.steps > ev.limit:
                             raise ev._exhausted()
                         f = ev._run(fn, env)
-                    cells = [_Cell((first, env))] if n == 1 else [_Cell((p, env)) for p in parts]
+                    # a display, not a comprehension, which would run in a frame of its own
+                    cells = [[None, first, env]] if n == 1 else [[None, first, env], [None, second, env]] \
+                        if n == 2 else [[None, p, env] for p in parts]
                     if type(f) is _Closure and len(f.args) + n == f.fun.arity:
                         stats.steps += 1  # a saturated call: one application round
                         if stats.steps > ev.limit:
@@ -512,7 +511,7 @@ class _Compiler:
                     ev.stats.steps += 1
                     if ev.stats.steps > ev.limit:
                         raise ev._exhausted()
-                    cell, candidates = _Cell((scrut, env)), arms
+                    cell, candidates = [None, scrut, env], arms
                     if table is not None:
                         v = ev.force(cell)
                         if type(v) is _WCon:
@@ -530,10 +529,10 @@ class _Compiler:
                     ev.stats.steps += 1
                     if ev.stats.steps > ev.limit:
                         raise ev._exhausted()
-                    cells = [_Cell() for _ in rhss]
+                    cells = [[None, rhs, None] for rhs in rhss]
                     env = env + cells
-                    for cell, rhs in zip(cells, rhss):
-                        cell.thunk = (rhs, env)
+                    for cell in cells:
+                        cell[2] = env
                     return rest, env
             case _:
                 raise EvalError("EvalError", f"cannot evaluate {e!r}")
@@ -583,26 +582,26 @@ class _Compiler:
                 return _bind
             case PInt(n):
                 def match(ev, cell, out):
-                    v = cell.value if cell.value is not None else ev.force(cell)
+                    v = cell[0] if cell[0] is not None else ev.force(cell)
                     return type(v) is int and v == n
             case PTuple(items):
                 subs = self.patterns(items)
 
                 def match(ev, cell, out):
-                    v = cell.value if cell.value is not None else ev.force(cell)
+                    v = cell[0] if cell[0] is not None else ev.force(cell)
                     return type(v) is _WTuple and subs(ev, v.items, out)
             case PCon(name, args, tupled):
                 subs = self.patterns(args)
 
                 def match(ev, cell, out):
-                    v = cell.value if cell.value is not None else ev.force(cell)
+                    v = cell[0] if cell[0] is not None else ev.force(cell)
                     if type(v) is not _WCon or v.name != name:
                         return False
                     fields = v.args
                     if tupled:
                         if len(fields) != 1:
                             return False
-                        inner = fields[0].value if fields[0].value is not None else ev.force(fields[0])
+                        inner = fields[0][0] if fields[0][0] is not None else ev.force(fields[0])
                         if type(inner) is not _WTuple:
                             return False
                         fields = inner.items

@@ -12,7 +12,7 @@ import time
 from typing import Callable, Optional
 
 from . import refactorings as ops
-from .evaluator import EvalError, EvalStats, default_entries, observe_entries
+from .evaluator import EvalError, EvalStats, _entry_modules, default_entries, observe_entries
 from .lang import Project, decl_name, record
 from .refactorings import RefactorError
 from .render import write_project
@@ -116,7 +116,7 @@ class StepRecord:
     def to_dict(self) -> dict:
         return {
             "index": self.index, "command": self.command, "args": list(self.args),
-            "outcome": self.outcome, "kind": self.kind, "equivalence": self.equivalence,
+            "outcome": self.outcome, "kind": self.kind, "error": self.error, "equivalence": self.equivalence,
             "elapsed_s": self.elapsed, "changed": self.changed,
             "check_s": self.check_s, "reductions": self.reductions, "forcings": self.forcings,
         }
@@ -182,6 +182,20 @@ def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
     return out
 
 
+_SHOWN = 60  # characters of an observation that a divergence names
+
+
+def _divergence(entries, expected: dict[str, str], observed: dict[str, str]) -> str:
+    """The error of a step whose observation differs: each diverging entry
+    with its expected and observed text, each truncated."""
+    def shown(text: str) -> str:
+        return repr(text[:_SHOWN]) + ("..." if len(text) > _SHOWN else "")
+    return "NotEquivalent: " + "; ".join(
+        f"{e} expected {shown(expected[e])}, observed {shown(observed[e])}"
+        for e in entries if expected[e] != observed[e]
+    )
+
+
 def _failure(exc: Exception) -> tuple[str, str]:
     """The message and the typed kind a step logs for exc."""
     if isinstance(exc, RecursionError):
@@ -199,16 +213,18 @@ def run_script(
     """Apply the script's steps in order, fail-fast.
 
     With checked=True the current project is compared observationally with
-    the origin after every step; a disagreement aborts the run. The origin is
-    observed once, at the first checked step, whose record counts that cost
-    too. With a snapshot directory, every intermediate project is rendered to
-    disk.
+    the origin after every step; a disagreement aborts the run, its record
+    naming each entry that diverged. The origin is observed once, at the first
+    checked step, whose record counts that cost too; its entries' modules are
+    found before the first step, so that step's project derives them. With a
+    snapshot directory, every intermediate project is rendered to disk.
     """
     resolve_project(project)
     origin, expected = project, None
     log = RunLog(script.name)
-    if checked and not entries:
-        entries = tuple(default_entries(project))
+    if checked:
+        entries = entries or tuple(default_entries(project))
+        _entry_modules(origin, entries)
     if snapshot_dir is not None:
         write_project(project, f"{snapshot_dir}/step_000")
     for i, step in enumerate(script.steps, start=1):
@@ -227,7 +243,10 @@ def run_script(
             try:
                 if expected is None:
                     expected = observe_entries(origin, entries, stats=stats)
-                same = expected == observe_entries(project, entries, stats=stats)
+                observed = observe_entries(project, entries, stats=stats)
+                same = expected == observed
+                if not same:
+                    record.error, record.kind = _divergence(entries, expected, observed), "NotEquivalent"
             except (EvalError, ResolveError, RecursionError) as exc:
                 same = False
                 record.error, record.kind = _failure(exc)

@@ -175,6 +175,29 @@ def test_apply_unresolvable_step_exits_1_with_summary(tmp_path, capsys):
     assert "0/1 step(s) applied" in out
 
 
+def test_apply_checked_divergence_exits_1_naming_the_entry(tmp_path, capsys, monkeypatch):
+    # a step that changes r1's value applies, then fails its check
+    from viewshift import lang, script
+    from viewshift.parse import parse_module
+
+    def changes_r1(p, s):
+        return lang.rewritten(p, {"M": parse_module("module M where\n\nk = 1\n\nr1 = 3\n")})
+
+    monkeypatch.setitem(script.COMMANDS, "clean-imports", (1, changes_r1))
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "M.mfn").write_text("module M where\n\nk = 1\n\nr1 = 2\n")
+    (tmp_path / "clean.vs").write_text("clean-imports M\n")
+    code = main(["apply", str(tmp_path / "clean.vs"), str(src), "--out", str(tmp_path / "out"),
+                 "--checked", "--entries", "r1", "--trace", str(tmp_path / "trace.jsonl")])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "[applied, equivalence fail]" in out and "NotEquivalent: r1 expected '2', observed '3'" in out
+    record = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
+    assert (record["kind"], record["equivalence"]) == ("NotEquivalent", "fail")
+    assert record["error"] == "NotEquivalent: r1 expected '2', observed '3'"
+
+
 def test_apply_unresolved_input_exits_1(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()

@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 
@@ -98,6 +99,29 @@ def test_cyclic_value_detected():
     with pytest.raises(EvalError) as exc:
         observe_entries(p, ["entry"], budget=10_000)
     assert exc.value.kind == "CyclicEvaluation"
+
+
+@pytest.mark.parametrize("binding", [
+    "entry = print (show (let loop = loop + 1 in loop))",
+    "entry = print (show loop)\n    where\n        loop = 1 + loop",
+], ids=["let", "where"])
+def test_cyclic_local_value_detected(binding):
+    p = _project(f"module M where\n{binding}")
+    with pytest.raises(EvalError) as exc:
+        observe_entries(p, ["entry"], budget=10_000)
+    assert exc.value.kind == "CyclicEvaluation"
+
+
+def test_memoized_cell_keeps_no_reference_to_its_environment():
+    # K's field is a thunk over the let's environment; once forced, its cell
+    # holds the value alone, so the environment can be freed
+    ev = Evaluator(_project("module M where\ndata T = K Int"))
+    (field,) = ev.eval_expr(parse_expr("let x = 1 + 2 in K (x * x)"), {}, "M").args
+    env = [r for r in gc.get_referents(field) if type(r) is list]
+    assert env and ev.force(field) == 9
+    assert not any(r is env[0] or type(r) in (list, tuple) for r in gc.get_referents(field))
+    (x,) = env[0]
+    assert ev.force(x) == 3 and not any(type(r) in (list, tuple) for r in gc.get_referents(x))
 
 
 def test_sharing_forces_thunk_once(pfun):
@@ -211,10 +235,8 @@ def test_unresolved_name_fails_only_where_evaluated():
         assert (exc.value.kind, exc.value.module, exc.value.name) == ("UnresolvedName", "M", name)
 
 
-def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
-    # The compiled machine ticks where a tree walk over the same expressions
-    # would. One evaluator per observation: the origin once, then each of the
-    # 51 steps, every entry forced on that evaluator's heap.
+def _checked_run_counts(monkeypatch, project, script) -> tuple[int, int, int]:
+    """(evaluators, reductions, forcings) of a checked run, which must pass."""
     stats = []
     init = Evaluator.__init__
 
@@ -223,10 +245,46 @@ def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
         stats.append(ev.stats)
 
     monkeypatch.setattr(Evaluator, "__init__", counted)
-    _, log = run_script(pfun, forward_script, checked=True)
+    _, log = run_script(project, script, checked=True)
     assert log.ok
-    counts = (len(stats), sum(s.steps for s in stats), sum(s.forcings for s in stats))
-    assert counts == (52, 11_128, 4_084)
+    return len(stats), sum(s.steps for s in stats), sum(s.forcings for s in stats)
+
+
+def test_site_without_one_candidate_fails_as_the_resolver_says():
+    # a name with one candidate is read from the table; the others raise
+    # what resolve_var raises for them
+    p = _project(
+        "module A where\n\nimport B\nimport C\n\nr1 = g\n\nr2 = h\n\nr3 = C.g\n\nr4 = D.g\n\nr5 = k\n",
+        "module B where\n\ng = 1\n\nk = 3\n", "module C where\n\ng = 2\n",
+    )
+    assert observe_entries(p, ["r3", "r5"]) == {"r3": "2", "r5": "3"}
+    table, kinds = resolver.build_symbol_table(p), []
+    for entry, use in (("r1", Var("g")), ("r2", Var("h")), ("r4", Var("g", "D"))):
+        with pytest.raises(ResolveError) as expected:
+            resolver.resolve_var(table, p, "A", frozenset(), use)
+        with pytest.raises(ResolveError) as exc:
+            observe_entries(p, [entry])
+        assert (exc.value.kind, str(exc.value)) == (expected.value.kind, str(expected.value))
+        kinds.append(exc.value.kind)
+    assert kinds == ["AmbiguousName", "UnresolvedName", "UnresolvedName"]
+
+
+def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
+    # The compiled machine ticks where a tree walk over the same expressions
+    # would. One evaluator per observation: the origin once, then each of the
+    # 51 steps, every entry forced on that evaluator's heap.
+    assert _checked_run_counts(monkeypatch, pfun, forward_script) == (52, 11_128, 4_084)
+
+
+@pytest.mark.parametrize("origin, scripts, script, counts", [
+    ("pdata", "reverse-script", "reverse", (23, 4_181, 1_465)),
+    ("scenario-mult", "scenario-mult", "reverse-mult", (28, 7_074, 2_546)),
+    ("scenario-derive", "scenario-derive", "forward-derive", (76, 22_548, 7_836)),
+], ids=["pdata-reverse", "scenario-mult", "scenario-derive"])
+def test_checked_run_counts(monkeypatch, origin, scripts, script, counts):
+    # the same pins for the other shipped conversions
+    project, run = load_fixture(origin).project, load_fixture(scripts).scripts[script]
+    assert _checked_run_counts(monkeypatch, project, run) == counts
 
 
 def test_checked_forward_trace_sums_to_the_run_counts(pfun, forward_script):

@@ -688,15 +688,14 @@ def test_second_generalise_ident_walks_only_the_modules_that_changed(monkeypatch
     assert walked and set(walked) <= _changed(project, first) | _changed(first, out) == {"A", "B"}
 
 
-def test_one_observation_reads_each_module_index_once_for_its_entries(monkeypatch):
-    # finding the modules of N entries is one pass over the modules, not N
-    project = _padded_pfun(40)
-    entries = ("r1", "r2", "r3", "r4") + tuple(f"q{i:02d}" for i in range(40))
-    finding, lookups = [], Counter()
+def _entry_index_reads(monkeypatch) -> list[str]:
+    """The modules whose index is read from now on while finding entries'
+    modules (evaluator._entry_modules), in order."""
+    finding, reads = [], []
 
     def counted_index(mod):
         if finding:
-            lookups[mod.name] += 1
+            reads.append(mod.name)
         return decl_index(mod)
 
     def counted_find(p, names):
@@ -709,8 +708,17 @@ def test_one_observation_reads_each_module_index_once_for_its_entries(monkeypatc
     decl_index, entry_modules = evaluator.decl_index, evaluator._entry_modules
     monkeypatch.setattr(evaluator, "decl_index", counted_index)
     monkeypatch.setattr(evaluator, "_entry_modules", counted_find)
+    monkeypatch.setattr(script, "_entry_modules", counted_find)
+    return reads
+
+
+def test_one_observation_reads_each_module_index_once_for_its_entries(monkeypatch):
+    # finding the modules of N entries is one pass over the modules, not N
+    project = _padded_pfun(40)
+    entries = ("r1", "r2", "r3", "r4") + tuple(f"q{i:02d}" for i in range(40))
+    lookups = _entry_index_reads(monkeypatch)
     assert observe_entries(project, entries) == observe_entries_by_name(project, entries)
-    assert set(lookups) == set(project.modules) and max(lookups.values()) == 1
+    assert set(lookups) == set(project.modules) and max(Counter(lookups).values()) == 1
 
 
 def test_observation_after_a_step_reads_only_the_changed_modules_index(monkeypatch):
@@ -718,23 +726,7 @@ def test_observation_after_a_step_reads_only_the_changed_modules_index(monkeypat
     project = minimize_qualifiers(_padded_pfun(40))
     entries = ("r1", "r2", "r3", "r4") + tuple(f"q{i:02d}" for i in range(40))
     observe_entries(project, entries)
-    finding, lookups = [], []
-
-    def counted_index(mod):
-        if finding:
-            lookups.append(mod.name)
-        return decl_index(mod)
-
-    def counted_find(p, names):
-        finding.append(True)
-        try:
-            return entry_modules(p, names)
-        finally:
-            finding.pop()
-
-    decl_index, entry_modules = evaluator.decl_index, evaluator._entry_modules
-    monkeypatch.setattr(evaluator, "decl_index", counted_index)
-    monkeypatch.setattr(evaluator, "_entry_modules", counted_find)
+    lookups = _entry_index_reads(monkeypatch)
     commented = refactorings.duplicate_into_comment(project, "q07", "Pad07")
     assert observe_entries(commented, entries) == observe_entries_by_name(commented, entries)
     assert lookups == ["Pad07"]
@@ -747,6 +739,24 @@ def test_observation_after_a_step_reads_only_the_changed_modules_index(monkeypat
     })
     assert observe_entries(moved, entries) == observe_entries_by_name(moved, entries)
     assert sorted(lookups) == ["Pad07", "Pad39"]
+
+
+def test_checked_run_reads_each_module_index_once(monkeypatch, forward_script):
+    # the origin's entries' modules are found before step 1, so step 1's
+    # state derives them: a module no step changes is read once per run
+    project = _padded_pfun(40)
+    lookups = _entry_index_reads(monkeypatch)
+    changed = Counter()
+
+    def changed_decls(before, after):
+        changed.update(m for m, mod in after.modules.items() if mod is not before.modules.get(m))
+        return _changed_decls(before, after)
+
+    _changed_decls = script._changed_decls
+    monkeypatch.setattr(script, "_changed_decls", changed_decls)
+    _, log = run_script(project, forward_script, checked=True)
+    assert log.ok
+    assert Counter(lookups) == Counter(list(project.modules)) + changed
 
 
 def _record_compiles(monkeypatch) -> list:

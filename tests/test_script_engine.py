@@ -8,7 +8,7 @@ from viewshift.evaluator import observe_entries
 from viewshift.lang import App, Equation, FunDecl, IntLit, Project, Var, decl_name, replace
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module, parse_project
-from viewshift.render import render_decl
+from viewshift.render import render_decl, render_module
 from viewshift.script import (
     COMMANDS, RefactorStep, Script, ScriptSyntaxError, parse_script, run_script,
 )
@@ -95,6 +95,36 @@ def test_checked_mode_catches_behavior_change(pfun):
     assert log.records[-1].equivalence == "fail"
 
 
+def _rewrites_client(monkeypatch, old: str, new: str):
+    """clean-imports then also replaces old by new in the text of Client."""
+    def handler(p, s):
+        client = render_module(p.modules["Client"]).replace(old, new)
+        return Project({**p.modules, "Client": parse_module(client)})
+    monkeypatch.setitem(COMMANDS, "clean-imports", (1, handler))
+
+
+def test_checked_mode_names_what_diverged(pfun, monkeypatch):
+    # a step whose observation differs with no error: the record says which
+    # entry diverged and how, each text cut to 60 characters
+    _rewrites_client(monkeypatch, "print (toString e1)", 'print "' + "x" * 100 + '"')
+    out, log = run_script(pfun, parse_script("clean-imports Client"), checked=True, entries=ENTRIES)
+    (record,) = log.records
+    assert (record.outcome, record.equivalence, record.kind) == ("applied", "fail", "NotEquivalent")
+    assert record.error == "NotEquivalent: r1 expected '1+2', observed '" + "x" * 60 + "'..."
+    assert observe_entries(out, ENTRIES)["r1"] == "x" * 100
+    assert record.error in log.summary() and not log.ok
+
+
+def test_checked_mode_names_every_diverging_entry(pfun, monkeypatch):
+    _rewrites_client(monkeypatch, "Const 2)", "Const 5)")
+    _, log = run_script(pfun, parse_script("clean-imports Client"), checked=True, entries=ENTRIES)
+    assert log.records[0].kind == "NotEquivalent"
+    assert log.records[0].error == (
+        "NotEquivalent: r1 expected '1+2', observed '1+5'; r2 expected '3', observed '6'; "
+        "r3 expected '1+2+3', observed '1+5+3'; r4 expected '6', observed '9'"
+    )
+
+
 def test_checked_mode_passes_for_forward(pfun, forward_script):
     out, log = run_script(pfun, forward_script, checked=True, entries=ENTRIES)
     assert log.ok
@@ -176,7 +206,7 @@ def test_too_deep_observation_fails_the_step(depth, record):
 
 
 _STEP_KEYS = {
-    "index", "command", "args", "outcome", "kind", "equivalence", "elapsed_s", "changed",
+    "index", "command", "args", "outcome", "kind", "error", "equivalence", "elapsed_s", "changed",
     "check_s", "reductions", "forcings",
 }
 
@@ -224,6 +254,7 @@ def test_trace_of_a_failed_step_holds_its_kind():
     _, log = run_script(project, parse_script("remove-def nosuch M\n"))
     step, summary = map(json.loads, log.to_json().splitlines())
     assert (step["outcome"], step["kind"], step["changed"]) == ("failed", "NotFound", {})
+    assert step["error"].startswith("NotFound: ")
     assert (step["check_s"], step["reductions"], step["forcings"]) == (None, None, None)
     assert (summary["summary"]["applied"], summary["summary"]["ok"]) == (0, False)
 
