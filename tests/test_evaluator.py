@@ -235,21 +235,6 @@ def test_unresolved_name_fails_only_where_evaluated():
         assert (exc.value.kind, exc.value.module, exc.value.name) == ("UnresolvedName", "M", name)
 
 
-def _checked_run_counts(monkeypatch, project, script) -> tuple[int, int, int]:
-    """(evaluators, reductions, forcings) of a checked run, which must pass."""
-    stats = []
-    init = Evaluator.__init__
-
-    def counted(ev, *args, **kwargs):
-        init(ev, *args, **kwargs)
-        stats.append(ev.stats)
-
-    monkeypatch.setattr(Evaluator, "__init__", counted)
-    _, log = run_script(project, script, checked=True)
-    assert log.ok
-    return len(stats), sum(s.steps for s in stats), sum(s.forcings for s in stats)
-
-
 def test_site_without_one_candidate_fails_as_the_resolver_says():
     # a name with one candidate is read from the table; the others raise
     # what resolve_var raises for them
@@ -267,6 +252,21 @@ def test_site_without_one_candidate_fails_as_the_resolver_says():
         assert (exc.value.kind, str(exc.value)) == (expected.value.kind, str(expected.value))
         kinds.append(exc.value.kind)
     assert kinds == ["AmbiguousName", "UnresolvedName", "UnresolvedName"]
+
+
+def _checked_run_counts(monkeypatch, project, script) -> tuple[int, int, int]:
+    """(evaluators, reductions, forcings) of a checked run, which must pass."""
+    stats = []
+    init = Evaluator.__init__
+
+    def counted(ev, *args, **kwargs):
+        init(ev, *args, **kwargs)
+        stats.append(ev.stats)
+
+    monkeypatch.setattr(Evaluator, "__init__", counted)
+    _, log = run_script(project, script, checked=True)
+    assert log.ok
+    return len(stats), sum(s.steps for s in stats), sum(s.forcings for s in stats)
 
 
 def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
