@@ -36,6 +36,9 @@ def _cmd_apply(args) -> int:
     script = parse_script(read_source(args.script), name=args.script)
     project = parse_project(args.project)
     entries = _entries_arg(args.entries, project) if args.checked else ()
+    if args.checked and not entries:
+        print("apply --checked: no entry to compare: name one with --entries", file=sys.stderr)
+        return USAGE_EXIT
     out, log = run_script(
         project, script, checked=args.checked, entries=entries, snapshot_dir=args.snapshots
     )

@@ -132,38 +132,47 @@ def module_scope(
     return table.scopes[mname], table.constructors[mname]
 
 
+def _contributions(mod: ModuleDef) -> tuple[tuple[str, DefRef, Optional[ConstructorDef]], ...]:
+    """(name, definition, constructor or None) for each name mod declares,
+    in declaration order: what its declarations add to a scope."""
+    own = _own(mod)
+    if "contributions" not in own:
+        out: list[tuple[str, DefRef, Optional[ConstructorDef]]] = []
+        for d in mod.decls:
+            if isinstance(d, DataDecl):
+                out.append((d.name, DefRef(mod.name, d.name, "type"), None))
+                out.extend((c.name, DefRef(mod.name, c.name, "con"), c) for c in d.constructors)
+            else:
+                out.append((d.name, DefRef(mod.name, d.name, "fun"), None))
+        own["contributions"] = tuple(out)
+    return own["contributions"]
+
+
+def module_interface(mod: ModuleDef) -> tuple[tuple[str, DefRef, Optional[ConstructorDef]], ...]:
+    """What importers see of mod: its contributions whose names it exports.
+    An importer's scope and validity depend on mod through this alone."""
+    own = _own(mod)
+    if "interface" not in own:
+        exports = module_exports(mod)
+        own["interface"] = tuple(c for c in _contributions(mod) if c[0] in exports)
+    return own["interface"]
+
+
 def _scope_of(
     project: Project, mod: ModuleDef
 ) -> tuple[dict[str, list[DefRef]], dict[str, list[tuple[DefRef, ConstructorDef]]]]:
     scope: dict[str, list[DefRef]] = {}
     cons: dict[str, list[tuple[DefRef, ConstructorDef]]] = {}
-
-    def add(name: str, ref: DefRef, condef: Optional[ConstructorDef] = None):
-        scope.setdefault(name, [])
-        if ref not in scope[name]:
-            scope[name].append(ref)
-        if condef is not None:
-            cons.setdefault(name, [])
-            if (ref, condef) not in cons[name]:
-                cons[name].append((ref, condef))
-
-    def add_module(src: ModuleDef, visible: Optional[set[str]]):
-        for d in src.decls:
-            n = decl_name(d)
-            if isinstance(d, DataDecl):
-                if visible is None or n in visible:
-                    add(n, DefRef(src.name, n, "type"))
-                for c in d.constructors:
-                    if visible is None or c.name in visible:
-                        add(c.name, DefRef(src.name, c.name, "con"), c)
-            else:
-                if visible is None or n in visible:
-                    add(n, DefRef(src.name, n, "fun"))
-
-    add_module(mod, None)
-    for imp in mod.imports:  # each known: project_state checks first
-        imported = project.modules[imp]
-        add_module(imported, module_exports(imported))
+    # each import known: project_state checks first
+    for part in (_contributions(mod), *(module_interface(project.modules[imp]) for imp in mod.imports)):
+        for name, ref, condef in part:
+            refs = scope.setdefault(name, [])
+            if ref not in refs:
+                refs.append(ref)
+            if condef is not None:
+                pairs = cons.setdefault(name, [])
+                if (ref, condef) not in pairs:
+                    pairs.append((ref, condef))
     return scope, cons
 
 
@@ -195,12 +204,16 @@ def _in_module_order(project: Project, names: Iterable[str], fn: Callable[[str],
 
 class ProjectState:
     """What the resolver knows of one project: its table, each module's
-    importers and the modules still to validate and to minimise. found is
-    what the evaluator last found of its entries' modules (_entry_modules):
-    (entries, entry -> modules, modules changed since), or None."""
+    importers and the modules still to validate and to minimise. unchecked
+    maps each module still to validate to None, for all its declarations,
+    or to the ids of the declarations new since it was last validated,
+    when its scope was kept. found is what the evaluator last found of its
+    entries' modules (_entry_modules): (entries, entry -> modules, modules
+    changed since), or None."""
 
-    def __init__(self, table: SymbolTable, importers: dict[str, frozenset[str]], unchecked: set[str],
-                 unminimised: set[str], found: Optional[tuple] = None):
+    def __init__(self, table: SymbolTable, importers: dict[str, frozenset[str]],
+                 unchecked: dict[str, Optional[frozenset[int]]], unminimised: set[str],
+                 found: Optional[tuple] = None):
         self.table, self.importers, self.unchecked, self.unminimised = table, importers, unchecked, unminimised
         self.found = found
 
@@ -209,10 +222,16 @@ def project_state(project: Project) -> ProjectState:
     """The state of project, derived on its first request and kept on the
     project object. It starts from the nearest ancestor (lang.rewritten)
     whose state is known. A module is changed when a rewrite on the way
-    replaced its object (`is`), and dirty when it changed or imports a
-    changed module (the importer map). Only dirty modules are checked and
-    scoped again, and only they become pending; without a known ancestor
-    every module is dirty. The link to the parent is dropped once used."""
+    replaced its object (`is`). A module is scoped again when its own-scope
+    inputs differ from the ancestor's: its contributions, its imports or
+    an import's interface (module_interface), so the importers of a changed
+    module are scoped again only when its interface changed. A module
+    scoped again is validated in full; a changed module whose scope is kept
+    validates only its new declaration objects. The changed and the
+    re-scoped modules become pending; without a known ancestor every module
+    is. A derivation that scopes nothing again shares the ancestor's table,
+    one that changes no import shares its importer map. The link to the
+    parent is dropped once used."""
     held = project.__dict__.get("_state")
     if held is not None:
         return held
@@ -222,16 +241,28 @@ def project_state(project: Project) -> ProjectState:
         replaced.update(names)
     mods, old = project.modules, base.__dict__.get("_state")
     if old is None:
-        old, was, changed = ProjectState(SymbolTable({}, {}), {}, set(), set()), {}, set(mods)
+        old, was, changed = ProjectState(SymbolTable({}, {}), {}, {}, set()), {}, set(mods)
     else:
         was, changed = base.modules, changed_modules(base.modules, mods, replaced)
-    importers = dict(old.importers)
+    importers = old.importers
     for mname in changed:
         prior = was.get(mname)
         for imp in set(prior.imports if prior else ()) ^ set(mods[mname].imports):
+            if importers is old.importers:
+                importers = dict(importers)
             importers[imp] = importers.get(imp, frozenset()) ^ {mname}
-    dirty = changed.union(*(importers.get(m, ()) for m in changed))
-    table = SymbolTable(dict(old.table.scopes), dict(old.table.constructors))
+    rescoped: set[str] = set().union(*(
+        importers.get(m, ()) for m in changed
+        if m not in was or module_interface(was[m]) != module_interface(mods[m])))
+    unchecked = dict(old.unchecked)
+    for mname in changed - rescoped:
+        prior, mod = was.get(mname), mods[mname]
+        if prior is None or prior.imports != mod.imports or _contributions(prior) != _contributions(mod):
+            rescoped.add(mname)
+        elif (todo := unchecked.get(mname, frozenset())) is not None:
+            kept = {id(d) for d in prior.decls}
+            unchecked[mname] = todo | {id(d) for d in mod.decls if id(d) not in kept}
+    unchecked.update(dict.fromkeys(rescoped))
 
     def rescope(mname: str):
         mod = mods[mname]
@@ -244,10 +275,13 @@ def project_state(project: Project) -> ProjectState:
             own["distinct"] = True
         table.scopes[mname], table.constructors[mname] = _scope_of(project, mod)
 
-    _in_module_order(project, dirty, rescope)
+    table = old.table
+    if rescoped:
+        table = SymbolTable(dict(table.scopes), dict(table.constructors))
+        _in_module_order(project, rescoped, rescope)
     found = old.found and (*old.found[:2], old.found[2] | changed)
     state = project.__dict__["_state"] = ProjectState(
-        table, importers, old.unchecked | dirty, old.unminimised | dirty, found)
+        table, importers, unchecked, old.unminimised | changed | rescoped, found)
     project.__dict__.pop("_parent", None)
     return state
 
@@ -432,10 +466,12 @@ def _check_decl(table: SymbolTable, project: Project, mname: str, d: FunDecl):
 
 
 def _check_module(table: SymbolTable, project: Project, mname: str):
-    """The validation of one module: each function declaration's checks.
-    Only a declaration object never seen before is walked."""
+    """The validation of one module: each function declaration's checks, or
+    only the pending ones (ProjectState.unchecked). Only a declaration
+    object never seen before is walked."""
+    todo = project_state(project).unchecked.get(mname)
     for d in project.modules[mname].decls:
-        if isinstance(d, FunDecl):
+        if isinstance(d, FunDecl) and (todo is None or id(d) in todo):
             _check_decl(table, project, mname, d)
 
 

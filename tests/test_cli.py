@@ -95,6 +95,19 @@ def test_obs_eq_without_any_entry_exits_2(tmp_path, capsys, option):
     assert capsys.readouterr() == ("", "obs-eq: no entry to compare: name one with --entries\n")
 
 
+@pytest.mark.parametrize("option", [[], ["--entries", ","]], ids=["no-option", "empty-names"])
+def test_checked_apply_without_any_entry_exits_2(tmp_path, capsys, option):
+    # a checked run that compares nothing proves nothing: no step runs and
+    # nothing is written
+    (tmp_path / "M.mfn").write_text("module M where\n\nk = 1\n")
+    script = tmp_path / "s.vs"
+    script.write_text("rename-top-level k M j\n")
+    out = tmp_path / "out"
+    code = main(["apply", str(script), str(tmp_path), "--out", str(out), "--checked", *option])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr() == ("", "apply --checked: no entry to compare: name one with --entries\n")
+
+
 def test_eval_entry(dirs, capsys):
     assert main(["eval", str(dirs / "pfun"), "r2"]) == 0
     assert capsys.readouterr().out.strip() == "3"

@@ -20,7 +20,7 @@ from viewshift import evaluator, refactorings, resolver, rewrite, script
 from viewshift.corpus import load_fixture
 from viewshift.evaluator import observe_entries
 from viewshift.lang import (
-    Project, Var, decl_expr_roots, replace, rewritten, walk_expr_scoped, with_module,
+    DataDecl, Project, Var, decl_expr_roots, replace, rewritten, walk_expr_scoped, with_module,
 )
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module
@@ -134,6 +134,61 @@ def test_import_ceasing_to_be_ambiguous_drops_the_qualifier():
     assert minimize_qualifiers(p).modules["A"] is a  # marked minimal with B.g
     p2 = with_module(p, parse_module(_C))
     assert "B.g" not in render_module(minimize_qualifiers(p2).modules["A"])
+
+
+def _rederived(monkeypatch, project: Project) -> tuple[list, list]:
+    """The modules scoped and the declarations validated while project's
+    state is derived and it is resolved; the outcome is resolve_project's."""
+    scoped, checked = [], []
+    scope_of, check_decl = resolver._scope_of, resolver._check_decl
+
+    def scoping(p, mod):
+        scoped.append(mod.name)
+        return scope_of(p, mod)
+
+    def checking(table, p, mname, d):
+        checked.append((mname, d))
+        return check_decl(table, p, mname, d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(resolver, "_scope_of", scoping)
+        patch.setattr(resolver, "_check_decl", checking)
+        _outcome(resolve_project, project)
+    return scoped, checked
+
+
+def test_body_edit_changes_no_interface(monkeypatch):
+    # early cutoff: B's new g has B's old interface, so neither A nor B is
+    # scoped again and only the new g is validated
+    p = _project(_A.format(use="g"), _B, _C)
+    resolve_project(p)
+    p2 = with_module(p, parse_module("module B where\n\ng = 5\n"))
+    scoped, checked = _rederived(monkeypatch, p2)
+    assert scoped == [] and checked == [("B", p2.modules["B"].decl("g"))]
+    assert build_symbol_table(p2) is build_symbol_table(p)
+    assert project_state(p2).importers is project_state(p).importers
+    _assert_same_as_scratch(p2)
+
+
+@pytest.mark.parametrize("b, use, rescoped", [
+    (_B, "g", ["A"]),  # B's own scope is unchanged
+    ("module B where\n\ndata T = K Int\n\ng = 1\n", "case K 1 of K x -> x", ["A", "B"]),
+], ids=["export-dropped", "constructor-arity"])
+def test_interface_change_rescopes_the_importer(monkeypatch, b, use, rescoped):
+    # B's interface changes (g is no longer exported, or K takes two
+    # arguments): A is scoped again and validated in full, and raises what
+    # resolution from scratch raises
+    p = _project(_A.format(use=use), b, _C)
+    resolve_project(p)
+    mod = p.modules["B"]
+    p2 = with_module(p, replace(mod, exports=()) if "data" not in b
+                     else parse_module(render_module(mod).replace("K Int", "K Int Int")))
+    scoped, checked = _rederived(monkeypatch, p2)
+    assert sorted(scoped) == rescoped and ("A", p.modules["A"].decl("r")) in checked
+    with pytest.raises(ResolveError) as exc:
+        resolve_project(p2)
+    assert exc.value.module == "A"
+    _assert_same_as_scratch(p2)
 
 
 def test_unchanged_project_reuses_its_results(pfun):
@@ -272,9 +327,14 @@ _SPECS = {
     "generative-fold": ("scope", "int", "mod"),
     "lift-def": ("fun", "local", "mod"),
     "remove-local-def": ("local", "fun", "mod"),
-    # Not an operation: drop a declaration unchecked, which may leave the
-    # project unresolvable while its importers stay the same objects.
+    # Not operations: edits made unchecked while importers stay the same
+    # objects. drop-decl drops a declaration, which may leave the project
+    # unresolvable; touch-decl puts in a new object for a declaration, with
+    # the same interface; change-con gives a constructor visible in the
+    # module one more argument type, in its home module.
     "drop-decl": ("fun", "mod"),
+    "touch-decl": ("fun", "mod"),
+    "change-con": ("con", "mod"),
 }
 
 
@@ -304,6 +364,22 @@ def _apply(project: Project, step: RefactorStep) -> Project:
         f, m = step.args
         mod = project.modules[m]
         return with_module(project, replace(mod, decls=tuple(d for d in mod.decls if d.name != f)))
+    if step.command == "touch-decl":
+        f, m = step.args
+        mod = project.modules[m]
+        return with_module(project, replace(mod, decls=tuple(replace(d) if d.name == f else d for d in mod.decls)))
+    if step.command == "change-con":
+        c, m = step.args
+        refs = module_scope(project, m)[1].get(c)
+        if not refs:
+            raise RefactorError("NotFound", f"no constructor {c} in scope of {m}")
+        home = project.modules[refs[0][0].module]
+        decls = tuple(
+            replace(d, constructors=tuple(
+                replace(k, arg_types=k.arg_types + ("Int",)) if k.name == c else k for k in d.constructors))
+            if isinstance(d, DataDecl) else d
+            for d in home.decls)
+        return with_module(project, replace(home, decls=decls))
     return COMMANDS[step.command][1](project, step)
 
 
@@ -443,12 +519,35 @@ def _changed(before: Project, after: Project) -> set[str]:
     }
 
 
+def test_forward_run_scopes_validates_and_walks_pinned_counts(monkeypatch, forward_script):
+    # An unchecked forward run of a freshly parsed pfun: a step scopes a
+    # module again only when its own scope's inputs changed (its
+    # declarations, its imports or an import's interface), validates only
+    # new declaration objects where the scope was kept, and walks each
+    # declaration object once.
+    counts = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            counts[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_scope_of", "_check_decl", "_collect_reads"):
+        monkeypatch.setattr(resolver, name, counted(getattr(resolver, name)))
+    _, log = run_script(_fresh(load_fixture("pfun").project), forward_script)
+    assert log.ok
+    assert counts == {"_scope_of": 70, "_check_decl": 317, "_collect_reads": 91}
+
+
 @pytest.mark.parametrize("tokens", [
     ("duplicate-into-comment", "eval", "EvalMod"),
     ("rename-top-level", "toString", "ToStringMod", "render"),
     ("rename-top-level", "p20", "Pad20", "s20"),
 ], ids=["one-module", "two-modules", "padding-chain"])
 def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
+    # A step that changes no interface scopes no module again and validates
+    # only the module it changed.
     project = minimize_qualifiers(_padded_pfun(40))
     resolve_project(project)  # the state a step leaves: resolved and minimal
     seen = []
@@ -469,15 +568,22 @@ def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
     changed = _changed(project, out)
     assert 1 <= len(changed) <= 3
     touched = {m for kind, ms in seen for m in ([ms] if isinstance(ms, str) else ms)}
-    assert {kind for kind, _ in seen} >= {"_check_module", "_scope_of"}
+    if step.command == "duplicate-into-comment":
+        assert {kind for kind, _ in seen} >= {"_check_module"}
+        assert [m for kind, m in seen if kind in ("_check_module", "_scope_of")] == ["EvalMod"]
+    else:
+        assert {kind for kind, _ in seen} >= {"_check_module", "_scope_of"}
     assert touched <= changed, f"{sorted(touched - changed)} re-derived without a change"
 
 
+_SCOPED = {"_check_module", "_scope_of"}
+
+
 @pytest.mark.parametrize("tokens, probes", [
-    (("duplicate-into-comment", "eval", "EvalMod"), {"changed_modules"}),
-    (("rename-top-level", "toString", "ToStringMod", "render"), {"changed_modules", "mentioned_names"}),
-    (("move-def", "eval", "EvalMod", "Client"), {"changed_modules", "mentioned_names", "_imported_from"}),
-    (("generalise-ident", "p05", "Pad05", "p04", "y"), {"changed_modules", "mentioned_names"}),
+    (("duplicate-into-comment", "eval", "EvalMod"), {"changed_modules", "_check_module"}),
+    (("rename-top-level", "toString", "ToStringMod", "render"), {"changed_modules", "mentioned_names"} | _SCOPED),
+    (("move-def", "eval", "EvalMod", "Client"), {"changed_modules", "mentioned_names", "_imported_from"} | _SCOPED),
+    (("generalise-ident", "p05", "Pad05", "p04", "y"), {"changed_modules", "mentioned_names"} | _SCOPED),
 ], ids=["one-module", "two-modules", "move", "generalise-ident"])
 def test_step_visits_as_many_modules_however_large_the_project(monkeypatch, tokens, probes):
     # The same step on 10, 80 and 320 padding modules scopes, validates and
@@ -538,7 +644,9 @@ def test_step_visits_as_many_modules_however_large_the_project(monkeypatch, toke
         # a fresh name for a call from another module avoids every module's
         # names, read from remembered reads: no declaration is walked
         assert sorted(asked) == (sorted(project.modules) if step.command == "generalise-ident" else [])
-    assert {kind for kind, _ in seen[0]} >= probes | {"_check_module", "_scope_of"}
+    assert {kind for kind, _ in seen[0]} >= probes
+    if step.command == "duplicate-into-comment":  # no interface changes
+        assert [m for kind, m in seen[0] if kind in _SCOPED] == ["EvalMod"]
     assert seen[0] == seen[1] == seen[2]
 
 
