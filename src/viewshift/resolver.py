@@ -148,13 +148,16 @@ def _contributions(mod: ModuleDef) -> tuple[tuple[str, DefRef, Optional[Construc
     return own["contributions"]
 
 
-def module_interface(mod: ModuleDef) -> tuple[tuple[str, DefRef, Optional[ConstructorDef]], ...]:
-    """What importers see of mod: its contributions whose names it exports.
-    An importer's scope and validity depend on mod through this alone."""
+def module_interface(
+    mod: ModuleDef
+) -> tuple[frozenset[str], tuple[tuple[str, DefRef, Optional[ConstructorDef]], ...]]:
+    """What importers see of mod: its export set, which a qualified name is
+    checked against, and its contributions whose names it exports. An
+    importer's scope and validity depend on mod through this alone."""
     own = _own(mod)
     if "interface" not in own:
         exports = module_exports(mod)
-        own["interface"] = tuple(c for c in _contributions(mod) if c[0] in exports)
+        own["interface"] = exports, tuple(c for c in _contributions(mod) if c[0] in exports)
     return own["interface"]
 
 
@@ -164,7 +167,7 @@ def _scope_of(
     scope: dict[str, list[DefRef]] = {}
     cons: dict[str, list[tuple[DefRef, ConstructorDef]]] = {}
     # each import known: project_state checks first
-    for part in (_contributions(mod), *(module_interface(project.modules[imp]) for imp in mod.imports)):
+    for part in (_contributions(mod), *(module_interface(project.modules[imp])[1] for imp in mod.imports)):
         for name, ref, condef in part:
             refs = scope.setdefault(name, [])
             if ref not in refs:

@@ -1,13 +1,15 @@
 """Incremental resolution: the resolver derives each project's table,
 importer map and pending modules from the project it was rewritten from,
-redoing only the modules whose objects changed and their importers, and
-keeps each declaration's reads on the declaration object; the evaluator
-keeps each compiled declaration on the declaration object. These tests keep an
-importing module or declaration object identical while what it reads
-changes, check incremental results against resolution from scratch, and pin
-that one step pays only for the modules it changes, walks only the
-declarations it makes and recompiles only the declarations it changes, and
-that a run keeps no lineage of projects alive."""
+re-scoping only the modules whose own declarations, imports or imports'
+interfaces changed and re-validating only new declaration objects where a
+scope was kept, and keeps each declaration's reads on the declaration
+object; the evaluator keeps each compiled declaration on the declaration
+object. These tests keep an importing module or declaration object
+identical while what it reads changes, check incremental results against
+resolution from scratch, and pin that one step pays only for the modules
+whose inputs it changes, walks only the declarations it makes and
+recompiles only the declarations it changes, and that a run keeps no
+lineage of projects alive."""
 
 import gc
 import weakref
@@ -188,6 +190,22 @@ def test_interface_change_rescopes_the_importer(monkeypatch, b, use, rescoped):
     with pytest.raises(ResolveError) as exc:
         resolve_project(p2)
     assert exc.value.module == "A"
+    _assert_same_as_scratch(p2)
+
+
+def test_export_set_is_part_of_the_interface(monkeypatch):
+    # Dropping a declaration unchecked can leave B's export list naming h,
+    # which B no longer declares; A's B.h resolves until h leaves the list,
+    # which changes no visible definition, only the export set.
+    b = parse_module("module B (g, h) where\n\ng = 1\n\nh = 2\n")
+    p = with_module(_project(_A.format(use="B.h"), _B, _C), replace(b, decls=b.decls[:1]))
+    resolve_project(p)
+    p2 = with_module(p, replace(p.modules["B"], exports=("g",)))
+    scoped, _ = _rederived(monkeypatch, p2)
+    assert scoped == ["A"]
+    with pytest.raises(ResolveError) as exc:
+        resolve_project(p2)
+    assert str(exc.value) == "B does not export h"
     _assert_same_as_scratch(p2)
 
 
@@ -519,6 +537,9 @@ def _changed(before: Project, after: Project) -> set[str]:
     }
 
 
+_SCOPED = {"_check_module", "_scope_of"}
+
+
 def test_forward_run_scopes_validates_and_walks_pinned_counts(monkeypatch, forward_script):
     # An unchecked forward run of a freshly parsed pfun: a step scopes a
     # module again only when its own scope's inputs changed (its
@@ -569,14 +590,10 @@ def test_step_costs_only_the_modules_it_changes(monkeypatch, tokens):
     assert 1 <= len(changed) <= 3
     touched = {m for kind, ms in seen for m in ([ms] if isinstance(ms, str) else ms)}
     if step.command == "duplicate-into-comment":
-        assert {kind for kind, _ in seen} >= {"_check_module"}
-        assert [m for kind, m in seen if kind in ("_check_module", "_scope_of")] == ["EvalMod"]
+        assert [s for s in seen if s[0] in _SCOPED] == [("_check_module", "EvalMod")]
     else:
         assert {kind for kind, _ in seen} >= {"_check_module", "_scope_of"}
     assert touched <= changed, f"{sorted(touched - changed)} re-derived without a change"
-
-
-_SCOPED = {"_check_module", "_scope_of"}
 
 
 @pytest.mark.parametrize("tokens, probes", [
@@ -646,7 +663,7 @@ def test_step_visits_as_many_modules_however_large_the_project(monkeypatch, toke
         assert sorted(asked) == (sorted(project.modules) if step.command == "generalise-ident" else [])
     assert {kind for kind, _ in seen[0]} >= probes
     if step.command == "duplicate-into-comment":  # no interface changes
-        assert [m for kind, m in seen[0] if kind in _SCOPED] == ["EvalMod"]
+        assert [s for s in seen[0] if s[0] in _SCOPED] == [("_check_module", "EvalMod")]
     assert seen[0] == seen[1] == seen[2]
 
 
