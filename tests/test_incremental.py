@@ -172,19 +172,18 @@ def test_body_edit_changes_no_interface(monkeypatch):
     _assert_same_as_scratch(p2)
 
 
-@pytest.mark.parametrize("b, use, rescoped", [
-    (_B, "g", ["A"]),  # B's own scope is unchanged
-    ("module B where\n\ndata T = K Int\n\ng = 1\n", "case K 1 of K x -> x", ["A", "B"]),
+@pytest.mark.parametrize("use, b, edited, rescoped", [
+    ("g", _B, "module B () where\n\ng = 1\n", ["A"]),  # B's own scope is unchanged
+    ("case K 1 of K x -> x", "module B where\n\ndata T = K Int\n\ng = 1\n",
+     "module B where\n\ndata T = K Int Int\n\ng = 1\n", ["A", "B"]),
 ], ids=["export-dropped", "constructor-arity"])
-def test_interface_change_rescopes_the_importer(monkeypatch, b, use, rescoped):
+def test_interface_change_rescopes_the_importer(monkeypatch, use, b, edited, rescoped):
     # B's interface changes (g is no longer exported, or K takes two
     # arguments): A is scoped again and validated in full, and raises what
     # resolution from scratch raises
     p = _project(_A.format(use=use), b, _C)
     resolve_project(p)
-    mod = p.modules["B"]
-    p2 = with_module(p, replace(mod, exports=()) if "data" not in b
-                     else parse_module(render_module(mod).replace("K Int", "K Int Int")))
+    p2 = with_module(p, parse_module(edited))
     scoped, checked = _rederived(monkeypatch, p2)
     assert sorted(scoped) == rescoped and ("A", p.modules["A"].decl("r")) in checked
     with pytest.raises(ResolveError) as exc:
