@@ -13,7 +13,7 @@ import argparse
 import sys
 
 # script first: refactorings then compiles on a small heap, which keeps a cold apply's peak RSS down.
-from .script import COMMANDS, ScriptSyntaxError, parse_script, parse_step, run_script
+from .script import CATALOGUE, COMMANDS, ScriptSyntaxError, parse_script, parse_step, run_script
 from .evaluator import EvalError, VOutput, default_entries, evaluate, observe_entries, show_value
 from .lang import FunDecl, Var
 from .names import alpha_eq_project
@@ -55,7 +55,8 @@ def _cmd_apply(args) -> int:
 
 def _cmd_op(args) -> int:
     if len(args.tokens) < 2:
-        print("op needs a command and a project directory", file=sys.stderr)
+        print("op needs a command, its arguments and a project directory; the commands:", file=sys.stderr)
+        print("\n".join(f"  {c} {' '.join(kinds)}" for c, (_, kinds) in CATALOGUE.items()), file=sys.stderr)
         return USAGE_EXIT
     step = parse_step(args.tokens[:-1], 1)
     project = parse_project(args.tokens[-1])

@@ -657,7 +657,7 @@ def observe_entries(
             mname = hits[0]
             ev = ev or Evaluator(project, budget)
             ev.limit = ev.stats.steps + budget
-            value = ev.deep(ev.eval_expr(Var(entry), {}, mname))
+            value = ev.deep(ev.eval_expr(Var(entry, mname), {}, mname))
             out[entry] = value.text if isinstance(value, VOutput) else show_value(value)
     finally:
         if stats is not None and ev is not None:

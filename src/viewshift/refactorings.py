@@ -79,6 +79,12 @@ def _fun_decl(mod: ModuleDef, f: str) -> tuple[int, FunDecl]:
     raise _not_found(f"no top-level {f} in module {mod.name}")
 
 
+def _function(project: Project, m: str, f: str) -> tuple[ModuleDef, int, FunDecl]:
+    """Module m, and the index and declaration of its top-level function f."""
+    mod = _module(project, m)
+    return (mod, *_fun_decl(mod, f))
+
+
 def _without_decl(mod: ModuleDef, name: str) -> ModuleDef:
     """mod without the top-level declaration name and its export entry."""
     exports = mod.exports
@@ -112,11 +118,14 @@ def _con_equation(d: FunDecl, c: str) -> tuple[int, Equation, PCon]:
     raise _not_found(f"{d.name} has no equation matching constructor {c}")
 
 
-def _where_local(mod: ModuleDef, name: str, f: str | None = None) -> tuple[int, int, int] | None:
+def _where_local(
+    mod: ModuleDef, name: str, f: str | None = None, missing: str | None = None
+) -> tuple[int, int, int] | None:
     """(decl index, equation index, local index) of the where-local called
-    name among f's equations, or among the whole module's without f; None
-    when there is none. A name that more than one where-local carries is
-    refused rather than resolved to one of them."""
+    name among f's equations, or among the whole module's without f. When
+    there is none: None, or with missing a NotFound saying so. A name that
+    more than one where-local carries is refused rather than resolved to one
+    of them."""
     hits = [
         (di, ei, li)
         for di, d in enumerate(mod.decls) if isinstance(d, FunDecl) and f in (None, d.name)
@@ -125,7 +134,46 @@ def _where_local(mod: ModuleDef, name: str, f: str | None = None) -> tuple[int, 
     ]
     if len(hits) > 1:
         raise _not_found(f"{name} names more than one local definition in {f or mod.name}")
+    if not hits and missing is not None:
+        raise _not_found(missing)
     return hits[0] if hits else None
+
+
+# ---------------------------------------------------------------------------
+# preconditions that several operations share
+
+def _unbound(project: Project, m: str, name: str, *scopes) -> None:
+    """Refuse to bind name where m's top-level scope, or one of scopes, binds it."""
+    if name in module_scope(project, m)[0] or any(name in s for s in scopes):
+        raise RefactorError("NameClash", f"{name} is already in scope in {m}")
+
+
+def _single_equation(d: FunDecl) -> Equation:
+    if len(d.equations) != 1:
+        raise RefactorError("NotApplicable", f"{d.name} must have a single equation")
+    return d.equations[0]
+
+
+def _without_locals(d: FunDecl, what: str) -> None:
+    if any(eq.locals for eq in d.equations):
+        raise RefactorError("NotApplicable", f"{what} has where-locals")
+
+
+def _plain_equation(d: FunDecl, what: str) -> tuple[Equation, tuple[str, ...]]:
+    """d's single equation, which has no where-locals, and its parameters,
+    each a plain variable."""
+    eq = _single_equation(d)
+    _without_locals(d, what)
+    if not all(isinstance(p, PVar) for p in eq.patterns):
+        raise RefactorError("NotApplicable", f"{what}'s parameters must be plain variables")
+    return eq, tuple(p.name for p in eq.patterns)  # type: ignore[union-attr]
+
+
+def _case_body(f: str, e: Expr) -> Case:
+    """e, f's body or what its outer lets scope over, as a case expression."""
+    if not isinstance(e, Case):
+        raise RefactorError("NotApplicable", f"the body of {f} is not a case expression")
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +182,9 @@ def _where_local(mod: ModuleDef, name: str, f: str | None = None) -> tuple[int, 
 def exhibit_function(project: Project, f: str, c: str, n: str, m: str) -> Project:
     """Turn the RHS of f's equation for constructor c into a where-local n."""
     _new_name(n)
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
+    mod, di, d = _function(project, m, f)
     ei, eq, _ = _con_equation(d, c)
-    if n in module_scope(project, m)[0] or n in equation_scope(eq):
-        raise RefactorError("NameClash", f"{n} is already bound in the scope of {f}'s equation")
+    _unbound(project, m, n, equation_scope(eq))
     new_eq = replace(eq, rhs=Var(n), locals=eq.locals + (LocalDef(n, (), eq.rhs),))
     project = with_module(project, with_decl(mod, di, with_equation(d, ei, new_eq)))
     return _finish(project)
@@ -163,8 +209,7 @@ def new_def_fun_app(project: Project, f: str, arg_count: int, fp: str, m: str) -
     _, _, app_expr, between = next(r for r in decl_expr_roots(d, ei) if r[1] == slot)
     for i in occ.path[2:]:
         app_expr, between = scoped_children(app_expr, between)[i]
-    if fp in module_scope(project, m)[0] or fp in equation_scope(eq) or fp in between:
-        raise RefactorError("NameClash", f"{fp} is already bound around the application of {f}")
+    _unbound(project, m, fp, equation_scope(eq), between)
     escaping = free_vars(app_expr) & between
     if escaping:
         raise RefactorError(
@@ -237,8 +282,7 @@ def generalise(
     if curry_flag not in ("curried", "tupled"):
         raise RefactorError("PreconditionFailed", f"unknown curry flag {curry_flag}")
     _new_name(x)
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
+    mod, di, d = _function(project, m, f)
     ei, eq, pat = _con_equation(d, c)
     hit = _where_local(mod, fp, f)
     if hit is None or hit[1] != ei:
@@ -286,15 +330,12 @@ def generalise_ident(project: Project, f: str, m: str, v: str, x: str) -> Projec
         return _generalise_ident_top(project, f, m, v, x)
     if top is not None:
         raise RefactorError("NotApplicable", f"{f} in {m} is a data declaration")
-    hit = _where_local(mod, f)
-    if hit is None:
-        raise _not_found(f"no definition of {f} in module {m}")
+    hit = _where_local(mod, f, missing=f"no definition of {f} in module {m}")
     return _generalise_ident_local(project, m, v, x, *hit)
 
 
 def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> Project:
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
+    mod, di, d = _function(project, m, f)
     if v == f or ("var", None, v) not in decl_reads(d).checks:
         raise _not_found(f"{v} is not free in the body of {f}")
     if v not in module_scope(project, m)[0]:
@@ -373,16 +414,11 @@ def _generalise_ident_local(
 def lift_to_top(project: Project, f: str, d_name: str, m: str) -> Project:
     """Promote the where-local d of f to a top-level declaration of m,
     prepending any enclosing-equation variables it captures as parameters."""
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
-    hit = _where_local(mod, d_name, f)
-    if hit is None:
-        raise _not_found(f"{f} has no local definition {d_name}")
-    _, ei, li = hit
+    mod, di, d = _function(project, m, f)
+    _, ei, li = _where_local(mod, d_name, f, f"{f} has no local definition {d_name}")
     eq = d.equations[ei]
     loc = eq.locals[li]
-    if d_name in module_scope(project, m)[0]:
-        raise RefactorError("NameClash", f"{d_name} is already bound at the top level of {m}")
+    _unbound(project, m, d_name)
 
     sibling_names = {other.name for other in eq.locals} - {d_name}
     frees = free_vars(loc.rhs) - set(loc.params) - {d_name}
@@ -408,12 +444,10 @@ def lift_to_top(project: Project, f: str, d_name: str, m: str) -> Project:
 def rename_top_level(project: Project, f: str, m: str, fp: str) -> Project:
     """Rename a top-level definition, updating all occurrences and exports;
     occurrences that would become ambiguous are qualified."""
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
+    mod, di, d = _function(project, m, f)
     if f == fp:
         return project
-    if fp in module_scope(project, m)[0]:
-        raise RefactorError("NameClash", f"{fp} is already bound in the scope of module {m}")
+    _unbound(project, m, fp)
     _new_name(fp)
     exports = mod.exports
     if exports is not None:
@@ -425,8 +459,7 @@ def rename_top_level(project: Project, f: str, m: str, fp: str) -> Project:
 def move_def(project: Project, f: str, m: str, mp: str) -> Project:
     """Move the top-level definition of f from m to mp (created if absent);
     importers are rewired and newly ambiguous references are qualified."""
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
+    mod, di, d = _function(project, m, f)
     if m == mp:
         raise RefactorError("NotApplicable", f"{f} is already in {m}")
     dest = project.modules.get(mp)
@@ -515,8 +548,7 @@ def _inline_definition(
     what: str,
 ) -> tuple[Project, Expr]:
     """Build the unfolded expression for a definition applied to args."""
-    if any(eq.locals for eq in defn.equations):
-        raise RefactorError("NotApplicable", f"{what} has where-locals and cannot be unfolded")
+    _without_locals(defn, what)
     arity = defn.arity
     if len(args) < arity:
         raise RefactorError(
@@ -545,8 +577,7 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
     """Replace the first occurrence of d in f's body by its definition,
     beta-reducing when possible; a multi-equation definition unfolds to a
     case over the tuple of its arguments."""
-    mod = _module(project, m)
-    di, fd = _fun_decl(mod, f)
+    mod, di, fd = _function(project, m, f)
 
     qualifier = None
     name = d_token
@@ -620,16 +651,8 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
 
 def fold_top_level(project: Project, f: str, m: str) -> Project:
     """Replace every instance of f's RHS (outside f itself) by a call to f."""
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
-    if len(d.equations) != 1:
-        raise RefactorError("NotApplicable", f"{f} must have a single equation to fold")
-    eq = d.equations[0]
-    if eq.locals:
-        raise RefactorError("NotApplicable", f"{f} has where-locals and cannot be folded")
-    if not all(isinstance(p, PVar) for p in eq.patterns):
-        raise RefactorError("NotApplicable", f"{f}'s parameters must be plain variables")
-    params = tuple(p.name for p in eq.patterns)  # type: ignore[union-attr]
+    mod, _, d = _function(project, m, f)
+    eq, params = _plain_equation(d, f)
 
     matcher = InstanceMatcher(build_symbol_table(project), params, m)
     head = Var(f, qualifier=m)
@@ -675,12 +698,7 @@ def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project
             f"no commented declaration in {m} applies {f} to {arg_count} argument(s)"
         )
     d, spec, spine_path, ref = target
-    spec_eq = spec.equations[0]
-    if spec_eq.locals or not all(isinstance(p, PVar) for p in spec_eq.patterns):
-        raise RefactorError(
-            "NotApplicable", "the commented definition must be a plain single equation"
-        )
-    spec_params = tuple(p.name for p in spec_eq.patterns)  # type: ignore[union-attr]
+    spec_eq, spec_params = _plain_equation(spec, "the commented definition")
 
     # Unfold the targeted application, then drop variable-only case positions.
     _, args = app_spine(decl_expr_at(d, spine_path))
@@ -743,7 +761,7 @@ def _simplify_variable_positions(d: FunDecl) -> FunDecl:
     """Beta-reduce tuple-case positions matched by a plain variable in every
     branch, substituting the scrutinee component into the branch bodies."""
 
-    def simplify(e: Case) -> Expr:
+    def simplify(e: Expr) -> Expr:
         width = _tuple_case_width(e)
         if width is None:
             return e
@@ -762,15 +780,15 @@ def _simplify_variable_positions(d: FunDecl) -> FunDecl:
         ]
         return _narrow_case(e, keep, bodies)
 
-    out = map_decl_roots(d, lambda root, _: _map_top_case(root, simplify))
+    out = map_decl_roots(d, lambda root, _: _map_below_lets(root, simplify))
     assert isinstance(out, FunDecl)
     return out
 
 
-def _tuple_case_width(case: Case) -> int | None:
+def _tuple_case_width(case: Expr) -> int | None:
     """The width of a case on a tuple whose every branch pattern is a tuple
-    of that width; None for any other case."""
-    if not isinstance(case.scrutinee, Tuple):
+    of that width; None for any other expression."""
+    if not isinstance(case, Case) or not isinstance(case.scrutinee, Tuple):
         return None
     width = len(case.scrutinee.items)
     if all(isinstance(b.pattern, PTuple) and len(b.pattern.items) == width for b in case.branches):
@@ -794,13 +812,11 @@ def _narrow_case(case: Case, keep: list[int], bodies: list[Expr]) -> Expr:
     return Case(pick(case.scrutinee.items, Tuple), branches)  # type: ignore[union-attr]
 
 
-def _map_top_case(e: Expr, fn) -> Expr:
-    """Apply fn to the outermost case of an expression, looking through lets."""
+def _map_below_lets(e: Expr, fn) -> Expr:
+    """Apply fn to what an expression's outer lets scope over."""
     if isinstance(e, Let):
-        return Let(e.bindings, _map_top_case(e.body, fn))
-    if isinstance(e, Case):
-        return fn(e)
-    return e
+        return Let(e.bindings, _map_below_lets(e.body, fn))
+    return fn(e)
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +824,7 @@ def _map_top_case(e: Expr, fn) -> Expr:
 
 def remove_def(project: Project, f: str, m: str) -> Project:
     """Delete a top-level definition that is used nowhere else."""
-    mod = _module(project, m)
-    _fun_decl(mod, f)
+    mod, _, _ = _function(project, m, f)
     occ = [o for o in occurrences_of(project, m, f) if not (o.module == m and o.decl == f)]
     if occ:
         first = occ[0]
@@ -819,12 +834,8 @@ def remove_def(project: Project, f: str, m: str) -> Project:
 
 def remove_local_def(project: Project, d_name: str, f: str, m: str) -> Project:
     """Delete an unused where-local of f."""
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
-    hit = _where_local(mod, d_name, f)
-    if hit is None:
-        raise _not_found(f"{f} has no local definition {d_name}")
-    _, ei, li = hit
+    mod, di, d = _function(project, m, f)
+    _, ei, li = _where_local(mod, d_name, f, f"{f} has no local definition {d_name}")
     if any(
         d_name in free_vars(root) - bound
         for _, slot, root, bound in decl_expr_roots(d, ei) if slot != li + 1
@@ -867,13 +878,11 @@ def rm_from_exports(project: Project, f: str, m: str) -> Project:
 def simplify_case_pattern(project: Project, f: str, m: str) -> Project:
     """Extract a common-variable tuple position of f's top-level case into a
     let binding around the narrowed case."""
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
-    if len(d.equations) != 1:
-        raise RefactorError("NotApplicable", f"{f} must have a single equation")
-    eq = d.equations[0]
+    mod, di, d = _function(project, m, f)
+    eq = _single_equation(d)
 
-    def rewrite(case: Case) -> Expr:
+    def rewrite(e: Expr) -> Expr:
+        case = _case_body(f, e)
         if not isinstance(case.scrutinee, Tuple):
             raise RefactorError("NotApplicable", "the case scrutinee is not a tuple")
         width = _tuple_case_width(case)
@@ -898,16 +907,7 @@ def simplify_case_pattern(project: Project, f: str, m: str) -> Project:
             "NotApplicable", "no position holds the same variable in every branch"
         )
 
-    seen = []
-
-    def on_case(case: Case) -> Expr:
-        seen.append(case)
-        return rewrite(case)
-
-    new_rhs = _map_top_case(eq.rhs, on_case)
-    if not seen:
-        raise RefactorError("NotApplicable", f"the body of {f} is not a case expression")
-    d = with_equation(d, 0, replace(eq, rhs=new_rhs))
+    d = with_equation(d, 0, replace(eq, rhs=_map_below_lets(eq.rhs, rewrite)))
     project = with_module(project, with_decl(mod, di, d))
     return _finish(project)
 
@@ -917,28 +917,15 @@ def case_to_eq(project: Project, f: str, m: str, matched_arity: int) -> Project:
     equation per branch."""
     if matched_arity not in (1, 2):
         raise RefactorError("NotApplicable", "case-to-eq handles one or two parameters")
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
-    if len(d.equations) != 1:
-        raise RefactorError("NotApplicable", f"{f} must have a single equation")
-    eq = d.equations[0]
-    if eq.locals:
-        raise RefactorError("NotApplicable", f"{f} has where-locals")
-    if len(eq.patterns) != matched_arity or not all(isinstance(p, PVar) for p in eq.patterns):
-        raise RefactorError(
-            "NotApplicable", f"{f} must take exactly {matched_arity} plain parameter(s)"
-        )
-    params = [p.name for p in eq.patterns]  # type: ignore[union-attr]
-    if not isinstance(eq.rhs, Case):
-        raise RefactorError("NotApplicable", f"the body of {f} is not a case expression")
-    case = eq.rhs
-    if matched_arity == 1:
-        if case.scrutinee != Var(params[0]):
-            raise RefactorError("NotApplicable", "the scrutinee is not the parameter variable")
-    elif case.scrutinee != Tuple((Var(params[0]), Var(params[1]))):
-        raise RefactorError(
-            "NotApplicable", "the scrutinee is not the tuple of the two parameters"
-        )
+    mod, di, d = _function(project, m, f)
+    eq, params = _plain_equation(d, f)
+    if len(params) != matched_arity:
+        raise RefactorError("NotApplicable", f"{f} must take exactly {matched_arity} parameter(s)")
+    case = _case_body(f, eq.rhs)
+    if matched_arity == 1 and case.scrutinee != Var(params[0]):
+        raise RefactorError("NotApplicable", "the scrutinee is not the parameter variable")
+    if matched_arity == 2 and case.scrutinee != Tuple(tuple(map(Var, params))):
+        raise RefactorError("NotApplicable", "the scrutinee is not the tuple of the two parameters")
     new_eqs = []
     for b, (_, bound) in zip(case.branches, binder_children(case)[1:]):
         if matched_arity == 1:
@@ -965,8 +952,7 @@ def case_to_eq(project: Project, f: str, m: str, matched_arity: int) -> Project:
 
 def duplicate_into_comment(project: Project, f: str, m: str) -> Project:
     """Attach a canonical copy of f's declaration as its comment block."""
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
+    mod, di, d = _function(project, m, f)
     text = render_decl(d, with_comment=False)
     comment = CommentBlock(tuple(text.split("\n")))
     project = with_module(project, with_decl(mod, di, replace(d, comment=comment)))
@@ -974,8 +960,7 @@ def duplicate_into_comment(project: Project, f: str, m: str) -> Project:
 
 
 def rm_comment_before(project: Project, f: str, m: str) -> Project:
-    mod = _module(project, m)
-    di, d = _fun_decl(mod, f)
+    mod, di, d = _function(project, m, f)
     if d.comment is None:
         raise _not_found(f"{f} has no attached comment")
     project = with_module(project, with_decl(mod, di, replace(d, comment=None)))
@@ -989,8 +974,7 @@ def unify_alpha_equivalent(project: Project, keep: str, drop: str, m: str) -> Pr
     """Replace the alpha-equivalent definition drop by keep and delete it."""
     if keep == drop:
         raise _not_found("cannot unify a definition with itself")
-    mod = _module(project, m)
-    _, keep_d = _fun_decl(mod, keep)
+    mod, _, keep_d = _function(project, m, keep)
     _, drop_d = _fun_decl(mod, drop)
     if not alpha_eq_decl(keep_d, drop_d):
         raise RefactorError(

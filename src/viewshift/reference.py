@@ -266,6 +266,6 @@ def observe_entries_by_name(
             many = f"entry {entry} is defined in several modules: {hits}"
             raise EvalError("UnresolvedName", many if hits else f"no zero-argument binding {entry} in the project")
         mname = hits[0]
-        value = evaluate_by_name(project, mname, Var(entry), budget)
+        value = evaluate_by_name(project, mname, Var(entry, mname), budget)
         out[entry] = value.text if isinstance(value, VOutput) else show_value(value)
     return out

@@ -1,14 +1,15 @@
 """Transformation scripts: a flat, line-oriented command sequence.
 
 One command per line, whitespace-separated positional arguments, `#` starts
-a comment. Unknown commands and wrong arities are rejected at parse time;
-execution is fail-fast and returns the project as of the last successful
-step together with a run log.
+a comment. Unknown commands, wrong arities and non-integer int arguments are
+rejected at parse time; execution is fail-fast and returns the project as
+of the last successful step together with a run log.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Optional
 
 from . import refactorings as ops
@@ -41,50 +42,62 @@ class Script:
     steps: tuple[RefactorStep, ...]
 
 
-def _int_arg(step: RefactorStep, index: int) -> int:
-    try:
-        return int(step.args[index])
-    except ValueError:
-        raise RefactorError(
-            "PreconditionFailed",
-            f"argument {index + 1} of {step.command} must be an integer",
-        )
+# command -> (operation, the kind of each argument). A kind says what an
+# argument names: fun a top-level function of the module argument, mod a
+# module, new a name the step introduces, con a constructor, local a
+# where-local, scope a name in scope in the module, target a module that
+# may not exist yet, int a whole number (converted before the operation
+# runs), and an "a|b" kind one of its words.
+CATALOGUE: dict[str, tuple[Callable[..., Project], tuple[str, ...]]] = {
+    "exhibit-function": (ops.exhibit_function, ("fun", "con", "new", "mod")),
+    "new-def-fun-app": (ops.new_def_fun_app, ("scope", "int", "new", "mod")),
+    "generalise": (ops.generalise, ("fun", "con", "local", "mod", "int", "new", "curried|tupled", "RecType|OtherType")),
+    "generalise-ident": (ops.generalise_ident, ("fun", "mod", "scope", "new")),
+    "lift-def": (ops.lift_to_top, ("fun", "local", "mod")),
+    "rename-top-level": (ops.rename_top_level, ("fun", "mod", "new")),
+    "move-def": (ops.move_def, ("fun", "mod", "target")),
+    "unfold-instance": (ops.unfold_instance, ("scope", "fun", "mod")),
+    "fold-def": (ops.fold_top_level, ("fun", "mod")),
+    "generative-fold": (ops.generative_fold, ("scope", "int", "mod")),
+    "remove-def": (ops.remove_def, ("fun", "mod")),
+    "remove-local-def": (ops.remove_local_def, ("local", "fun", "mod")),
+    "clean-imports": (ops.clean_imports, ("mod",)),
+    "rm-from-exports": (ops.rm_from_exports, ("fun", "mod")),
+    "simplify-case-pattern": (ops.simplify_case_pattern, ("fun", "mod")),
+    "case-to-eq": (partial(ops.case_to_eq, matched_arity=1), ("fun", "mod")),
+    "case-to-eq2": (partial(ops.case_to_eq, matched_arity=2), ("fun", "mod")),
+    "duplicate-into-comment": (ops.duplicate_into_comment, ("fun", "mod")),
+    "rm-comment-before": (ops.rm_comment_before, ("fun", "mod")),
+    "unify-alpha": (ops.unify_alpha_equivalent, ("fun", "fun", "mod")),
+}
+
+
+def _handler(operation: Callable[..., Project], kinds: tuple[str, ...]):
+    """Apply operation to a step's arguments, each int argument converted."""
+    return lambda project, step: operation(project, *(int(a) if k == "int" else a for k, a in zip(kinds, step.args)))
 
 
 # command name -> (arity, handler(project, step) -> project)
 COMMANDS: dict[str, tuple[int, Callable[[Project, RefactorStep], Project]]] = {
-    "exhibit-function": (4, lambda p, s: ops.exhibit_function(p, *s.args)),
-    "new-def-fun-app": (4, lambda p, s: ops.new_def_fun_app(p, s.args[0], _int_arg(s, 1), s.args[2], s.args[3])),
-    "generalise": (8, lambda p, s: ops.generalise(p, s.args[0], s.args[1], s.args[2], s.args[3], _int_arg(s, 4), s.args[5], s.args[6], s.args[7])),
-    "generalise-ident": (4, lambda p, s: ops.generalise_ident(p, *s.args)),
-    "lift-def": (3, lambda p, s: ops.lift_to_top(p, *s.args)),
-    "rename-top-level": (3, lambda p, s: ops.rename_top_level(p, *s.args)),
-    "move-def": (3, lambda p, s: ops.move_def(p, *s.args)),
-    "unfold-instance": (3, lambda p, s: ops.unfold_instance(p, *s.args)),
-    "fold-def": (2, lambda p, s: ops.fold_top_level(p, *s.args)),
-    "generative-fold": (3, lambda p, s: ops.generative_fold(p, s.args[0], _int_arg(s, 1), s.args[2])),
-    "remove-def": (2, lambda p, s: ops.remove_def(p, *s.args)),
-    "remove-local-def": (3, lambda p, s: ops.remove_local_def(p, *s.args)),
-    "clean-imports": (1, lambda p, s: ops.clean_imports(p, *s.args)),
-    "rm-from-exports": (2, lambda p, s: ops.rm_from_exports(p, *s.args)),
-    "simplify-case-pattern": (2, lambda p, s: ops.simplify_case_pattern(p, *s.args)),
-    "case-to-eq": (2, lambda p, s: ops.case_to_eq(p, s.args[0], s.args[1], 1)),
-    "case-to-eq2": (2, lambda p, s: ops.case_to_eq(p, s.args[0], s.args[1], 2)),
-    "duplicate-into-comment": (2, lambda p, s: ops.duplicate_into_comment(p, *s.args)),
-    "rm-comment-before": (2, lambda p, s: ops.rm_comment_before(p, *s.args)),
-    "unify-alpha": (3, lambda p, s: ops.unify_alpha_equivalent(p, *s.args)),
+    command: (len(kinds), _handler(operation, kinds)) for command, (operation, kinds) in CATALOGUE.items()
 }
 
 
 def parse_step(tokens: list[str], line: int) -> RefactorStep:
-    """A command and its arguments; an unknown command or a wrong arity is
-    a ScriptSyntaxError."""
+    """A command and its arguments; an unknown command, a wrong arity or an
+    int argument that is not an integer is a ScriptSyntaxError."""
     command, args = tokens[0], tuple(tokens[1:])
-    if command not in COMMANDS:
+    if command not in CATALOGUE:
         raise ScriptSyntaxError(f"unknown command {command!r}", line)
-    arity = COMMANDS[command][0]
-    if len(args) != arity:
-        raise ScriptSyntaxError(f"{command} takes {arity} argument(s), got {len(args)}", line)
+    kinds = CATALOGUE[command][1]
+    if len(args) != len(kinds):
+        raise ScriptSyntaxError(f"{command} takes {len(kinds)} argument(s), got {len(args)}", line)
+    for i, (kind, arg) in enumerate(zip(kinds, args), start=1):
+        if kind == "int":
+            try:
+                int(arg)
+            except ValueError:
+                raise ScriptSyntaxError(f"argument {i} of {command} must be an integer", line) from None
     return RefactorStep(command, args, line)
 
 

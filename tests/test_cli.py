@@ -5,6 +5,7 @@ import re
 import pytest
 
 from viewshift.cli import main
+from viewshift.script import CATALOGUE
 
 
 @pytest.fixture
@@ -146,12 +147,47 @@ def test_op_failure_exit_code(dirs, capsys):
 @pytest.mark.parametrize("tokens, message", [
     (["frobnicate", "eval"], "unknown command 'frobnicate'"),
     (["rename-top-level", "eval", "EvalMod"], "rename-top-level takes 3 argument(s), got 2"),
-], ids=["unknown-command", "wrong-arity"])
+    (["generalise", "eval", "Const", "evalConst", "EvalMod", "x", "y", "tupled", "OtherType"],
+     "argument 5 of generalise must be an integer (line 1)"),
+], ids=["unknown-command", "wrong-arity", "non-integer"])
 def test_op_usage_errors(dirs, capsys, tokens, message):
     out = dirs / "op_usage"
     assert main(["op", *tokens, str(dirs / "pfun"), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_op_without_a_project_lists_the_signatures(capsys):
+    assert main(["op", "rename-top-level", "--out", "unused"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "op needs a command, its arguments and a project directory; the commands:"
+    assert "  rename-top-level fun mod new" in err
+    assert "  generalise fun con local mod int new curried|tupled RecType|OtherType" in err
+    assert len(err) == 1 + len(CATALOGUE)
+
+
+def test_apply_non_integer_argument_exits_2_before_any_step(dirs, capsys):
+    # the first step would apply; the script is refused as a whole
+    bad = dirs / "int.vs"
+    bad.write_text("duplicate-into-comment eval EvalMod\ngenerative-fold eval k EvalMod\n")
+    out = dirs / "int_out"
+    assert main(["apply", str(bad), str(dirs / "pfun"), "--out", str(out), "--checked"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: argument 2 of generative-fold must be an integer (line 2)\n"
+    assert not out.exists()
+
+
+def test_checked_rename_to_an_entry_name_passes(dirs, capsys):
+    # EvalMod.r1 and Client's entry r1 both reach Client: the oracles look
+    # the entry up in its home module, so the unchanged program passes
+    script = dirs / "rename.vs"
+    script.write_text("rename-top-level eval EvalMod r1\n")
+    out = dirs / "rename_out"
+    assert main(["apply", str(script), str(dirs / "pfun"), "--out", str(out), "--checked"]) == 0
+    assert "[applied, equivalence pass]" in capsys.readouterr().out
+    assert main(["obs-eq", str(dirs / "pfun"), str(out), "--entries", "r1,r2"]) == 0
+    assert capsys.readouterr().out == "r1: '1+2' == '1+2'\nr2: '3' == '3'\nobservationally equivalent\n"
 
 
 def test_usage_errors(dirs, capsys):

@@ -12,7 +12,7 @@ from viewshift.evaluator import (
 )
 from viewshift.lang import Project, Var
 from viewshift.parse import parse_expr, parse_module
-from viewshift.refactorings import unfold_instance
+from viewshift.refactorings import rename_top_level, unfold_instance
 from viewshift.reference import evaluate_by_name, observe_entries_by_name
 from viewshift.resolver import ResolveError
 from viewshift.script import Script, run_script
@@ -201,6 +201,13 @@ def test_laziness_skips_unused_error():
         "module M where\nconst2 x y = x\nboom = boom\nentry = print (show (const2 7 boom))"
     )
     assert observe_entries(p, ["entry"], budget=10_000) == {"entry": "7"}
+
+
+@pytest.mark.parametrize("observe", [observe_entries, observe_entries_by_name], ids=["by-need", "by-name"])
+def test_entry_is_looked_up_in_its_home_module(pfun, observe):
+    # EvalMod.r1 reaches Client too, where a bare r1 would be ambiguous
+    renamed = rename_top_level(pfun, "eval", "EvalMod", "r1")
+    assert observe(renamed, ["r1", "r2"]) == {"r1": "1+2", "r2": "3"}
 
 
 ONES = (

@@ -34,7 +34,7 @@ from viewshift.resolver import (
     resolve_var, uses_of,
 )
 from viewshift.rewrite import minimize_qualifiers
-from viewshift.script import COMMANDS, RefactorStep, run_script
+from viewshift.script import CATALOGUE, COMMANDS, RefactorStep, run_script
 
 
 def _project(*texts: str) -> Project:
@@ -326,24 +326,7 @@ def test_declaration_shared_by_two_modules():
 
 _NEW = ["aux", "tmp", "eval", "r1", "Const"]
 _SPECS = {
-    "rename-top-level": ("fun", "mod", "new"),
-    "move-def": ("fun", "mod", "target"),
-    "remove-def": ("fun", "mod"),
-    "clean-imports": ("mod",),
-    "rm-from-exports": ("fun", "mod"),
-    "duplicate-into-comment": ("fun", "mod"),
-    "rm-comment-before": ("fun", "mod"),
-    "fold-def": ("fun", "mod"),
-    "unfold-instance": ("scope", "fun", "mod"),
-    "generalise-ident": ("fun", "mod", "scope", "new"),
-    "unify-alpha": ("fun", "fun", "mod"),
-    "case-to-eq": ("fun", "mod"),
-    "simplify-case-pattern": ("fun", "mod"),
-    "exhibit-function": ("fun", "con", "new", "mod"),
-    "new-def-fun-app": ("scope", "int", "new", "mod"),
-    "generative-fold": ("scope", "int", "mod"),
-    "lift-def": ("fun", "local", "mod"),
-    "remove-local-def": ("local", "fun", "mod"),
+    **{command: kinds for command, (_, kinds) in CATALOGUE.items()},
     # Not operations: edits made unchecked while importers stay the same
     # objects. drop-decl drops a declaration, which may leave the project
     # unresolvable; touch-decl puts in a new object for a declaration, with
@@ -353,6 +336,8 @@ _SPECS = {
     "touch-decl": ("fun", "mod"),
     "change-con": ("con", "mod"),
 }
+# an "a|b" kind draws one of its words
+_WORDS = {kind: kind.split("|") for kinds in _SPECS.values() for kind in kinds if "|" in kind}
 
 
 def _draw_step(draw, project: Project) -> RefactorStep:
@@ -371,6 +356,7 @@ def _draw_step(draw, project: Project) -> RefactorStep:
         "local": sorted({loc.name for d in mod.decls for eq in getattr(d, "equations", ())
                          for loc in eq.locals}) or ["none"],
         "int": ["1", "2"],
+        **_WORDS,
     }
     args = tuple(draw(st.sampled_from(pools[kind])) for kind in _SPECS[cmd])
     return RefactorStep(cmd, args, 1)

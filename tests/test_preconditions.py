@@ -399,6 +399,52 @@ def test_unify_missing(pfun):
     expect(pfun, "NotFound", R.unify_alpha_equivalent, "eval", "ghost", "EvalMod")
 
 
+# --- preconditions that several operations share ---
+
+SHARED = (
+    "module M where\n\ndata T = K Int\n\n"
+    "two (K i) = i\ntwo y = 0\n\n"
+    "loc x = case x of\n    K i -> g i\n    where\n        g j = j\n\n"
+    "tup (a, b) = case a of\n    K i -> b\n\n"
+    "bare x = x + 1\n\n"
+    "inlet x = let u = 1 in case x of\n    K i -> i + u\n\n"
+    "lifted x = h\n    where\n        h = bare x\n\n"
+    "h = 2\n\n"
+    "k x y = x\n\n"
+    "-- c 0 = 1\nc z = k z 2\n\n"
+    "use = loc (K 1) + bare 2"
+)
+
+
+@pytest.mark.parametrize("kind, message, fn, args", [
+    ("NotApplicable", "two must have a single equation", R.fold_top_level, ("two", "M")),
+    ("NotApplicable", "two must have a single equation", R.simplify_case_pattern, ("two", "M")),
+    ("NotApplicable", "two must have a single equation", R.case_to_eq, ("two", "M", 1)),
+    ("NotApplicable", "loc has where-locals", R.fold_top_level, ("loc", "M")),
+    ("NotApplicable", "loc has where-locals", R.case_to_eq, ("loc", "M", 1)),
+    ("NotApplicable", "loc has where-locals", R.unfold_instance, ("loc", "use", "M")),
+    ("NotApplicable", "tup's parameters must be plain variables", R.fold_top_level, ("tup", "M")),
+    ("NotApplicable", "tup's parameters must be plain variables", R.case_to_eq, ("tup", "M", 1)),
+    ("NotApplicable", "the body of bare is not a case expression", R.simplify_case_pattern, ("bare", "M")),
+    ("NotApplicable", "the body of bare is not a case expression", R.case_to_eq, ("bare", "M", 1)),
+    # simplify-case-pattern looks through lets; case-to-eq would drop them
+    ("NotApplicable", "the body of inlet is not a case expression", R.case_to_eq, ("inlet", "M", 1)),
+    ("NameClash", "bare is already in scope in M", R.exhibit_function, ("two", "K", "bare", "M")),
+    ("NameClash", "i is already in scope in M", R.exhibit_function, ("two", "K", "i", "M")),
+    ("NameClash", "use is already in scope in M", R.new_def_fun_app, ("bare", 1, "use", "M")),
+    ("NameClash", "bare is already in scope in M", R.rename_top_level, ("two", "M", "bare")),
+    ("NameClash", "h is already in scope in M", R.lift_to_top, ("lifted", "h", "M")),
+    ("NotApplicable", "the commented definition's parameters must be plain variables", R.generative_fold, ("k", 2, "M")),
+], ids=[
+    "single-fold", "single-simplify", "single-case-to-eq", "locals-fold", "locals-case-to-eq",
+    "locals-unfold", "plain-fold", "plain-case-to-eq", "case-simplify", "case-case-to-eq",
+    "let-case-to-eq", "bound-exhibit", "bound-exhibit-pattern", "bound-new-def", "bound-rename",
+    "bound-lift", "plain-commented",
+])
+def test_shared_precondition(kind, message, fn, args):
+    assert expect(_project(SHARED), kind, fn, *args).message == message
+
+
 # --- names the output could not parse back ---
 
 @pytest.mark.parametrize("fn,args", [

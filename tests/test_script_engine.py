@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -10,7 +11,7 @@ from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module, parse_project
 from viewshift.render import render_decl, render_module
 from viewshift.script import (
-    COMMANDS, RefactorStep, Script, ScriptSyntaxError, parse_script, run_script,
+    CATALOGUE, COMMANDS, RefactorStep, Script, ScriptSyntaxError, parse_script, run_script,
 )
 
 ENTRIES = ("r1", "r2", "r3", "r4")
@@ -30,6 +31,28 @@ def test_parse_script_arity_error():
     with pytest.raises(ScriptSyntaxError) as exc:
         parse_script("rename-top-level eval")
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("generalise eval Const evalConst EvalMod x y tupled OtherType", "argument 5 of generalise"),
+    ("new-def-fun-app eval two fp EvalMod", "argument 2 of new-def-fun-app"),
+    ("generative-fold eval 1.5 EvalMod", "argument 2 of generative-fold"),
+], ids=["generalise", "new-def-fun-app", "generative-fold"])
+def test_parse_script_rejects_a_non_integer_int_argument(line, message):
+    # refused while parsing, so the good step before it never runs
+    with pytest.raises(ScriptSyntaxError) as exc:
+        parse_script("clean-imports Client\n" + line)
+    assert exc.value.line == 2
+    assert str(exc.value) == f"{message} must be an integer (line 2)"
+
+
+def test_readme_command_set_is_the_catalogue():
+    # the README's command block lists each command with one word per argument
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    block = readme.split("The command set:\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = [entry.split() for line in block.splitlines() for entry in re.split(r"\s{2,}", line.strip())]
+    assert {words[0]: len(words) - 1 for words in listed} == {c: len(k) for c, (_, k) in CATALOGUE.items()}
+    assert len(listed) == len(CATALOGUE)
 
 
 def test_parse_script_unknown_command():
