@@ -3,8 +3,9 @@ alpha-equivalence and fresh-name generation."""
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Callable, Container
 from itertools import count
+from typing import Optional
 
 from .lang import (
     DataDecl, Expr, FunDecl, Project, TopDecl, Var, binder_children, decl_name,
@@ -88,12 +89,19 @@ def substitute_many(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 # --- alpha-equivalence ---
 
+# same_global(a, b): whether global variables a and b, one from each side,
+# denote the same definition
+GlobalEq = Optional[Callable[[Var, Var], bool]]
+
+
 def alpha_eq_expr(
-    a: Expr, b: Expr, left: tuple[str, ...] = (), right: tuple[str, ...] = ()
+    a: Expr, b: Expr, left: tuple[str, ...] = (), right: tuple[str, ...] = (),
+    same_global: GlobalEq = None,
 ) -> bool:
     """True iff a and b differ only in bound-variable names; left and right
     name the binders around a and b in binding order, and binders correspond
-    by position."""
+    by position. Global variables correspond when equal, or when
+    same_global, if given, says so."""
     stack = [(a, b, left, right)]
     while stack:
         a, b, left, right = stack.pop()
@@ -101,7 +109,9 @@ def alpha_eq_expr(
             if not isinstance(b, Var):
                 return False
             slot = var_slot(a, left)
-            if slot != var_slot(b, right) or (slot is None and a != b):
+            if slot != var_slot(b, right):
+                return False
+            if slot is None and not (a == b if same_global is None else same_global(a, b)):
                 return False
             continue
         kids = paired_children(a, b)
@@ -111,12 +121,14 @@ def alpha_eq_expr(
     return True
 
 
-def alpha_eq_decl(a: TopDecl, b: TopDecl) -> bool:
+def alpha_eq_decl(a: TopDecl, b: TopDecl, same_global: GlobalEq = None) -> bool:
     """True iff the declarations differ only in bound-variable names.
 
     The declared name itself binds (recursive references correspond), so
     fold1 and fold2 from the two transformation runs compare equal.
-    Attached comments are metadata and are ignored.
+    Attached comments are metadata and are ignored. With same_global, which
+    compares global variables as alpha_eq_expr's does, the declared name
+    binds nothing: a recursive reference is compared as any global one.
     """
     if isinstance(a, DataDecl) or isinstance(b, DataDecl):
         if not (isinstance(a, DataDecl) and isinstance(b, DataDecl)):
@@ -125,20 +137,22 @@ def alpha_eq_decl(a: TopDecl, b: TopDecl) -> bool:
     assert isinstance(a, FunDecl) and isinstance(b, FunDecl)
     if len(a.equations) != len(b.equations):
         return False
-    roots = []
+    roots, own_a, own_b = [], (a.name,), (b.name,)
+    if same_global is not None:
+        own_a = own_b = ()
     for ea, eb in zip(a.equations, b.equations):
         if (
             tuple(map(pattern_shape, ea.patterns)) != tuple(map(pattern_shape, eb.patterns))
             or [len(loc.params) for loc in ea.locals] != [len(loc.params) for loc in eb.locals]
         ):
             return False
-        left, right = (a.name,) + equation_scope(ea), (b.name,) + equation_scope(eb)
+        left, right = own_a + equation_scope(ea), own_b + equation_scope(eb)
         roots.append((ea.rhs, eb.rhs, left, right))
         roots += [
             (la.rhs, lb.rhs, left + la.params, right + lb.params)
             for la, lb in zip(ea.locals, eb.locals)
         ]
-    return all(alpha_eq_expr(*root) for root in roots)
+    return all(alpha_eq_expr(*root, same_global) for root in roots)
 
 
 def alpha_eq_project(a: Project, b: Project) -> bool:

@@ -212,13 +212,15 @@ class ProjectState:
     or to the ids of the declarations new since it was last validated,
     when its scope was kept. found is what the evaluator last found of its
     entries' modules (_entry_modules): (entries, entry -> modules, modules
-    changed since), or None."""
+    changed since), or None. replaced names the modules replaced since a
+    reader last set it (the script engine sets it to the empty set after
+    each step), or is None when no ancestor's state was known."""
 
     def __init__(self, table: SymbolTable, importers: dict[str, frozenset[str]],
                  unchecked: dict[str, Optional[frozenset[int]]], unminimised: set[str],
-                 found: Optional[tuple] = None):
+                 found: Optional[tuple] = None, replaced: Optional[frozenset[str]] = None):
         self.table, self.importers, self.unchecked, self.unminimised = table, importers, unchecked, unminimised
-        self.found = found
+        self.found, self.replaced = found, replaced
 
 
 def project_state(project: Project) -> ProjectState:
@@ -283,8 +285,9 @@ def project_state(project: Project) -> ProjectState:
         table = SymbolTable(dict(table.scopes), dict(table.constructors))
         _in_module_order(project, rescoped, rescope)
     found = old.found and (*old.found[:2], old.found[2] | changed)
+    replaced = None if old.replaced is None else old.replaced | changed
     state = project.__dict__["_state"] = ProjectState(
-        table, importers, unchecked, old.unminimised | changed | rescoped, found)
+        table, importers, unchecked, old.unminimised | changed | rescoped, found, replaced)
     project.__dict__.pop("_parent", None)
     return state
 

@@ -1,0 +1,142 @@
+"""Renaming certificates: a step they prove observes as its input does,
+and the wrong steps they refuse are caught by observation."""
+
+import pytest
+
+from viewshift import script
+from viewshift.corpus import load_fixture
+from viewshift.evaluator import observe_entries
+from viewshift.lang import Project, changed_modules, replace
+from viewshift.parse import parse_module
+from viewshift.refactorings import rename_top_level
+from viewshift.reference import observe_entries_by_name
+from viewshift.resolver import resolve_project
+from viewshift.script import COMMANDS, parse_script, renaming_certificate, run_script
+
+# The kinds of step that only rename, move, drop an unused declaration, or
+# edit imports or comments.
+RENAMING = {"rename-top-level", "move-def", "remove-def", "clean-imports", "rm-comment-before",
+            "duplicate-into-comment"}
+
+
+def _replaced(before: Project, after: Project) -> set[str]:
+    return changed_modules(before.modules, after.modules, before.modules.keys() | after.modules.keys())
+
+
+def _project(*texts: str) -> Project:
+    project = Project({m.name: m for m in map(parse_module, texts)})
+    resolve_project(project)
+    return project
+
+
+@pytest.mark.parametrize("origin, scripts, name, certified", [
+    ("pfun", "forward-script", "forward", 20),
+    ("pdata", "reverse-script", "reverse", 14),
+    ("scenario-mult", "scenario-mult", "reverse-mult", 17),
+    ("scenario-derive", "scenario-derive", "forward-derive", 30),
+], ids=["forward", "reverse", "reverse-mult", "forward-derive"])
+def test_a_certified_step_of_a_shipped_script_observes_as_its_input(origin, scripts, name, certified):
+    # Every step, step 1 included, is offered to the certificate against its
+    # input's observation; both oracles confirm each one it proves. It
+    # proves every step of the renaming kinds and no other.
+    project, run = load_fixture(origin).project, load_fixture(scripts).scripts[name]
+    entries = ("r1", "r2", "r3", "r4")
+    expected = observe_entries(project, entries)
+    proved = []
+    for step in run.steps:
+        before, project = project, COMMANDS[step.command][1](project, step)
+        if renaming_certificate(before, project, entries, expected, _replaced(before, project)):
+            assert observe_entries(project, entries) == expected, str(step)
+            assert observe_entries_by_name(project, entries) == expected, str(step)
+            proved.append(step.command)
+        else:
+            assert step.command not in RENAMING, str(step)
+    assert len(proved) == certified
+    assert set(proved) <= RENAMING
+
+
+def test_a_checked_run_proves_the_steps_the_certificate_does(pfun, forward_script):
+    # step 1 is observed, since the origin's observation is not yet known
+    _, log = run_script(pfun, forward_script, checked=True)
+    assert log.ok
+    assert [r.index for r in log.records if r.proof == "renaming"] == [
+        i for i, step in enumerate(forward_script.steps, start=1) if step.command in RENAMING and i > 1
+    ]
+
+
+def _refused_then_observed(monkeypatch, before: Project, after: Project, entries=("r1",)):
+    """The checked run of two steps, the first giving before back and the
+    second giving after, once the certificate is seen to refuse after."""
+    expected = observe_entries(before, entries)
+    assert not renaming_certificate(before, after, entries, expected, _replaced(before, after))
+    results = iter([before, after])
+    monkeypatch.setitem(script.COMMANDS, "clean-imports", (1, lambda project, step: next(results)))
+    _, log = run_script(before, parse_script("clean-imports Client\nclean-imports Client\n"), checked=True,
+                        entries=entries)
+    assert [(r.outcome, r.proof) for r in log.records] == [("applied", "observed")] * 2
+    assert log.records[0].equivalence == "pass"
+    return log.records[1]
+
+
+_CAPTURE = "module Client where\n\nk = 10\n\nh x = {} + x\n\nr1 = h 1\n"
+
+
+def test_a_renaming_without_capture_is_proved():
+    before = _project(_CAPTURE.format("k"))
+    after = rename_top_level(before, "k", "Client", "y")
+    assert renaming_certificate(before, after, ("r1",), {"r1": "11"}, _replaced(before, after))
+
+
+def test_a_renaming_that_captures_a_name_is_refused(monkeypatch):
+    # k renamed to x: h's parameter x captures the use of k
+    before = _project(_CAPTURE.format("k"))
+    after = _project(_CAPTURE.replace("k = 10", "x = 10").format("x"))
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert (record.equivalence, record.kind) == ("fail", "NotEquivalent")
+    assert record.error == "NotEquivalent: r1 expected '11', observed '2'"
+
+
+def test_a_renaming_that_leaves_a_use_unresolved_is_refused(monkeypatch):
+    before = _project(_CAPTURE.format("k"))
+    after = Project({"Client": parse_module(_CAPTURE.replace("k = 10", "z = 10").format("k"))})
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert (record.equivalence, record.kind) == ("fail", "UnresolvedName")
+
+
+def test_an_entry_whose_value_shows_a_closure_is_refused(monkeypatch):
+    # a closure shows its function's name, which the renaming changes
+    before = _project("module Client where\n\nf y = y + 1\n\nr1 = f\n")
+    after = rename_top_level(before, "f", "Client", "g")
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert (record.equivalence, record.kind) == ("fail", "NotEquivalent")
+    assert record.error == "NotEquivalent: r1 expected '<f>', observed '<g>'"
+
+
+def test_a_second_zero_argument_binding_of_an_entry_name_is_refused(monkeypatch):
+    # no module imports M, so the rename is legal, but r1 no longer has one home
+    before = _project("module Client where\n\nr1 = 1\n", "module M where\n\nk = 2\n")
+    after = rename_top_level(before, "k", "M", "r1")
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert (record.equivalence, record.kind) == ("fail", "UnresolvedName")
+    assert "entry r1 is defined in several modules" in record.error
+
+
+def test_an_import_that_redirects_a_kept_declaration_is_refused(monkeypatch):
+    # Client's declarations are the same objects, but f now comes from B
+    before = _project("module Client where\n\nimport A\n\nr1 = f\n", "module A where\n\nf = 1\n",
+                      "module B where\n\nf = 2\n")
+    client = before.modules["Client"]
+    after = Project({**before.modules, "Client": replace(client, imports=("B",))})
+    assert after.modules["Client"].decls is client.decls
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert (record.equivalence, record.kind) == ("fail", "NotEquivalent")
+    assert record.error == "NotEquivalent: r1 expected '1', observed '2'"
+
+
+def test_a_changed_constructor_is_refused(monkeypatch):
+    # the constructor renamed with its use: an observation shows its name
+    text = "module Client where\n\ndata T = {0} | B\n\nr1 = {0}\n"
+    before, after = _project(text.format("A")), _project(text.format("C"))
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert (record.equivalence, record.kind) == ("fail", "NotEquivalent")
+    assert record.error == "NotEquivalent: r1 expected 'A', observed 'C'"

@@ -178,6 +178,19 @@ def test_apply_non_integer_argument_exits_2_before_any_step(dirs, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["+1", "1_0", "١"], ids=["plus-sign", "underscore", "arabic-indic-digit"])
+def test_apply_int_argument_of_other_than_ascii_digits_exits_2(dirs, capsys, count):
+    # Python's int() reads each of these; the object language's lexer does not
+    bad = dirs / "int.vs"
+    bad.write_text(f"duplicate-into-comment eval EvalMod\ngenerative-fold eval {count} EvalMod\n", encoding="utf-8")
+    out = dirs / "int_out"
+    assert main(["apply", str(bad), str(dirs / "pfun"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: argument 2 of generative-fold must be an integer (line 2)\n"
+    assert not out.exists()
+
+
 def test_checked_rename_to_an_entry_name_passes(dirs, capsys):
     # EvalMod.r1 and Client's entry r1 both reach Client: the oracles look
     # the entry up in its home module, so the unchanged program passes

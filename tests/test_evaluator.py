@@ -279,14 +279,15 @@ def _checked_run_counts(monkeypatch, project, script) -> tuple[int, int, int]:
 def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
     # The compiled machine ticks where a tree walk over the same expressions
     # would. One evaluator per observation: the origin once, then each of the
-    # 51 steps, every entry forced on that evaluator's heap.
-    assert _checked_run_counts(monkeypatch, pfun, forward_script) == (52, 11_128, 4_084)
+    # 31 steps no renaming certificate proves, every entry forced on that
+    # evaluator's heap.
+    assert _checked_run_counts(monkeypatch, pfun, forward_script) == (32, 6_660, 2_424)
 
 
 @pytest.mark.parametrize("origin, scripts, script, counts", [
-    ("pdata", "reverse-script", "reverse", (23, 4_181, 1_465)),
-    ("scenario-mult", "scenario-mult", "reverse-mult", (28, 7_074, 2_546)),
-    ("scenario-derive", "scenario-derive", "forward-derive", (76, 22_548, 7_836)),
+    ("pdata", "reverse-script", "reverse", (10, 2_058, 744)),
+    ("scenario-mult", "scenario-mult", "reverse-mult", (12, 3_445, 1_275)),
+    ("scenario-derive", "scenario-derive", "forward-derive", (46, 13_366, 4_606)),
 ], ids=["pdata-reverse", "scenario-mult", "scenario-derive"])
 def test_checked_run_counts(monkeypatch, origin, scripts, script, counts):
     # the same pins for the other shipped conversions
@@ -299,7 +300,7 @@ def test_checked_forward_trace_sums_to_the_run_counts(pfun, forward_script):
     # observation of the origin
     _, log = run_script(pfun, forward_script, checked=True)
     records = [json.loads(line) for line in log.to_json().splitlines()[:-1]]
-    assert (sum(r["reductions"] for r in records), sum(r["forcings"] for r in records)) == (11_128, 4_084)
+    assert (sum(r["reductions"] for r in records), sum(r["forcings"] for r in records)) == (6_660, 2_424)
     first, _ = run_script(pfun, Script("first", forward_script.steps[:1]))
     origin, after = EvalStats(), EvalStats()
     observe_entries(pfun, ENTRIES, stats=origin)
@@ -329,7 +330,7 @@ def _count_calls(monkeypatch, *functions) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("checked, builds", [(False, 206), (True, 258)], ids=["unchecked", "checked"])
+@pytest.mark.parametrize("checked, builds", [(False, 206), (True, 238)], ids=["unchecked", "checked"])
 def test_forward_run_resolver_counts(pfun, forward_script, monkeypatch, checked, builds):
     # the call counts the benchmark reads from its traced paper forward run
     counts = _count_calls(

@@ -426,6 +426,48 @@ def test_move_then_inverse_is_identity(f, other):
     assert alpha_eq_project(back, project)
 
 
+# --- renaming certificates ---
+
+@st.composite
+def _renaming_steps(draw):
+    """pfun or pdata, its expected observation, and the result of a
+    rename-top-level or move-def of one of its functions, or None where the
+    operation refuses. A fresh
+    name is drawn from every name the project declares, binds or uses, so
+    local binders and other globals both come up."""
+    from viewshift.corpus import load_fixture
+    from viewshift.refactorings import RefactorError
+    from viewshift.resolver import module_names
+    fixture = load_fixture(draw(st.sampled_from(["pfun", "pdata"])))
+    project = fixture.project
+    m = draw(st.sampled_from(sorted(project.modules)))
+    f = draw(st.sampled_from([d.name for d in project.modules[m].decls if isinstance(d, FunDecl)] or ["none"]))
+    try:
+        if draw(st.booleans()):
+            names = sorted(set().union(*map(module_names, project.modules.values())) | {"tmp"})
+            after = R.rename_top_level(project, f, m, draw(st.sampled_from(names)))
+        else:
+            after = R.move_def(project, f, m, draw(st.sampled_from(sorted(project.modules) + ["Stash"])))
+    except RefactorError:
+        after = None
+    return project, fixture.expected, after
+
+
+@CASES
+@given(_renaming_steps())
+def test_a_certified_renaming_observes_as_its_input(case):
+    from viewshift.lang import changed_modules
+    from viewshift.script import renaming_certificate
+    before, expected, after = case
+    if after is None:
+        return
+    entries = tuple(expected)
+    replaced = changed_modules(before.modules, after.modules, before.modules.keys() | after.modules.keys())
+    if renaming_certificate(before, after, entries, expected, replaced):
+        assert observe_entries(after, entries) == expected
+        assert observe_entries_by_name(after, entries) == expected
+
+
 # --- the binder-scoping primitive ---
 
 @CASES
