@@ -621,8 +621,12 @@ def _entry_modules(project: Project, entries) -> dict[str, list[str]]:
     """Each entry -> the modules that bind it with no arguments, in name
     order: one pass over the modules serves every entry. The result is kept
     on the project's state (ProjectState.found); a state derived from one
-    that found the same entries reads only the modules changed since."""
+    that found the same entries reads only the modules changed since. Some
+    of the entries last found are looked up as all of them, so that the
+    state stays keyed by every entry."""
     state, entries = project_state(project), tuple(entries)
+    if state.found and set(entries) <= set(state.found[0]):
+        entries = state.found[0]
     _, was, todo = state.found if state.found and state.found[0] == entries else ((), {}, project.modules)
     hits = {entry: [m for m in was.get(entry, ()) if m not in todo] for entry in entries}
     for mname in sorted(todo):

@@ -12,7 +12,6 @@ trees.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 BUILTINS = ("show", "print")
@@ -42,6 +41,24 @@ def _inits(_0=None, _1=None, _2=None, _3=None, _4=None):
     return i0, i1, i2, i3, i4, i5
 
 
+def _keys():
+    """An __eq__ and a __hash__ of each arity up to five, over the fields
+    named _0... in order; record renames those attributes in their code."""
+    def e0(s, o): return True if o.__class__ is s.__class__ else NotImplemented
+    def e1(s, o): return (s._0,) == (o._0,) if o.__class__ is s.__class__ else NotImplemented
+    def e2(s, o): return (s._0, s._1) == (o._0, o._1) if o.__class__ is s.__class__ else NotImplemented
+    def e3(s, o): return (s._0, s._1, s._2) == (o._0, o._1, o._2) if o.__class__ is s.__class__ else NotImplemented
+    def e4(s, o): return (s._0, s._1, s._2, s._3) == (o._0, o._1, o._2, o._3) if o.__class__ is s.__class__ else NotImplemented
+    def e5(s, o): return (s._0, s._1, s._2, s._3, s._4) == (o._0, o._1, o._2, o._3, o._4) if o.__class__ is s.__class__ else NotImplemented
+    def h0(s): return hash(())
+    def h1(s): return hash((s._0,))
+    def h2(s): return hash((s._0, s._1))
+    def h3(s): return hash((s._0, s._1, s._2))
+    def h4(s): return hash((s._0, s._1, s._2, s._3))
+    def h5(s): return hash((s._0, s._1, s._2, s._3, s._4))
+    return (e0, e1, e2, e3, e4, e5), (h0, h1, h2, h3, h4, h5)
+
+
 def _frozen(self, name, value=None):
     raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -56,18 +73,19 @@ def record(cls):
     class attribute is a default), built by position or keyword, equal only
     within its class, hashed, printed and matched as a frozen dataclass is.
     Nothing is compiled: __init__ is an _inits closure with renamed
-    parameters. Instances keep a __dict__ for the memos kept on AST nodes."""
+    parameters, and __eq__ and __hash__ are _keys functions with renamed
+    attributes, which read the fields as plain attribute loads. Instances
+    keep a __dict__ for the memos kept on AST nodes."""
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     init = _inits(*fields)[len(fields)]
     init.__code__ = init.__code__.replace(co_varnames=("self",) + fields)
     init.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    key = attrgetter(*fields) if len(fields) > 1 else lambda self: tuple(getattr(self, f) for f in fields)
-
-    def __eq__(self, other):
-        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
-
-    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, __eq__, lambda self: hash(key(self)), _repr
+    eqs, hashes = _keys()
+    renamed = {f"_{i}": f for i, f in enumerate(fields)}
+    for fn in (eqs[len(fields)], hashes[len(fields)]):
+        fn.__code__ = fn.__code__.replace(co_names=tuple(renamed.get(n, n) for n in fn.__code__.co_names))
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, eqs[len(fields)], hashes[len(fields)], _repr
     cls.__setattr__ = cls.__delattr__ = _frozen
     cls.__match_args__ = fields
     return cls

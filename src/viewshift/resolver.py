@@ -79,6 +79,15 @@ def mentioned_names(mod: ModuleDef) -> frozenset[str]:
     return own["names"]
 
 
+def has_droppable(mod: ModuleDef) -> bool:
+    """Whether some declaration of mod has a qualifier that minimising could
+    drop (DeclReads.droppable): a module without one is minimal already."""
+    own = _own(mod)
+    if "droppable" not in own:
+        own["droppable"] = any(isinstance(d, FunDecl) and decl_reads(d).droppable for d in mod.decls)
+    return own["droppable"]
+
+
 def module_names(mod: ModuleDef) -> frozenset[str]:
     """Every name the module declares (constructors included), binds or
     uses; a fresh name outside it clashes with nothing in the module. Read

@@ -18,7 +18,7 @@ from .lang import (
 )
 from .names import free_vars
 from .resolver import (
-    SymbolTable, build_symbol_table, decl_reads, importers_of, mentioned_names, project_state,
+    SymbolTable, build_symbol_table, decl_reads, has_droppable, importers_of, mentioned_names, project_state,
 )
 
 
@@ -77,10 +77,11 @@ def requalify_name(
 
 def minimize_qualifiers(project: Project) -> Project:
     """Drop qualifiers wherever the bare name resolves uniquely to the target.
-    Only the modules the project's state has pending are visited, and the
-    result has none: minimizing changes no module's interface. In those
-    modules, a declaration is rewritten only when one of its droppable
-    qualifiers names the bare name's one candidate."""
+    Only the modules the project's state has pending and that have a
+    droppable qualifier are visited, and the result has none pending:
+    minimizing changes no module's interface. In those modules, a
+    declaration is rewritten only when one of its droppable qualifiers names
+    the bare name's one candidate."""
     table = build_symbol_table(project)
 
     def fix(mname: str, v: Var, bound: frozenset[str]) -> Expr:
@@ -99,7 +100,8 @@ def minimize_qualifiers(project: Project) -> Project:
                 return True
         return False
 
-    out = _rewrite_vars(project, fix, sorted(project_state(project).unminimised), touches)
+    pending = [m for m in sorted(project_state(project).unminimised) if has_droppable(project.modules[m])]
+    out = _rewrite_vars(project, fix, pending, touches)
     project_state(out).unminimised.clear()
     return out
 

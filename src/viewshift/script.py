@@ -119,6 +119,7 @@ class StepRecord:
         self.kind: Optional[str] = None  # the typed kind of error, when it has one
         self.equivalence: Optional[str] = None  # "pass" | "fail" | None
         self.proof: Optional[str] = None  # how the check decided: "renaming" | "observed" | None
+        self.evaluated: Optional[list[str]] = None  # the entries the check evaluated on the result
         self.elapsed = 0.0
         # module -> names of the declarations the step added, removed or replaced
         self.changed: dict[str, list[str]] = {}
@@ -133,7 +134,7 @@ class StepRecord:
         return {
             "index": self.index, "command": self.command, "args": list(self.args),
             "outcome": self.outcome, "kind": self.kind, "error": self.error, "equivalence": self.equivalence,
-            "proof": self.proof, "elapsed_s": self.elapsed, "changed": self.changed,
+            "proof": self.proof, "evaluated": self.evaluated, "elapsed_s": self.elapsed, "changed": self.changed,
             "check_s": self.check_s, "reductions": self.reductions, "forcings": self.forcings,
         }
 
@@ -211,31 +212,34 @@ def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
 # --- renaming certificates ---
 #
 # Translation validation for checked mode (Pnueli, Siegel and Singerman,
-# TACAS 1998; Necula, PLDI 2000): a step that only renames, moves, drops an
-# unused declaration, or edits imports or comments is proved observationally
-# equivalent to its input without evaluating either. The proof is a map φ
-# from the result's function definitions to the input's: the identity,
-# except that when exactly one function vanished and exactly one appeared,
-# the new one maps to the old one. When every declaration of the result is
-# its φ-preimage up to bound names, each global name read through φ
-# denoting what the preimage's name denotes, an evaluation of the result
-# takes the same reductions as one of the input and builds the same values,
-# with functions named through φ. So entries that φ fixes, and whose values
-# show no function, print the same.
+# TACAS 1998; Necula, PLDI 2000), one entry at a time (Necula's proof
+# obligations; Rothermel and Harrold's safe test selection, TOSEM 1997). A
+# step that only renames, moves, drops an unused declaration, or edits
+# imports or comments is proved observationally equivalent to its input on
+# an entry without evaluating either. The proof is a map φ from the
+# result's function definitions to the input's: the identity, except that
+# when exactly one function vanished and exactly one appeared, the new one
+# maps to the old one. Each function declaration of the result gets a
+# verdict: whether it is its φ-preimage up to bound names, each global name
+# read through φ denoting what the preimage's name denotes. An evaluation of
+# an entry whose every reachable declaration passes takes the same
+# reductions in the result as in the input and builds the same values, with
+# functions named through φ. So it prints the same when φ fixes the entry
+# and the value shows no function that φ, or a renamed where-local, renames.
 
 
 def renaming_certificate(
     before: Project, after: Project, entries: tuple[str, ...], expected: dict[str, str],
     replaced: Iterable[str],
-) -> bool:
-    """Whether after, the result of one step on before, observes as before
-    does on entries. expected is what before observes, and replaced names
-    every module whose object differs between the two. False refuses the
-    proof, and says nothing of the step."""
+) -> frozenset[str]:
+    """The entries on which after, the result of one step on before, is
+    proved to observe as before does. expected is what before observes, and
+    replaced names every module whose object differs between the two. An
+    entry left out is not proved, which says nothing of it."""
     try:
-        return _holds(before, after, entries, expected, sorted(replaced))
+        return _proved(before, after, tuple(entries), expected, sorted(replaced))
     except (ResolveError, RecursionError):
-        return False
+        return frozenset()
 
 
 def _functions(mod: ModuleDef | None) -> set[str]:
@@ -244,6 +248,10 @@ def _functions(mod: ModuleDef | None) -> set[str]:
 
 def _data(mod: ModuleDef | None) -> list:
     return [(d.name, d.constructors) for d in mod.decls if isinstance(d, DataDecl)] if mod is not None else []
+
+
+def _local_names(d: FunDecl) -> list[str]:
+    return [loc.name for eq in d.equations for loc in eq.locals]
 
 
 def _sites(project: Project, table: SymbolTable):
@@ -259,24 +267,24 @@ def _sites(project: Project, table: SymbolTable):
     return resolve
 
 
-def _holds(before: Project, after: Project, entries, expected: dict[str, str], replaced: list[str]) -> bool:
-    # The cheap tests first. A closure shows its function's name, which φ
-    # may change.
-    if any("<" in text for text in expected.values()):
-        return False
+def _proved(before: Project, after: Project, entries, expected: dict[str, str], replaced: list[str]) -> frozenset:
     was, now = before.modules, after.modules
     if any(m not in now for m in replaced):
-        return False
+        return frozenset()
     vanished = [DefRef(m, n, "fun") for m in replaced for n in _functions(was.get(m)) - _functions(now[m])]
     appeared = [DefRef(m, n, "fun") for m in replaced for n in _functions(now[m]) - _functions(was.get(m))]
     phi = {appeared[0]: vanished[0]} if len(vanished) == len(appeared) == 1 else {}
     if len(appeared) != len(phi) or any(_data(was.get(m)) != _data(now[m]) for m in replaced):
-        return False
+        return frozenset()
     # An entry bound in the same one module of both is fixed by φ, which
-    # moves only a function new to its module.
+    # moves only a function new to its module. A closure shows its
+    # function's name, which only the identity keeps for certain.
     homes_was, homes_now = _entry_modules(before, entries), _entry_modules(after, entries)
-    if any(len(homes_now[entry]) != 1 or homes_now[entry] != homes_was[entry] for entry in entries):
-        return False
+    homes = {entry: homes_now[entry][0] for entry in entries
+             if len(homes_now[entry]) == 1 and homes_now[entry] == homes_was[entry]
+             and not (phi and "<" in expected[entry])}
+    if not homes:
+        return frozenset()
 
     state = project_state(after)
     old, new = project_state(before).table, state.table
@@ -294,33 +302,87 @@ def _holds(before: Project, after: Project, entries, expected: dict[str, str], r
             for c in checks if c[0] in ("con", "pcon")
         )
 
-    # Each new declaration object against its φ-preimage, changed modules
-    # first; then the reads of the kept declarations of each module whose
-    # scope changed, each distinct read once, the changed modules before
-    # their importers.
-    kept: dict[str, set[int]] = {}
-    for m in replaced:
-        kept[m] = {id(d) for d in was[m].decls} if m in was else set()
-        for d in now[m].decls:
-            if id(d) in kept[m] or not isinstance(d, FunDecl):
-                continue
-            ref = DefRef(m, d.name, "fun")
-            src = phi.get(ref, ref)
-            prior = decl_index(was[src.module]).get(src.name) if src.module in was else None
-            if not (isinstance(prior, FunDecl) and same_constructors(src.module, m, decl_reads(d).checks)
-                    and alpha_eq_decl(prior, d, lambda a, b: same_site(src.module, a, m, b))):
-                return False
+    def preimage(module: str, d: FunDecl) -> tuple[str, FunDecl | None]:
+        """The module of before that φ maps d of after's module to, and the
+        declaration there, if it is a function's."""
+        ref = DefRef(module, d.name, "fun")
+        src = phi.get(ref, ref)
+        prior = decl_index(was[src.module]).get(src.name) if src.module in was else None
+        return src.module, prior if isinstance(prior, FunDecl) else None
+
+    # The declarations whose verdict is not given: each new declaration
+    # object, and each kept one of a module whose scope changed; the changed
+    # modules first, then their importers. Any other declaration of after is
+    # an object before held, reading through the same scope.
+    suspects: dict[int, tuple[str, FunDecl, bool]] = {}  # id -> (module, declaration, whether new)
     importers = state.importers
-    for m in [*replaced, *sorted({i for m in replaced for i in importers.get(m, ())} - kept.keys())]:
-        if m not in was or new.scopes[m] is old.scopes.get(m):
+    for m in [*replaced, *sorted({i for m in replaced for i in importers.get(m, ())}.difference(replaced))]:
+        prior_mod = was.get(m)
+        rescoped = prior_mod is not None and new.scopes[m] is not old.scopes.get(m)
+        if prior_mod is now[m] and not rescoped:
             continue
-        ids = kept.get(m)  # None: the module object is kept, and all of it
-        reads = {c for d in now[m].decls if isinstance(d, FunDecl) and (ids is None or id(d) in ids)
-                 for c in decl_reads(d).checks}
-        sites = (Var(c[2], c[1]) for c in reads if c[0] == "var")
-        if not (same_constructors(m, m, reads) and all(same_site(m, v, m, v) for v in sites)):
-            return False
-    return True
+        kept = {id(d) for d in prior_mod.decls} if prior_mod is not None else set()
+        suspects.update((id(d), (m, d, id(d) not in kept)) for d in now[m].decls
+                        if isinstance(d, FunDecl) and (rescoped or id(d) not in kept))
+    verdicts: dict[int, bool] = {}
+    reads: dict[tuple[str, str | None, str], bool] = {}
+
+    def reads_as_before(module: str, qualifier: str | None, name: str) -> bool:
+        site = (module, qualifier, name)
+        if site not in reads:
+            v = Var(name, qualifier)
+            reads[site] = same_site(module, v, module, v)
+        return reads[site]
+
+    def verdict(d: FunDecl) -> bool:
+        """Whether d of after is its φ-preimage up to bound names, or a kept
+        declaration whose reads resolve as before through φ; memoised."""
+        key = id(d)
+        if key not in suspects:
+            return True
+        if key not in verdicts:
+            m, _, fresh = suspects[key]
+            checks = decl_reads(d).checks
+            try:
+                if fresh:
+                    src, prior = preimage(m, d)
+                    verdicts[key] = prior is not None and same_constructors(src, m, checks) and alpha_eq_decl(
+                        prior, d, lambda a, b: same_site(src, a, m, b))
+                else:
+                    verdicts[key] = same_constructors(m, m, checks) and all(
+                        reads_as_before(m, c[1], c[2]) for c in checks if c[0] == "var")
+            except (ResolveError, RecursionError):
+                verdicts[key] = False
+        return verdicts[key]
+
+    if all("<" not in expected[entry] for entry in homes) and all(verdict(d) for _, d, _ in suspects.values()):
+        return frozenset(homes)
+    clean: set[DefRef] = set()  # definitions of after whose every reachable one passed
+
+    def reaches_only_passing(entry: str) -> bool:
+        """Whether each function declaration entry reaches in after, through
+        resolved global sites, passes its verdict; where its value shows a
+        closure, each new one also keeps its where-locals' names."""
+        closure = "<" in expected[entry]
+        todo, seen = [DefRef(homes[entry], entry, "fun")], set()
+        while todo:
+            ref = todo.pop()
+            if ref in seen or ref in clean and not closure:
+                continue
+            seen.add(ref)
+            d = decl_index(now[ref.module]).get(ref.name)
+            if not isinstance(d, FunDecl) or not verdict(d):
+                return False
+            if closure and id(d) in suspects and _local_names(d) != _local_names(preimage(ref.module, d)[1]):
+                return False
+            scope = new.scopes[ref.module]
+            for c in decl_reads(d).checks:
+                if c[0] == "var":  # the scope's one candidate, as evaluator._site reads it
+                    refs = scope.get(c[2], ()) if c[1] is None else ()
+                    todo.append(refs[0] if len(refs) == 1 else resolve_new(ref.module, c[1], c[2]))
+        clean.update(seen)
+        return True
+    return frozenset(entry for entry in homes if reaches_only_passing(entry))
 
 
 _SHOWN = 60  # characters of an observation that a divergence names
@@ -356,12 +418,14 @@ def run_script(
     With checked=True the current project is compared observationally with
     the origin after every step; a disagreement aborts the run, its record
     naming each entry that diverged. The origin is observed once, at the first
-    checked step, whose record counts that cost too; its entries' modules are
-    found before the first step, so that step's project derives them. Each
-    later step first tries a renaming certificate against its input
-    (renaming_certificate), and passes without evaluation when
-    it holds. With a snapshot directory, every intermediate project is
-    rendered to disk.
+    checked step and before its certificate, and that step's record counts
+    the cost; its entries' modules are found before the first step, so that
+    step's project derives them. Each step offers its result to a renaming
+    certificate against its input (renaming_certificate) and evaluates only
+    the entries it does not prove; a step whose every entry is proved
+    passes without evaluation.
+    With a snapshot directory, every intermediate project is rendered to
+    disk.
     """
     resolve_project(project)
     project_state(project).replaced = frozenset()
@@ -385,22 +449,23 @@ def run_script(
             return project, log
         if checked:
             t1, stats = time.perf_counter(), EvalStats()
-            if expected is not None and renaming_certificate(
-                before, project, entries, expected, _replaced(before, project)
-            ):
-                same, record.proof = True, "renaming"
-            else:
-                record.proof = "observed"
-                try:
-                    if expected is None:
-                        expected = observe_entries(origin, entries, stats=stats)
-                    observed = observe_entries(project, entries, stats=stats)
-                    same = expected == observed
+            record.proof, record.evaluated = "observed", []
+            try:
+                if expected is None:
+                    expected = observe_entries(origin, entries, stats=stats)
+                proved = renaming_certificate(before, project, entries, expected, _replaced(before, project))
+                record.evaluated = [e for e in entries if e not in proved]
+                if record.evaluated:
+                    observed = observe_entries(project, record.evaluated, stats=stats)
+                    same = all(expected[e] == observed[e] for e in record.evaluated)
                     if not same:
-                        record.error, record.kind = _divergence(entries, expected, observed), "NotEquivalent"
-                except (EvalError, ResolveError, RecursionError) as exc:
-                    same = False
-                    record.error, record.kind = _failure(exc)
+                        record.error = _divergence(record.evaluated, expected, observed)
+                        record.kind = "NotEquivalent"
+                else:
+                    same, record.proof = True, "renaming"
+            except (EvalError, ResolveError, RecursionError) as exc:
+                same = False
+                record.error, record.kind = _failure(exc)
             record.equivalence = "pass" if same else "fail"
             record.check_s = time.perf_counter() - t1
             record.reductions, record.forcings = stats.steps, stats.forcings

@@ -5,7 +5,7 @@ import pytest
 
 from viewshift import script
 from viewshift.corpus import load_fixture
-from viewshift.evaluator import observe_entries
+from viewshift.evaluator import default_entries, observe_entries
 from viewshift.lang import Project, changed_modules, replace
 from viewshift.parse import parse_module
 from viewshift.refactorings import rename_top_level
@@ -29,53 +29,64 @@ def _project(*texts: str) -> Project:
     return project
 
 
-@pytest.mark.parametrize("origin, scripts, name, certified", [
-    ("pfun", "forward-script", "forward", 20),
-    ("pdata", "reverse-script", "reverse", 14),
-    ("scenario-mult", "scenario-mult", "reverse-mult", 17),
-    ("scenario-derive", "scenario-derive", "forward-derive", 30),
+@pytest.mark.parametrize("origin, scripts, name, certified, entries_proved", [
+    ("pfun", "forward-script", "forward", 20, 128),
+    ("pdata", "reverse-script", "reverse", 14, 72),
+    ("scenario-mult", "scenario-mult", "reverse-mult", 17, 132),
+    ("scenario-derive", "scenario-derive", "forward-derive", 30, 309),
 ], ids=["forward", "reverse", "reverse-mult", "forward-derive"])
-def test_a_certified_step_of_a_shipped_script_observes_as_its_input(origin, scripts, name, certified):
+def test_a_certified_step_of_a_shipped_script_observes_as_its_input(origin, scripts, name, certified,
+                                                                     entries_proved):
     # Every step, step 1 included, is offered to the certificate against its
-    # input's observation; both oracles confirm each one it proves. It
-    # proves every step of the renaming kinds and no other.
+    # input's observation; both oracles confirm each entry it proves. It
+    # proves every entry of each step of the renaming kinds, and every entry
+    # of no other step.
     project, run = load_fixture(origin).project, load_fixture(scripts).scripts[name]
-    entries = ("r1", "r2", "r3", "r4")
+    entries = tuple(default_entries(project))
     expected = observe_entries(project, entries)
-    proved = []
+    steps, proved_entries = [], 0
     for step in run.steps:
         before, project = project, COMMANDS[step.command][1](project, step)
-        if renaming_certificate(before, project, entries, expected, _replaced(before, project)):
-            assert observe_entries(project, entries) == expected, str(step)
-            assert observe_entries_by_name(project, entries) == expected, str(step)
-            proved.append(step.command)
+        proved = [e for e in entries if e in renaming_certificate(
+            before, project, entries, expected, _replaced(before, project))]
+        shown = {e: expected[e] for e in proved}
+        assert observe_entries(project, proved) == shown, str(step)
+        assert observe_entries_by_name(project, proved) == shown, str(step)
+        if len(proved) == len(entries):
+            steps.append(step.command)
         else:
             assert step.command not in RENAMING, str(step)
-    assert len(proved) == certified
-    assert set(proved) <= RENAMING
+        proved_entries += len(proved)
+    assert (len(steps), proved_entries) == (certified, entries_proved)
+    assert set(steps) <= RENAMING
 
 
 def test_a_checked_run_proves_the_steps_the_certificate_does(pfun, forward_script):
-    # step 1 is observed, since the origin's observation is not yet known
     _, log = run_script(pfun, forward_script, checked=True)
     assert log.ok
     assert [r.index for r in log.records if r.proof == "renaming"] == [
-        i for i, step in enumerate(forward_script.steps, start=1) if step.command in RENAMING and i > 1
+        i for i, step in enumerate(forward_script.steps, start=1) if step.command in RENAMING
     ]
 
 
-def _refused_then_observed(monkeypatch, before: Project, after: Project, entries=("r1",)):
-    """The checked run of two steps, the first giving before back and the
-    second giving after, once the certificate is seen to refuse after."""
-    expected = observe_entries(before, entries)
-    assert not renaming_certificate(before, after, entries, expected, _replaced(before, after))
+def _checked_run(monkeypatch, before: Project, after: Project, entries):
+    """The checked run of two steps, the first giving before back, which
+    the certificate proves, and the second giving after."""
     results = iter([before, after])
     monkeypatch.setitem(script.COMMANDS, "clean-imports", (1, lambda project, step: next(results)))
     _, log = run_script(before, parse_script("clean-imports Client\nclean-imports Client\n"), checked=True,
                         entries=entries)
-    assert [(r.outcome, r.proof) for r in log.records] == [("applied", "observed")] * 2
+    assert [(r.outcome, r.proof) for r in log.records] == [("applied", "renaming"), ("applied", "observed")]
     assert log.records[0].equivalence == "pass"
     return log.records[1]
+
+
+def _refused_then_observed(monkeypatch, before: Project, after: Project, entries=("r1",)):
+    """The second step of _checked_run, once the certificate is seen to
+    refuse after on every entry."""
+    expected = observe_entries(before, entries)
+    assert not renaming_certificate(before, after, entries, expected, _replaced(before, after))
+    return _checked_run(monkeypatch, before, after, entries)
 
 
 _CAPTURE = "module Client where\n\nk = 10\n\nh x = {} + x\n\nr1 = h 1\n"
@@ -96,6 +107,20 @@ def test_a_renaming_that_captures_a_name_is_refused(monkeypatch):
     assert record.error == "NotEquivalent: r1 expected '11', observed '2'"
 
 
+def test_a_wrong_change_is_evaluated_on_the_one_entry_that_reaches_it(monkeypatch):
+    # the capturing renaming above, with two entries that reach neither k
+    # nor h: they are proved, and only r1 is evaluated and fails
+    text = _CAPTURE + "\nr2 = 5\n\nr3 = r2 + 1\n"
+    before = _project(text.format("k"))
+    after = _project(text.replace("k = 10", "x = 10").format("x"))
+    entries = ("r1", "r2", "r3")
+    expected = observe_entries(before, entries)
+    assert renaming_certificate(before, after, entries, expected, _replaced(before, after)) == {"r2", "r3"}
+    record = _checked_run(monkeypatch, before, after, entries)
+    assert (record.equivalence, record.kind, record.evaluated) == ("fail", "NotEquivalent", ["r1"])
+    assert record.error == "NotEquivalent: r1 expected '11', observed '2'"
+
+
 def test_a_renaming_that_leaves_a_use_unresolved_is_refused(monkeypatch):
     before = _project(_CAPTURE.format("k"))
     after = Project({"Client": parse_module(_CAPTURE.replace("k = 10", "z = 10").format("k"))})
@@ -110,6 +135,16 @@ def test_an_entry_whose_value_shows_a_closure_is_refused(monkeypatch):
     record = _refused_then_observed(monkeypatch, before, after)
     assert (record.equivalence, record.kind) == ("fail", "NotEquivalent")
     assert record.error == "NotEquivalent: r1 expected '<f>', observed '<g>'"
+
+
+def test_an_entry_that_shows_a_closure_is_proved_while_each_name_it_can_show_stays():
+    # φ is the identity here; a where-local's name is a bound name, which
+    # alpha-equivalence lets a step change, but its closure shows it
+    text = "module Client where\n\nf y = {0}\n  where\n    {0} z = z + y\n\nr1 = f 1\n"
+    before, same, renamed = _project(text.format("g")), _project(text.format("g")), _project(text.format("h"))
+    assert renaming_certificate(before, same, ("r1",), {"r1": "<g>"}, _replaced(before, same)) == {"r1"}
+    assert renaming_certificate(before, renamed, ("r1",), {"r1": "<g>"}, _replaced(before, renamed)) == set()
+    assert observe_entries(renamed, ("r1",)) == {"r1": "<h>"}
 
 
 def test_a_second_zero_argument_binding_of_an_entry_name_is_refused(monkeypatch):

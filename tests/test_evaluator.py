@@ -279,15 +279,15 @@ def _checked_run_counts(monkeypatch, project, script) -> tuple[int, int, int]:
 def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
     # The compiled machine ticks where a tree walk over the same expressions
     # would. One evaluator per observation: the origin once, then each of the
-    # 31 steps no renaming certificate proves, every entry forced on that
-    # evaluator's heap.
-    assert _checked_run_counts(monkeypatch, pfun, forward_script) == (32, 6_660, 2_424)
+    # 31 steps on which a renaming certificate leaves an entry unproved,
+    # every such entry forced on that evaluator's heap.
+    assert _checked_run_counts(monkeypatch, pfun, forward_script) == (32, 4_327, 1_661)
 
 
 @pytest.mark.parametrize("origin, scripts, script, counts", [
-    ("pdata", "reverse-script", "reverse", (10, 2_058, 744)),
-    ("scenario-mult", "scenario-mult", "reverse-mult", (12, 3_445, 1_275)),
-    ("scenario-derive", "scenario-derive", "forward-derive", (46, 13_366, 4_606)),
+    ("pdata", "reverse-script", "reverse", (9, 1_083, 429)),
+    ("scenario-mult", "scenario-mult", "reverse-mult", (11, 1_776, 704)),
+    ("scenario-derive", "scenario-derive", "forward-derive", (46, 7_407, 2_724)),
 ], ids=["pdata-reverse", "scenario-mult", "scenario-derive"])
 def test_checked_run_counts(monkeypatch, origin, scripts, script, counts):
     # the same pins for the other shipped conversions
@@ -297,14 +297,16 @@ def test_checked_run_counts(monkeypatch, origin, scripts, script, counts):
 
 def test_checked_forward_trace_sums_to_the_run_counts(pfun, forward_script):
     # each step's record holds its check cost; step 1's includes the one
-    # observation of the origin
+    # observation of the origin, and its own of the entries the certificate
+    # leaves unproved
     _, log = run_script(pfun, forward_script, checked=True)
     records = [json.loads(line) for line in log.to_json().splitlines()[:-1]]
-    assert (sum(r["reductions"] for r in records), sum(r["forcings"] for r in records)) == (6_660, 2_424)
+    assert (sum(r["reductions"] for r in records), sum(r["forcings"] for r in records)) == (4_327, 1_661)
     first, _ = run_script(pfun, Script("first", forward_script.steps[:1]))
     origin, after = EvalStats(), EvalStats()
     observe_entries(pfun, ENTRIES, stats=origin)
-    observe_entries(first, ENTRIES, stats=after)
+    assert records[0]["evaluated"] == ["r2", "r4"]
+    observe_entries(first, records[0]["evaluated"], stats=after)
     assert records[0]["reductions"] == origin.steps + after.steps
     assert records[0]["forcings"] == origin.forcings + after.forcings
 

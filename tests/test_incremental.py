@@ -635,21 +635,26 @@ def test_step_visits_as_many_modules_however_large_the_project(monkeypatch, toke
     monkeypatch.setattr(resolver, "_collect_reads", collect)
     monkeypatch.setattr(refactorings, "_imported_from", imported_from)
     step = RefactorStep(tokens[0], tokens[1:], 1)
-    seen = []
+    seen, first = [], []
     for count in (10, 80, 320):
-        project = minimize_qualifiers(_padded_pfun(count))
-        resolve_project(project)  # the state a step leaves: resolved and minimal
-        visits.clear()
-        asked.clear()
-        COMMANDS[step.command][1](project, step)
-        seen.append(sorted(visits))
-        # a fresh name for a call from another module avoids every module's
-        # names, read from remembered reads: no declaration is walked
-        assert sorted(asked) == (sorted(project.modules) if step.command == "generalise-ident" else [])
+        minimal = minimize_qualifiers(_padded_pfun(count))
+        # the state a step leaves, and a freshly parsed project as the first
+        # step of a run meets it, with every module pending: both resolved
+        # and minimal
+        for project, visited in ((minimal, seen), (_fresh(minimal), first)):
+            resolve_project(project)
+            visits.clear()
+            asked.clear()
+            COMMANDS[step.command][1](project, step)
+            visited.append(sorted(visits))
+            # a fresh name for a call from another module avoids every module's
+            # names, read from remembered reads: no declaration is walked
+            assert sorted(asked) == (sorted(project.modules) if step.command == "generalise-ident" else [])
     assert {kind for kind, _ in seen[0]} >= probes
     if step.command == "duplicate-into-comment":  # no interface changes
         assert [s for s in seen[0] if s[0] in _SCOPED] == [("_check_module", "EvalMod")]
     assert seen[0] == seen[1] == seen[2]
+    assert first[0] == first[1] == first[2]
 
 
 @pytest.mark.parametrize("tokens", [
@@ -849,6 +854,21 @@ def test_observation_after_a_step_reads_only_the_changed_modules_index(monkeypat
     })
     assert observe_entries(moved, entries) == observe_entries_by_name(moved, entries)
     assert sorted(lookups) == ["Pad07", "Pad39"]
+
+
+def test_observing_some_of_the_entries_scans_no_module(monkeypatch):
+    # a checked step evaluates only the entries its certificate leaves
+    # unproved: the state keeps the modules of every entry, so looking up
+    # some of them reads no module's index, now or after the next step
+    project = minimize_qualifiers(_padded_pfun(40))
+    entries = ("r1", "r2", "r3", "r4") + tuple(f"q{i:02d}" for i in range(40))
+    observe_entries(project, entries)
+    lookups = _entry_index_reads(monkeypatch)
+    assert observe_entries(project, ("r2", "q05")) == observe_entries_by_name(project, ("r2", "q05"))
+    assert lookups == []
+    commented = refactorings.duplicate_into_comment(project, "q07", "Pad07")
+    assert observe_entries(commented, entries) == observe_entries_by_name(commented, entries)
+    assert lookups == ["Pad07"]
 
 
 def test_checked_run_reads_each_module_index_once(monkeypatch, forward_script):

@@ -229,7 +229,8 @@ def test_too_deep_observation_fails_the_step(depth, record):
 
 
 _STEP_KEYS = {
-    "index", "command", "args", "outcome", "kind", "error", "equivalence", "proof", "elapsed_s", "changed",
+    "index", "command", "args", "outcome", "kind", "error", "equivalence", "proof", "evaluated", "elapsed_s",
+    "changed",
     "check_s", "reductions", "forcings",
 }
 
@@ -263,15 +264,17 @@ def test_trace_records_each_step_and_the_declarations_it_changed(pfun, forward_s
         assert (record["outcome"], record["kind"], record["equivalence"]) == ("applied", None, "pass")
         assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] > 0
         assert 0 < record["check_s"] < record["elapsed_s"]
-        if record["proof"] == "renaming":  # proved without evaluation
-            assert (record["reductions"], record["forcings"]) == (0, 0)
+        if record["proof"] == "renaming":  # every entry proved without evaluation
+            assert (record["evaluated"], record["reductions"], record["forcings"]) == ([], 0, 0)
         else:
             assert record["proof"] == "observed"
+            assert set(record["evaluated"]) <= set(ENTRIES) and record["evaluated"]
             assert record["reductions"] > 0 and record["forcings"] > 0
         before = tmp_path / f"step_{record['index'] - 1:03d}"
         after = tmp_path / f"step_{record['index']:03d}"
         assert record["changed"] == _render_diff(before, after), str(step)
     assert sum(r["proof"] == "renaming" for r in records[:-1]) == 20
+    assert sum(len(r["evaluated"]) for r in records[:-1]) == 76
     summary = records[-1]["summary"]
     assert set(summary) == {"script", "steps", "applied", "ok", "elapsed_s", "peak_rss_mb"}
     assert (summary["steps"], summary["applied"], summary["ok"]) == (51, 51, True)
@@ -283,14 +286,14 @@ def test_trace_of_a_failed_step_holds_its_kind():
     step, summary = map(json.loads, log.to_json().splitlines())
     assert (step["outcome"], step["kind"], step["changed"]) == ("failed", "NotFound", {})
     assert step["error"].startswith("NotFound: ")
-    assert (step["proof"], step["check_s"], step["reductions"], step["forcings"]) == (None, None, None, None)
+    assert (step["proof"], step["evaluated"], step["check_s"], step["reductions"], step["forcings"]) == (None,) * 5
     assert (summary["summary"]["applied"], summary["summary"]["ok"]) == (0, False)
 
 
 def test_unchecked_trace_has_no_check_cost(pfun, forward_script):
     _, log = run_script(pfun, forward_script)
     assert log.ok
-    assert {(r.proof, r.check_s, r.reductions, r.forcings) for r in log.records} == {(None, None, None, None)}
+    assert {(r.proof, r.evaluated, r.check_s, r.reductions, r.forcings) for r in log.records} == {(None,) * 5}
 
 
 def _observed(monkeypatch) -> list[Project]:
@@ -305,12 +308,18 @@ def _observed(monkeypatch) -> list[Project]:
     return seen
 
 
-def test_checked_run_observes_the_origin_once(pfun, forward_script, monkeypatch):
-    # then each of the 31 steps that no renaming certificate proves
+def test_checked_run_observes_the_origin_once(pfun, forward_script, pdata, reverse_script, monkeypatch):
+    # then each of the 31 steps on which a renaming certificate leaves an
+    # entry unproved; the origin is observed before step 1 is offered to the
+    # certificate, which proves reverse's opening duplicate-into-comment
     seen = _observed(monkeypatch)
     _, log = run_script(pfun, forward_script, checked=True, entries=ENTRIES)
     assert log.ok
     assert [p is pfun for p in seen] == [True] + [False] * 31
+    seen.clear()
+    _, log = run_script(pdata, reverse_script, checked=True, entries=ENTRIES)
+    assert log.ok and log.records[0].proof == "renaming"
+    assert [p is pdata for p in seen] == [True] + [False] * 8
 
 
 def test_checked_run_whose_first_step_fails_observes_nothing(pfun, monkeypatch):
