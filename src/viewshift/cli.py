@@ -118,7 +118,12 @@ def _cmd_eval(args) -> int:
                 print(f"cannot locate a unique binding {name}", file=sys.stderr)
                 return FAIL_EXIT
             module = hits[0]
-    value = evaluate(project, module, Var(name))
+    # A name the module defines is read as its own, as observe_entries reads
+    # an entry, even where an import binds the same name; any other name is
+    # looked up in the module's scope.
+    mod = project.modules.get(module)
+    own = mod is not None and isinstance(mod.decl(name), FunDecl)
+    value = evaluate(project, module, Var(name, module if own else None))
     print(value.text if isinstance(value, VOutput) else show_value(value))
     return 0
 

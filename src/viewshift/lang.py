@@ -533,6 +533,38 @@ def map_scoped(e: Expr, bound: frozenset[str], fn) -> Expr:
     return fn(e, bound)
 
 
+def map_vars(e: Expr, bound: frozenset[str], fn) -> Expr:
+    """map_scoped(e, bound, g) where g(node, bound names) is fn on a variable
+    and the node itself on any other: fn sees only the variables, and a node
+    with no changed variable beneath it comes back as the same object. Like
+    map_scoped it takes one Python frame per level of nesting, so every
+    child is rewritten by a direct call, never inside a comprehension."""
+    kind = type(e)  # the node classes are final
+    if kind is Var:
+        return fn(e, bound)
+    if kind is App:
+        f, a = map_vars(e.fn, bound, fn), map_vars(e.arg, bound, fn)
+        return e if f is e.fn and a is e.arg else App(f, a)
+    if kind is Infix:
+        lhs, rhs = map_vars(e.lhs, bound, fn), map_vars(e.rhs, bound, fn)
+        return e if lhs is e.lhs and rhs is e.rhs else Infix(e.op, lhs, rhs)
+    if kind is ConApp or kind is Tuple:
+        items, changed = [], False
+        for kid in (e.args if kind is ConApp else e.items):
+            items.append(new := map_vars(kid, bound, fn))
+            changed = changed or new is not kid
+        if not changed:
+            return e
+        return ConApp(e.name, tuple(items)) if kind is ConApp else Tuple(tuple(items))
+    if kind is Case or kind is Let:
+        kids, changed = [], False
+        for kid, names in binder_children(e):
+            kids.append((new := map_vars(kid, bound.union(names) if names else bound, fn), names))
+            changed = changed or new is not kid
+        return with_binder_children(e, kids) if changed else e
+    return e
+
+
 def replace_expr_at(e: Expr, path: tuple[int, ...], new: Expr) -> Expr:
     if not path:
         return new

@@ -15,7 +15,7 @@ from .lang import (
     BUILTINS, App, Case, CaseBranch, CommentBlock, Equation, Expr, FunDecl, Let,
     LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern, Project,
     TopDecl, Tuple, Var, app_spine, binder_children, decl_expr_at, decl_expr_roots,
-    decl_name, equation_scope, make_app, map_decl_roots, map_scoped, pattern_vars,
+    decl_name, equation_scope, make_app, map_decl_roots, map_scoped, map_vars, pattern_vars,
     replace, replace_decl_expr_at, rewritten, scoped_children, walk_expr_scoped, with_decl,
     with_equation, with_local, with_module,
 )
@@ -249,15 +249,15 @@ def _apply_local_uses(d: FunDecl, ei: int, name: str, args: list[Expr]) -> FunDe
     refused."""
     arg_names = set().union(*(free_vars(a) for a in args))
 
-    def fix(e: Expr, bound: frozenset[str]) -> Expr:
-        if isinstance(e, Var) and e.qualifier is None and e.name == name and name not in bound:
+    def fix(e: Var, bound: frozenset[str]) -> Expr:
+        if e.qualifier is None and e.name == name and name not in bound:
             if arg_names & bound:
                 captured = sorted(arg_names & bound)
                 raise RefactorError("NameClash", f"{captured} rebound where {name} is used")
             return make_app(e, args)
         return e
 
-    out = map_decl_roots(d, lambda root, bound: map_scoped(root, bound, fix), local_of=ei)
+    out = map_decl_roots(d, lambda root, bound: map_vars(root, bound, fix), local_of=ei)
     assert isinstance(out, FunDecl)
     return out
 
@@ -345,16 +345,14 @@ def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> P
 
     # f's own equations: occurrences of v become x, recursive calls gain x,
     # and x heads every parameter list.
-    def fix_own(e: Expr, bound: frozenset[str]) -> Expr:
-        if not isinstance(e, Var):
-            return e
+    def fix_own(e: Var, bound: frozenset[str]) -> Expr:
         if e.qualifier is None and e.name == v and v not in bound:
             return Var(x)
         if e.name == f and f not in bound and e.qualifier in (None, m):
             return App(e, Var(x))
         return e
 
-    d = map_decl_roots(d, lambda root, bound: map_scoped(root, bound, fix_own))
+    d = map_decl_roots(d, lambda root, bound: map_vars(root, bound, fix_own))
     new_eqs = tuple(replace(eq, patterns=(PVar(x),) + eq.patterns) for eq in d.equations)
     project = with_module(project, with_decl(mod, di, replace(d, equations=new_eqs)))
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .lang import (
-    App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, Let, ModuleDef,
-    PCon, PTuple, Pattern, Project, TopDecl, Var, app_spine, binder_children,
+    App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, Infix, Let, ModuleDef,
+    PCon, PTuple, Pattern, Project, TopDecl, Tuple, Var, app_spine, binder_children,
     changed_modules, decl_name, decl_expr_roots, record, walk_expr_scoped,
 )
 
@@ -414,9 +414,16 @@ def _collect_reads(d: FunDecl) -> DeclReads:
             checks[_ARITY] = None
         for p in eq.patterns:
             _pattern_checks(p, checks)
+    # Every new declaration is walked here, so the walk is a loop of its own:
+    # pre-order in document order over a stack of (node, names bound at it),
+    # children pushed last-first, with no paths.
+    stack: list[tuple[Expr, frozenset[str]]] = []
+    push, pop = stack.append, stack.pop
     for _, _, root, bound in decl_expr_roots(d):
         names |= bound
-        for _, e, scope in walk_expr_scoped(root, bound):
+        push((root, bound))
+        while stack:
+            e, scope = pop()
             kind = type(e)  # the node classes are final
             if kind is Var:
                 if e.qualifier is not None:
@@ -425,13 +432,27 @@ def _collect_reads(d: FunDecl) -> DeclReads:
                         droppable[e.qualifier, e.name] = None
                 elif e.name not in scope:
                     checks[("var", None, e.name)] = None
-            elif kind is ConApp:
-                checks[("con", e.name, len(e.args))] = None
+            elif kind is App:
+                push((e.arg, scope))
+                push((e.fn, scope))
+            elif kind is Infix:
+                push((e.rhs, scope))
+                push((e.lhs, scope))
+            elif kind is ConApp or kind is Tuple:
+                if kind is ConApp:
+                    kids = e.args
+                    checks[("con", e.name, len(kids))] = None
+                else:
+                    kids = e.items
+                for kid in reversed(kids):
+                    push((kid, scope))
             elif kind is Case or kind is Let:
                 if kind is Case:
                     for b in e.branches:
                         _pattern_checks(b.pattern, checks)
-                names.update(*(bound for _, bound in binder_children(e)))
+                for kid, binds in reversed(binder_children(e)):
+                    names.update(binds)
+                    push((kid, scope.union(binds) if binds else scope))
     # a variable that no check names is bound, and came in with its binder
     names.update(c[2] for c in checks if c[0] == "var")
     return DeclReads(tuple(checks), tuple(droppable), frozenset(names))

@@ -12,8 +12,10 @@ change is left as the same object, and so is everything around it.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .lang import (
-    Equation, Expr, FunDecl, Project, Var, map_decl_roots, map_scoped, paired_children,
+    Equation, Expr, FunDecl, Project, Var, map_decl_roots, map_scoped, map_vars, paired_children,
     replace, rewritten, var_slot,
 )
 from .names import free_vars
@@ -31,13 +33,9 @@ def _rewrite_vars(project: Project, fn, names, touches) -> Project:
     same objects, and so does the project when nothing changed."""
     new = {}
     for mname in names:
-        mod = project.modules[mname]
-
-        def on_var(e: Expr, bound: frozenset[str], _m=mname) -> Expr:
-            return fn(_m, e, bound) if isinstance(e, Var) else e
-
+        mod, on_var = project.modules[mname], partial(fn, mname)
         decls = tuple(
-            map_decl_roots(d, lambda root, bound: map_scoped(root, bound, on_var))
+            map_decl_roots(d, lambda root, bound: map_vars(root, bound, on_var))
             if isinstance(d, FunDecl) and touches(mname, decl_reads(d)) else d
             for d in mod.decls
         )
@@ -57,9 +55,7 @@ def requalify_name(
         return defn.equations, set()
     needed: set[str] = set()
 
-    def qualify(e: Expr, bound: frozenset[str]) -> Expr:
-        if not isinstance(e, Var):
-            return e
+    def qualify(e: Var, bound: frozenset[str]) -> Expr:
         if e.qualifier is not None:
             needed.add(e.qualifier)
             return e
@@ -71,7 +67,7 @@ def requalify_name(
             return Var(e.name, qualifier=refs[0].module)
         return e
 
-    out = map_decl_roots(defn, lambda root, bound: map_scoped(root, bound, qualify))
+    out = map_decl_roots(defn, lambda root, bound: map_vars(root, bound, qualify))
     return out.equations, {n for n in needed if n != site_module}  # type: ignore[union-attr]
 
 

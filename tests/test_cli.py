@@ -116,6 +116,16 @@ def test_eval_entry(dirs, capsys):
     assert capsys.readouterr().out.strip() == "1+2+3"
 
 
+def test_eval_reads_a_name_the_module_defines_though_an_import_binds_it(dirs, capsys):
+    # EvalMod.r1 reaches Client through its import: Client's own r1 is read
+    # as Client.r1, while a name Client only imports is still looked up
+    with open(dirs / "pfun" / "EvalMod.mfn", "a") as fh:
+        fh.write("\nr1 = 42\n")
+    for entry, shown in [("r1", "1+2"), ("Client.r1", "1+2"), ("EvalMod.r1", "42"), ("Client.eval", "<eval>")]:
+        assert main(["eval", str(dirs / "pfun"), entry]) == 0
+        assert capsys.readouterr() == (shown + "\n", "")
+
+
 def test_render_fixed_point(dirs):
     r1 = dirs / "r1"
     r2 = dirs / "r2"

@@ -7,7 +7,8 @@ from viewshift.evaluator import evaluate, observe_entries
 from viewshift.lang import (
     App, Builtin, Case, CaseBranch, ConApp, Equation, Expr, FunDecl, Infix,
     IntLit, Let, LetBinding, LocalDef, ModuleDef, PCon, PInt, PTuple, PVar,
-    PWild, Project, StrLit, Tuple, Var, map_scoped, replace, walk_expr_scoped,
+    PWild, Project, StrLit, Tuple, Var, binder_children, decl_expr_roots, map_scoped, map_vars,
+    replace, walk_expr_scoped,
 )
 from viewshift.names import (
     alpha_eq_decl, alpha_eq_expr, alpha_eq_project, free_vars, substitute,
@@ -15,6 +16,7 @@ from viewshift.names import (
 from viewshift.parse import parse_expr, parse_module
 from viewshift.reference import evaluate_by_name, observe_entries_by_name
 from viewshift.render import render_expr, render_module
+from viewshift.resolver import _ARITY, DeclReads, _pattern_checks, decl_reads
 from viewshift.rewrite import minimize_qualifiers
 
 CASES = settings(max_examples=100, deadline=None)
@@ -475,6 +477,89 @@ def test_a_certified_renaming_observes_as_its_input(case):
 @given(_exprs())
 def test_map_scoped_identity_returns_the_same_object(e):
     assert map_scoped(e, frozenset(), lambda n, s: n) is e
+
+
+def _reference_reads(d: FunDecl) -> DeclReads:
+    """The reads of d by the generic scoped walk: the resolver's pass, as it
+    was before it walked by a stack of its own."""
+    checks: dict[tuple, None] = {}
+    droppable: dict[tuple[str, str], None] = {}
+    names = {d.name}
+    arity = d.arity
+    for eq in d.equations:
+        if len(eq.patterns) != arity:
+            checks[_ARITY] = None
+        for p in eq.patterns:
+            _pattern_checks(p, checks)
+    for _, _, root, bound in decl_expr_roots(d):
+        names |= bound
+        for _, e, scope in walk_expr_scoped(root, bound):
+            kind = type(e)
+            if kind is Var:
+                if e.qualifier is not None:
+                    checks[("var", e.qualifier, e.name)] = None
+                    if e.name not in scope:
+                        droppable[e.qualifier, e.name] = None
+                elif e.name not in scope:
+                    checks[("var", None, e.name)] = None
+            elif kind is ConApp:
+                checks[("con", e.name, len(e.args))] = None
+            elif kind is Case or kind is Let:
+                if kind is Case:
+                    for b in e.branches:
+                        _pattern_checks(b.pattern, checks)
+                names.update(*(bound for _, bound in binder_children(e)))
+    names.update(c[2] for c in checks if c[0] == "var")
+    return DeclReads(tuple(checks), tuple(droppable), frozenset(names))
+
+
+def _var_fn(v: Var, bound: frozenset[str]) -> Expr:
+    """A rewrite of variables alone, in the ways the operations rewrite them:
+    qualify some free names, drop qualifiers, apply a name to an argument."""
+    if v.qualifier is not None:
+        return Var(v.name)
+    if v.name in bound:
+        return v
+    if v.name == "x":
+        return App(v, Var("x"))
+    return Var(v.name, "Q") if v.name < "m" else v
+
+
+def _walks_agree(d: FunDecl):
+    """The stack walk gives d's reads exactly, checks in first-occurrence
+    order included, and map_vars rewrites each root as map_scoped does."""
+    fresh = replace(d)  # no reads remembered on it
+    assert decl_reads(fresh) == _reference_reads(d)
+    assert decl_reads(fresh).checks == _reference_reads(d).checks
+    for _, _, root, bound in decl_expr_roots(d):
+        assert map_vars(root, bound, _var_fn) == map_scoped(
+            root, bound, lambda e, s: _var_fn(e, s) if isinstance(e, Var) else e)
+        assert map_vars(root, bound, lambda v, s: v) is root
+
+
+@CASES
+@given(_decls(), _decls())
+def test_the_declaration_walks_agree_with_the_scoped_walk(d, other):
+    _walks_agree(d)
+    # equations of two arities meet the arity check
+    _walks_agree(replace(d, equations=d.equations + other.equations))
+
+
+def test_the_declaration_walks_agree_on_the_corpus():
+    # every declaration of the fixtures and step states, and every one a
+    # step of a shipped script makes
+    from viewshift.corpus import load_fixture
+    from viewshift.script import COMMANDS
+    origins = [load_fixture(n).project for n in ("pfun", "pdata", "scenario-mult", "scenario-derive")]
+    projects = origins + [p for _, _, p in load_fixture("step-states").step_states]
+    for project, fixture in zip(origins, ("forward-script", "reverse-script", "scenario-mult", "scenario-derive")):
+        for step in next(iter(load_fixture(fixture).scripts.values())).steps:
+            project = COMMANDS[step.command][1](project, step)
+            projects.append(project)
+    decls = {id(d): d for p in projects for mod in p.modules.values() for d in mod.decls if isinstance(d, FunDecl)}
+    assert len(decls) > 350
+    for d in decls.values():
+        _walks_agree(d)
 
 
 def test_walk_expr_scoped_bound_sets_under_shadowing():

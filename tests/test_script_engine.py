@@ -228,6 +228,17 @@ def test_too_deep_observation_fails_the_step(depth, record):
     assert (out is project) == (record[0] == "failed")
 
 
+def test_a_step_rewrites_a_900_term_sum(pfun):
+    # r9 nests 900 sums deep: renaming eval rewrites r9's use of it, and
+    # moving the renamed function requalifies that use again; each rewrite
+    # recurses once per level of nesting, so both steps apply
+    text = render_module(pfun.modules["Client"]) + "\nr9 = eval (Const (" + " + ".join(["1"] * 900) + "))\n"
+    project = Project({**pfun.modules, "Client": parse_module(text)})
+    out, log = run_script(project, parse_script("rename-top-level eval EvalMod ev2\nmove-def ev2 EvalMod Client\n"))
+    assert [(r.outcome, r.kind) for r in log.records] == [("applied", None)] * 2
+    assert out.modules["Client"].decl("ev2") is not None
+
+
 _STEP_KEYS = {
     "index", "command", "args", "outcome", "kind", "error", "equivalence", "proof", "evaluated", "elapsed_s",
     "changed",
