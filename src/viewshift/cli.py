@@ -24,6 +24,8 @@ from .resolver import ResolveError, resolve_project
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+# each command of the catalogue with the kinds of its arguments, one a line
+SIGNATURES = "\n".join(f"  {c} {' '.join(kinds)}" for c, (_, kinds) in CATALOGUE.items())
 
 
 def _entries_arg(text: str | None, project) -> tuple[str, ...]:
@@ -56,7 +58,7 @@ def _cmd_apply(args) -> int:
 def _cmd_op(args) -> int:
     if len(args.tokens) < 2:
         print("op needs a command, its arguments and a project directory; the commands:", file=sys.stderr)
-        print("\n".join(f"  {c} {' '.join(kinds)}" for c, (_, kinds) in CATALOGUE.items()), file=sys.stderr)
+        print(SIGNATURES, file=sys.stderr)
         return USAGE_EXIT
     step = parse_step(args.tokens[:-1], 1)
     project = parse_project(args.tokens[-1])
@@ -169,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="file for the run's JSON lines: one record per step, then a summary")
     p.set_defaults(fn=_cmd_apply)
 
-    p = sub.add_parser("op", help="apply a single operation: op <command> <args...> <project>")
+    p = sub.add_parser("op", help="apply a single operation: op <command> <args...> <project>",
+                       epilog="commands:\n" + SIGNATURES, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("tokens", nargs="+")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_op)

@@ -493,29 +493,36 @@ def paired_children(
     return [(x, y, nx, ny) for (x, nx), (y, ny) in zip(kids_a, kids_b)]
 
 
-def walk_expr_scoped(
-    e: Expr, bound: frozenset[str], path: tuple[int, ...] = ()
-) -> Iterator[tuple[tuple[int, ...], Expr, frozenset[str]]]:
-    """Pre-order walk yielding (path, node, names bound at the node); paths
-    index expr_children."""
-    # An explicit stack yields each node once, not through one generator per
-    # enclosing node; children are pushed last-first to pop in document order.
-    stack = [(path, e, bound)]
+def scoped_vars(e: Expr, bound: frozenset[str]) -> Iterator[tuple[tuple[int, ...], Var, frozenset[str], int]]:
+    """Each variable of e in document order, as (path, variable, names bound
+    at it, n): paths index expr_children, and n counts the arguments of the
+    maximal application spine the variable heads, at path[:len(path) - n]."""
+    # children are pushed last-first to pop in document order; the node classes are final
+    stack: list[tuple[Expr, frozenset[str], tuple[int, ...], int]] = [(e, bound, (), 0)]
+    push, pop = stack.append, stack.pop
     while stack:
-        item = stack.pop()
-        yield item
-        path, e, bound = item
-        if isinstance(e, _LEAVES):
-            continue
-        if isinstance(e, (Case, Let)):
-            kids = scoped_children(e, bound)
+        e, bound, path, n = pop()
+        kind = type(e)
+        if kind is Var:
+            yield path, e, bound, n
+        elif kind is App:
+            i = 0  # the outermost argument is last, at path + (1,)
+            while type(e) is App:
+                push((e.arg, bound, path + (0,) * i + (1,), 0))
+                e, i = e.fn, i + 1
+            push((e, bound, path + (0,) * i, i))
+        elif kind is Infix:
+            push((e.rhs, bound, path + (1,), 0))
+            push((e.lhs, bound, path + (0,), 0))
+        elif kind is ConApp or kind is Tuple:
+            kids = e.args if kind is ConApp else e.items
             for i in range(len(kids) - 1, -1, -1):
-                kid, inner = kids[i]
-                stack.append((path + (i,), kid, inner))
-        else:  # binds nothing: skips scoped_children's pairing
-            kids = expr_children(e)
+                push((kids[i], bound, path + (i,), 0))
+        elif kind is Case or kind is Let:
+            kids = binder_children(e)
             for i in range(len(kids) - 1, -1, -1):
-                stack.append((path + (i,), kids[i], bound))
+                kid, names = kids[i]
+                push((kid, bound.union(names) if names else bound, path + (i,), 0))
 
 
 def map_scoped(e: Expr, bound: frozenset[str], fn) -> Expr:

@@ -8,9 +8,9 @@ from itertools import count
 from typing import Optional
 
 from .lang import (
-    DataDecl, Expr, FunDecl, Project, TopDecl, Var, binder_children, decl_name,
-    equation_scope, paired_children, pattern_shape, var_slot, walk_expr_scoped,
-    with_binder_children,
+    App, Case, ConApp, DataDecl, Expr, FunDecl, Infix, Let, Project, TopDecl, Tuple, Var,
+    binder_children, decl_name, equation_scope, paired_children, pattern_shape, scoped_vars,
+    var_slot, with_binder_children,
 )
 
 
@@ -23,19 +23,28 @@ def fresh_name(base: str, *avoid: Container[str]) -> str:
 def free_vars(e: Expr) -> set[str]:
     """Unqualified variables not bound within the expression."""
     return {
-        v.name
-        for _, v, bound in walk_expr_scoped(e, frozenset())
-        if isinstance(v, Var) and v.name not in bound and v.qualifier is None
+        v.name for _, v, bound, _ in scoped_vars(e, frozenset())
+        if v.qualifier is None and v.name not in bound
     }
 
 
 def all_names(e: Expr) -> set[str]:
     """Every identifier appearing in the expression, bound or free."""
     out: set[str] = set()
-    for _, node, bound in walk_expr_scoped(e, frozenset()):
-        out |= bound
-        if isinstance(node, Var):
-            out.add(node.name)
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        kind = type(e)  # the node classes are final
+        if kind is Var:
+            out.add(e.name)
+        elif kind is App or kind is Infix:
+            stack += (e.fn, e.arg) if kind is App else (e.lhs, e.rhs)
+        elif kind is ConApp or kind is Tuple:
+            stack += e.args if kind is ConApp else e.items
+        elif kind is Case or kind is Let:
+            for kid, names in binder_children(e):
+                out.update(names)
+                stack.append(kid)
     return out
 
 

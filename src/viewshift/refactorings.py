@@ -16,7 +16,7 @@ from .lang import (
     LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern, Project,
     TopDecl, Tuple, Var, app_spine, binder_children, decl_expr_at, decl_expr_roots,
     decl_name, equation_scope, make_app, map_decl_roots, map_scoped, map_vars, pattern_vars,
-    replace, replace_decl_expr_at, rewritten, scoped_children, walk_expr_scoped, with_decl,
+    replace, replace_decl_expr_at, rewritten, scoped_children, scoped_vars, with_decl,
     with_equation, with_local, with_module,
 )
 from .names import (
@@ -26,9 +26,9 @@ from .names import (
 from .parse import ParseError, parse_decl, tokenize
 from .render import render_decl
 from .resolver import (
-    OccRef, ResolveError, SymbolTable, applications, build_symbol_table, decl_reads,
+    ResolveError, SymbolTable, applications, build_symbol_table, decl_reads,
     decl_refs, find_application, module_exports, module_names, module_scope,
-    importers_of, occurrences_of, resolve_var, resolve_project, unused_imports, uses_of,
+    importers_of, occurrences_of, readers_of, resolve_var, resolve_project, unused_imports,
 )
 from .rewrite import (
     InstanceMatcher, fold_instances_in_expr, minimize_qualifiers,
@@ -353,37 +353,32 @@ def _generalise_ident_top(project: Project, f: str, m: str, v: str, x: str) -> P
         return e
 
     d = map_decl_roots(d, lambda root, bound: map_vars(root, bound, fix_own))
-    new_eqs = tuple(replace(eq, patterns=(PVar(x),) + eq.patterns) for eq in d.equations)
-    project = with_module(project, with_decl(mod, di, replace(d, equations=new_eqs)))
+    own = replace(d, equations=tuple(replace(eq, patterns=(PVar(x),) + eq.patterns) for eq in d.equations))
+    out = {m: with_decl(mod, di, own)}
 
-    # External call sites, grouped by module.
-    external: list[OccRef] = []
-    for occ, bound in uses_of(build_symbol_table(project), project, (m, f)):
-        if occ.module == m and occ.decl == f:
-            continue
-        if occ.module == m and v in bound:
-            raise RefactorError("NameClash", f"{v} is rebound where {occ.decl} calls {f}")
-        external.append(occ)
-
+    # Every other caller passes v in m and a fresh `<f>_gen*` elsewhere: one
+    # rewrite of each declaration whose reads name f, as the input has it.
+    readers = list(readers_of(build_symbol_table(project), project, (m, f), skip=f))
     aux_name = None
-    if any(o.module != m for o in external):
+    if any(mname != m for mname, _, _ in readers):
         aux_name = fresh_name(f, {x, v}, *map(module_names, project.modules.values()))
-        mod2 = project.modules[m]
+        exports = None if mod.exports is None else mod.exports + (aux_name,)
         aux = FunDecl(aux_name, (Equation((), Var(v)),))
-        exports = mod2.exports
-        if exports is not None:
-            exports = exports + (aux_name,)
-        project = with_module(project, replace(mod2, decls=mod2.decls + (aux,), exports=exports))
+        out[m] = replace(out[m], decls=out[m].decls + (aux,), exports=exports)
+    for mname, dx, quals in readers:
+        arg = Var(v) if mname == m else Var(aux_name)  # aux_name is bound nowhere
 
-    for occ in external:
-        modx = project.modules[occ.module]
-        dx_i, dx = _fun_decl(modx, occ.decl)
-        old_var = decl_expr_at(dx, occ.path)
-        assert isinstance(old_var, Var)
-        arg = Var(v) if occ.module == m else Var(aux_name)
-        new_dx = replace_decl_expr_at(dx, occ.path, App(old_var, arg))
-        project = with_module(project, with_decl(modx, dx_i, new_dx))
-    return _finish(project)
+        def call(e: Var, bound: frozenset[str]) -> Expr:
+            if e.name != f or e.qualifier not in quals or (e.qualifier is None and f in bound):
+                return e
+            if arg.name in bound:
+                raise RefactorError("NameClash", f"{v} is rebound where {dx.name} calls {f}")
+            return App(e, arg)
+
+        modx = out.get(mname, project.modules[mname])
+        new_dx = map_decl_roots(dx, lambda root, bound: map_vars(root, bound, call))
+        out[mname] = with_decl(modx, modx.decls.index(dx), new_dx)
+    return _finish(rewritten(project, out))
 
 
 def _generalise_ident_local(
@@ -475,11 +470,8 @@ def move_def(project: Project, f: str, m: str, mp: str) -> Project:
         if (ref.module, ref.name) != (m, f)
     }
     needed.discard(mp)
-    # Modules that reference f.
-    referencing = {
-        occ.module for occ, _ in uses_of(table, project, (m, f))
-        if not (occ.module == m and occ.decl == f)
-    }
+    # Modules that reference f, read from their declarations' reads.
+    referencing = {mname for mname, _, _ in readers_of(table, project, (m, f), skip=f)}
     referencing.discard(mp)
 
     # The move adds imports mp -> needed and r -> mp: a new cycle passes through mp.
@@ -603,48 +595,38 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
         defn = FunDecl(loc.name, (Equation(tuple(PVar(p) for p in loc.params), loc.rhs),))
         target = None
 
-    # First occurrence in document order, skipping the local's own body.
-    occ_path = None
-    local_of = None if local_hit is None else local_hit[1]
-    for ei, slot, root, bound in decl_expr_roots(fd, local_of):
-        if occ_path is not None:
-            break
-        if local_hit is not None and slot == local_hit[2] + 1:
-            continue
-        for sub, e, scope in walk_expr_scoped(root, bound):
-            if not (isinstance(e, Var) and e.name == name):
-                continue
-            if qualifier is not None:
-                if e.qualifier != qualifier:
-                    continue
-            elif local_hit is not None:
-                if e.qualifier is not None or name in scope:
-                    continue
-            else:
-                ref2 = resolve_var(table, project, m, scope, e)
-                if ref2 is None or (ref2.module, ref2.name) != target:
-                    continue
-            occ_path = (ei, slot) + sub
-            break
-    if occ_path is None:
-        raise _not_found(f"no occurrence of {d_token} in the body of {f}")
+    def wanted(e: Var, scope: frozenset[str]) -> bool:
+        if qualifier is not None:
+            return e.qualifier == qualifier
+        if local_hit is not None:
+            return e.qualifier is None and name not in scope
+        ref2 = resolve_var(table, project, m, scope, e)
+        return ref2 is not None and (ref2.module, ref2.name) == target
 
-    # Expand to the maximal application spine around the occurrence.
-    spine_path = occ_path
-    while len(spine_path) > 2:
-        parent = decl_expr_at(fd, spine_path[:-1])
-        if isinstance(parent, App) and spine_path[-1] == 0:
-            spine_path = spine_path[:-1]
-        else:
-            break
-    spine = decl_expr_at(fd, spine_path)
-    _, args = app_spine(spine)
+    # The first occurrence in document order, skipping the local's own body.
+    local_of, own = (None, None) if local_hit is None else (local_hit[1], local_hit[2] + 1)
+    spine_path = _first_spine(fd, name, wanted, local_of, own)
+    if spine_path is None:
+        raise _not_found(f"no occurrence of {d_token} in the body of {f}")
+    _, args = app_spine(decl_expr_at(fd, spine_path))
 
     project, new_expr = _inline_definition(table, project, m, def_module, defn, args, d_token)
     mod = project.modules[m]
     di, fd = _fun_decl(mod, f)
     project = with_module(project, with_decl(mod, di, replace_decl_expr_at(fd, spine_path, new_expr)))
     return _finish(project)
+
+
+def _first_spine(d: FunDecl, name: str, wanted, local_of=None, skip_slot=None) -> tuple[int, ...] | None:
+    """The path of the application spine headed by the first variable called
+    name for which wanted(variable, bound names) holds, in document order over
+    the roots decl_expr_roots(d, local_of) yields but skip_slot, or None."""
+    for ei, slot, root, bound in decl_expr_roots(d, local_of):
+        if slot != skip_slot:
+            for sub, e, scope, n in scoped_vars(root, bound):
+                if e.name == name and wanted(e, scope):
+                    return (ei, slot) + sub[:len(sub) - n]
+    return None
 
 
 def fold_top_level(project: Project, f: str, m: str) -> Project:
@@ -823,10 +805,9 @@ def _map_below_lets(e: Expr, fn) -> Expr:
 def remove_def(project: Project, f: str, m: str) -> Project:
     """Delete a top-level definition that is used nowhere else."""
     mod, _, _ = _function(project, m, f)
-    occ = [o for o in occurrences_of(project, m, f) if not (o.module == m and o.decl == f)]
-    if occ:
-        first = occ[0]
-        raise RefactorError("StillUsed", f"{f} is still used in {first.module}.{first.decl}")
+    user = next(readers_of(build_symbol_table(project), project, (m, f), skip=f), None)
+    if user is not None:
+        raise RefactorError("StillUsed", f"{f} is still used in {user[0]}.{user[1].name}")
     return _finish(with_module(project, _without_decl(mod, f)))
 
 

@@ -13,8 +13,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .lang import (
     App, Case, ConApp, ConstructorDef, DataDecl, Expr, FunDecl, Infix, Let, ModuleDef,
-    PCon, PTuple, Pattern, Project, TopDecl, Tuple, Var, app_spine, binder_children,
-    changed_modules, decl_name, decl_expr_roots, record, walk_expr_scoped,
+    PCon, PTuple, Pattern, Project, TopDecl, Tuple, Var, binder_children,
+    changed_modules, decl_name, decl_expr_roots, record, scoped_vars,
 )
 
 
@@ -525,8 +525,10 @@ def resolve_project(project: Project) -> SymbolTable:
 # --- reference queries ---
 #
 # Operations ask two questions of the resolver: which definitions does a
-# declaration use (decl_refs), and which variables use a definition
-# (uses_of). Both take the caller's table, so asking costs no extra build.
+# declaration use (decl_refs), and which declarations use a definition
+# (readers_of). Both are answered from remembered reads, without a walk,
+# and take the caller's table, so asking costs no extra build. Only a
+# caller that needs the position of a use walks the readers.
 
 def decl_refs(table: SymbolTable, project: Project, module: str, d: TopDecl) -> Iterator[DefRef]:
     """Yield the definition of each distinct use in declaration d of module:
@@ -551,40 +553,53 @@ def decl_refs(table: SymbolTable, project: Project, module: str, d: TopDecl) -> 
                 yield cands[0][0]
 
 
-def uses_of(
-    table: SymbolTable, project: Project, target: tuple[str, str]
-) -> Iterator[tuple[OccRef, frozenset[str]]]:
-    """Yield (occurrence, bound names) for each variable, in any module, that
-    resolves to the top-level definition target = (module, name), recursive
-    ones included; document order per module, modules in name order. Only
-    target's module and its importers can name it (resolve_var)."""
+def readers_of(
+    table: SymbolTable, project: Project, target: tuple[str, str], skip: Optional[str] = None
+) -> Iterator[tuple[str, FunDecl, frozenset[Optional[str]]]]:
+    """Yield (module, declaration, qualifiers) for each function declaration
+    that reads the top-level definition target, modules in name order: one of
+    its reads (decl_reads, the variables not bound locally) resolves to
+    target, under each qualifier in qualifiers (None: bare). skip names a
+    declaration of target's module to leave out. Only target's module and its
+    importers can name it; nothing is walked, and each distinct read is
+    resolved once per module."""
     home, name = target
     for mname in sorted({home, *importers_of(project, home)}):
         mod = project.modules.get(mname)
         if mod is None or name not in mentioned_names(mod):
             continue
+        hits: dict[Optional[str], bool] = {}  # qualifier -> whether it reads target
         for d in mod.decls:
-            if isinstance(d, DataDecl) or not decl_reads(d).mentions(name):
+            if isinstance(d, DataDecl) or (mname == home and d.name == skip):
                 continue
-            for ei, slot, root, bound in decl_expr_roots(d):
-                for sub, e, scope in walk_expr_scoped(root, bound):
-                    # The name test first: resolving every variable of the
-                    # project would cost more than the rest of the walk.
-                    if not (isinstance(e, Var) and e.name == name):
-                        continue
-                    ref = resolve_var(table, project, mname, scope, e)
-                    if ref is not None and (ref.module, ref.name) == target:
-                        yield OccRef(mname, decl_name(d), (ei, slot) + sub), scope
+            quals = set()
+            for check in decl_reads(d).checks:
+                if check[0] == "var" and check[2] == name:
+                    q = check[1]
+                    if q not in hits:
+                        ref = resolve_var(table, project, mname, frozenset(), Var(name, q))
+                        hits[q] = (ref.module, ref.name) == target
+                    if hits[q]:
+                        quals.add(q)
+            if quals:
+                yield mname, d, frozenset(quals)
 
 
 def occurrences_of(project: Project, module: str, name: str) -> list[OccRef]:
     """Every occurrence referring to the top-level definition, recursive ones
-    included; document order per module, modules in name order."""
+    included; document order per module, modules in name order. Only the
+    declarations readers_of names are walked."""
     table = build_symbol_table(project)
     mod = project.modules.get(module)
     if mod is None or mod.decl(name) is None:
         raise _err("UnresolvedName", module, name, f"no top-level {name} in module {module}")
-    return [occ for occ, _ in uses_of(table, project, (module, name))]
+    return [
+        OccRef(mname, d.name, (ei, slot) + sub)
+        for mname, d, quals in readers_of(table, project, (module, name))
+        for ei, slot, root, bound in decl_expr_roots(d)
+        for sub, e, scope, _ in scoped_vars(root, bound)
+        if e.name == name and e.qualifier in quals and (e.qualifier is not None or name not in scope)
+    ]
 
 
 def applications(
@@ -593,7 +608,7 @@ def applications(
     """Applications in module of fn to exactly arg_count arguments, in
     document order, each with the definition its head resolves to: maximal
     application spines whose head resolves to the top-level definition fn
-    names in module."""
+    names in module. Only declarations whose reads name fn are walked."""
     if arg_count < 1:
         raise _err("NoSuchApplication", module, fn, "an application has at least one argument")
     mod = project.modules.get(module)
@@ -604,28 +619,19 @@ def applications(
     if len(refs) == 1:
         fn_target = (refs[0].module, refs[0].name)
     for d in mod.decls:
+        if isinstance(d, DataDecl) or not decl_reads(d).mentions(fn):
+            continue
         for ei, slot, root, bound in decl_expr_roots(d):
-            nodes: dict[tuple[int, ...], Expr] = {}
-            for sub, e, scope in walk_expr_scoped(root, bound):
-                nodes[sub] = e
-                if not isinstance(e, App):
-                    continue
-                # Only maximal application spines count: skip the fn child
-                # of an enclosing application.
-                if sub and sub[-1] == 0 and isinstance(nodes.get(sub[:-1]), App):
-                    continue
-                head, args = app_spine(e)
-                if len(args) != arg_count or not isinstance(head, Var) or head.name != fn:
+            for sub, head, scope, n in scoped_vars(root, bound):
+                if n != arg_count or head.name != fn:
                     continue
                 try:
                     ref = resolve_var(table, project, module, scope, head)
                 except ResolveError:
                     continue
-                if ref is None:
-                    continue  # a local binding, not the queried definition
-                if fn_target is not None and (ref.module, ref.name) != fn_target:
-                    continue
-                yield OccRef(module, decl_name(d), (ei, slot) + sub), ref
+                # None: a local binding, not the queried definition
+                if ref is not None and fn_target in (None, (ref.module, ref.name)):
+                    yield OccRef(module, d.name, (ei, slot) + sub[:len(sub) - n]), ref
 
 
 def find_application(project: Project, module: str, fn: str, arg_count: int) -> OccRef:

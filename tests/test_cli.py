@@ -176,6 +176,13 @@ def test_op_without_a_project_lists_the_signatures(capsys):
     assert len(err) == 1 + len(CATALOGUE)
 
 
+def test_op_help_lists_every_command(capsys):
+    assert main(["op", "--help"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for command, (_, kinds) in CATALOGUE.items():
+        assert f"  {command} {' '.join(kinds)}" in out
+
+
 def test_apply_non_integer_argument_exits_2_before_any_step(dirs, capsys):
     # the first step would apply; the script is refused as a whole
     bad = dirs / "int.vs"

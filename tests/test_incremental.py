@@ -22,7 +22,7 @@ from viewshift import evaluator, refactorings, resolver, rewrite, script
 from viewshift.corpus import load_fixture
 from viewshift.evaluator import observe_entries
 from viewshift.lang import (
-    DataDecl, Project, Var, decl_expr_roots, replace, rewritten, walk_expr_scoped, with_module,
+    DataDecl, Project, decl_expr_at, decl_expr_roots, replace, rewritten, scoped_vars, with_module,
 )
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module
@@ -30,8 +30,8 @@ from viewshift.reference import observe_entries_by_name
 from viewshift.refactorings import RefactorError
 from viewshift.render import render_module
 from viewshift.resolver import (
-    OccRef, ResolveError, build_symbol_table, module_scope, project_state, resolve_project,
-    resolve_var, uses_of,
+    OccRef, ResolveError, build_symbol_table, decl_reads, module_scope, occurrences_of, project_state,
+    readers_of, resolve_project, resolve_var,
 )
 from viewshift.rewrite import minimize_qualifiers
 from viewshift.script import CATALOGUE, COMMANDS, RefactorStep, run_script
@@ -701,6 +701,62 @@ def test_step_costs_only_the_declarations_it_changes(monkeypatch, tokens):
     assert kept == [], f"{kept} walked or minimised again without a change"
 
 
+@pytest.mark.parametrize("prefix, tokens", [
+    (7, ("generalise-ident", "eval", "EvalMod", "evalConst", "c")),
+    (0, ("move-def", "eval", "EvalMod", "Client")),
+], ids=["generalise-ident", "move-def"])
+def test_reference_queries_walk_only_the_declarations_that_read_the_target(
+        monkeypatch, forward_script, prefix, tokens):
+    # generalise-ident and move-def ask which declarations use the recursive
+    # eval. On 10, 80 and 320 padding modules, after the forward script's
+    # first prefix steps, they walk the same declarations to find or to
+    # rewrite its uses: none whose remembered reads do not name eval, and
+    # never eval's own definition. A walk is a resolver query's (beside the
+    # reads pass) or a rewrite of a declaration other than the step's own.
+    f, m = tokens[1], tokens[2]
+    walked, reading, own = [], [], []
+
+    def collect(d):
+        reading.append(d)
+        try:
+            return collect_reads(d)
+        finally:
+            reading.pop()
+
+    def query_roots(d, *args):
+        if not reading:
+            walked.append(d)
+        return decl_expr_roots(d, *args)
+
+    def rewrite_roots(d, *args, **kwargs):
+        if d is not own[-1]:
+            walked.append(d)
+        return map_decl_roots(d, *args, **kwargs)
+
+    collect_reads, map_decl_roots = resolver._collect_reads, refactorings.map_decl_roots
+    step = RefactorStep(tokens[0], tokens[1:], 1)
+    seen = []
+    for count in (10, 80, 320):
+        project = minimize_qualifiers(_padded_pfun(count))
+        for before in forward_script.steps[:prefix]:
+            project = COMMANDS[before.command][1](project, before)
+        resolve_project(project)
+        own.append(project.modules[m].decl(f))
+        walked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(resolver, "_collect_reads", collect)
+            patch.setattr(resolver, "decl_expr_roots", query_roots)
+            patch.setattr(refactorings, "map_decl_roots", rewrite_roots)
+            COMMANDS[step.command][1](project, step)
+        assert [d.name for d in walked if d.name == f] == [], "walked the step's own definition"
+        unread = [d.name for d in walked if not decl_reads(d).mentions(f)]
+        assert unread == [], f"walked {unread}, whose reads do not name {f}"
+        seen.append(sorted(d.name for d in walked))
+    assert seen[0] == seen[1] == seen[2]
+    if step.command == "generalise-ident":
+        assert seen[0] == ["r2", "r4"]  # Client's callers, rewritten once each
+
+
 def test_fold_def_returns_modules_that_fold_nothing_as_the_same_objects():
     project = _project(
         "module A (f, g) where\n\nf x = x + 1\n\ng = 2 + 1\n",
@@ -711,30 +767,43 @@ def test_fold_def_returns_modules_that_fold_nothing_as_the_same_objects():
     assert out.modules["B"] is project.modules["B"]  # an importer that folded nothing
 
 
-def _uses_by_scanning_every_module(project: Project, target: tuple[str, str]) -> list:
-    """uses_of's answer, found by resolving every variable called target's
-    name in every module, modules in name order."""
+def _uses_by_scanning_every_module(project: Project, target: tuple[str, str], skip=None) -> list[OccRef]:
+    """occurrences_of's answer, found by resolving every variable called
+    target's name in every module, modules in name order, but in the
+    declaration skip of target's module."""
     table = build_symbol_table(project)
     out = []
     for mname in sorted(project.modules):
         for d in project.modules[mname].decls:
+            if (mname, d.name) == (target[0], skip):
+                continue
             for ei, slot, root, bound in decl_expr_roots(d):
-                for sub, e, scope in walk_expr_scoped(root, bound):
-                    if isinstance(e, Var) and e.name == target[1]:
+                for sub, e, scope, _ in scoped_vars(root, bound):
+                    if e.name == target[1]:
                         ref = resolve_var(table, project, mname, scope, e)
                         if ref is not None and (ref.module, ref.name) == target:
-                            out.append((OccRef(mname, d.name, (ei, slot) + sub), scope))
+                            out.append(OccRef(mname, d.name, (ei, slot) + sub))
     return out
+
+
+def _readers_by_scanning_every_module(project: Project, target: tuple[str, str], skip=None) -> list:
+    """readers_of's answer from the uses a scan of every module finds: each
+    declaration with a use, with the qualifiers of its uses."""
+    quals: dict[tuple[str, str], set] = {}
+    for occ in _uses_by_scanning_every_module(project, target, skip):
+        d = project.modules[occ.module].decl(occ.decl)
+        quals.setdefault((occ.module, occ.decl), set()).add(decl_expr_at(d, occ.path).qualifier)
+    return [(m, project.modules[m].decl(name), frozenset(q)) for (m, name), q in quals.items()]
 
 
 def test_restricted_scans_agree_with_scanning_every_module(monkeypatch, forward_script, reverse_script):
     # After every step of the forward and reverse scripts on a padded pfun:
-    # uses_of, which scans a module and its importers, finds what a scan of
-    # every module finds; the step gives the same result when uses_of and
-    # retarget_name scan every module; the importer map is the inverted
-    # imports.
-    def every_module_uses(table, project, target):
-        return iter(_uses_by_scanning_every_module(project, target))
+    # readers_of and occurrences_of, which scan a module and its importers,
+    # find what a scan of every module finds; the step gives the same result
+    # when readers_of and retarget_name scan every module; the importer map
+    # is the inverted imports.
+    def every_module_readers(table, project, target, skip=None):
+        return iter(_readers_by_scanning_every_module(project, target, skip))
 
     def every_module_retarget(before, after, old, new):
         with monkeypatch.context() as patch:
@@ -749,8 +818,8 @@ def test_restricted_scans_agree_with_scanning_every_module(monkeypatch, forward_
     for step in steps:
         out = COMMANDS[step.command][1](project, step)
         with monkeypatch.context() as patch:
-            patch.setattr(refactorings, "uses_of", every_module_uses)
-            patch.setattr(resolver, "uses_of", every_module_uses)
+            patch.setattr(resolver, "readers_of", every_module_readers)
+            patch.setattr(refactorings, "readers_of", every_module_readers)
             patch.setattr(refactorings, "retarget_name", every_module_retarget)
             scanned = COMMANDS[step.command][1](project, step)
         assert {m: render_module(mod) for m, mod in out.modules.items()} == \
@@ -758,7 +827,9 @@ def test_restricted_scans_agree_with_scanning_every_module(monkeypatch, forward_
         table = build_symbol_table(out)
         for m, mod in out.modules.items():
             for d in mod.decls:
-                assert list(uses_of(table, out, (m, d.name))) == _uses_by_scanning_every_module(out, (m, d.name))
+                assert occurrences_of(out, m, d.name) == _uses_by_scanning_every_module(out, (m, d.name))
+                assert list(readers_of(table, out, (m, d.name), d.name)) == \
+                    _readers_by_scanning_every_module(out, (m, d.name), d.name)
         assert _importers(out) == _inverted_imports(out)
         project = out
     assert alpha_eq_project(project, minimize_qualifiers(_padded_pfun(8)))

@@ -1,5 +1,7 @@
 """Generative property suites over small ASTs."""
 
+from functools import lru_cache
+
 from hypothesis import given, settings, strategies as st
 
 from viewshift import refactorings as R
@@ -7,16 +9,19 @@ from viewshift.evaluator import evaluate, observe_entries
 from viewshift.lang import (
     App, Builtin, Case, CaseBranch, ConApp, Equation, Expr, FunDecl, Infix,
     IntLit, Let, LetBinding, LocalDef, ModuleDef, PCon, PInt, PTuple, PVar,
-    PWild, Project, StrLit, Tuple, Var, binder_children, decl_expr_roots, map_scoped, map_vars,
-    replace, walk_expr_scoped,
+    PWild, Project, StrLit, Tuple, Var, app_spine, binder_children, decl_expr_at, decl_expr_roots,
+    decl_name, map_scoped, map_vars, replace, scoped_children, scoped_vars,
 )
 from viewshift.names import (
-    alpha_eq_decl, alpha_eq_expr, alpha_eq_project, free_vars, substitute,
+    all_names, alpha_eq_decl, alpha_eq_expr, alpha_eq_project, free_vars, substitute,
 )
 from viewshift.parse import parse_expr, parse_module
 from viewshift.reference import evaluate_by_name, observe_entries_by_name
 from viewshift.render import render_expr, render_module
-from viewshift.resolver import _ARITY, DeclReads, _pattern_checks, decl_reads
+from viewshift.resolver import (
+    _ARITY, DeclReads, OccRef, ResolveError, _pattern_checks, applications, build_symbol_table,
+    decl_reads, importers_of, mentioned_names, occurrences_of, readers_of, resolve_var,
+)
 from viewshift.rewrite import minimize_qualifiers
 
 CASES = settings(max_examples=100, deadline=None)
@@ -545,17 +550,26 @@ def test_the_declaration_walks_agree_with_the_scoped_walk(d, other):
     _walks_agree(replace(d, equations=d.equations + other.equations))
 
 
-def test_the_declaration_walks_agree_on_the_corpus():
-    # every declaration of the fixtures and step states, and every one a
-    # step of a shipped script makes
+@lru_cache(maxsize=None)
+def _corpus() -> tuple[list[Project], list[Project]]:
+    """The four fixtures and the step states, and those with every project
+    a step of a shipped script makes."""
     from viewshift.corpus import load_fixture
     from viewshift.script import COMMANDS
     origins = [load_fixture(n).project for n in ("pfun", "pdata", "scenario-mult", "scenario-derive")]
-    projects = origins + [p for _, _, p in load_fixture("step-states").step_states]
+    shipped = origins + [p for _, _, p in load_fixture("step-states").step_states]
+    projects = list(shipped)
     for project, fixture in zip(origins, ("forward-script", "reverse-script", "scenario-mult", "scenario-derive")):
         for step in next(iter(load_fixture(fixture).scripts.values())).steps:
             project = COMMANDS[step.command][1](project, step)
             projects.append(project)
+    return shipped, projects
+
+
+def test_the_declaration_walks_agree_on_the_corpus():
+    # every declaration of the fixtures and step states, and every one a
+    # step of a shipped script makes
+    projects = _corpus()[1]
     decls = {id(d): d for p in projects for mod in p.modules.values() for d in mod.decls if isinstance(d, FunDecl)}
     assert len(decls) > 350
     for d in decls.values():
@@ -565,6 +579,8 @@ def test_the_declaration_walks_agree_on_the_corpus():
 def test_walk_expr_scoped_bound_sets_under_shadowing():
     # let a = case b of K (a, c) -> a + c
     # in case a of x -> let x = x in x b
+    # scoped_vars gives each variable what the generic walk gave it, and the
+    # arguments of the spine it heads
     e = Let(
         (LetBinding("a", Case(Var("b"), (
             CaseBranch(PCon("K", (PVar("a"), PVar("c")), tupled=True),
@@ -574,12 +590,7 @@ def test_walk_expr_scoped_bound_sets_under_shadowing():
             CaseBranch(PVar("x"), Let((LetBinding("x", Var("x")),), App(Var("x"), Var("b")))),
         )),
     )
-    seen = [
-        (path, node.name, sorted(bound))
-        for path, node, bound in walk_expr_scoped(e, frozenset({"top"}))
-        if isinstance(node, Var)
-    ]
-    assert seen == [
+    expected = [
         ((0, 0), "b", ["a", "top"]),
         ((0, 1, 0), "a", ["a", "c", "top"]),
         ((0, 1, 1), "c", ["a", "c", "top"]),
@@ -588,6 +599,190 @@ def test_walk_expr_scoped_bound_sets_under_shadowing():
         ((1, 1, 1, 0), "x", ["a", "top", "x"]),
         ((1, 1, 1, 1), "b", ["a", "top", "x"]),
     ]
+    assert [
+        (path, node.name, sorted(bound))
+        for path, node, bound in walk_expr_scoped(e, frozenset({"top"}))
+        if isinstance(node, Var)
+    ] == expected
+    seen = list(scoped_vars(e, frozenset({"top"})))
+    assert [(path, v.name, sorted(bound)) for path, v, bound, _ in seen] == expected
+    assert [n for *_, n in seen] == [0, 0, 0, 0, 0, 1, 0]
+
+
+# --- reference queries against the generic walk they replaced ---
+
+def walk_expr_scoped(e: Expr, bound: frozenset, path: tuple = ()):
+    """The generic scoped walk the reference queries ran on before: pre-order
+    over every node, yielding (path, node, names bound at the node)."""
+    stack = [(path, e, bound)]
+    while stack:
+        path, e, bound = item = stack.pop()
+        yield item
+        kids = scoped_children(e, bound)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), *kids[i]))
+
+
+def _reference_uses_of(table, project, target):
+    """resolver.uses_of as it was: every declaration that mentions the name
+    walked, every variable called it resolved."""
+    home, name = target
+    for mname in sorted({home, *importers_of(project, home)}):
+        mod = project.modules.get(mname)
+        if mod is None or name not in mentioned_names(mod):
+            continue
+        for d in mod.decls:
+            if not isinstance(d, FunDecl) or not decl_reads(d).mentions(name):
+                continue
+            for ei, slot, root, bound in decl_expr_roots(d):
+                for sub, e, scope in walk_expr_scoped(root, bound):
+                    if not (isinstance(e, Var) and e.name == name):
+                        continue
+                    ref = resolve_var(table, project, mname, scope, e)
+                    if ref is not None and (ref.module, ref.name) == target:
+                        yield OccRef(mname, decl_name(d), (ei, slot) + sub), scope
+
+
+def _reference_applications(table, project, module, fn, arg_count):
+    """resolver.applications as it was, on the generic walk."""
+    mod = project.modules[module]
+    fn_target = None
+    refs = table.lookup(module, fn)
+    if len(refs) == 1:
+        fn_target = (refs[0].module, refs[0].name)
+    for d in mod.decls:
+        for ei, slot, root, bound in decl_expr_roots(d):
+            nodes = {}
+            for sub, e, scope in walk_expr_scoped(root, bound):
+                nodes[sub] = e
+                if not isinstance(e, App) or (sub and sub[-1] == 0 and isinstance(nodes.get(sub[:-1]), App)):
+                    continue
+                head, args = app_spine(e)
+                if len(args) != arg_count or not isinstance(head, Var) or head.name != fn:
+                    continue
+                try:
+                    ref = resolve_var(table, project, module, scope, head)
+                except ResolveError:
+                    continue
+                if ref is None or (fn_target is not None and (ref.module, ref.name) != fn_target):
+                    continue
+                yield OccRef(module, decl_name(d), (ei, slot) + sub), ref
+
+
+def _reference_first_spine(d, name, wanted, local_of=None, skip_slot=None):
+    """unfold-instance's search as it was: the first variable the generic walk
+    meets, then up the application spine it heads."""
+    for ei, slot, root, bound in decl_expr_roots(d, local_of):
+        if slot == skip_slot:
+            continue
+        for sub, e, scope in walk_expr_scoped(root, bound):
+            if isinstance(e, Var) and e.name == name and wanted(e, scope):
+                path = (ei, slot) + sub
+                while len(path) > 2 and path[-1] == 0 and isinstance(decl_expr_at(d, path[:-1]), App):
+                    path = path[:-1]
+                return path
+    return None
+
+
+def _reference_free_vars(e):
+    return {v.name for _, v, bound in walk_expr_scoped(e, frozenset())
+            if isinstance(v, Var) and v.name not in bound and v.qualifier is None}
+
+
+def _reference_all_names(e):
+    out = set()
+    for _, node, bound in walk_expr_scoped(e, frozenset()):
+        out |= bound
+        if isinstance(node, Var):
+            out.add(node.name)
+    return out
+
+
+def _answer(query, *args):
+    """What a query yields, or the error it raises."""
+    try:
+        return "ok", list(query(*args))
+    except ResolveError as exc:
+        return "error", exc.kind, str(exc)
+
+
+def _queries_agree(project: Project, seen: set):
+    """Each reference query on project answers as the generic walk did: the
+    occurrences of every top-level definition and move-def's referencing
+    set for it, and, in each function declaration not in seen,
+    free_vars and all_names of every root and, for each name it reads, its
+    applications and the first spine of a use."""
+    table = build_symbol_table(project)
+    for mname, mod in project.modules.items():
+        for d in mod.decls:
+            target = (mname, d.name)
+            want = _answer(_reference_uses_of, table, project, target)
+            got = _answer(occurrences_of, project, *target)
+            assert got == (want if want[0] == "error" else ("ok", [occ for occ, _ in want[1]]))
+            if want[0] == "ok":
+                referencing = {occ.module for occ, _ in want[1] if (occ.module, occ.decl) != target}
+                assert {m for m, _, _ in readers_of(table, project, target, skip=d.name)} == referencing
+            if not isinstance(d, FunDecl) or id(d) in seen:
+                continue
+            seen.add(id(d))
+            for _, _, root, _ in decl_expr_roots(d):
+                assert free_vars(root) == _reference_free_vars(root)
+                assert all_names(root) == _reference_all_names(root)
+            for name in {c[2] for c in decl_reads(d).checks if c[0] == "var"}:
+                for wanted in (lambda v, s: True, lambda v, s: v.qualifier is None and v.name not in s):
+                    assert R._first_spine(d, name, wanted) == _reference_first_spine(d, name, wanted)
+                for k in (1, 2, 3):
+                    assert _answer(applications, table, project, mname, name, k) == \
+                        _answer(_reference_applications, table, project, mname, name, k)
+
+
+_QUERY_M = parse_module("module M where\n\na = 1\n\nb = 1\n\nc = 1\n\nx = 1\n")
+_QUERY_N = parse_module("module N where\n\nimport M\n\ny = 1\n\nz = 1\n\nw = 1\n\nacc = 1\n")
+
+
+@CASES
+@given(_decls())
+def test_the_reference_queries_agree_with_the_generic_walk(d):
+    # d in module N, which defines y, z, w and acc and imports M, which
+    # defines a, b, c and x: a bare name resolves, and a qualified one
+    # where its module defines the name
+    n = replace(_QUERY_N, decls=_QUERY_N.decls + (d,))
+    _queries_agree(Project({"M": _QUERY_M, "N": n}), set())
+
+
+def test_the_reference_queries_agree_on_the_corpus():
+    seen: set = set()
+    for project in _corpus()[1]:
+        _queries_agree(project, seen)
+    assert len(seen) > 350
+
+
+def test_unfold_instance_chooses_the_occurrence_the_generic_walk_chooses(monkeypatch):
+    # unfold-instance of every variable and where-local each declaration of
+    # the fixtures and step states reads
+    chosen = []
+
+    def both(d, name, wanted, local_of=None, skip_slot=None):
+        got = first_spine(d, name, wanted, local_of, skip_slot)
+        assert got == _reference_first_spine(d, name, wanted, local_of, skip_slot)
+        chosen.append(got)
+        return got
+
+    first_spine = R._first_spine
+    monkeypatch.setattr(R, "_first_spine", both)
+    for project in _corpus()[0]:
+        for m, mod in project.modules.items():
+            for d in mod.decls:
+                if not isinstance(d, FunDecl):
+                    continue
+                tokens = {c[2] if c[1] is None else f"{c[1]}.{c[2]}" for c in decl_reads(d).checks if c[0] == "var"}
+                tokens.update(loc.name for eq in d.equations for loc in eq.locals)
+                for token in sorted(tokens):
+                    try:
+                        R.unfold_instance(project, token, d.name, m)
+                    except R.RefactorError:
+                        pass
+    assert sum(path is not None for path in chosen) > 200
 
 
 def test_minimize_qualifiers_keeps_canonical_modules(pfun):

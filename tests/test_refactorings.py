@@ -433,6 +433,7 @@ _CASE_REBINDS_N = (
     "r = f (A 7)"
 )
 _CALLER_REBINDS_K = "module M where\n\nk = 5\n\nf y = y + k\n\ng k = f 1\n\nr = g 100"
+_CALLER_REBINDS_F = "module M where\n\nk = 5\n\nf y = y + k\n\ng n = f n + (let f = 2 in f)\n\nr = g 100"
 
 
 @pytest.mark.parametrize("source, op", [
@@ -458,6 +459,8 @@ _CALLER_REBINDS_K = "module M where\n\nk = 5\n\nf y = y + k\n\ng k = f 1\n\nr = 
                  id="lift-def-argument-captured-at-use"),
     pytest.param(_CALLER_REBINDS_K, lambda p: R.generalise_ident(p, "f", "M", "k", "x"),
                  id="generalise-ident-argument-captured-at-call"),
+    pytest.param(_CALLER_REBINDS_F, lambda p: R.generalise_ident(p, "f", "M", "k", "x"),
+                 id="generalise-ident-caller-rebinds-the-function"),
 ])
 def test_binder_scoping_keeps_behaviour(source, op):
     p = _project(source)
