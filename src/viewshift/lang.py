@@ -390,9 +390,10 @@ def binder_children(e: Expr) -> list[tuple[Expr, tuple[str, ...]]]:
     This is the one statement of binder scoping inside expressions: a case
     branch binds its pattern variables over its body, and a let binds its
     names (recursively) over every right-hand side and the body. The scoped
-    walk, free variables, alpha-equivalence, capture-avoiding substitution
-    (with with_binder_children) and the resolver's validation walk all read
-    it; only the evaluator's compiler and the reference oracle keep their own.
+    walks and rewrites, free variables, the paired walk of alpha-equivalence
+    and fold matching (paired_children), capture-avoiding substitution (with
+    with_binder_children) and the resolver's reads pass all read it; only
+    the evaluator's compiler and the reference oracle keep their own.
     """
     if isinstance(e, Case):
         return [(e.scrutinee, ())] + [(b.body, pattern_vars(b.pattern)) for b in e.branches]
@@ -429,15 +430,6 @@ def _rename_pattern(p: Pattern, renaming: dict[str, str]) -> Pattern:
             return PTuple(tuple(_rename_pattern(i, renaming) for i in items))
         case _:
             return p
-
-
-def scoped_children(e: Expr, bound: frozenset[str]) -> list[tuple[Expr, frozenset[str]]]:
-    """expr_children(e), each paired with the names bound around it."""
-    if isinstance(e, _LEAVES):  # most nodes; skips expr_children's match
-        return []
-    if isinstance(e, (Case, Let)):
-        return [(kid, bound.union(names) if names else bound) for kid, names in binder_children(e)]
-    return [(kid, bound) for kid in expr_children(e)]
 
 
 def var_slot(v: Var, scope: tuple[str, ...]) -> Optional[int]:
@@ -529,10 +521,12 @@ def map_scoped(e: Expr, bound: frozenset[str], fn) -> Expr:
     """Bottom-up rewrite: fn(node, bound names) is applied to every node after
     its children. A node whose children all come back unchanged is passed to
     fn as the same object, so an identity fn returns e itself."""
+    if isinstance(e, _LEAVES):  # most nodes; skips binder_children's match
+        return fn(e, bound)
     new_kids = []
     changed = False
-    for kid, inner in scoped_children(e, bound):
-        new = map_scoped(kid, inner, fn)
+    for kid, names in binder_children(e):
+        new = map_scoped(kid, bound.union(names) if names else bound, fn)
         changed = changed or new is not kid
         new_kids.append(new)
     if changed:
@@ -613,13 +607,19 @@ def decl_expr_roots(
 
 def map_decl_roots(d: TopDecl, fn, local_of: Optional[int] = None) -> TopDecl:
     """Replace each root that decl_expr_roots(d, local_of) yields by
-    fn(root, bound); d itself comes back when no root changed."""
-    out = d
+    fn(root, bound), building d anew once; d itself comes back when no root
+    changed."""
+    equations = None
     for ei, slot, root, bound in decl_expr_roots(d, local_of):
         new = fn(root, bound)
         if new is not root:
-            out = replace_decl_expr_at(out, (ei, slot), new)
-    return out
+            equations = equations or list(d.equations)  # type: ignore[union-attr]
+            eq = equations[ei]
+            if slot:
+                equations[ei] = with_local(eq, slot - 1, replace(eq.locals[slot - 1], rhs=new))
+            else:
+                equations[ei] = replace(eq, rhs=new)
+    return d if equations is None else replace(d, equations=tuple(equations))
 
 
 def decl_expr_at(d: TopDecl, path: tuple[int, ...]) -> Expr:

@@ -98,9 +98,9 @@ def substitute_many(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 # --- alpha-equivalence ---
 
-# same_global(a, b): whether global variables a and b, one from each side,
-# denote the same definition
-GlobalEq = Optional[Callable[[Var, Var], bool]]
+# same_global(a, b, right): whether b, with the names right bound around it,
+# matches a, a variable bound nowhere on its side (a global, or a hole)
+GlobalEq = Optional[Callable[[Var, Expr, tuple[str, ...]], bool]]
 
 
 def alpha_eq_expr(
@@ -109,18 +109,17 @@ def alpha_eq_expr(
 ) -> bool:
     """True iff a and b differ only in bound-variable names; left and right
     name the binders around a and b in binding order, and binders correspond
-    by position. Global variables correspond when equal, or when
-    same_global, if given, says so."""
+    by position. A variable of a that left does not bind matches an equal
+    free variable of b or, with same_global, what same_global accepts."""
     stack = [(a, b, left, right)]
     while stack:
         a, b, left, right = stack.pop()
         if isinstance(a, Var):
-            if not isinstance(b, Var):
-                return False
             slot = var_slot(a, left)
-            if slot != var_slot(b, right):
-                return False
-            if slot is None and not (a == b if same_global is None else same_global(a, b)):
+            if slot is None and same_global is not None:
+                if not same_global(a, b, right):
+                    return False
+            elif not isinstance(b, Var) or slot != var_slot(b, right) or (slot is None and a != b):
                 return False
             continue
         kids = paired_children(a, b)
@@ -136,8 +135,8 @@ def alpha_eq_decl(a: TopDecl, b: TopDecl, same_global: GlobalEq = None) -> bool:
     The declared name itself binds (recursive references correspond), so
     fold1 and fold2 from the two transformation runs compare equal.
     Attached comments are metadata and are ignored. With same_global, which
-    compares global variables as alpha_eq_expr's does, the declared name
-    binds nothing: a recursive reference is compared as any global one.
+    decides free variables as alpha_eq_expr's does, the declared name binds
+    nothing: a recursive reference is compared as any global one.
     """
     if isinstance(a, DataDecl) or isinstance(b, DataDecl):
         if not (isinstance(a, DataDecl) and isinstance(b, DataDecl)):

@@ -16,7 +16,7 @@ from .lang import (
     LetBinding, LocalDef, ModuleDef, PCon, PTuple, PVar, Pattern, Project,
     TopDecl, Tuple, Var, app_spine, binder_children, decl_expr_at, decl_expr_roots,
     decl_name, equation_scope, make_app, map_decl_roots, map_scoped, map_vars, pattern_vars,
-    replace, replace_decl_expr_at, rewritten, scoped_children, scoped_vars, with_decl,
+    replace, replace_decl_expr_at, rewritten, scoped_vars, with_decl,
     with_equation, with_local, with_module,
 )
 from .names import (
@@ -28,7 +28,7 @@ from .render import render_decl
 from .resolver import (
     ResolveError, SymbolTable, applications, build_symbol_table, decl_reads,
     decl_refs, find_application, module_exports, module_names, module_scope,
-    importers_of, occurrences_of, readers_of, resolve_var, resolve_project, unused_imports,
+    importers_of, readers_of, resolve_var, resolve_project, unused_imports,
 )
 from .rewrite import (
     InstanceMatcher, fold_instances_in_expr, minimize_qualifiers,
@@ -208,7 +208,8 @@ def new_def_fun_app(project: Project, f: str, arg_count: int, fp: str, m: str) -
     # application: a name they bind must not be used or shadow fp there.
     _, _, app_expr, between = next(r for r in decl_expr_roots(d, ei) if r[1] == slot)
     for i in occ.path[2:]:
-        app_expr, between = scoped_children(app_expr, between)[i]
+        app_expr, names = binder_children(app_expr)[i]
+        between = between.union(names)
     _unbound(project, m, fp, equation_scope(eq), between)
     escaping = free_vars(app_expr) & between
     if escaping:
@@ -644,7 +645,7 @@ def fold_top_level(project: Project, f: str, m: str) -> Project:
         decls, folded = [], 0
         for dd in modx.decls:
             if not (mname == m and decl_name(dd) == f):
-                dd, n = _fold_decl(matcher, eq.rhs, params, head, dd, mname)
+                dd, n = fold_instances_in_expr(matcher, eq.rhs, params, head, dd, mname)
                 folded += n
             decls.append(dd)
         if folded:  # a module that folded nothing stays the same object
@@ -695,33 +696,11 @@ def generative_fold(project: Project, f: str, arg_count: int, m: str) -> Project
     # Fold phase against the commented body.
     matcher = InstanceMatcher(build_symbol_table(project2), spec_params, m)
     head = Var(spec.name, qualifier=m)
-    d2, total = _fold_decl(matcher, spec_eq.rhs, spec_params, head, d2, m)
+    d2, total = fold_instances_in_expr(matcher, spec_eq.rhs, spec_params, head, d2, m)
     if not total:
         raise RefactorError("NotApplicable", "nothing foldable after unfolding")
     project2 = with_module(project2, with_decl(mod2, di2, d2))
     return _finish(project2)
-
-
-def _fold_decl(
-    matcher: InstanceMatcher, template: Expr, params: tuple[str, ...], head: Var,
-    d: TopDecl, site_module: str,
-) -> tuple[TopDecl, int]:
-    """Fold instances of template in every root of d into head applied to
-    the matched parameters; returns (declaration, instances folded)."""
-    count = 0
-
-    def make_call(sigma: dict[str, Expr]) -> Expr:
-        return make_app(head, [sigma[p] for p in params])
-
-    def fold_root(root: Expr, bound: frozenset[str]) -> Expr:
-        nonlocal count
-        new, n = fold_instances_in_expr(
-            matcher, template, params, make_call, root, site_module, bound
-        )
-        count += n
-        return new
-
-    return map_decl_roots(d, fold_root), count
 
 
 def _comment_spec(d: TopDecl | None) -> FunDecl | None:
@@ -842,9 +821,9 @@ def rm_from_exports(project: Project, f: str, m: str) -> Project:
     mod = _module(project, m)
     if mod.exports is None or f not in mod.exports:
         raise _not_found(f"{m} does not explicitly export {f}")
-    occ = [o for o in occurrences_of(project, m, f) if o.module != m]
-    if occ:
-        raise RefactorError("StillUsed", f"{f} is used in module {occ[0].module}")
+    user = next((r for r in readers_of(build_symbol_table(project), project, (m, f)) if r[0] != m), None)
+    if user is not None:
+        raise RefactorError("StillUsed", f"{f} is used in module {user[0]}")
     project = with_module(
         project, replace(mod, exports=tuple(n for n in mod.exports if n != f))
     )

@@ -15,10 +15,10 @@ from __future__ import annotations
 from functools import partial
 
 from .lang import (
-    Equation, Expr, FunDecl, Project, Var, map_decl_roots, map_scoped, map_vars, paired_children,
+    Equation, Expr, FunDecl, Project, TopDecl, Var, make_app, map_decl_roots, map_scoped, map_vars,
     replace, rewritten, var_slot,
 )
-from .names import free_vars
+from .names import alpha_eq_expr, free_vars
 from .resolver import (
     SymbolTable, build_symbol_table, decl_reads, has_droppable, importers_of, mentioned_names, project_state,
 )
@@ -168,59 +168,45 @@ class InstanceMatcher:
         sigma: dict[str, Expr],
     ) -> bool:
         """Whether candidate, at a site of site_module where site_bound is
-        bound, is an instance of template; sigma receives the parameters."""
-        # Scopes name the binders inside the match only, in binding order.
-        stack = [(template, candidate, (), ())]
-        while stack:
-            t, c, tscope, cscope = stack.pop()
-            if isinstance(t, Var) and t.qualifier is None and t.name in self.params and t.name not in tscope:
+        bound, is an instance of template; sigma receives the parameters.
+        Scopes name the binders inside the match only."""
+
+        def hole(t: Var, c: Expr, cscope: tuple[str, ...]) -> bool:
+            if t.qualifier is None and t.name in self.params:
                 # The bound expression escapes the matched subtree: no
                 # occurrence may capture names bound inside the match.
                 if cscope and not free_vars(c).isdisjoint(cscope):
                     return False
-                if sigma.setdefault(t.name, c) != c:
-                    return False
-            elif isinstance(t, Var):
-                if not isinstance(c, Var):
-                    return False
-                slot = var_slot(t, tscope)
-                if slot != var_slot(c, cscope):
-                    return False
-                if slot is None:
-                    # Neither is bound in the match: both must denote one
-                    # top-level definition, which a name bound at the site
-                    # does not.
-                    target = self._global(self.template_module, t)
-                    if target is None or (c.qualifier is None and c.name in site_bound):
-                        return False
-                    if target != self._global(site_module, c):
-                        return False
-            else:
-                kids = paired_children(t, c)
-                if kids is None:
-                    return False
-                stack += [(x, y, tscope + nx, cscope + ny) for x, y, nx, ny in kids]
-        return True
+                return sigma.setdefault(t.name, c) == c
+            # Neither is bound in the match: both must denote one top-level
+            # definition, which a name bound at the site does not.
+            if type(c) is not Var or var_slot(c, cscope) is not None or (c.qualifier is None and c.name in site_bound):
+                return False
+            target = self._global(self.template_module, t)
+            return target is not None and target == self._global(site_module, c)
+
+        return alpha_eq_expr(template, candidate, same_global=hole)
 
 
 def fold_instances_in_expr(
     matcher: InstanceMatcher,
     template: Expr,
-    param_order: tuple[str, ...],
-    make_call,
-    root: Expr,
+    params: tuple[str, ...],
+    head: Var,
+    d: TopDecl,
     site_module: str,
-    site_bound: frozenset[str],
-) -> tuple[Expr, int]:
-    """Bottom-up replacement of template instances by make_call(sigma)."""
+) -> tuple[TopDecl, int]:
+    """Bottom-up replacement, in every root of d, of the instances of
+    template by head applied to the matched parameters; returns (declaration,
+    instances folded)."""
     count = 0
 
     def fold(e: Expr, bound: frozenset[str]) -> Expr:
         nonlocal count
         sigma: dict[str, Expr] = {}
-        if matcher.match(template, e, site_module, bound, sigma) and set(sigma) == set(param_order):
+        if matcher.match(template, e, site_module, bound, sigma) and set(sigma) == set(params):
             count += 1
-            return make_call(sigma)
+            return make_app(head, [sigma[p] for p in params])
         return e
 
-    return map_scoped(root, site_bound, fold), count
+    return map_decl_roots(d, lambda root, bound: map_scoped(root, bound, fold)), count

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional
 
 from . import refactorings as ops
 from .evaluator import EvalError, EvalStats, _entry_modules, default_entries, observe_entries
-from .lang import DataDecl, FunDecl, ModuleDef, Project, Var, changed_modules, decl_name, record
+from .lang import DataDecl, FunDecl, ModuleDef, Project, Var, changed_modules, decl_name, record, var_slot
 from .names import alpha_eq_decl
 from .refactorings import RefactorError
 from .render import write_project
@@ -347,7 +347,8 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
                 if fresh:
                     src, prior = preimage(m, d)
                     verdicts[key] = prior is not None and same_constructors(src, m, checks) and alpha_eq_decl(
-                        prior, d, lambda a, b: same_site(src, a, m, b))
+                        prior, d, lambda a, b, right:
+                            type(b) is Var and var_slot(b, right) is None and same_site(src, a, m, b))
                 else:
                     verdicts[key] = same_constructors(m, m, checks) and all(
                         reads_as_before(m, c[1], c[2]) for c in checks if c[0] == "var")

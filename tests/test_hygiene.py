@@ -7,6 +7,7 @@ derivation relies on, and derived state lives on AST and project objects
 only, never in a module-level cache."""
 
 import ast
+import importlib
 import typing
 from collections import Counter
 from pathlib import Path
@@ -218,3 +219,21 @@ def test_no_module_level_caches(pfun, forward_script):
         and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
     ]
     assert bound == []
+
+
+def test_every_traced_function_exists():
+    # bench/tracer.py wraps functions by name and fails at install time on a
+    # name the package no longer defines; the traced benchmark run is the
+    # only other place that would notice
+    tracer = _tree(PACKAGE.parents[1] / "bench" / "tracer.py")
+    wrapped = next(
+        node.value for node in tracer.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    )
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in ast.literal_eval(wrapped).items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"viewshift.{layer}"), name, None))
+    ]
+    assert missing == []

@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewshift import refactorings as R
@@ -10,7 +11,8 @@ from viewshift.lang import (
     App, Builtin, Case, CaseBranch, ConApp, Equation, Expr, FunDecl, Infix,
     IntLit, Let, LetBinding, LocalDef, ModuleDef, PCon, PInt, PTuple, PVar,
     PWild, Project, StrLit, Tuple, Var, app_spine, binder_children, decl_expr_at, decl_expr_roots,
-    decl_name, map_scoped, map_vars, replace, scoped_children, scoped_vars,
+    decl_name, map_decl_roots, map_scoped, map_vars, paired_children, replace, replace_decl_expr_at,
+    scoped_vars, var_slot, with_binder_children,
 )
 from viewshift.names import (
     all_names, alpha_eq_decl, alpha_eq_expr, alpha_eq_project, free_vars, substitute,
@@ -22,7 +24,7 @@ from viewshift.resolver import (
     _ARITY, DeclReads, OccRef, ResolveError, _pattern_checks, applications, build_symbol_table,
     decl_reads, importers_of, mentioned_names, occurrences_of, readers_of, resolve_var,
 )
-from viewshift.rewrite import minimize_qualifiers
+from viewshift.rewrite import InstanceMatcher, minimize_qualifiers
 
 CASES = settings(max_examples=100, deadline=None)
 
@@ -618,9 +620,15 @@ def walk_expr_scoped(e: Expr, bound: frozenset, path: tuple = ()):
     while stack:
         path, e, bound = item = stack.pop()
         yield item
-        kids = scoped_children(e, bound)
+        kids = _scoped_children(e, bound)
         for i in range(len(kids) - 1, -1, -1):
             stack.append((path + (i,), *kids[i]))
+
+
+def _scoped_children(e: Expr, bound: frozenset) -> list:
+    """The children of e, each with the names bound around it, as
+    lang.scoped_children gave them before the generic walk was retired."""
+    return [(kid, bound.union(names) if names else bound) for kid, names in binder_children(e)]
 
 
 def _reference_uses_of(table, project, target):
@@ -788,3 +796,188 @@ def test_unfold_instance_chooses_the_occurrence_the_generic_walk_chooses(monkeyp
 def test_minimize_qualifiers_keeps_canonical_modules(pfun):
     out = minimize_qualifiers(pfun)
     assert all(out.modules[m] is mod for m, mod in pfun.modules.items())
+
+
+# --- fold matching on the paired walk, against the matcher's own loop ---
+
+def _reference_match(matcher, template, candidate, site_module, site_bound, sigma):
+    """InstanceMatcher.match as it was, with an explicit-stack loop of its own
+    beside alpha_eq_expr's."""
+    stack = [(template, candidate, (), ())]
+    while stack:
+        t, c, tscope, cscope = stack.pop()
+        if isinstance(t, Var) and t.qualifier is None and t.name in matcher.params and t.name not in tscope:
+            if cscope and not free_vars(c).isdisjoint(cscope):
+                return False
+            if sigma.setdefault(t.name, c) != c:
+                return False
+        elif isinstance(t, Var):
+            if not isinstance(c, Var):
+                return False
+            slot = var_slot(t, tscope)
+            if slot != var_slot(c, cscope):
+                return False
+            if slot is None:
+                target = matcher._global(matcher.template_module, t)
+                if target is None or (c.qualifier is None and c.name in site_bound):
+                    return False
+                if target != matcher._global(site_module, c):
+                    return False
+        else:
+            kids = paired_children(t, c)
+            if kids is None:
+                return False
+            stack += [(x, y, tscope + nx, cscope + ny) for x, y, nx, ny in kids]
+    return True
+
+
+def _matches_agree(matcher, template, candidate, site_module, site_bound, sigma, match=InstanceMatcher.match) -> bool:
+    """The verdict of match, which fills sigma, after checking that both are
+    the reference's."""
+    want: dict = {}
+    verdict = match(matcher, template, candidate, site_module, site_bound, sigma)
+    assert verdict == _reference_match(matcher, template, candidate, site_module, site_bound, want)
+    assert sigma == want
+    return verdict
+
+
+def _plug(e: Expr, choices: dict) -> Expr:
+    """e with each free unqualified variable choices names replaced by the
+    expressions listed for it, in turn, binders left as they are: a
+    replacement's free names may be captured, and two occurrences of one
+    name may get different expressions."""
+    taken: dict = {}
+
+    def plug(n: Expr, bound: frozenset) -> Expr:
+        if not isinstance(n, Var) or n.qualifier is not None or n.name not in choices or n.name in bound:
+            return n
+        taken[n.name] = taken.get(n.name, -1) + 1
+        return choices[n.name][taken[n.name] % len(choices[n.name])]
+    return map_scoped(e, frozenset(), plug)
+
+
+@st.composite
+def _renamed_binders(draw, e: Expr) -> Expr:
+    """e with the binders of some case branches and lets renamed, and the
+    variables they bind with them; a new name may capture a free one."""
+    kids = binder_children(e)
+    if not kids:
+        return e
+    renamed: dict = {(): ()}
+    out = []
+    for kid, names in kids:
+        if names not in renamed:
+            keep = draw(st.booleans())
+            renamed[names] = names if keep else tuple(
+                draw(st.lists(NAMES, min_size=len(names), max_size=len(names), unique=True)))
+        new = renamed[names]
+        kid = draw(_renamed_binders(kid))
+        out.append((_plug(kid, {n: [Var(f)] for n, f in zip(names, new) if n != f}), new))
+    return with_binder_children(e, out)
+
+
+@st.composite
+def _match_cases(draw):
+    """A template over some of x, y and a, in module N of the query
+    project, where every name resolves, and a candidate in N or M: the
+    template with expressions plugged in for its parameters (captures and
+    differing repeats included), then binders renamed, or any expression."""
+    template = draw(_exprs())
+    params = tuple(draw(st.lists(st.sampled_from(["x", "y", "a"]), max_size=2, unique=True)))
+    if draw(st.integers(0, 3)):
+        plugs = st.lists(st.one_of(NAMES.map(Var), _exprs(depth=1)), min_size=1, max_size=2)
+        candidate = _plug(template, {p: draw(plugs) for p in params})
+        candidate = draw(_renamed_binders(candidate))
+    else:
+        candidate = draw(_exprs())
+    return template, params, candidate, "N", draw(st.sampled_from(["M", "N"]))
+
+
+@CASES
+@given(_match_cases(), st.lists(NAMES, max_size=1))
+def test_fold_matching_agrees_with_its_own_loop(case, site_bound):
+    # every node of the candidate is offered, as the fold's bottom-up
+    # rewrite offers them, with the names bound there; and the candidate
+    # alone in the template's module, where a plugged one is an instance
+    template, params, candidate, template_module, site_module = case
+    table = build_symbol_table(Project({"M": _QUERY_M, "N": _QUERY_N}))
+    matcher = InstanceMatcher(table, params, template_module)
+    _matches_agree(matcher, template, candidate, template_module, frozenset(), {})
+    for _, node, bound in walk_expr_scoped(candidate, frozenset(site_bound)):
+        _matches_agree(matcher, template, node, site_module, bound, {})
+
+
+@pytest.mark.parametrize("template, candidate, site_bound, instance", [
+    ("x + x", "1 + 1", (), True),
+    ("x + x", "1 + 2", (), False),  # one parameter, two expressions
+    ("let b = 1 in x", "let b = 1 in b", (), False),  # the plugged b is captured
+    ("let b = 1 in x", "let c = 1 in b", (), True),
+    ("case w of\n    K a -> z", "case w of\n    K z -> z", (), False),  # a global against a binder
+    ("case w of\n    K a -> z + a", "case w of\n    K c -> z + c", (), True),
+    ("z + x", "z + 1", ("z",), False),  # z bound at the site is not the global z
+    ("y + x", "M.y + 1", (), False),  # N's y against M's, which M does not define
+    ("b + x", "M.b + w", (), True),
+], ids=["repeat", "repeat-differs", "capture", "no-capture", "global-vs-binder", "binders-renamed",
+        "bound-at-site", "qualified-elsewhere", "qualified-same"])
+def test_fold_matching_agrees_on_capture_and_shadowing(template, candidate, site_bound, instance):
+    # in module N of the query project, with parameter x
+    matcher = InstanceMatcher(build_symbol_table(Project({"M": _QUERY_M, "N": _QUERY_N})), ("x",), "N")
+    assert _matches_agree(
+        matcher, parse_expr(template), parse_expr(candidate), "N", frozenset(site_bound), {}) == instance
+
+
+def test_fold_matching_agrees_on_the_shipped_scripts(monkeypatch):
+    # every (template, node) pair the fold-def and generative-fold steps of
+    # the four shipped scripts offer the matcher
+    from viewshift.corpus import load_fixture
+    from viewshift.script import COMMANDS
+    verdicts = []
+
+    def both(self, template, candidate, site_module, site_bound, sigma):
+        verdicts.append(_matches_agree(self, template, candidate, site_module, site_bound, sigma))
+        return verdicts[-1]
+
+    monkeypatch.setattr(InstanceMatcher, "match", both)
+    origins = [load_fixture(n).project for n in ("pfun", "pdata", "scenario-mult", "scenario-derive")]
+    for project, fixture in zip(origins, ("forward-script", "reverse-script", "scenario-mult", "scenario-derive")):
+        for step in next(iter(load_fixture(fixture).scripts.values())).steps:
+            project = COMMANDS[step.command][1](project, step)
+    assert len(verdicts) > 100 and sum(verdicts) >= 17  # 428 offers, 17 instances
+
+
+# --- one rebuild per rewritten declaration ---
+
+def _reference_map_decl_roots(d, fn, local_of=None):
+    """map_decl_roots as it was: the declaration rebuilt once per changed root."""
+    out = d
+    for ei, slot, root, bound in decl_expr_roots(d, local_of):
+        new = fn(root, bound)
+        if new is not root:
+            out = replace_decl_expr_at(out, (ei, slot), new)
+    return out
+
+
+def _rebuilds_agree(d: FunDecl) -> bool:
+    """map_decl_roots builds d as the per-root rewrite does, whole and per
+    where-local scope, and hands d back under the identity; whether the
+    variable rewrite changed d."""
+    rewrite = lambda root, bound: map_vars(root, bound, _var_fn)
+    for local_of in (None, *range(len(d.equations))):
+        assert map_decl_roots(d, rewrite, local_of) == _reference_map_decl_roots(d, rewrite, local_of)
+        assert map_decl_roots(d, lambda root, bound: root, local_of) is d
+    return map_decl_roots(d, rewrite) is not d
+
+
+@CASES
+@given(_decls())
+def test_map_decl_roots_rebuilds_as_the_per_root_rewrite_did(d):
+    _rebuilds_agree(d)
+
+
+def test_map_decl_roots_rebuilds_as_the_per_root_rewrite_did_on_the_corpus():
+    # every declaration of the fixtures and step states and every one a step
+    # of a shipped script makes, whole and per where-local scope
+    projects = _corpus()[1]
+    decls = {id(d): d for p in projects for mod in p.modules.values() for d in mod.decls if isinstance(d, FunDecl)}
+    assert len(decls) > 350
+    assert sum(map(_rebuilds_agree, decls.values())) > 250  # 263 changed by the rewrite
