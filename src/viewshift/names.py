@@ -105,31 +105,36 @@ GlobalEq = Optional[Callable[[Var, Expr, tuple[str, ...]], bool]]
 
 def alpha_eq_expr(
     a: Expr, b: Expr, left: tuple[str, ...] = (), right: tuple[str, ...] = (),
-    same_global: GlobalEq = None,
+    same_global: GlobalEq = None, unfold: Optional[Callable] = None,
 ) -> bool:
     """True iff a and b differ only in bound-variable names; left and right
     name the binders around a and b in binding order, and binders correspond
     by position. A variable of a that left does not bind matches an equal
-    free variable of b or, with same_global, what same_global accepts."""
+    free variable of b or, with same_global, what same_global accepts. With
+    unfold, a pair with an application on either side, or any other that does
+    not match, goes first to unfold(a, b, left, right): a pair to compare instead, or None."""
     stack = [(a, b, left, right)]
     while stack:
         a, b, left, right = stack.pop()
-        if isinstance(a, Var):
-            slot = var_slot(a, left)
-            if slot is None and same_global is not None:
-                if not same_global(a, b, right):
-                    return False
-            elif not isinstance(b, Var) or slot != var_slot(b, right) or (slot is None and a != b):
+        spine = unfold is not None and (type(a) is App or type(b) is App)
+        if not spine or (pair := unfold(a, b, left, right)) is None:
+            if isinstance(a, Var):
+                slot = var_slot(a, left)
+                if slot is None and same_global is not None:
+                    if same_global(a, b, right):
+                        continue
+                elif isinstance(b, Var) and slot == var_slot(b, right) and (slot is not None or a == b):
+                    continue
+            elif (kids := paired_children(a, b)) is not None:
+                stack += [(x, y, left + nx, right + ny) for x, y, nx, ny in kids]
+                continue
+            if unfold is None or spine or (pair := unfold(a, b, left, right)) is None:
                 return False
-            continue
-        kids = paired_children(a, b)
-        if kids is None:
-            return False
-        stack += [(x, y, left + nx, right + ny) for x, y, nx, ny in kids]
+        stack.append(pair)
     return True
 
 
-def alpha_eq_decl(a: TopDecl, b: TopDecl, same_global: GlobalEq = None) -> bool:
+def alpha_eq_decl(a: TopDecl, b: TopDecl, same_global: GlobalEq = None, unfold: Optional[Callable] = None) -> bool:
     """True iff the declarations differ only in bound-variable names.
 
     The declared name itself binds (recursive references correspond), so
@@ -160,7 +165,7 @@ def alpha_eq_decl(a: TopDecl, b: TopDecl, same_global: GlobalEq = None) -> bool:
             (la.rhs, lb.rhs, left + la.params, right + lb.params)
             for la, lb in zip(ea.locals, eb.locals)
         ]
-    return all(alpha_eq_expr(*root, same_global) for root in roots)
+    return all(alpha_eq_expr(*root, same_global, unfold) for root in roots)
 
 
 def alpha_eq_project(a: Project, b: Project) -> bool:

@@ -14,8 +14,11 @@ from typing import Callable, Iterable, Optional
 
 from . import refactorings as ops
 from .evaluator import EvalError, EvalStats, _entry_modules, default_entries, observe_entries
-from .lang import DataDecl, FunDecl, ModuleDef, Project, Var, changed_modules, decl_name, record, var_slot
-from .names import alpha_eq_decl
+from .lang import (
+    DataDecl, Equation, FunDecl, ModuleDef, Project, PVar, Var, app_spine, changed_modules, decl_name,
+    equation_scope, make_app, map_scoped, map_vars, record, replace, scoped_vars, var_slot,
+)
+from .names import alpha_eq_decl, free_vars, substitute_many
 from .refactorings import RefactorError
 from .render import write_project
 from .resolver import (
@@ -118,7 +121,7 @@ class StepRecord:
         self.error: Optional[str] = None
         self.kind: Optional[str] = None  # the typed kind of error, when it has one
         self.equivalence: Optional[str] = None  # "pass" | "fail" | None
-        self.proof: Optional[str] = None  # how the check decided: "renaming" | "observed" | None
+        self.proof: Optional[str] = None  # how the check decided: "renaming" | "unfolding" | "observed" | None
         self.evaluated: Optional[list[str]] = None  # the entries the check evaluated on the result
         self.elapsed = 0.0
         # module -> names of the declarations the step added, removed or replaced
@@ -226,12 +229,22 @@ def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
 # reductions in the result as in the input and builds the same values, with
 # functions named through φ. So it prints the same when φ fixes the entry
 # and the value shows no function that φ, or a renamed where-local, renames.
+#
+# A declaration that fails that verdict may pass up to unfolding (Necula's
+# normalisation before comparing), each side by its own definitions and
+# never by folding (Sands, TOPLAS 1996); README states rules 1-3 and their
+# limits, and judge, _inlined and unfoldable apply them.
+
+
+class Proof(frozenset):
+    """The entries a certificate proves; unfolding: whether a verdict needed rule 1 or 2."""
+    unfolding = False
 
 
 def renaming_certificate(
     before: Project, after: Project, entries: tuple[str, ...], expected: dict[str, str],
     replaced: Iterable[str],
-) -> frozenset[str]:
+) -> Proof:
     """The entries on which after, the result of one step on before, is
     proved to observe as before does. expected is what before observes, and
     replaced names every module whose object differs between the two. An
@@ -239,7 +252,7 @@ def renaming_certificate(
     try:
         return _proved(before, after, tuple(entries), expected, sorted(replaced))
     except (ResolveError, RecursionError):
-        return frozenset()
+        return Proof()
 
 
 def _functions(mod: ModuleDef | None) -> set[str]:
@@ -256,26 +269,74 @@ def _local_names(d: FunDecl) -> list[str]:
 
 def _sites(project: Project, table: SymbolTable):
     """The definition a global site (module, qualifier, name) of project
-    denotes, memoised per site; resolve_var raises where it denotes none."""
+    denotes, memoised per site: an unqualified name's one candidate in the
+    module's scope, as evaluator._site reads it, else what resolve_var gives,
+    which raises where it denotes none. A qualifier unfoldable writes is read
+    in the home module it names."""
     memo: dict[tuple[str, str | None, str], DefRef] = {}
 
     def resolve(module: str, qualifier: str | None, name: str) -> DefRef:
         site = (module, qualifier, name)
         if site not in memo:
-            memo[site] = resolve_var(table, project, module, frozenset(), Var(name, qualifier))
+            if qualifier is not None and qualifier[0] == "\0":
+                _, module, qualifier = qualifier.split("\0")
+            refs = () if qualifier else table.scopes.get(module, {}).get(name, ())
+            memo[site] = refs[0] if len(refs) == 1 else resolve_var(
+                table, project, module, frozenset(), Var(name, qualifier or None))
         return memo[site]
     return resolve
 
 
-def _proved(before: Project, after: Project, entries, expected: dict[str, str], replaced: list[str]) -> frozenset:
+def _inlined(eq: Equation) -> Equation:
+    """eq with each where-local inlined at its uses and dropped where its rhs
+    reads no where-local of eq, every use applies it to at least its
+    parameters, and no binder at a use captures a name its rhs reads (rule 1)."""
+    if not eq.locals or "_inlined" in eq.__dict__:
+        return eq.__dict__.get("_inlined") or eq  # None: nothing inlined
+    names, inline = {loc.name for loc in eq.locals}, {}
+    roots = [(eq.rhs, frozenset()), *((loc.rhs, frozenset(loc.params)) for loc in eq.locals)]
+    for loc in eq.locals:
+        free = free_vars(loc.rhs).difference(loc.params)
+        if names.isdisjoint(free) and all(
+            n >= len(loc.params) and bound.isdisjoint(free)
+            for root, base in roots for _, v, bound, n in scoped_vars(root, base)
+            if v.name == loc.name and v.qualifier is None and v.name not in bound
+        ):
+            inline[loc.name] = loc
+
+    def at_use(e, bound):
+        head, args = app_spine(e)
+        loc = inline.get(head.name) if type(head) is Var and head.qualifier is None else None
+        if loc is None or head.name in bound or len(args) != len(loc.params):
+            return e
+        return substitute_many(loc.rhs, dict(zip(loc.params, args)))
+    eq.__dict__["_inlined"] = out = replace(eq, rhs=map_scoped(eq.rhs, frozenset(), at_use), locals=tuple(
+        replace(loc, rhs=map_scoped(loc.rhs, frozenset(loc.params), at_use))
+        for loc in eq.locals if loc.name not in inline)) if inline else None
+    return out or eq
+
+
+def _globals(eq: Equation) -> frozenset[tuple[str | None, str]]:
+    """The global sites (qualifier, name) eq reads; kept on the equation."""
+    if "_globals" not in eq.__dict__:
+        base = frozenset(equation_scope(eq))  # the names decl_expr_roots binds at each root
+        roots = [(eq.rhs, base), *((loc.rhs, base.union(loc.params)) for loc in eq.locals)]
+        eq.__dict__["_globals"] = frozenset((v.qualifier, v.name) for root, scope in roots
+                                            for _, v, bound, _ in scoped_vars(root, scope)
+                                            if v.qualifier is not None or v.name not in bound)
+    return eq.__dict__["_globals"]
+
+
+def _proved(before: Project, after: Project, entries, expected: dict[str, str], replaced: list[str]) -> Proof:
     was, now = before.modules, after.modules
     if any(m not in now for m in replaced):
-        return frozenset()
+        return Proof()
     vanished = [DefRef(m, n, "fun") for m in replaced for n in _functions(was.get(m)) - _functions(now[m])]
     appeared = [DefRef(m, n, "fun") for m in replaced for n in _functions(now[m]) - _functions(was.get(m))]
     phi = {appeared[0]: vanished[0]} if len(vanished) == len(appeared) == 1 else {}
-    if len(appeared) != len(phi) or any(_data(was.get(m)) != _data(now[m]) for m in replaced):
-        return frozenset()
+    made = set(appeared).difference(phi)  # functions the step made, with no φ partner
+    if any(_data(was.get(m)) != _data(now[m]) for m in replaced):
+        return Proof()
     # An entry bound in the same one module of both is fixed by φ, which
     # moves only a function new to its module. A closure shows its
     # function's name, which only the identity keeps for certain.
@@ -284,7 +345,7 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
              if len(homes_now[entry]) == 1 and homes_now[entry] == homes_was[entry]
              and not (phi and "<" in expected[entry])}
     if not homes:
-        return frozenset()
+        return Proof()
 
     state = project_state(after)
     old, new = project_state(before).table, state.table
@@ -324,8 +385,35 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
         kept = {id(d) for d in prior_mod.decls} if prior_mod is not None else set()
         suspects.update((id(d), (m, d, id(d) not in kept)) for d in now[m].decls
                         if isinstance(d, FunDecl) and (rescoped or id(d) not in kept))
-    verdicts: dict[int, bool] = {}
+    verdicts: dict[int, bool | None] = {}
+    unfolded: set[int] = set()  # the verdicts that passed only up to unfolding
     reads: dict[tuple[str, str | None, str], bool] = {}
+    sides = {False: (was, old, resolve_old), True: (now, new, resolve_new)}  # whether after -> its own
+    bodies: dict[tuple[bool, DefRef], tuple | None] = {}
+
+    def unfoldable(after: bool, ref: DefRef):
+        """(declaration, parameters, body) of the function ref names on one
+        side, where rule 2 may unfold it; memoised. Each global name of the
+        body gets a qualifier no binder captures, which _sites reads in ref's module."""
+        if (after, ref) not in bodies:
+            modules, _, resolve = sides[after]
+            d = decl_index(modules[ref.module]).get(ref.name) if ref.module in modules else None
+            bodies[after, ref] = None
+            eq = d.equations[0] if isinstance(d, FunDecl) and len(d.equations) == 1 else None
+            if eq is not None and not eq.locals and all(type(p) is PVar for p in eq.patterns):
+                todo, seen = [ref], set()  # what it reaches, which must not be itself
+                while todo:
+                    r = todo.pop()
+                    dr = decl_index(modules[r.module]).get(r.name) if r.module in modules else None
+                    for c in decl_reads(dr).checks if isinstance(dr, FunDecl) else ():
+                        if c[0] == "var" and (callee := resolve(r.module, c[1], c[2])) not in seen:
+                            seen.add(callee)
+                            todo.append(callee)
+                if ref not in seen:
+                    params, home = tuple(p.name for p in eq.patterns), f"\0{ref.module}\0"
+                    bodies[after, ref] = d, params, map_vars(eq.rhs, frozenset(params), lambda v, bound: v if (
+                        v.qualifier is None and v.name in bound) else Var(v.name, home + (v.qualifier or "")))
+        return bodies[after, ref]
 
     def reads_as_before(module: str, qualifier: str | None, name: str) -> bool:
         site = (module, qualifier, name)
@@ -334,56 +422,110 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
             reads[site] = same_site(module, v, module, v)
         return reads[site]
 
-    def verdict(d: FunDecl) -> bool:
-        """Whether d of after is its φ-preimage up to bound names, or a kept
-        declaration whose reads resolve as before through φ; memoised."""
+    def verdict(d: FunDecl, full: bool = True) -> bool | None:
+        """Whether d of after is its φ-preimage up to bound names, or up to
+        unfolding, or a function made that rule 2 could unfold, or a kept
+        declaration whose reads resolve as before through φ; memoised. Not
+        full, None where only comparing d with its preimage could pass it."""
         key = id(d)
         if key not in suspects:
             return True
-        if key not in verdicts:
-            m, _, fresh = suspects[key]
-            checks = decl_reads(d).checks
+        if key not in verdicts or verdicts[key] is None and full:
             try:
-                if fresh:
-                    src, prior = preimage(m, d)
-                    verdicts[key] = prior is not None and same_constructors(src, m, checks) and alpha_eq_decl(
-                        prior, d, lambda a, b, right:
-                            type(b) is Var and var_slot(b, right) is None and same_site(src, a, m, b))
-                else:
-                    verdicts[key] = same_constructors(m, m, checks) and all(
-                        reads_as_before(m, c[1], c[2]) for c in checks if c[0] == "var")
+                verdicts[key] = judge(key, d, full)
             except (ResolveError, RecursionError):
                 verdicts[key] = False
         return verdicts[key]
 
-    if all("<" not in expected[entry] for entry in homes) and all(verdict(d) for _, d, _ in suspects.values()):
-        return frozenset(homes)
+    def judge(key: int, d: FunDecl, full: bool) -> bool | None:
+        m, _, fresh = suspects[key]
+        checks = decl_reads(d).checks
+        if not fresh:
+            return same_constructors(m, m, checks) and all(
+                reads_as_before(m, c[1], c[2]) for c in checks if c[0] == "var")
+        (src, prior), ref = preimage(m, d), DefRef(m, d.name, "fun")
+        if prior is None:  # rule 3
+            made_here = ref in made and d.name not in entries and unfoldable(True, ref) is not None
+            if made_here:
+                unfolded.add(key)
+            return made_here
+        if key not in verdicts and (not same_constructors(src, m, checks) or len(prior.equations) != len(
+                d.equations) or prior.arity != d.arity):
+            return False
+        if not full:
+            return None
+
+        def same(a, b, right):
+            return type(b) is Var and var_slot(b, right) is None and same_site(src, a, m, b)
+
+        def unfold(a, b, left, right):  # rule 2, as alpha_eq_expr's hook
+            (ha, xs), (hb, ys) = app_spine(a), app_spine(b)
+            if type(ha) is Var and type(hb) is Var and len(xs) == len(ys):
+                slot = var_slot(ha, left)
+                if same(ha, hb, right) if slot is None else slot == var_slot(hb, right):
+                    return None
+            for after, head, args, scope in ((True, hb, ys, right), (False, ha, xs, left)):
+                if type(head) is not Var or var_slot(head, scope) is not None:
+                    continue
+                ref = sides[after][2](m if after else src, head.qualifier, head.name)
+                found = None if (after, ref) in left else unfoldable(after, ref)
+                if found is None or len(args) < len(found[1]) or not all(
+                        sides[after][1].constructors[ref.module].get(c[1]) == old.constructors[src].get(c[1])
+                        for c in decl_reads(found[0]).checks if c[0] in ("con", "pcon")):
+                    continue
+                _, params, body = found
+                e = make_app(substitute_many(body, dict(zip(params, args))), args[len(params):])
+                left, right = left + ((after, ref),), right + ((after, ref),)  # no name: slots stay aligned
+                return (a, e, left, right) if after else (e, b, left, right)
+            return None
+        # An equation both hold as one object is its preimage where its reads resolve as before.
+        pairs = [(ea, eb) for ea, eb in zip(prior.equations, d.equations)
+                 if ea is not eb or src != m or not all(reads_as_before(m, *site) for site in _globals(eb))]
+        a, b = (replace(prior, equations=tuple(ea for ea, _ in pairs)),
+                replace(d, equations=tuple(eb for _, eb in pairs)))
+        if alpha_eq_decl(a, b, same):
+            return True
+        if not alpha_eq_decl(replace(a, equations=tuple(map(_inlined, a.equations))),  # rules 1 and 2
+                             replace(b, equations=tuple(map(_inlined, b.equations))), same, unfold):
+            return False
+        unfolded.add(key)
+        return True
+
     clean: set[DefRef] = set()  # definitions of after whose every reachable one passed
 
     def reaches_only_passing(entry: str) -> bool:
         """Whether each function declaration entry reaches in after, through
         resolved global sites, passes its verdict; where its value shows a
-        closure, each new one also keeps its where-locals' names."""
+        closure, each new one passes unfolding nothing and keeps its locals' names."""
         closure = "<" in expected[entry]
-        todo, seen = [DefRef(homes[entry], entry, "fun")], set()
+        todo, seen, left = [DefRef(homes[entry], entry, "fun")], set(), []  # left: for a full verdict
         while todo:
             ref = todo.pop()
             if ref in seen or ref in clean and not closure:
                 continue
             seen.add(ref)
             d = decl_index(now[ref.module]).get(ref.name)
-            if not isinstance(d, FunDecl) or not verdict(d):
+            passed = verdict(d, closure) if isinstance(d, FunDecl) else False
+            if passed is False or closure and id(d) in suspects and (
+                    id(d) in unfolded or _local_names(d) != _local_names(preimage(ref.module, d)[1])):
                 return False
-            if closure and id(d) in suspects and _local_names(d) != _local_names(preimage(ref.module, d)[1]):
-                return False
+            if passed is None:
+                left.append(d)
             scope = new.scopes[ref.module]
             for c in decl_reads(d).checks:
                 if c[0] == "var":  # the scope's one candidate, as evaluator._site reads it
                     refs = scope.get(c[2], ()) if c[1] is None else ()
                     todo.append(refs[0] if len(refs) == 1 else resolve_new(ref.module, c[1], c[2]))
+        if not all(map(verdict, left)):
+            return False
         clean.update(seen)
         return True
-    return frozenset(entry for entry in homes if reaches_only_passing(entry))
+    judged = [d for _, d, _ in suspects.values()]
+    every = all("<" not in expected[entry] for entry in homes) and all(
+        verdict(d, False) is not False for d in judged) and all(map(verdict, judged))
+    out = Proof(homes if every else filter(reaches_only_passing, homes))
+    out.unfolding = bool(unfolded)
+    return out
 
 
 _SHOWN = 60  # characters of an observation that a divergence names
@@ -463,7 +605,7 @@ def run_script(
                         record.error = _divergence(record.evaluated, expected, observed)
                         record.kind = "NotEquivalent"
                 else:
-                    same, record.proof = True, "renaming"
+                    same, record.proof = True, "unfolding" if proved.unfolding else "renaming"
             except (EvalError, ResolveError, RecursionError) as exc:
                 same = False
                 record.error, record.kind = _failure(exc)

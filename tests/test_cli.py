@@ -438,3 +438,18 @@ def test_apply_trace_writes_one_record_per_step_and_a_summary(dirs):
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert [r["index"] for r in records[:-1]] == list(range(1, 52))
     assert records[-1]["summary"]["steps"] == 51 and records[-1]["summary"]["ok"] is True
+
+
+def test_checked_apply_trace_says_how_each_step_was_decided(dirs):
+    # a proved step evaluates nothing on its result; step 1 alone also
+    # counts the one observation of the origin
+    trace = dirs / "run.jsonl"
+    code = main(["apply", str(dirs / "scripts" / "forward.vs"), str(dirs / "pfun"), "--checked",
+                 "--out", str(dirs / "build"), "--trace", str(trace)])
+    assert code == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()[:-1]]
+    assert {r["proof"] for r in records} == {"renaming", "unfolding", "observed"}
+    proved = [r for r in records if r["proof"] != "observed"]
+    assert all(r["evaluated"] == [] for r in proved)
+    assert all(r["reductions"] == 0 for r in proved if r["index"] > 1)
+    assert [r["reductions"] > 0 for r in records if r["proof"] == "observed"] == [True] * 5

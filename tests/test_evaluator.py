@@ -279,15 +279,15 @@ def _checked_run_counts(monkeypatch, project, script) -> tuple[int, int, int]:
 def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
     # The compiled machine ticks where a tree walk over the same expressions
     # would. One evaluator per observation: the origin once, then each of the
-    # 31 steps on which a renaming certificate leaves an entry unproved,
-    # every such entry forced on that evaluator's heap.
-    assert _checked_run_counts(monkeypatch, pfun, forward_script) == (32, 4_327, 1_661)
+    # 5 steps on which the certificate, up to unfolding, leaves an entry
+    # unproved, every such entry forced on that evaluator's heap.
+    assert _checked_run_counts(monkeypatch, pfun, forward_script) == (6, 786, 318)
 
 
 @pytest.mark.parametrize("origin, scripts, script, counts", [
-    ("pdata", "reverse-script", "reverse", (9, 1_083, 429)),
-    ("scenario-mult", "scenario-mult", "reverse-mult", (11, 1_776, 704)),
-    ("scenario-derive", "scenario-derive", "forward-derive", (46, 7_407, 2_724)),
+    ("pdata", "reverse-script", "reverse", (5, 671, 259)),
+    ("scenario-mult", "scenario-mult", "reverse-mult", (5, 934, 360)),
+    ("scenario-derive", "scenario-derive", "forward-derive", (8, 1_048, 418)),
 ], ids=["pdata-reverse", "scenario-mult", "scenario-derive"])
 def test_checked_run_counts(monkeypatch, origin, scripts, script, counts):
     # the same pins for the other shipped conversions
@@ -298,14 +298,14 @@ def test_checked_run_counts(monkeypatch, origin, scripts, script, counts):
 def test_checked_forward_trace_sums_to_the_run_counts(pfun, forward_script):
     # each step's record holds its check cost; step 1's includes the one
     # observation of the origin, and its own of the entries the certificate
-    # leaves unproved
+    # leaves unproved, none since it proves exhibit-function by unfolding
     _, log = run_script(pfun, forward_script, checked=True)
     records = [json.loads(line) for line in log.to_json().splitlines()[:-1]]
-    assert (sum(r["reductions"] for r in records), sum(r["forcings"] for r in records)) == (4_327, 1_661)
+    assert (sum(r["reductions"] for r in records), sum(r["forcings"] for r in records)) == (786, 318)
     first, _ = run_script(pfun, Script("first", forward_script.steps[:1]))
     origin, after = EvalStats(), EvalStats()
     observe_entries(pfun, ENTRIES, stats=origin)
-    assert records[0]["evaluated"] == ["r2", "r4"]
+    assert (records[0]["proof"], records[0]["evaluated"]) == ("unfolding", [])
     observe_entries(first, records[0]["evaluated"], stats=after)
     assert records[0]["reductions"] == origin.steps + after.steps
     assert records[0]["forcings"] == origin.forcings + after.forcings
@@ -332,7 +332,7 @@ def _count_calls(monkeypatch, *functions) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("checked, builds", [(False, 206), (True, 238)], ids=["unchecked", "checked"])
+@pytest.mark.parametrize("checked, builds", [(False, 206), (True, 212)], ids=["unchecked", "checked"])
 def test_forward_run_resolver_counts(pfun, forward_script, monkeypatch, checked, builds):
     # the call counts the benchmark reads from its traced paper forward run
     counts = _count_calls(

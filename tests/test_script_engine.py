@@ -5,7 +5,7 @@ import re
 import pytest
 
 from viewshift import refactorings, script
-from viewshift.evaluator import observe_entries
+from viewshift.evaluator import EvalStats, observe_entries
 from viewshift.lang import App, Equation, FunDecl, IntLit, Project, Var, decl_name, replace
 from viewshift.names import alpha_eq_project
 from viewshift.parse import parse_module, parse_project
@@ -265,6 +265,8 @@ def _render_diff(before_dir, after_dir) -> dict[str, list[str]]:
 
 
 def test_trace_records_each_step_and_the_declarations_it_changed(pfun, forward_script, tmp_path):
+    origin = EvalStats()
+    observe_entries(pfun, ENTRIES, stats=origin)
     _, log = run_script(pfun, forward_script, checked=True, entries=ENTRIES, snapshot_dir=str(tmp_path))
     lines = log.to_json().splitlines()
     records = [json.loads(line) for line in lines]
@@ -275,8 +277,9 @@ def test_trace_records_each_step_and_the_declarations_it_changed(pfun, forward_s
         assert (record["outcome"], record["kind"], record["equivalence"]) == ("applied", None, "pass")
         assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] > 0
         assert 0 < record["check_s"] < record["elapsed_s"]
-        if record["proof"] == "renaming":  # every entry proved without evaluation
-            assert (record["evaluated"], record["reductions"], record["forcings"]) == ([], 0, 0)
+        if record["proof"] in ("renaming", "unfolding"):  # every entry proved without evaluation
+            cost = (origin.steps, origin.forcings) if record["index"] == 1 else (0, 0)  # step 1 observes the origin
+            assert (record["evaluated"], record["reductions"], record["forcings"]) == ([], *cost)
         else:
             assert record["proof"] == "observed"
             assert set(record["evaluated"]) <= set(ENTRIES) and record["evaluated"]
@@ -285,7 +288,8 @@ def test_trace_records_each_step_and_the_declarations_it_changed(pfun, forward_s
         after = tmp_path / f"step_{record['index']:03d}"
         assert record["changed"] == _render_diff(before, after), str(step)
     assert sum(r["proof"] == "renaming" for r in records[:-1]) == 20
-    assert sum(len(r["evaluated"]) for r in records[:-1]) == 76
+    assert sum(r["proof"] == "unfolding" for r in records[:-1]) == 26
+    assert sum(len(r["evaluated"]) for r in records[:-1]) == 10
     summary = records[-1]["summary"]
     assert set(summary) == {"script", "steps", "applied", "ok", "elapsed_s", "peak_rss_mb"}
     assert (summary["steps"], summary["applied"], summary["ok"]) == (51, 51, True)
@@ -320,17 +324,18 @@ def _observed(monkeypatch) -> list[Project]:
 
 
 def test_checked_run_observes_the_origin_once(pfun, forward_script, pdata, reverse_script, monkeypatch):
-    # then each of the 31 steps on which a renaming certificate leaves an
-    # entry unproved; the origin is observed before step 1 is offered to the
-    # certificate, which proves reverse's opening duplicate-into-comment
+    # then each of the 5 steps on which the certificate leaves an entry
+    # unproved; the origin is observed before step 1 is offered to the
+    # certificate, which proves forward's opening exhibit-function by
+    # unfolding and reverse's opening duplicate-into-comment by renaming
     seen = _observed(monkeypatch)
     _, log = run_script(pfun, forward_script, checked=True, entries=ENTRIES)
-    assert log.ok
-    assert [p is pfun for p in seen] == [True] + [False] * 31
+    assert log.ok and log.records[0].proof == "unfolding"
+    assert [p is pfun for p in seen] == [True] + [False] * 5
     seen.clear()
     _, log = run_script(pdata, reverse_script, checked=True, entries=ENTRIES)
     assert log.ok and log.records[0].proof == "renaming"
-    assert [p is pdata for p in seen] == [True] + [False] * 8
+    assert [p is pdata for p in seen] == [True] + [False] * 4
 
 
 def test_checked_run_whose_first_step_fails_observes_nothing(pfun, monkeypatch):
