@@ -621,12 +621,14 @@ def _entry_modules(project: Project, entries) -> dict[str, list[str]]:
     """Each entry -> the modules that bind it with no arguments, in name
     order: one pass over the modules serves every entry. The result is kept
     on the project's state (ProjectState.found); a state derived from one
-    that found the same entries reads only the modules changed since. Some
-    of the entries last found are looked up as all of them, so that the
-    state stays keyed by every entry."""
+    that found the same entries reads only the modules changed since, and
+    none when no module changed. Some of the entries last found are looked
+    up as all of them, so that the state stays keyed by every entry."""
     state, entries = project_state(project), tuple(entries)
     if state.found and set(entries) <= set(state.found[0]):
         entries = state.found[0]
+        if not state.found[2]:  # no module changed since they were found
+            return state.found[1]
     _, was, todo = state.found if state.found and state.found[0] == entries else ((), {}, project.modules)
     hits = {entry: [m for m in was.get(entry, ()) if m not in todo] for entry in entries}
     for mname in sorted(todo):

@@ -114,23 +114,29 @@ def alpha_eq_expr(
     unfold, a pair with an application on either side, or any other that does
     not match, goes first to unfold(a, b, left, right): a pair to compare instead, or None."""
     stack = [(a, b, left, right)]
+    push, pop = stack.append, stack.pop
     while stack:
-        a, b, left, right = stack.pop()
-        spine = unfold is not None and (type(a) is App or type(b) is App)
+        a, b, left, right = pop()
+        kind = type(a)  # the node classes are final
+        spine = unfold is not None and (kind is App or type(b) is App)
         if not spine or (pair := unfold(a, b, left, right)) is None:
-            if isinstance(a, Var):
+            if kind is Var:
                 slot = var_slot(a, left)
                 if slot is None and same_global is not None:
                     if same_global(a, b, right):
                         continue
-                elif isinstance(b, Var) and slot == var_slot(b, right) and (slot is not None or a == b):
+                elif type(b) is Var and slot == var_slot(b, right) and (slot is not None or a == b):
                     continue
+            elif kind is App and type(b) is App:  # binds nothing: no need of paired_children
+                push((a.fn, b.fn, left, right))
+                push((a.arg, b.arg, left, right))
+                continue
             elif (kids := paired_children(a, b)) is not None:
                 stack += [(x, y, left + nx, right + ny) for x, y, nx, ny in kids]
                 continue
             if unfold is None or spine or (pair := unfold(a, b, left, right)) is None:
                 return False
-        stack.append(pair)
+        push(pair)
     return True
 
 

@@ -15,14 +15,15 @@ from typing import Callable, Iterable, Optional
 from . import refactorings as ops
 from .evaluator import EvalError, EvalStats, _entry_modules, default_entries, observe_entries
 from .lang import (
-    DataDecl, Equation, FunDecl, ModuleDef, Project, PVar, Var, app_spine, changed_modules, decl_name,
+    App, DataDecl, Equation, FunDecl, ModuleDef, Project, PVar, Var, app_spine, changed_modules, decl_name,
     equation_scope, make_app, map_scoped, map_vars, record, replace, scoped_vars, var_slot,
 )
 from .names import alpha_eq_decl, free_vars, substitute_many
 from .refactorings import RefactorError
 from .render import write_project
 from .resolver import (
-    DefRef, ResolveError, SymbolTable, decl_index, decl_reads, project_state, resolve_project, resolve_var,
+    DefRef, ResolveError, SymbolTable, decl_index, decl_reads, project_state, readers_of, resolve_project,
+    resolve_var,
 )
 
 
@@ -146,6 +147,10 @@ class RunLog:
     def __init__(self, script: str, records: Optional[list[StepRecord]] = None):
         self.script = script
         self.records = [] if records is None else records
+        # what observing the origin cost a checked run: seconds and the
+        # evaluator's counts, None until it is observed
+        self.origin_s: Optional[float] = None
+        self.origin: Optional[EvalStats] = None
 
     @property
     def ok(self) -> bool:
@@ -169,11 +174,12 @@ class RunLog:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        """JSON lines: one record per step, then one summary record with the
-        process's peak resident set so far."""
+        """JSON lines: one record per step, then one summary record with what
+        observing the origin cost and the process's peak resident set so far."""
         import json  # only a traced run pays for these imports
         import resource
 
+        origin = (None, None) if self.origin is None else (self.origin.steps, self.origin.forcings)
         summary = {
             "summary": {
                 "script": self.script,
@@ -181,6 +187,9 @@ class RunLog:
                 "applied": sum(1 for r in self.records if r.outcome == "applied"),
                 "ok": self.ok,
                 "elapsed_s": sum(r.elapsed for r in self.records),
+                "origin_s": self.origin_s,
+                "origin_reductions": origin[0],
+                "origin_forcings": origin[1],
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             }
         }
@@ -232,12 +241,14 @@ def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
 #
 # A declaration that fails that verdict may pass up to unfolding (Necula's
 # normalisation before comparing), each side by its own definitions and
-# never by folding (Sands, TOPLAS 1996); README states rules 1-3 and their
-# limits, and judge, _inlined and unfoldable apply them.
+# never by folding (Sands, TOPLAS 1996), or, with one parameter more than
+# its preimage, as the preimage with a static first parameter (undoing
+# lambda-dropping, Danvy and Schultz, TCS 2000); README states rules 1-3
+# and 5 and their limits, and judge, _inlined and unfoldable apply them.
 
 
 class Proof(frozenset):
-    """The entries a certificate proves; unfolding: whether a verdict needed rule 1 or 2."""
+    """The entries a certificate proves; unfolding: whether a verdict needed rule 1, 2 or 5."""
     unfolding = False
 
 
@@ -277,13 +288,14 @@ def _sites(project: Project, table: SymbolTable):
 
     def resolve(module: str, qualifier: str | None, name: str) -> DefRef:
         site = (module, qualifier, name)
-        if site not in memo:
+        ref = memo.get(site)
+        if ref is None:
             if qualifier is not None and qualifier[0] == "\0":
                 _, module, qualifier = qualifier.split("\0")
             refs = () if qualifier else table.scopes.get(module, {}).get(name, ())
-            memo[site] = refs[0] if len(refs) == 1 else resolve_var(
+            ref = memo[site] = refs[0] if len(refs) == 1 else resolve_var(
                 table, project, module, frozenset(), Var(name, qualifier or None))
-        return memo[site]
+        return ref
     return resolve
 
 
@@ -351,11 +363,18 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
     old, new = project_state(before).table, state.table
     resolve_old, resolve_new = _sites(before, old), _sites(after, new)
 
+    # Rule 5: a function new to its declaration with one parameter more than
+    # its preimage -> the global of before its first parameter stands for,
+    # once its verdict fixed one. No bare read of it matches (same_site).
+    static: dict[DefRef, DefRef | None] = {}
+
     def same_site(module_a: str, a: Var, module_b: str, b: Var) -> bool:
         """Whether global variable b of after's module_b denotes, through φ,
         what a of before's module_a does."""
         ref = resolve_new(module_b, b.qualifier, b.name)
-        return phi.get(ref, ref) == resolve_old(module_a, a.qualifier, a.name)
+        if static and ref in static:
+            return False
+        return (phi.get(ref, ref) if phi else ref) == resolve_old(module_a, a.qualifier, a.name)
 
     def same_constructors(module_a: str, module_b: str, checks) -> bool:
         return all(
@@ -385,6 +404,11 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
         kept = {id(d) for d in prior_mod.decls} if prior_mod is not None else set()
         suspects.update((id(d), (m, d, id(d) not in kept)) for d in now[m].decls
                         if isinstance(d, FunDecl) and (rescoped or id(d) not in kept))
+    for m, d, fresh in list(suspects.values()):
+        if fresh and (prior := preimage(m, d)[1]) is not None and d.arity == prior.arity + 1:
+            static[DefRef(m, d.name, "fun")] = None  # its readers are judged, the kept ones too
+            for mr, dr, _ in readers_of(new, after, (m, d.name)):
+                suspects.setdefault(id(dr), (mr, dr, False))
     verdicts: dict[int, bool | None] = {}
     unfolded: set[int] = set()  # the verdicts that passed only up to unfolding
     reads: dict[tuple[str, str | None, str], bool] = {}
@@ -417,10 +441,10 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
 
     def reads_as_before(module: str, qualifier: str | None, name: str) -> bool:
         site = (module, qualifier, name)
-        if site not in reads:
+        if (passed := reads.get(site)) is None:
             v = Var(name, qualifier)
-            reads[site] = same_site(module, v, module, v)
-        return reads[site]
+            passed = reads[site] = same_site(module, v, module, v)
+        return passed
 
     def verdict(d: FunDecl, full: bool = True) -> bool | None:
         """Whether d of after is its φ-preimage up to bound names, or up to
@@ -450,15 +474,34 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
                 unfolded.add(key)
             return made_here
         if key not in verdicts and (not same_constructors(src, m, checks) or len(prior.equations) != len(
-                d.equations) or prior.arity != d.arity):
+                d.equations) or prior.arity != d.arity and ref not in static):
             return False
         if not full:
             return None
+        fixed: list[DefRef] = []  # rule 5: the global of before that a use of x matched first
 
         def same(a, b, right):
-            return type(b) is Var and var_slot(b, right) is None and same_site(src, a, m, b)
+            if type(b) is Var:
+                slot = var_slot(b, right)
+                if slot is None:
+                    return same_site(src, a, m, b)
+                if slot or ref not in static:  # slot 0 is x where rule 5 judges d
+                    return False
+                v = resolve_old(src, a.qualifier, a.name)
+                fixed[:] = fixed or [v]
+                return fixed[0] == v
+            return (ref in static and type(b) is App and type(b.fn) is Var and type(b.arg) is Var  # f' x
+                    and var_slot(b.fn, right) is None and var_slot(b.arg, right) == 0
+                    and resolve_new(m, b.fn.qualifier, b.fn.name) == ref
+                    and resolve_old(src, a.qualifier, a.name) == phi.get(ref, ref))
 
-        def unfold(a, b, left, right):  # rule 2, as alpha_eq_expr's hook
+        def unfold(a, b, left, right):  # rules 5 (a reader's f' a) and 2, as alpha_eq_expr's hook
+            if static and type(a) is Var and type(b) is App and type(b.fn) is Var and var_slot(
+                    a, left) is None and var_slot(b.fn, right) is None:
+                g = resolve_new(m, b.fn.qualifier, b.fn.name)
+                v = static.get(g)  # None until g passed, so never within g's own comparison
+                if v is not None and phi.get(g, g) == resolve_old(src, a.qualifier, a.name):
+                    return Var(v.name, f"\0{v.module}\0"), b.arg, left, right
             (ha, xs), (hb, ys) = app_spine(a), app_spine(b)
             if type(ha) is Var and type(hb) is Var and len(xs) == len(ys):
                 slot = var_slot(ha, left)
@@ -467,29 +510,47 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
             for after, head, args, scope in ((True, hb, ys, right), (False, ha, xs, left)):
                 if type(head) is not Var or var_slot(head, scope) is not None:
                     continue
-                ref = sides[after][2](m if after else src, head.qualifier, head.name)
-                found = None if (after, ref) in left else unfoldable(after, ref)
+                r = sides[after][2](m if after else src, head.qualifier, head.name)
+                found = None if (after, r) in left else unfoldable(after, r)
                 if found is None or len(args) < len(found[1]) or not all(
-                        sides[after][1].constructors[ref.module].get(c[1]) == old.constructors[src].get(c[1])
+                        sides[after][1].constructors[r.module].get(c[1]) == old.constructors[src].get(c[1])
                         for c in decl_reads(found[0]).checks if c[0] in ("con", "pcon")):
                     continue
                 _, params, body = found
                 e = make_app(substitute_many(body, dict(zip(params, args))), args[len(params):])
-                left, right = left + ((after, ref),), right + ((after, ref),)  # no name: slots stay aligned
+                left, right = left + ((after, r),), right + ((after, r),)  # no name: slots stay aligned
                 return (a, e, left, right) if after else (e, b, left, right)
             return None
+        if ref in static:  # rule 5: before's equations gain a first parameter no name reads
+            if any(type(eq.patterns[0]) is not PVar for eq in d.equations):
+                return False
+            prior = replace(prior, equations=tuple(
+                replace(eq, patterns=(PVar("\0"), *eq.patterns)) for eq in prior.equations))
         # An equation both hold as one object is its preimage where its reads resolve as before.
         pairs = [(ea, eb) for ea, eb in zip(prior.equations, d.equations)
                  if ea is not eb or src != m or not all(reads_as_before(m, *site) for site in _globals(eb))]
         a, b = (replace(prior, equations=tuple(ea for ea, _ in pairs)),
                 replace(d, equations=tuple(eb for _, eb in pairs)))
-        if alpha_eq_decl(a, b, same):
-            return True
-        if not alpha_eq_decl(replace(a, equations=tuple(map(_inlined, a.equations))),  # rules 1 and 2
-                             replace(b, equations=tuple(map(_inlined, b.equations))), same, unfold):
-            return False
-        unfolded.add(key)
+        reader = static and ref not in static and any(  # whose reads of f' match only through unfold
+            c[0] == "var" and resolve_new(m, c[1], c[2]) in static for c in checks)
+        if reader or not alpha_eq_decl(a, b, same):
+            fixed.clear()
+            if not alpha_eq_decl(replace(a, equations=tuple(map(_inlined, a.equations))),  # rules 1 and 2
+                                 replace(b, equations=tuple(map(_inlined, b.equations))), same, unfold):
+                return False
+            unfolded.add(key)
+        if ref in static:
+            if not fixed:
+                return False
+            static[ref] = fixed[0]
+            unfolded.add(key)
         return True
+
+    # Rule 5's functions first: a reader of one matches only what its verdict
+    # fixed. judge never calls verdict, so no closure here reaches itself and
+    # the memos go as this call returns, with no collection.
+    for g in list(static):
+        verdict(decl_index(now[g.module])[g.name])
 
     clean: set[DefRef] = set()  # definitions of after whose every reachable one passed
 
@@ -561,12 +622,12 @@ def run_script(
     With checked=True the current project is compared observationally with
     the origin after every step; a disagreement aborts the run, its record
     naming each entry that diverged. The origin is observed once, at the first
-    checked step and before its certificate, and that step's record counts
-    the cost; its entries' modules are found before the first step, so that
-    step's project derives them. Each step offers its result to a renaming
-    certificate against its input (renaming_certificate) and evaluates only
-    the entries it does not prove; a step whose every entry is proved
-    passes without evaluation.
+    checked step and before its certificate; the log, not that step's
+    record, holds the cost (origin_s, origin). Its entries' modules are
+    found before the first step, so that step's project derives them. Each
+    step offers its result to a renaming certificate against its input
+    (renaming_certificate) and evaluates only the entries it does not
+    prove; a step whose every entry is proved passes without evaluation.
     With a snapshot directory, every intermediate project is rendered to
     disk.
     """
@@ -595,7 +656,12 @@ def run_script(
             record.proof, record.evaluated = "observed", []
             try:
                 if expected is None:
-                    expected = observe_entries(origin, entries, stats=stats)
+                    log.origin = EvalStats()
+                    try:
+                        expected = observe_entries(origin, entries, stats=log.origin)
+                    finally:
+                        log.origin_s = time.perf_counter() - t1
+                        t0, t1 = t0 + log.origin_s, t1 + log.origin_s  # not the step's own cost
                 proved = renaming_certificate(before, project, entries, expected, _replaced(before, project))
                 record.evaluated = [e for e in entries if e not in proved]
                 if record.evaluated:

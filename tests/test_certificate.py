@@ -7,11 +7,11 @@ import pytest
 from viewshift import script
 from viewshift.corpus import load_fixture
 from viewshift.evaluator import EvalError, EvalStats, default_entries, observe_entries
-from viewshift.lang import Project, changed_modules, replace
+from viewshift.lang import Project, changed_modules, replace, rewritten
 from viewshift.parse import parse_module
-from viewshift.refactorings import rename_top_level
+from viewshift.refactorings import generalise_ident, rename_top_level
 from viewshift.reference import observe_entries_by_name
-from viewshift.resolver import resolve_project
+from viewshift.resolver import project_state, resolve_project
 from viewshift.script import COMMANDS, parse_script, renaming_certificate, run_script
 
 # The kinds of step that only rename, move, drop an unused declaration, or
@@ -19,17 +19,17 @@ from viewshift.script import COMMANDS, parse_script, renaming_certificate, run_s
 RENAMING = {"rename-top-level", "move-def", "remove-def", "clean-imports", "rm-comment-before",
             "duplicate-into-comment"}
 # The kinds of step that introduce, abstract, lift, unfold or fold a
-# definition, which the certificate proves up to unfolding; so does
-# generalise-ident of a where-local, but not of a top-level function.
-UNFOLDING = {"exhibit-function", "generalise", "lift-def", "unfold-instance", "new-def-fun-app", "fold-def"}
+# definition, which the certificate proves up to unfolding; generalise-ident
+# of a top-level function by the static-argument rule.
+UNFOLDING = {"exhibit-function", "generalise", "lift-def", "unfold-instance", "new-def-fun-app", "fold-def",
+             "generalise-ident"}
 
 
-def _expected_proof(before: Project, step) -> str:
+def _expected_proof(step) -> str:
     """How a checked run of the shipped scripts decides a step of its kind."""
     if step.command in RENAMING:
         return "renaming"
-    local = step.command == "generalise-ident" and before.modules[step.args[1]].decl(step.args[0]) is None
-    return "unfolding" if step.command in UNFOLDING or local else "observed"
+    return "unfolding" if step.command in UNFOLDING else "observed"
 
 
 def _replaced(before: Project, after: Project) -> set[str]:
@@ -49,10 +49,10 @@ SHIPPED = [
 
 
 @pytest.mark.parametrize("origin, scripts, name, certified, entries_proved", [
-    ("pfun", "forward-script", "forward", 46, 194),
+    ("pfun", "forward-script", "forward", 50, 202),
     ("pdata", "reverse-script", "reverse", 18, 80),
     ("scenario-mult", "scenario-mult", "reverse-mult", 23, 150),
-    ("scenario-derive", "scenario-derive", "forward-derive", 68, 436),
+    ("scenario-derive", "scenario-derive", "forward-derive", 74, 448),
 ], ids=["forward", "reverse", "reverse-mult", "forward-derive"])
 def test_a_certified_step_of_a_shipped_script_observes_as_its_input(origin, scripts, name, certified,
                                                                      entries_proved):
@@ -73,27 +73,24 @@ def test_a_certified_step_of_a_shipped_script_observes_as_its_input(origin, scri
         assert observe_entries(project, proved) == shown, str(step)
         assert observe_entries_by_name(project, proved) == shown, str(step)
         decided = ("unfolding" if proof.unfolding else "renaming") if len(proved) == len(entries) else "observed"
-        assert decided == _expected_proof(before, step), str(step)
+        assert decided == _expected_proof(step), str(step)
         steps += decided != "observed"
         proved_entries += len(proved)
     assert (steps, proved_entries) == (certified, entries_proved)
 
 
 def test_a_checked_run_proves_the_steps_the_certificate_does():
-    # on each shipped script; top-level generalise-ident, generative-fold,
-    # case-to-eq and unify-alpha stay observed
+    # on each shipped script; generative-fold, case-to-eq and unify-alpha
+    # stay observed
     observed = set()
     for origin, scripts, name in SHIPPED:
         project, run = load_fixture(origin).project, load_fixture(scripts).scripts[name]
         _, log = run_script(project, run, checked=True)
         assert log.ok
-        expected = []
-        for step in run.steps:
-            expected.append(_expected_proof(project, step))
-            project = COMMANDS[step.command][1](project, step)
+        expected = list(map(_expected_proof, run.steps))
         assert [r.proof for r in log.records] == expected, name
         observed |= {step.command for step, proof in zip(run.steps, expected) if proof == "observed"}
-    assert observed == {"generalise-ident", "generative-fold", "case-to-eq", "unify-alpha"}
+    assert observed == {"generative-fold", "case-to-eq", "unify-alpha"}
 
 
 def _checked_run(monkeypatch, before: Project, after: Project, entries):
@@ -288,8 +285,77 @@ def test_an_entry_that_shows_a_closure_is_not_proved_by_unfolding(monkeypatch):
 def test_a_step_proved_by_unfolding_says_so():
     # the lifted g is made: f passes by unfolding it, and g passes as made
     before = _project("module Client where\n\nf x = g x\n  where\n    g y = y * 2\n\nr1 = f 4\n")
-    origin = EvalStats()  # step 1's record counts the origin's observation, and no other
+    origin = EvalStats()  # the log, not step 1's record, counts the origin's observation
     observe_entries(before, ("r1",), stats=origin)
     _, log = run_script(before, parse_script("lift-def f g Client\n"), checked=True, entries=("r1",))
     assert [(r.equivalence, r.proof, r.evaluated, r.reductions) for r in log.records] == [
-        ("pass", "unfolding", [], origin.steps)]
+        ("pass", "unfolding", [], 0)]
+    assert (log.origin.steps, log.origin.forcings) == (origin.steps, origin.forcings)
+
+
+# --- the static-argument rule (rule 5) and its refusals ---
+
+_HOME = ("module M{exports} where\n\ndata N = Z | S N\n\ninc x = x + 1\n\ndbl x = x * 2\n\n"
+         "f Z = 0\nf (S n) = inc (f n)\n")
+_GENERALISED = ("module M{exports} where\n\ndata N = Z | S N\n\ninc x = x + 1\n\ndbl x = x * 2\n\n"
+                "f c Z = 0\nf c (S n) = {body}\n{made}")
+_READER = "module Client where\n\nimport M\n\n{own}r1 = {use}\n"
+
+
+def _generalised(body="c (f c n)", made="", use="f inc (S (S Z))", own="", exports="") -> Project:
+    return _project(_GENERALISED.format(exports=exports, body=body, made=made), _READER.format(own=own, use=use))
+
+
+def _home(use="f (S (S Z))", own="", exports="") -> Project:
+    return _project(_HOME.format(exports=exports), _READER.format(own=own, use=use))
+
+
+def test_a_generalised_identifier_is_proved_by_the_static_argument_rule():
+    # f c with c fixed to inc is f: the operation's result, whose reader in
+    # Client passes the made f_gen = inc, and one whose reader passes inc
+    before = _home()
+    made = generalise_ident(before, "f", "M", "inc", "c")
+    assert made.modules["Client"].decl("r1") == parse_module(_READER.format(own="", use="f f_gen (S (S Z))")).decl("r1")
+    for after in (made, _generalised()):
+        proof = renaming_certificate(before, after, ("r1",), {"r1": "2"}, _replaced(before, after))
+        assert (proof, proof.unfolding) == ({"r1"}, True)
+        assert observe_entries(after, ("r1",)) == observe_entries_by_name(after, ("r1",)) == {"r1": "2"}
+
+
+@pytest.mark.parametrize("after, observed", [
+    (dict(body="c (f dbl n)"), "1"),  # a recursive call passes dbl, not c
+    (dict(use="f dbl (S (S Z))"), "0"),  # the reader passes dbl, not inc
+    (dict(made="\nf_gen = dbl\n", use="f f_gen (S (S Z))"), "0"),  # the made f_gen is not inc
+    (dict(body="c (case dbl of\n    c -> f c n)"), "1"),  # c shadowed at the recursive call
+], ids=["recursive-call", "reader", "made", "shadowed"])
+def test_a_wrong_static_argument_is_refused(monkeypatch, after, observed):
+    record = _refused_then_observed(monkeypatch, _home(), _generalised(**after))
+    assert (record.equivalence, record.kind) == ("fail", "NotEquivalent")
+    assert record.error == f"NotEquivalent: r1 expected '2', observed '{observed}'"
+
+
+def test_a_bare_use_of_a_generalised_function_is_refused(monkeypatch):
+    # ap f names the same definition on both sides, but f takes c first now
+    own = "ap h y = h y\n\n"
+    before, after = _home(use="ap f (S (S Z))", own=own), _generalised(use="ap f (S (S Z))", own=own)
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert record.error == "NotEquivalent: r1 expected '2', observed '<f>'"
+
+
+def test_a_static_argument_that_resolves_elsewhere_in_the_reader_is_refused(monkeypatch):
+    # M exports only f and N's constructors: inc in Client is Client's own
+    own, exports = "inc x = x + 5\n\n", " (Z, S, f)"
+    before, after = _home(own=own, exports=exports), _generalised(own=own, exports=exports)
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert record.error == "NotEquivalent: r1 expected '2', observed '10'"
+
+
+def test_a_kept_reader_of_a_generalised_function_is_refused(monkeypatch):
+    # only f is replaced: M's interface and Client's scope are as before, so
+    # Client's r1 is the object the input held, still calling f unapplied
+    before = _home()
+    after = rewritten(before, {"M": _generalised().modules["M"]})
+    resolve_project(after)
+    assert project_state(after).table.scopes["Client"] is project_state(before).table.scopes["Client"]
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert record.error == "NotEquivalent: r1 expected '2', observed '<f>'"

@@ -441,15 +441,16 @@ def test_apply_trace_writes_one_record_per_step_and_a_summary(dirs):
 
 
 def test_checked_apply_trace_says_how_each_step_was_decided(dirs):
-    # a proved step evaluates nothing on its result; step 1 alone also
+    # a proved step evaluates nothing on its result; the summary record
     # counts the one observation of the origin
     trace = dirs / "run.jsonl"
     code = main(["apply", str(dirs / "scripts" / "forward.vs"), str(dirs / "pfun"), "--checked",
                  "--out", str(dirs / "build"), "--trace", str(trace)])
     assert code == 0
-    records = [json.loads(line) for line in trace.read_text().splitlines()[:-1]]
+    *records, summary = map(json.loads, trace.read_text().splitlines())
     assert {r["proof"] for r in records} == {"renaming", "unfolding", "observed"}
     proved = [r for r in records if r["proof"] != "observed"]
-    assert all(r["evaluated"] == [] for r in proved)
-    assert all(r["reductions"] == 0 for r in proved if r["index"] > 1)
-    assert [r["reductions"] > 0 for r in records if r["proof"] == "observed"] == [True] * 5
+    assert all(r["evaluated"] == [] and r["reductions"] == 0 for r in proved)
+    assert [(r["command"], r["reductions"] > 0) for r in records if r["proof"] == "observed"] == [
+        ("unify-alpha", True)]
+    assert (summary["summary"]["origin_reductions"], summary["summary"]["origin_forcings"]) == (143, 47)

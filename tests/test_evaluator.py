@@ -15,7 +15,7 @@ from viewshift.parse import parse_expr, parse_module
 from viewshift.refactorings import rename_top_level, unfold_instance
 from viewshift.reference import evaluate_by_name, observe_entries_by_name
 from viewshift.resolver import ResolveError
-from viewshift.script import Script, run_script
+from viewshift.script import run_script
 
 ENTRIES = ("r1", "r2", "r3", "r4")
 EXPECTED = {"r1": "1+2", "r2": "3", "r3": "1+2+3", "r4": "6"}
@@ -278,16 +278,16 @@ def _checked_run_counts(monkeypatch, project, script) -> tuple[int, int, int]:
 
 def test_checked_forward_run_counts(pfun, forward_script, monkeypatch):
     # The compiled machine ticks where a tree walk over the same expressions
-    # would. One evaluator per observation: the origin once, then each of the
-    # 5 steps on which the certificate, up to unfolding, leaves an entry
-    # unproved, every such entry forced on that evaluator's heap.
-    assert _checked_run_counts(monkeypatch, pfun, forward_script) == (6, 786, 318)
+    # would. One evaluator per observation: the origin once, then the one
+    # step on which the certificate leaves an entry unproved (unify-alpha),
+    # every such entry forced on that evaluator's heap.
+    assert _checked_run_counts(monkeypatch, pfun, forward_script) == (2, 284, 104)
 
 
 @pytest.mark.parametrize("origin, scripts, script, counts", [
     ("pdata", "reverse-script", "reverse", (5, 671, 259)),
     ("scenario-mult", "scenario-mult", "reverse-mult", (5, 934, 360)),
-    ("scenario-derive", "scenario-derive", "forward-derive", (8, 1_048, 418)),
+    ("scenario-derive", "scenario-derive", "forward-derive", (2, 346, 118)),
 ], ids=["pdata-reverse", "scenario-mult", "scenario-derive"])
 def test_checked_run_counts(monkeypatch, origin, scripts, script, counts):
     # the same pins for the other shipped conversions
@@ -296,19 +296,19 @@ def test_checked_run_counts(monkeypatch, origin, scripts, script, counts):
 
 
 def test_checked_forward_trace_sums_to_the_run_counts(pfun, forward_script):
-    # each step's record holds its check cost; step 1's includes the one
-    # observation of the origin, and its own of the entries the certificate
-    # leaves unproved, none since it proves exhibit-function by unfolding
+    # each step's record holds its own check cost, and the summary record
+    # the one observation of the origin; together they are the run's counts
+    # (284, 104). Step 1 evaluates nothing: the certificate proves its
+    # exhibit-function by unfolding
     _, log = run_script(pfun, forward_script, checked=True)
-    records = [json.loads(line) for line in log.to_json().splitlines()[:-1]]
-    assert (sum(r["reductions"] for r in records), sum(r["forcings"] for r in records)) == (786, 318)
-    first, _ = run_script(pfun, Script("first", forward_script.steps[:1]))
-    origin, after = EvalStats(), EvalStats()
+    *records, summary = map(json.loads, log.to_json().splitlines())
+    summary = summary["summary"]
+    assert (sum(r["reductions"] for r in records), sum(r["forcings"] for r in records)) == (141, 57)
+    assert (summary["origin_reductions"], summary["origin_forcings"]) == (143, 47)
+    origin = EvalStats()
     observe_entries(pfun, ENTRIES, stats=origin)
-    assert (records[0]["proof"], records[0]["evaluated"]) == ("unfolding", [])
-    observe_entries(first, records[0]["evaluated"], stats=after)
-    assert records[0]["reductions"] == origin.steps + after.steps
-    assert records[0]["forcings"] == origin.forcings + after.forcings
+    assert (summary["origin_reductions"], summary["origin_forcings"]) == (origin.steps, origin.forcings)
+    assert (records[0]["proof"], records[0]["evaluated"], records[0]["reductions"]) == ("unfolding", [], 0)
 
 
 def _count_calls(monkeypatch, *functions) -> dict[str, int]:
@@ -332,7 +332,7 @@ def _count_calls(monkeypatch, *functions) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("checked, builds", [(False, 206), (True, 212)], ids=["unchecked", "checked"])
+@pytest.mark.parametrize("checked, builds", [(False, 206), (True, 208)], ids=["unchecked", "checked"])
 def test_forward_run_resolver_counts(pfun, forward_script, monkeypatch, checked, builds):
     # the call counts the benchmark reads from its traced paper forward run
     counts = _count_calls(

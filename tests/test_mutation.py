@@ -1,10 +1,11 @@
 """The mutation gate: the certificate proves no wrong step.
 
 A seeded sample of the step results of the four shipped scripts is mutated
-by six operators (mutation analysis: DeMillo, Lipton and Sayward, "Hints on
+by seven operators (mutation analysis: DeMillo, Lipton and Sayward, "Hints on
 test data selection", IEEE Computer 1978). Each mutant is offered to the
 certificate against the step's input and evaluated on every entry. A mutant
-that evaluation kills on an entry must never be proved on that entry.
+that evaluation kills on an entry must never be proved on that entry, for
+every operator and every kind of step.
 """
 
 import random
@@ -13,7 +14,7 @@ from collections import Counter
 from viewshift.corpus import load_fixture
 from viewshift.evaluator import EvalError, default_entries, observe_entries
 from viewshift.lang import (
-    Case, CaseBranch, FunDecl, IntLit, Project, StrLit, Tuple, Var, binder_children, changed_modules,
+    App, Case, CaseBranch, FunDecl, IntLit, Project, StrLit, Tuple, Var, binder_children, changed_modules,
     decl_expr_roots, pattern_vars, replace, replace_decl_expr_at,
 )
 from viewshift.names import substitute_many
@@ -51,21 +52,21 @@ def _at(d: FunDecl, edit):
             yield replace_decl_expr_at(d, path, new)
 
 
-def _swap_tuple(d, functions):
+def _swap_tuple(d, functions, generalised):
     return _at(d, lambda e, _: Tuple((e.items[1], e.items[0], *e.items[2:])) if type(e) is Tuple else None)
 
 
-def _drop_equation(d, functions):
+def _drop_equation(d, functions, generalised):
     return (replace(d, equations=d.equations[:i] + d.equations[i + 1:]) for i in range(len(d.equations))
             if len(d.equations) > 1)
 
 
-def _change_literal(d, functions):
+def _change_literal(d, functions, generalised):
     return _at(d, lambda e, _: IntLit(e.value + 1) if type(e) is IntLit
                else StrLit(e.value + "!") if type(e) is StrLit else None)
 
 
-def _swap_branches(d, functions):
+def _swap_branches(d, functions, generalised):
     # the bodies of the first two branches, the k-th pattern variable of one
     # read as the k-th of the other, or its last where it binds fewer
     def moved(body, old, new):
@@ -81,7 +82,7 @@ def _swap_branches(d, functions):
     return _at(d, swap)
 
 
-def _replace_variable(d, functions):
+def _replace_variable(d, functions, generalised):
     # a bound variable by another name bound at the same place
     def other(e, scope):
         if type(e) is Var and e.qualifier is None and e.name in scope:
@@ -91,12 +92,24 @@ def _replace_variable(d, functions):
     return _at(d, other)
 
 
-def _rename_occurrence(d, functions):
+def _rename_occurrence(d, functions, generalised):
     # one use of a top-level function by another function of its module
     def other(e, scope):
         if type(e) is Var and e.qualifier is None and e.name not in scope and e.name in functions:
             names = [f for f in functions if f != e.name]
             return Var(names[len(e.name) % len(names)]) if names else None
+        return None
+    return _at(d, other)
+
+
+def _swap_static_argument(d, functions, generalised):
+    # the global argument of one call f' a of a function the step gave a new
+    # first parameter, by another top-level function of f's module
+    def other(e, scope):
+        if type(e) is App and type(e.fn) is Var and e.fn.qualifier is None and e.fn.name not in scope and (
+                e.fn.name in generalised) and type(e.arg) is Var and e.arg.name not in scope:
+            names = [g for g in generalised[e.fn.name] if e.arg != Var(g)]
+            return App(e.fn, Var(names[len(e.fn.name) % len(names)])) if names else None
         return None
     return _at(d, other)
 
@@ -108,13 +121,27 @@ OPERATORS = {
     "swap-branches": _swap_branches,
     "replace-variable": _replace_variable,
     "rename-occurrence": _rename_occurrence,
+    "swap-static-argument": _swap_static_argument,
 }
 
 
+def _generalised(before: Project, after: Project) -> dict[str, list[str]]:
+    """Each function of after with more parameters than in before -> the other
+    functions of its module."""
+    out = {}
+    for m, mod in after.modules.items():
+        functions = sorted(d.name for d in mod.decls if isinstance(d, FunDecl))
+        for d in mod.decls:
+            prior = before.modules[m].decl(d.name) if m in before.modules else None
+            if isinstance(d, FunDecl) and isinstance(prior, FunDecl) and d.arity > prior.arity:
+                out[d.name] = [f for f in functions if f != d.name]
+    return out
+
+
 def _step_results():
-    """(input, result, the result's changed function declarations as (module,
-    declaration), entries, the origin's observation) for a seeded sample of
-    the steps of the shipped scripts."""
+    """(kind of step, input, result, the result's changed function
+    declarations as (module, declaration), entries, the origin's
+    observation) for a seeded sample of the steps of the shipped scripts."""
     rng = random.Random(SEED)
     for origin, scripts, name in SCRIPTS:
         project, run = load_fixture(origin).project, load_fixture(scripts).scripts[name]
@@ -127,9 +154,9 @@ def _step_results():
             changed = [(m, d) for m, mod in sorted(project.modules.items()) for d in mod.decls
                        if isinstance(d, FunDecl) and id(d) not in kept]
             if changed:
-                results.append((before, project, changed))
-        for before, after, changed in rng.sample(results, min(STEPS_PER_SCRIPT, len(results))):
-            yield before, after, changed, entries, expected
+                results.append((step.command, before, project, changed))
+        for kind, before, after, changed in rng.sample(results, min(STEPS_PER_SCRIPT, len(results))):
+            yield kind, before, after, changed, entries, expected
 
 
 def _observed(project: Project, entries) -> dict[str, str | None]:
@@ -146,36 +173,50 @@ def _observed(project: Project, entries) -> dict[str, str | None]:
 def mutation_counts():
     """operator -> Counter of mutants, stillborn (not resolvable), killed
     (an entry observes otherwise), proved (every entry proved) and survived;
-    and the (operator, mutant declaration, entry) that were proved yet killed."""
-    rng, counts, unsound = random.Random(SEED), {op: Counter() for op in OPERATORS}, []
-    for before, after, changed, entries, expected in _step_results():
+    the same per kind of step, with unsound: the mutants proved on an entry
+    that evaluation kills; and each (operator, kind, mutant declaration,
+    entry) proved yet killed."""
+    rng, unsound = random.Random(SEED), []
+    counts, kinds = {op: Counter() for op in OPERATORS}, {}
+    for kind, before, after, changed, entries, expected in _step_results():
+        generalised = _generalised(before, after)
         for op, mutate in OPERATORS.items():
             candidates = []
             for m, d in changed:
                 functions = sorted(x.name for x in after.modules[m].decls if isinstance(x, FunDecl))
-                candidates += [(m, d, new) for new in mutate(d, functions)]
+                candidates += [(m, d, new) for new in mutate(d, functions, generalised)]
             for m, d, new in rng.sample(candidates, min(MUTANTS_PER_OPERATOR, len(candidates))):
                 mod = after.modules[m]
                 mutant = Project({**after.modules, m: replace(mod, decls=tuple(
                     new if x is d else x for x in mod.decls))})
-                counts[op]["mutants"] += 1
+                tallies = (counts[op], kinds.setdefault(kind, Counter()))
+                for count in tallies:
+                    count["mutants"] += 1
                 try:
                     resolve_project(mutant)
                 except (ResolveError, RecursionError):
-                    counts[op]["stillborn"] += 1
+                    for count in tallies:
+                        count["stillborn"] += 1
                     continue
                 replaced = changed_modules(before.modules, mutant.modules, before.modules.keys() | mutant.modules.keys())
                 proof = renaming_certificate(before, mutant, entries, expected, replaced)
                 observed = _observed(mutant, entries)
                 killed = [e for e in entries if observed[e] != expected[e]]
-                counts[op]["killed" if killed else "survived"] += 1
-                counts[op]["proved"] += len(proof) == len(entries)
-                unsound += [(op, new, e) for e in killed if e in proof]
-    return counts, unsound
+                for count in tallies:
+                    count["killed" if killed else "survived"] += 1
+                    count["proved"] += len(proof) == len(entries)
+                tallies[1]["unsound"] += any(e in proof for e in killed)
+                unsound += [(op, kind, new, e) for e in killed if e in proof]
+    return counts, kinds, unsound
 
 
 def test_no_mutant_the_certificate_proves_is_killed_by_evaluation():
-    counts, unsound = mutation_counts()
+    counts, kinds, unsound = mutation_counts()
     assert unsound == []
+    assert all(count["unsound"] == 0 for count in kinds.values()), kinds
     for op, count in counts.items():  # the gate is not vacuous: evaluation kills mutants of every operator
         assert count["killed"] > 0, (op, count)
+    # a call of a generalised function given another argument is killed, and never proved
+    assert counts["swap-static-argument"]["killed"] == counts["swap-static-argument"]["mutants"] > 0
+    assert counts["swap-static-argument"]["proved"] == 0
+    assert "generalise-ident" in kinds

@@ -278,8 +278,7 @@ def test_trace_records_each_step_and_the_declarations_it_changed(pfun, forward_s
         assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] > 0
         assert 0 < record["check_s"] < record["elapsed_s"]
         if record["proof"] in ("renaming", "unfolding"):  # every entry proved without evaluation
-            cost = (origin.steps, origin.forcings) if record["index"] == 1 else (0, 0)  # step 1 observes the origin
-            assert (record["evaluated"], record["reductions"], record["forcings"]) == ([], *cost)
+            assert (record["evaluated"], record["reductions"], record["forcings"]) == ([], 0, 0)
         else:
             assert record["proof"] == "observed"
             assert set(record["evaluated"]) <= set(ENTRIES) and record["evaluated"]
@@ -288,11 +287,14 @@ def test_trace_records_each_step_and_the_declarations_it_changed(pfun, forward_s
         after = tmp_path / f"step_{record['index']:03d}"
         assert record["changed"] == _render_diff(before, after), str(step)
     assert sum(r["proof"] == "renaming" for r in records[:-1]) == 20
-    assert sum(r["proof"] == "unfolding" for r in records[:-1]) == 26
-    assert sum(len(r["evaluated"]) for r in records[:-1]) == 10
-    summary = records[-1]["summary"]
-    assert set(summary) == {"script", "steps", "applied", "ok", "elapsed_s", "peak_rss_mb"}
+    assert sum(r["proof"] == "unfolding" for r in records[:-1]) == 30
+    assert sum(len(r["evaluated"]) for r in records[:-1]) == 2
+    summary = records[-1]["summary"]  # which counts the one observation of the origin
+    assert set(summary) == {"script", "steps", "applied", "ok", "elapsed_s", "origin_s", "origin_reductions",
+                            "origin_forcings", "peak_rss_mb"}
     assert (summary["steps"], summary["applied"], summary["ok"]) == (51, 51, True)
+    assert (summary["origin_reductions"], summary["origin_forcings"]) == (origin.steps, origin.forcings)
+    assert 0 < summary["origin_s"] < summary["elapsed_s"]
 
 
 def test_trace_of_a_failed_step_holds_its_kind():
@@ -324,14 +326,15 @@ def _observed(monkeypatch) -> list[Project]:
 
 
 def test_checked_run_observes_the_origin_once(pfun, forward_script, pdata, reverse_script, monkeypatch):
-    # then each of the 5 steps on which the certificate leaves an entry
-    # unproved; the origin is observed before step 1 is offered to the
-    # certificate, which proves forward's opening exhibit-function by
-    # unfolding and reverse's opening duplicate-into-comment by renaming
+    # then each step on which the certificate leaves an entry unproved, one
+    # of forward's and four of reverse's; the origin is observed before step
+    # 1 is offered to the certificate, which proves forward's opening
+    # exhibit-function by unfolding and reverse's opening
+    # duplicate-into-comment by renaming
     seen = _observed(monkeypatch)
     _, log = run_script(pfun, forward_script, checked=True, entries=ENTRIES)
     assert log.ok and log.records[0].proof == "unfolding"
-    assert [p is pfun for p in seen] == [True] + [False] * 5
+    assert [p is pfun for p in seen] == [True] + [False] * 1
     seen.clear()
     _, log = run_script(pdata, reverse_script, checked=True, entries=ENTRIES)
     assert log.ok and log.records[0].proof == "renaming"
