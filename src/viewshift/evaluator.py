@@ -56,7 +56,7 @@ from .lang import (
     pattern_vars, record, var_slot,
 )
 from .resolver import (
-    SymbolTable, build_symbol_table, decl_index, project_state, resolve_var, ResolveError,
+    SymbolTable, build_symbol_table, decl_index, project_state, resolve_site, ResolveError,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -203,13 +203,10 @@ class Evaluator:
         self.cells: dict[tuple[str, str | None, str], list] = {}
 
     def _site(self, site: tuple[str, str | None, str]) -> list:
-        """Resolve a global site in this project, on its first use; a
-        binding's cell is created on its first lookup. An unqualified name
-        with one candidate in its module's scope is read from the table, any
-        other through resolve_var, whose errors are the resolver's."""
-        module, qualifier, name = site
-        refs = self.table.scopes.get(module, {}).get(name, ()) if qualifier is None else ()
-        ref = refs[0] if len(refs) == 1 else resolve_var(self.table, self.project, module, frozenset(), Var(name, qualifier))
+        """Resolve a global site in this project on its first use, by
+        resolve_site, whose errors are the resolver's; a binding's cell is
+        created on its first lookup."""
+        ref = resolve_site(self.table, self.project, *site)
         own = (ref.module, ref.module, ref.name)
         cell = self.cells.get(own)
         if cell is None:

@@ -28,7 +28,7 @@ from .render import render_decl
 from .resolver import (
     ResolveError, SymbolTable, applications, build_symbol_table, decl_reads,
     decl_refs, find_application, module_exports, module_names, module_scope,
-    importers_of, readers_of, resolve_var, resolve_project, unused_imports,
+    importers_of, readers_of, resolve_site, resolve_var, resolve_project, unused_imports,
 )
 from .rewrite import (
     InstanceMatcher, fold_instances_in_expr, minimize_qualifiers,
@@ -580,10 +580,9 @@ def unfold_instance(project: Project, d_token: str, f: str, m: str) -> Project:
     table = build_symbol_table(project)
     if local_hit is None:
         try:
-            ref = resolve_var(table, project, m, frozenset(), Var(name, qualifier))
+            ref = resolve_site(table, project, m, qualifier, name)
         except ResolveError as exc:
             raise _not_found(str(exc))
-        assert ref is not None
         td = project.modules[ref.module].decl(ref.name)
         if not isinstance(td, FunDecl):
             raise _not_found(f"{d_token} does not name a function definition")

@@ -315,37 +315,44 @@ def resolve_var(
     table: SymbolTable, project: Project, module: str, bound: frozenset[str], v: Var
 ) -> Optional[DefRef]:
     """Resolve one occurrence; None means locally bound. Raises on failure."""
-    if v.qualifier is not None:
-        target = project.modules.get(v.qualifier)
-        if target is None:
-            raise _err("UnresolvedName", module, v.name, f"unknown module {v.qualifier} in {v.qualifier}.{v.name}")
-        if v.qualifier != module:
-            mod = project.modules[module]
-            if v.qualifier not in mod.imports:
-                raise _err(
-                    "UnresolvedName", module, v.name,
-                    f"{module} does not import {v.qualifier} (needed by {v.qualifier}.{v.name})",
-                )
-            if v.name not in module_exports(target):
-                raise _err(
-                    "UnresolvedName", module, v.name,
-                    f"{v.qualifier} does not export {v.name}",
-                )
-        elif target.decl(v.name) is None:
-            raise _err("UnresolvedName", module, v.name, f"{module} does not define {v.name}")
-        return DefRef(v.qualifier, v.name, "fun")
-    if v.name in bound:
+    if v.qualifier is None and v.name in bound:
         return None
-    candidates = table.lookup(module, v.name)
-    if not candidates:
-        raise _err("UnresolvedName", module, v.name, f"cannot resolve {v.name} in module {module}")
-    if len(candidates) > 1:
+    return resolve_site(table, project, module, v.qualifier, v.name)
+
+
+def resolve_site(
+    table: SymbolTable, project: Project, module: str, qualifier: Optional[str], name: str
+) -> DefRef:
+    """The definition the global site (module, qualifier, name) denotes: a
+    bare name's one candidate in the module's scope, a qualified name's
+    definition in the module it names. Raises ResolveError where it denotes
+    none. The validation, the evaluator and the certificate all read a site
+    through this one function, so they cannot disagree on what it denotes."""
+    if qualifier is None:
+        candidates = table.lookup(module, name)
+        if len(candidates) == 1:
+            return candidates[0]
+        if not candidates:
+            raise _err("UnresolvedName", module, name, f"cannot resolve {name} in module {module}")
         origins = ", ".join(c.module for c in candidates)
         raise _err(
-            "AmbiguousName", module, v.name,
-            f"{v.name} is ambiguous in module {module} (from {origins})",
+            "AmbiguousName", module, name,
+            f"{name} is ambiguous in module {module} (from {origins})",
         )
-    return candidates[0]
+    target = project.modules.get(qualifier)
+    if target is None:
+        raise _err("UnresolvedName", module, name, f"unknown module {qualifier} in {qualifier}.{name}")
+    if qualifier != module:
+        if qualifier not in project.modules[module].imports:
+            raise _err(
+                "UnresolvedName", module, name,
+                f"{module} does not import {qualifier} (needed by {qualifier}.{name})",
+            )
+        if name not in module_exports(target):
+            raise _err("UnresolvedName", module, name, f"{qualifier} does not export {name}")
+    elif target.decl(name) is None:
+        raise _err("UnresolvedName", module, name, f"{module} does not define {name}")
+    return DefRef(qualifier, name, "fun")
 
 
 def _resolve_constructor(
@@ -463,14 +470,10 @@ def _check_decl(table: SymbolTable, project: Project, mname: str, d: FunDecl):
     order. A walk raises at the first occurrence whose check fails, which
     is the first occurrence of the first failing check, so the error is the
     one a walk of d would raise."""
-    scope = table.scopes[mname]
     for check in decl_reads(d).checks:
         kind = check[0]
         if kind == "var":
-            _, qualifier, name = check
-            if qualifier is None and len(scope.get(name, ())) == 1:
-                continue  # the common case, without building a Var
-            resolve_var(table, project, mname, frozenset(), Var(name, qualifier))
+            resolve_site(table, project, mname, check[1], check[2])
         elif kind == "con":
             _, name, nargs = check
             _, condef = _resolve_constructor(table, mname, name)
@@ -546,7 +549,7 @@ def decl_refs(table: SymbolTable, project: Project, module: str, d: TopDecl) -> 
     assert isinstance(d, FunDecl)
     for check in decl_reads(d).checks:
         if check[0] == "var":
-            yield resolve_var(table, project, module, frozenset(), Var(check[2], check[1]))
+            yield resolve_site(table, project, module, check[1], check[2])
         elif check[0] in ("con", "pcon"):
             cands = table.constructors.get(module, {}).get(check[1], [])
             if len(cands) == 1:
@@ -577,7 +580,7 @@ def readers_of(
                 if check[0] == "var" and check[2] == name:
                     q = check[1]
                     if q not in hits:
-                        ref = resolve_var(table, project, mname, frozenset(), Var(name, q))
+                        ref = resolve_site(table, project, mname, q, name)
                         hits[q] = (ref.module, ref.name) == target
                     if hits[q]:
                         quals.add(q)

@@ -23,7 +23,7 @@ from .refactorings import RefactorError
 from .render import write_project
 from .resolver import (
     DefRef, ResolveError, SymbolTable, decl_index, decl_reads, project_state, readers_of, resolve_project,
-    resolve_var,
+    resolve_site,
 )
 
 
@@ -280,10 +280,9 @@ def _local_names(d: FunDecl) -> list[str]:
 
 def _sites(project: Project, table: SymbolTable):
     """The definition a global site (module, qualifier, name) of project
-    denotes, memoised per site: an unqualified name's one candidate in the
-    module's scope, as evaluator._site reads it, else what resolve_var gives,
-    which raises where it denotes none. A qualifier unfoldable writes is read
-    in the home module it names."""
+    denotes, memoised per site: what resolve_site gives, as the evaluator
+    reads it, which raises where it denotes none. A qualifier unfoldable
+    writes is read in the home module it names."""
     memo: dict[tuple[str, str | None, str], DefRef] = {}
 
     def resolve(module: str, qualifier: str | None, name: str) -> DefRef:
@@ -292,9 +291,7 @@ def _sites(project: Project, table: SymbolTable):
         if ref is None:
             if qualifier is not None and qualifier[0] == "\0":
                 _, module, qualifier = qualifier.split("\0")
-            refs = () if qualifier else table.scopes.get(module, {}).get(name, ())
-            ref = memo[site] = refs[0] if len(refs) == 1 else resolve_var(
-                table, project, module, frozenset(), Var(name, qualifier or None))
+            ref = memo[site] = resolve_site(table, project, module, qualifier or None, name)
         return ref
     return resolve
 
@@ -376,9 +373,11 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
             return False
         return (phi.get(ref, ref) if phi else ref) == resolve_old(module_a, a.qualifier, a.name)
 
-    def same_constructors(module_a: str, module_b: str, checks) -> bool:
+    def same_constructors(table: SymbolTable, module_a: str, module_b: str, checks) -> bool:
+        """Whether each constructor checks name denotes in table's module_b
+        what it does in before's module_a."""
         return all(
-            new.constructors[module_b].get(c[1]) == old.constructors[module_a].get(c[1])
+            table.constructors[module_b].get(c[1]) == old.constructors[module_a].get(c[1])
             for c in checks if c[0] in ("con", "pcon")
         )
 
@@ -465,7 +464,7 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
         m, _, fresh = suspects[key]
         checks = decl_reads(d).checks
         if not fresh:
-            return same_constructors(m, m, checks) and all(
+            return same_constructors(new, m, m, checks) and all(
                 reads_as_before(m, c[1], c[2]) for c in checks if c[0] == "var")
         (src, prior), ref = preimage(m, d), DefRef(m, d.name, "fun")
         if prior is None:  # rule 3
@@ -473,7 +472,7 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
             if made_here:
                 unfolded.add(key)
             return made_here
-        if key not in verdicts and (not same_constructors(src, m, checks) or len(prior.equations) != len(
+        if key not in verdicts and (not same_constructors(new, src, m, checks) or len(prior.equations) != len(
                 d.equations) or prior.arity != d.arity and ref not in static):
             return False
         if not full:
@@ -512,9 +511,8 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
                     continue
                 r = sides[after][2](m if after else src, head.qualifier, head.name)
                 found = None if (after, r) in left else unfoldable(after, r)
-                if found is None or len(args) < len(found[1]) or not all(
-                        sides[after][1].constructors[r.module].get(c[1]) == old.constructors[src].get(c[1])
-                        for c in decl_reads(found[0]).checks if c[0] in ("con", "pcon")):
+                if found is None or len(args) < len(found[1]) or not same_constructors(
+                        sides[after][1], src, r.module, decl_reads(found[0]).checks):
                     continue
                 _, params, body = found
                 e = make_app(substitute_many(body, dict(zip(params, args))), args[len(params):])
@@ -572,11 +570,7 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
                 return False
             if passed is None:
                 left.append(d)
-            scope = new.scopes[ref.module]
-            for c in decl_reads(d).checks:
-                if c[0] == "var":  # the scope's one candidate, as evaluator._site reads it
-                    refs = scope.get(c[2], ()) if c[1] is None else ()
-                    todo.append(refs[0] if len(refs) == 1 else resolve_new(ref.module, c[1], c[2]))
+            todo.extend(resolve_new(ref.module, c[1], c[2]) for c in decl_reads(d).checks if c[0] == "var")
         if not all(map(verdict, left)):
             return False
         clean.update(seen)

@@ -409,6 +409,7 @@ SHARED = (
     "bare x = x + 1\n\n"
     "inlet x = let u = 1 in case x of\n    K i -> i + u\n\n"
     "lifted x = h\n    where\n        h = bare x\n\n"
+    "wrap z = w\n    where\n        w = bare z\n\n"
     "h = 2\n\n"
     "k x y = x\n\n"
     "-- c 0 = 1\nc z = k z 2\n\n"
@@ -435,11 +436,18 @@ SHARED = (
     ("NameClash", "bare is already in scope in M", R.rename_top_level, ("two", "M", "bare")),
     ("NameClash", "h is already in scope in M", R.lift_to_top, ("lifted", "h", "M")),
     ("NotApplicable", "the commented definition's parameters must be plain variables", R.generative_fold, ("k", 2, "M")),
+    ("PreconditionFailed", "unknown generalise mode Bogus", R.generalise, ("loc", "K", "g", "M", 1, "y", "curried", "Bogus")),
+    ("PreconditionFailed", "unknown curry flag bogus", R.generalise, ("loc", "K", "g", "M", 1, "y", "bogus", "OtherType")),
+    ("NotApplicable", "an application has at least one argument", R.generative_fold, ("k", 0, "M")),
+    ("NotFound", "y is not free in the body of g", R.generalise_ident, ("g", "M", "y", "z")),
+    ("NameClash", "z is already used inside wrap", R.generalise_ident, ("w", "M", "bare", "z")),
+    ("NotApplicable", "T in M is a data declaration", R.generalise_ident, ("T", "M", "y", "z")),
 ], ids=[
     "single-fold", "single-simplify", "single-case-to-eq", "locals-fold", "locals-case-to-eq",
     "locals-unfold", "plain-fold", "plain-case-to-eq", "case-simplify", "case-case-to-eq",
     "let-case-to-eq", "bound-exhibit", "bound-exhibit-pattern", "bound-new-def", "bound-rename",
-    "bound-lift", "plain-commented",
+    "bound-lift", "plain-commented", "generalise-mode", "generalise-curry-flag", "generative-fold-no-arguments",
+    "local-ident-not-free", "local-ident-clash", "ident-of-data",
 ])
 def test_shared_precondition(kind, message, fn, args):
     assert expect(_project(SHARED), kind, fn, *args).message == message

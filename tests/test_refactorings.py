@@ -161,6 +161,22 @@ def test_rename_qualifies_clashing_sites():
     assert observe_entries(p2, ["entry"]) == {"entry": "1"}
 
 
+def test_rename_renames_the_export():
+    p = R.rename_top_level(_project("module M (f, g) where\nf = 1\ng = 2"), "f", "M", "h")
+    assert p.modules["M"].exports == ("h", "g")
+
+
+def test_move_def_exports_a_definition_another_module_reads():
+    p = _project(
+        "module A where\n\nf = 1",
+        "module B (k) where\n\nk = 2",
+        "module C where\n\nimport A\nimport B\n\nentry = print (show (f + k))",
+    )
+    p2 = R.move_def(p, "f", "A", "B")
+    assert p2.modules["B"].exports == ("k", "f")
+    assert observe_entries(p2, ["entry"]) == {"entry": "3"}
+
+
 def test_move_def_step9_and_10(pfun, preserved):
     p = _to_step(pfun, 8)
     p = R.move_def(p, "evalConst", "EvalMod", "ConstMod")
@@ -182,6 +198,17 @@ def test_unfold_instance_step8(pfun, preserved):
     p = R.unfold_instance(p, "eval_gen_1", "eval", "Client")
     assert _decl_text(p, "Client", "eval") == "eval x = fold1 evalAdd evalConst x"
     preserved(p)
+
+
+def test_unfold_imports_what_the_body_reads():
+    p = _project(
+        "module X (x) where\n\nx = 5",
+        "module G (g) where\n\nimport X\n\ng y = X.x + y",
+        "module C where\n\nimport G\n\nr1 = print (show (g 1))",
+    )
+    p2 = R.unfold_instance(p, "g", "r1", "C")
+    assert p2.modules["C"].imports == ("G", "X")
+    assert observe_entries(p2, ["r1"]) == {"r1": "6"}
 
 
 def test_unfold_beta_reduces(pdata):

@@ -1,12 +1,14 @@
 import pytest
 
-from viewshift.lang import Project, Var, decl_expr_at
+from viewshift.corpus import load_fixture
+from viewshift.lang import FunDecl, Project, Var, decl_expr_at
 from viewshift.parse import parse_module
 from viewshift.resolver import (
-    ResolveError, build_symbol_table, find_application, occurrences_of,
-    resolve_project, resolve_var, unused_imports,
+    DefRef, ResolveError, build_symbol_table, decl_reads, find_application, module_exports,
+    occurrences_of, resolve_project, resolve_site, resolve_var, unused_imports,
 )
 from viewshift.refactorings import rename_top_level
+from viewshift.script import COMMANDS
 
 
 def _project(*sources: str) -> Project:
@@ -159,3 +161,103 @@ def test_pattern_shape_checked():
     p = _project("module M where\ndata T = Add (T, T)\nf (Add x y) = x")
     with pytest.raises(ResolveError):
         resolve_project(p)
+
+
+# --- resolve_site against the strict resolver it replaced ---
+
+def _reference_resolve_var(table, project, module, bound, v):
+    """The strict resolver as it read before resolve_site held it: the
+    reference resolve_site is compared with."""
+    if v.qualifier is not None:
+        target = project.modules.get(v.qualifier)
+        if target is None:
+            raise ResolveError("UnresolvedName", module, v.name, f"unknown module {v.qualifier} in {v.qualifier}.{v.name}")
+        if v.qualifier != module:
+            mod = project.modules[module]
+            if v.qualifier not in mod.imports:
+                raise ResolveError(
+                    "UnresolvedName", module, v.name,
+                    f"{module} does not import {v.qualifier} (needed by {v.qualifier}.{v.name})",
+                )
+            if v.name not in module_exports(target):
+                raise ResolveError("UnresolvedName", module, v.name, f"{v.qualifier} does not export {v.name}")
+        elif target.decl(v.name) is None:
+            raise ResolveError("UnresolvedName", module, v.name, f"{module} does not define {v.name}")
+        return DefRef(v.qualifier, v.name, "fun")
+    if v.name in bound:
+        return None
+    candidates = table.lookup(module, v.name)
+    if not candidates:
+        raise ResolveError("UnresolvedName", module, v.name, f"cannot resolve {v.name} in module {module}")
+    if len(candidates) > 1:
+        origins = ", ".join(c.module for c in candidates)
+        raise ResolveError("AmbiguousName", module, v.name, f"{v.name} is ambiguous in module {module} (from {origins})")
+    return candidates[0]
+
+
+def _outcome(resolve, *args):
+    """The definition resolve gives, or the kind, module, name and message
+    of the ResolveError it raises."""
+    try:
+        return resolve(*args)
+    except ResolveError as exc:
+        return exc.kind, exc.module, exc.name, str(exc)
+
+
+def _agree(project, module, qualifier, name):
+    """resolve_site's outcome on a site, once seen to be the reference's."""
+    table = build_symbol_table(project)
+    got = _outcome(resolve_site, table, project, module, qualifier, name)
+    assert got == _outcome(_reference_resolve_var, table, project, module, frozenset(), Var(name, qualifier))
+    return got
+
+
+SHIPPED = [
+    ("pfun", "forward-script", "forward"), ("pdata", "reverse-script", "reverse"),
+    ("scenario-mult", "scenario-mult", "reverse-mult"), ("scenario-derive", "scenario-derive", "forward-derive"),
+]
+
+
+@pytest.mark.parametrize("origin, scripts, name", SHIPPED, ids=[s[2] for s in SHIPPED])
+def test_resolve_site_agrees_on_every_read_of_a_shipped_script(origin, scripts, name):
+    # the fixture and each step's result: every global site a function
+    # declaration reads, each of which denotes a definition
+    project, sites = load_fixture(origin).project, 0
+    for step in (None, *load_fixture(scripts).scripts[name].steps):
+        if step is not None:
+            project = COMMANDS[step.command][1](project, step)
+        for mname, mod in project.modules.items():
+            for d in mod.decls:
+                for c in decl_reads(d).checks if isinstance(d, FunDecl) else ():
+                    if c[0] == "var":
+                        assert isinstance(_agree(project, mname, c[1], c[2]), DefRef)
+                        sites += 1
+    assert sites > 100
+
+
+INVALID = _project(
+    "module X (x) where\nx = 1\ny = 2",
+    "module A where\nf = 1",
+    "module B where\nf = 2",
+    "module C where\nimport A\nimport B\nimport X\ng = 3",
+)
+
+
+@pytest.mark.parametrize("module, qualifier, name, kind, message", [
+    ("C", "Nope", "x", "UnresolvedName", "unknown module Nope in Nope.x"),
+    ("A", "X", "x", "UnresolvedName", "A does not import X (needed by X.x)"),
+    ("C", "X", "y", "UnresolvedName", "X does not export y"),
+    ("C", "C", "h", "UnresolvedName", "C does not define h"),
+    ("C", None, "h", "UnresolvedName", "cannot resolve h in module C"),
+    ("C", None, "f", "AmbiguousName", "f is ambiguous in module C (from A, B)"),
+], ids=["unknown-module", "not-imported", "not-exported", "self-undefined", "unresolved", "ambiguous"])
+def test_resolve_site_refuses_an_invalid_site_as_resolve_var_did(module, qualifier, name, kind, message):
+    assert _agree(INVALID, module, qualifier, name) == (kind, module, name, message)
+
+
+def test_resolve_var_is_resolve_site_for_a_name_not_bound():
+    table = build_symbol_table(INVALID)
+    assert _agree(INVALID, "C", "X", "x") == DefRef("X", "x", "fun")
+    assert resolve_var(table, INVALID, "C", frozenset({"g"}), Var("g")) is None
+    # a qualified name is global even where its bare name is bound
+    assert resolve_var(table, INVALID, "C", frozenset({"g"}), Var("g", "C")) == DefRef("C", "g", "fun")
