@@ -93,7 +93,9 @@ COMMANDS: dict[str, tuple[int, Callable[[Project, RefactorStep], Project]]] = {
 def parse_step(tokens: list[str], line: int) -> RefactorStep:
     """A command and its arguments; an unknown command, a wrong arity or an
     int argument that is not ASCII digits, as the object language writes
-    an integer, is a ScriptSyntaxError."""
+    an integer, or that int() refuses (Python converts at most
+    sys.get_int_max_str_digits() digits, 4,300 by default), is a
+    ScriptSyntaxError."""
     command, args = tokens[0], tuple(tokens[1:])
     if command not in CATALOGUE:
         raise ScriptSyntaxError(f"unknown command {command!r}", line)
@@ -101,8 +103,14 @@ def parse_step(tokens: list[str], line: int) -> RefactorStep:
     if len(args) != len(kinds):
         raise ScriptSyntaxError(f"{command} takes {len(kinds)} argument(s), got {len(args)}", line)
     for i, (kind, arg) in enumerate(zip(kinds, args), start=1):
-        if kind == "int" and not (arg.isascii() and arg.isdigit()):
-            raise ScriptSyntaxError(f"argument {i} of {command} must be an integer", line)
+        if kind != "int":
+            continue
+        try:
+            if not (arg.isascii() and arg.isdigit()):
+                raise ValueError(arg)
+            int(arg)  # the conversion _handler makes, refused beyond Python's digit limit
+        except ValueError:
+            raise ScriptSyntaxError(f"argument {i} of {command} must be an integer", line) from None
     return RefactorStep(command, args, line)
 
 
@@ -241,10 +249,14 @@ def _changed_decls(before: Project, after: Project) -> dict[str, list[str]]:
 #
 # A declaration that fails that verdict may pass up to unfolding (Necula's
 # normalisation before comparing), each side by its own definitions and
-# never by folding (Sands, TOPLAS 1996), or, with one parameter more than
-# its preimage, as the preimage with a static first parameter (undoing
-# lambda-dropping, Danvy and Schultz, TCS 2000); README states rules 1-3
-# and 5 and their limits, and judge, _inlined and unfoldable apply them.
+# never by folding (Sands, TOPLAS 1996): a call equals its unfolding in its
+# own program, recursive or not, and unfolding a function at most once
+# along a path ends the walk. Or, with one parameter more than its
+# preimage, it may pass as the preimage with a static first parameter
+# (undoing lambda-dropping, Danvy and Schultz, TCS 2000). A function the
+# step made passes, since no read of it matches through φ. README states
+# rules 1-3 and 5 and their limits, and judge, _inlined and unfoldable
+# apply them.
 
 
 class Proof(frozenset):
@@ -343,7 +355,6 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
     vanished = [DefRef(m, n, "fun") for m in replaced for n in _functions(was.get(m)) - _functions(now[m])]
     appeared = [DefRef(m, n, "fun") for m in replaced for n in _functions(now[m]) - _functions(was.get(m))]
     phi = {appeared[0]: vanished[0]} if len(vanished) == len(appeared) == 1 else {}
-    made = set(appeared).difference(phi)  # functions the step made, with no φ partner
     if any(_data(was.get(m)) != _data(now[m]) for m in replaced):
         return Proof()
     # An entry bound in the same one module of both is fixed by φ, which
@@ -408,7 +419,7 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
             static[DefRef(m, d.name, "fun")] = None  # its readers are judged, the kept ones too
             for mr, dr, _ in readers_of(new, after, (m, d.name)):
                 suspects.setdefault(id(dr), (mr, dr, False))
-    verdicts: dict[int, bool | None] = {}
+    verdicts: dict[int, bool] = {}
     unfolded: set[int] = set()  # the verdicts that passed only up to unfolding
     reads: dict[tuple[str, str | None, str], bool] = {}
     sides = {False: (was, old, resolve_old), True: (now, new, resolve_new)}  # whether after -> its own
@@ -419,23 +430,14 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
         side, where rule 2 may unfold it; memoised. Each global name of the
         body gets a qualifier no binder captures, which _sites reads in ref's module."""
         if (after, ref) not in bodies:
-            modules, _, resolve = sides[after]
+            modules = sides[after][0]
             d = decl_index(modules[ref.module]).get(ref.name) if ref.module in modules else None
             bodies[after, ref] = None
             eq = d.equations[0] if isinstance(d, FunDecl) and len(d.equations) == 1 else None
             if eq is not None and not eq.locals and all(type(p) is PVar for p in eq.patterns):
-                todo, seen = [ref], set()  # what it reaches, which must not be itself
-                while todo:
-                    r = todo.pop()
-                    dr = decl_index(modules[r.module]).get(r.name) if r.module in modules else None
-                    for c in decl_reads(dr).checks if isinstance(dr, FunDecl) else ():
-                        if c[0] == "var" and (callee := resolve(r.module, c[1], c[2])) not in seen:
-                            seen.add(callee)
-                            todo.append(callee)
-                if ref not in seen:
-                    params, home = tuple(p.name for p in eq.patterns), f"\0{ref.module}\0"
-                    bodies[after, ref] = d, params, map_vars(eq.rhs, frozenset(params), lambda v, bound: v if (
-                        v.qualifier is None and v.name in bound) else Var(v.name, home + (v.qualifier or "")))
+                params, home = tuple(p.name for p in eq.patterns), f"\0{ref.module}\0"
+                bodies[after, ref] = d, params, map_vars(eq.rhs, frozenset(params), lambda v, bound: v if (
+                    v.qualifier is None and v.name in bound) else Var(v.name, home + (v.qualifier or "")))
         return bodies[after, ref]
 
     def reads_as_before(module: str, qualifier: str | None, name: str) -> bool:
@@ -445,38 +447,33 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
             passed = reads[site] = same_site(module, v, module, v)
         return passed
 
-    def verdict(d: FunDecl, full: bool = True) -> bool | None:
+    def verdict(d: FunDecl) -> bool:
         """Whether d of after is its φ-preimage up to bound names, or up to
-        unfolding, or a function made that rule 2 could unfold, or a kept
-        declaration whose reads resolve as before through φ; memoised. Not
-        full, None where only comparing d with its preimage could pass it."""
+        unfolding, or a function the step made, or a kept declaration whose
+        reads resolve as before through φ; memoised."""
         key = id(d)
         if key not in suspects:
             return True
-        if key not in verdicts or verdicts[key] is None and full:
+        if key not in verdicts:
             try:
-                verdicts[key] = judge(key, d, full)
+                verdicts[key] = judge(key, d)
             except (ResolveError, RecursionError):
                 verdicts[key] = False
         return verdicts[key]
 
-    def judge(key: int, d: FunDecl, full: bool) -> bool | None:
+    def judge(key: int, d: FunDecl) -> bool:
         m, _, fresh = suspects[key]
         checks = decl_reads(d).checks
         if not fresh:
             return same_constructors(new, m, m, checks) and all(
                 reads_as_before(m, c[1], c[2]) for c in checks if c[0] == "var")
         (src, prior), ref = preimage(m, d), DefRef(m, d.name, "fun")
-        if prior is None:  # rule 3
-            made_here = ref in made and d.name not in entries and unfoldable(True, ref) is not None
-            if made_here:
-                unfolded.add(key)
-            return made_here
-        if key not in verdicts and (not same_constructors(new, src, m, checks) or len(prior.equations) != len(
-                d.equations) or prior.arity != d.arity and ref not in static):
+        if prior is None:  # rule 3: a function the step made
+            unfolded.add(key)
+            return True
+        if not same_constructors(new, src, m, checks) or len(prior.equations) != len(
+                d.equations) or prior.arity != d.arity and ref not in static:
             return False
-        if not full:
-            return None
         fixed: list[DefRef] = []  # rule 5: the global of before that a use of x matched first
 
         def same(a, b, right):
@@ -529,9 +526,7 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
                  if ea is not eb or src != m or not all(reads_as_before(m, *site) for site in _globals(eb))]
         a, b = (replace(prior, equations=tuple(ea for ea, _ in pairs)),
                 replace(d, equations=tuple(eb for _, eb in pairs)))
-        reader = static and ref not in static and any(  # whose reads of f' match only through unfold
-            c[0] == "var" and resolve_new(m, c[1], c[2]) in static for c in checks)
-        if reader or not alpha_eq_decl(a, b, same):
+        if not alpha_eq_decl(a, b, same):
             fixed.clear()
             if not alpha_eq_decl(replace(a, equations=tuple(map(_inlined, a.equations))),  # rules 1 and 2
                                  replace(b, equations=tuple(map(_inlined, b.equations))), same, unfold):
@@ -557,27 +552,21 @@ def _proved(before: Project, after: Project, entries, expected: dict[str, str], 
         resolved global sites, passes its verdict; where its value shows a
         closure, each new one passes unfolding nothing and keeps its locals' names."""
         closure = "<" in expected[entry]
-        todo, seen, left = [DefRef(homes[entry], entry, "fun")], set(), []  # left: for a full verdict
+        todo, seen = [DefRef(homes[entry], entry, "fun")], set()
         while todo:
             ref = todo.pop()
             if ref in seen or ref in clean and not closure:
                 continue
             seen.add(ref)
             d = decl_index(now[ref.module]).get(ref.name)
-            passed = verdict(d, closure) if isinstance(d, FunDecl) else False
-            if passed is False or closure and id(d) in suspects and (
+            if not isinstance(d, FunDecl) or not verdict(d) or closure and id(d) in suspects and (
                     id(d) in unfolded or _local_names(d) != _local_names(preimage(ref.module, d)[1])):
                 return False
-            if passed is None:
-                left.append(d)
             todo.extend(resolve_new(ref.module, c[1], c[2]) for c in decl_reads(d).checks if c[0] == "var")
-        if not all(map(verdict, left)):
-            return False
         clean.update(seen)
         return True
-    judged = [d for _, d, _ in suspects.values()]
     every = all("<" not in expected[entry] for entry in homes) and all(
-        verdict(d, False) is not False for d in judged) and all(map(verdict, judged))
+        verdict(d) for _, d, _ in suspects.values())
     out = Proof(homes if every else filter(reaches_only_passing, homes))
     out.unfolding = bool(unfolded)
     return out

@@ -211,7 +211,8 @@ def _diverges(project: Project) -> None:
 
 
 def test_a_self_fold_is_refused():
-    # f's body folded into f itself: f does not unfold, since it reaches itself
+    # f's body folded into f itself: f x unfolds to f x once, and the
+    # once-per-path rule ends the walk there, matching nothing
     before = _project("module Client where\n\nf x = x + 1\n\nr1 = f 1\n")
     after = _project("module Client where\n\nf x = f x\n\nr1 = f 1\n")
     assert not renaming_certificate(before, after, ("r1",), {"r1": "2"}, _replaced(before, after))
@@ -219,7 +220,8 @@ def test_a_self_fold_is_refused():
 
 
 def test_a_fold_that_makes_mutual_recursion_is_refused():
-    # each of f and g reaches itself through the other
+    # f and g unfold into each other, each once along a path, and the walk
+    # ends without reaching the input's x + 1
     before = _project("module Client where\n\nf x = x + 1\n\ng x = x + 1\n\nr1 = f 1\n")
     after = _project("module Client where\n\nf x = g x\n\ng x = f x\n\nr1 = f 1\n")
     assert not renaming_certificate(before, after, ("r1",), {"r1": "2"}, _replaced(before, after))
@@ -227,8 +229,8 @@ def test_a_fold_that_makes_mutual_recursion_is_refused():
 
 
 def test_a_self_application_unfolds_once_and_is_refused():
-    # w does not reach itself through its reads, yet w w unfolds to w w: the
-    # comparison ends because w is unfolded at most once along a path
+    # w w unfolds to w w: the comparison ends because w is unfolded at most
+    # once along a path
     before = _project("module Client where\n\nw x = x x\n\nf y = y\n\nr1 = f 2\n")
     after = _project("module Client where\n\nw x = x x\n\nf y = w w\n\nr1 = f 2\n")
     assert not renaming_certificate(before, after, ("r1",), {"r1": "2"}, _replaced(before, after))
@@ -262,12 +264,31 @@ def test_a_local_whose_inlining_would_capture_a_name_is_refused(monkeypatch):
 
 
 def test_a_made_definition_that_is_an_entry_is_refused(monkeypatch):
-    # r1 made in M, where rule 2 could unfold it; it is an entry, now with two homes
+    # r1 made in M passes as made, but it is an entry, now with two homes
     before = _project("module Client where\n\nr1 = 1\n", "module M where\n\nk = 2\n")
     after = _project("module Client where\n\nr1 = 1\n", "module M where\n\nk = 2\n\nr1 = k\n")
     record = _refused_then_observed(monkeypatch, before, after)
     assert (record.equivalence, record.kind) == ("fail", "UnresolvedName")
     assert "entry r1 is defined in several modules" in record.error
+
+
+def test_a_lifted_recursive_local_is_refused():
+    # the made g passes and unfolds on the result side, but rule 1 does not
+    # inline the input's g, which reads itself, so f matches nothing
+    g = "g y = case y of\n        Z -> 0\n        S n -> 1 + g n\n"
+    before = _project(f"module Client where\n\ndata N = Z | S N\n\nf x = g x\n  where\n    {g}\nr1 = f (S (S Z))\n")
+    _, log = run_script(before, parse_script("lift-def f g Client\n"), checked=True, entries=("r1",))
+    assert [(r.equivalence, r.proof, r.evaluated) for r in log.records] == [("pass", "observed", ["r1"])]
+
+
+def test_a_made_definition_of_two_equations_is_not_unfolded(monkeypatch):
+    # the made isz passes as made, but rule 2 unfolds only a function of one
+    # equation, so its saturated reader f matches nothing
+    text = "module Client where\n\ndata N = Z | S N\n\n{}r1 = f (S Z)\n"
+    before = _project(text.format("f n = case n of\n    Z -> 0\n    S m -> 1\n\n"))
+    after = _project(text.format("isz Z = 0\nisz (S m) = 1\n\nf n = isz n\n\n"))
+    record = _refused_then_observed(monkeypatch, before, after)
+    assert (record.equivalence, record.proof, record.evaluated) == ("pass", "observed", ["r1"])
 
 
 def test_an_entry_that_shows_a_closure_is_not_proved_by_unfolding(monkeypatch):

@@ -159,7 +159,9 @@ def test_op_failure_exit_code(dirs, capsys):
     (["rename-top-level", "eval", "EvalMod"], "rename-top-level takes 3 argument(s), got 2"),
     (["generalise", "eval", "Const", "evalConst", "EvalMod", "x", "y", "tupled", "OtherType"],
      "argument 5 of generalise must be an integer (line 1)"),
-], ids=["unknown-command", "wrong-arity", "non-integer"])
+    (["new-def-fun-app", "eval", "9" * 5000, "f", "EvalMod"],
+     "argument 2 of new-def-fun-app must be an integer (line 1)"),
+], ids=["unknown-command", "wrong-arity", "non-integer", "5000-digits"])
 def test_op_usage_errors(dirs, capsys, tokens, message):
     out = dirs / "op_usage"
     assert main(["op", *tokens, str(dirs / "pfun"), "--out", str(out)]) == 2
@@ -195,9 +197,11 @@ def test_apply_non_integer_argument_exits_2_before_any_step(dirs, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("count", ["+1", "1_0", "١"], ids=["plus-sign", "underscore", "arabic-indic-digit"])
+@pytest.mark.parametrize("count", ["+1", "1_0", "١", "1" * 5000],
+                         ids=["plus-sign", "underscore", "arabic-indic-digit", "5000-digits"])
 def test_apply_int_argument_of_other_than_ascii_digits_exits_2(dirs, capsys, count):
-    # Python's int() reads each of these; the object language's lexer does not
+    # Python's int() reads each of the first three; the object language's
+    # lexer does not. int() refuses the last, past Python's digit limit.
     bad = dirs / "int.vs"
     bad.write_text(f"duplicate-into-comment eval EvalMod\ngenerative-fold eval {count} EvalMod\n", encoding="utf-8")
     out = dirs / "int_out"

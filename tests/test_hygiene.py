@@ -1,7 +1,8 @@
 """Static hygiene of the package, with the stdlib ast module only: no module
 imports a name it never uses, no private module-level function or class goes
-unreferenced in the package, and no public one, nor any method of a package
-class, goes unreferenced in the package, its tests and its benchmark. Also:
+unreferenced in the package, no public one, nor any method of a package
+class, goes unreferenced in the package, its tests and its benchmark, and no
+function nested in another goes unreferenced in it. Also:
 the object-language AST is immutable, which the resolver's identity-keyed
 derivation relies on, and derived state lives on AST and project objects
 only, never in a module-level cache."""
@@ -125,6 +126,19 @@ def test_no_unreferenced_methods():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
         and referenced[node.name] == _used_names(node)[node.name]
     ] == []
+
+
+def test_no_unreferenced_nested_functions():
+    # a def nested in a function that nothing in that function reads but
+    # itself is a dead closure
+    dead = [
+        f"{path.relative_to(PACKAGE)}:{inner.lineno}: {outer.name}.{inner.name}"
+        for path in SOURCES
+        for outer in ast.walk(_tree(path)) if isinstance(outer, ast.FunctionDef)
+        for inner in ast.walk(outer) if isinstance(inner, ast.FunctionDef) and inner is not outer
+        and _used_names(outer)[inner.name] == _used_names(inner)[inner.name]
+    ]
+    assert dead == []
 
 
 def _classes_in(hint) -> list[type]:
